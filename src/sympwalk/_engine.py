@@ -1,9 +1,13 @@
 """Vectorized prime-field helpers for chain building and simulation.
 
-States are Gram matrices over F_p held as (S, N, N) uint8 arrays and keyed
-by base-p digit packing into int64.  Matrix products run in float64: all
-entries are < p and every intermediate stays far below 2^53, so results
-are exact integers before reduction mod p.
+States are Gram matrices over F_p held as (S, N, N) uint8 arrays, so the
+Monte Carlo drivers admit only p <= 256.  Exact chains key states by
+base-p digit packing into int64, under the budget of _check_packable;
+Monte Carlo deduplicates states by their raw row bytes and needs no key.
+Matrix products run in float64 on entries < p, so results are exact
+integers before reduction mod p.  The largest intermediate is the
+unreduced double product in mc_step, at most N^2 p^3, which is below
+2^53 for p <= 256 and any N below 2^14.
 """
 
 from __future__ import annotations
@@ -32,14 +36,6 @@ def _pack_float(states_f, p):
     flat = states_f.reshape(B, -1)
     powers = np.float64(p) ** np.arange(flat.shape[1], dtype=np.float64)
     return (flat @ powers).astype(np.int64)
-
-
-def unpack_key(key, dim, p):
-    out = []
-    for _ in range(dim * dim):
-        out.append(int(key % p))
-        key //= p
-    return [out[i * dim : (i + 1) * dim] for i in range(dim)]
 
 
 def unpack_keys_array(keys, dim, p):

@@ -64,7 +64,6 @@ def _add_field_args(sub):
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=1, help="reserved; computation is single-threaded per command")
     sub.add_argument("--enum-cap", type=int, default=14, help="label enumeration cap on n")
 
 

@@ -183,21 +183,6 @@ class MatFq:
             out.append(acc)
         return tuple(out)
 
-    def pow_int(self, e):
-        if not self.is_square:
-            raise DimensionMismatchError("power of non-square matrix")
-        result = MatFq.identity(self.field, self.nrows)
-        base = self
-        if e < 0:
-            base = base.inverse()
-            e = -e
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     # -- elimination-based operations ----------------------------------------
 
     def _echelon(self, rows):
@@ -233,32 +218,6 @@ class MatFq:
 
     def kernel_dim(self):
         return self.ncols - self.rank()
-
-    def kernel_basis(self):
-        """Basis of {v : M v = 0} as a list of column vectors (tuples)."""
-        F = self.field
-        work = [list(r) for r in self.rows]
-        self._echelon(work)
-        n = self.ncols
-        pivots = {}
-        r = 0
-        for row in work:
-            for j in range(n):
-                if row[j]:
-                    pivots[j] = r
-                    break
-            else:
-                break
-            r += 1
-        free = [j for j in range(n) if j not in pivots]
-        basis = []
-        for j in free:
-            v = [0] * n
-            v[j] = 1
-            for pj, pr in pivots.items():
-                v[pj] = F.neg(work[pr][j])
-            basis.append(tuple(v))
-        return basis
 
     def inverse(self):
         if not self.is_square:

@@ -49,15 +49,6 @@ def proportions_a_b(n, q):
 # Macdonald-type factors at (q, t = q^2)
 # ---------------------------------------------------------------------------
 
-def macdonald_c(lam, q) -> Fraction:
-    """c_lam(q, q^2) = prod over boxes (1 - q^(a) t^(l+1)), t = q^2."""
-    out = Fraction(1)
-    for i in range(1, len(lam) + 1):
-        for j in range(1, lam[i - 1] + 1):
-            out *= 1 - Fraction(q) ** (arm(lam, i, j) + 2 * leg(lam, i, j) + 2)
-    return out
-
-
 def macdonald_cprime(lam, q) -> Fraction:
     """c'_lam(q, q^2) = prod over boxes (1 - q^(a+1) t^l), t = q^2."""
     out = Fraction(1)

@@ -63,14 +63,6 @@ def _resolve_field(field_or_q):
     return field_from_order(int(field_or_q))
 
 
-def form_space_size(n, q):
-    """q^(n^2-n) prod_{i=1}^n (q^(2i-1) - 1), the number of symplectic forms."""
-    out = q ** (n * n - n)
-    for i in range(1, n + 1):
-        out *= q ** (2 * i - 1) - 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # States and steps
 # ---------------------------------------------------------------------------
@@ -96,13 +88,16 @@ class FormState:
         return self.gram.field
 
 
-def initial_state(n, field, rng) -> FormState:
-    """The base form J twisted by diag(alpha, 1, ..., 1), alpha uniform unit."""
+def _initial_gram(n, field, alpha) -> MatFq:
     J = standard_J(n, field)
-    alpha = rng.randrange(1, field.q)
     ainv = field.inv(alpha)
     h_inv = MatFq.diagonal(field, [ainv] + [1] * (2 * n - 1))
-    return FormState(h_inv.transpose() * J * h_inv)
+    return h_inv.transpose() * J * h_inv
+
+
+def initial_state(n, field, rng) -> FormState:
+    """The base form J twisted by diag(alpha, 1, ..., 1), alpha uniform unit."""
+    return FormState(_initial_gram(n, field, rng.randrange(1, field.q)))
 
 
 def step(state: FormState, rng) -> FormState:
@@ -447,13 +442,6 @@ def _twist_matrices(n, field):
     return out
 
 
-def _initial_gram(n, field, alpha) -> MatFq:
-    J = standard_J(n, field)
-    ainv = field.inv(alpha)
-    h_inv = MatFq.diagonal(field, [ainv] + [1] * (2 * n - 1))
-    return h_inv.transpose() * J * h_inv
-
-
 def _raw_chain_engine(n, field, cap) -> _RawChain:
     p = field.p
     N = 2 * n
@@ -526,7 +514,7 @@ def exact_form_chain(n, field_or_q, cap=DEFAULT_STATE_CAP, engine="auto") -> Cha
         raise ValueError(
             "the walk is trivial for n = 1: every transvection of GL_2 is symplectic"
         )
-    expected = form_space_size(n, q)
+    expected = coset_space_size(n, q)
     if expected > cap:
         raise StateSpaceTooLargeError(
             f"form space has {expected} states, above cap {cap}"
@@ -694,24 +682,6 @@ class MCResult:
     counts: dict  # PartitionFn -> int
 
 
-class _KeyClassifier:
-    """Classify packed Gram keys with memoization on the key."""
-
-    def __init__(self, n, field):
-        self.field = field
-        self.dim = 2 * n
-        self.j_inv = standard_J(n, field).inverse()
-        self.memo = {}
-
-    def type_of(self, key):
-        typ = self.memo.get(key)
-        if typ is None:
-            rows = _engine.unpack_key(key, self.dim, self.field.p)
-            typ = _classify_X(self.j_inv * MatFq(self.field, rows))[1]
-            self.memo[key] = typ
-        return typ
-
-
 def _tv_and_stderr(counts, trials, pi):
     emp = {t: Fraction(c, trials) for t, c in counts.items()}
     types = set(pi) | set(emp)
@@ -725,49 +695,45 @@ def _tv_and_stderr(counts, trials, pi):
     return est, math.sqrt(var) / 2
 
 
+def _mc_field(field_or_q, n):
+    """The prime field of a Monte Carlo run; states are stored as uint8."""
+    field = _resolve_field(field_or_q)
+    if field.k != 1:
+        raise StateSpaceTooLargeError("Monte Carlo engine supports prime fields")
+    if field.p > 256:
+        raise StateSpaceTooLargeError(
+            f"Monte Carlo engine stores residues as uint8; p = {field.p} exceeds 256"
+        )
+    if n < 2:
+        raise ValueError("the walk is trivial for n = 1")
+    return field
+
+
 def monte_carlo_tv(n, field_or_q, k, trials, seed=0, chunk=250_000) -> MCResult:
     """Empirical lumped law after k steps vs. the exact stationary lumps.
 
     The lumped TV is a data-processing lower bound on the full-space TV
-    and is reported as such.  Deterministic for a fixed seed.
+    and is reported as such.  Deterministic for a fixed seed, and equal to
+    step k of monte_carlo_curve with the same arguments.
     """
-    field = _resolve_field(field_or_q)
-    if field.k != 1:
-        raise StateSpaceTooLargeError("Monte Carlo engine supports prime fields")
-    if n < 2:
-        raise ValueError("the walk is trivial for n = 1")
-    p = field.p
-    pi = stationary_type_distribution(n, p)
-    rng = np.random.default_rng(seed)
-    inv_table = _engine.mod_inverse_table(p)
-    jmat = np.array(standard_J(n, field).to_lists(), dtype=np.uint8)
-    classifier = _KeyClassifier(n, field)
-    counts = Counter()
-    remaining = trials
-    while remaining:
-        b = min(chunk, remaining)
-        remaining -= b
-        grams = _engine.initial_grams(jmat, p, b, rng, inv_table)
-        for _ in range(k):
-            grams = _engine.mc_step(grams, p, rng, inv_table)
-        keys, cnt = np.unique(_engine.pack_keys(grams, p), return_counts=True)
-        for key, c in zip(keys.tolist(), cnt.tolist()):
-            counts[classifier.type_of(key)] += c
-    est, err = _tv_and_stderr(counts, trials, pi)
-    return MCResult(est, err, trials, dict(counts))
+    return monte_carlo_curve(n, field_or_q, k, trials, seed=seed, chunk=chunk)[k][1]
 
 
 def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0, chunk=250_000):
-    """MCResult per step k = 0..k_max from one set of trajectories."""
-    field = _resolve_field(field_or_q)
-    if field.k != 1:
-        raise StateSpaceTooLargeError("Monte Carlo engine supports prime fields")
+    """MCResult per step k = 0..k_max from one set of trajectories.
+
+    Each step's lanes are deduplicated by their raw row bytes, and the rows
+    not seen before in this call are classified in one batch.
+    """
+    field = _mc_field(field_or_q, n)
     p = field.p
+    N = 2 * n
+    row_bytes = np.dtype((np.void, N * N))
     pi = stationary_type_distribution(n, p)
     rng = np.random.default_rng(seed)
     inv_table = _engine.mod_inverse_table(p)
     jmat = np.array(standard_J(n, field).to_lists(), dtype=np.uint8)
-    classifier = _KeyClassifier(n, field)
+    type_of = {}  # row bytes -> type label
     per_step = [Counter() for _ in range(k_max + 1)]
     remaining = trials
     while remaining:
@@ -775,9 +741,16 @@ def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0, chunk=250_000):
         remaining -= b
         grams = _engine.initial_grams(jmat, p, b, rng, inv_table)
         for k in range(k_max + 1):
-            keys, cnt = np.unique(_engine.pack_keys(grams, p), return_counts=True)
-            for key, c in zip(keys.tolist(), cnt.tolist()):
-                per_step[k][classifier.type_of(key)] += c
+            rows = grams.reshape(b, N * N).view(row_bytes).ravel()
+            uniq, cnt = np.unique(rows, return_counts=True)
+            keys = uniq.tolist()
+            new = [i for i, key in enumerate(keys) if key not in type_of]
+            if new:
+                states = uniq[new].view(np.uint8).reshape(-1, N, N)
+                _, types = _classify_states_batched(states, n, field)
+                type_of.update(zip((keys[i] for i in new), types))
+            for key, c in zip(keys, cnt.tolist()):
+                per_step[k][type_of[key]] += c
             if k < k_max:
                 grams = _engine.mc_step(grams, p, rng, inv_table)
     out = []
@@ -801,13 +774,9 @@ def support_violations(n, field_or_q, c, trials, seed=0, classify_sample=50):
     counted via batched rank; a small subsample is cross-checked with the
     full classifier.  Returns (violations, trials).
     """
-    field = _resolve_field(field_or_q)
-    if field.k != 1:
-        raise StateSpaceTooLargeError("batched support check needs a prime field")
+    field = _mc_field(field_or_q, n)
     if not 0 <= c <= n:
         raise ValueError("need 0 <= c <= n")
-    if n < 2:
-        raise ValueError("the walk is trivial for n = 1")
     p = field.p
     k = n - c
     rng = np.random.default_rng(seed)

@@ -126,6 +126,13 @@ def test_resource_cap_exit_code(capsys):
     assert code == 3
 
 
+def test_simulate_field_beyond_uint8_is_resource_cap(capsys):
+    code = main(["simulate", "--n", "2", "--q", "257", "--steps", "1", "--trials", "10"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("resource cap:") and "Traceback" not in err
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "table.csv"
     code = main(["spectrum", "--n", "2", "--q", "2", "--out", str(path)])

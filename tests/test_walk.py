@@ -2,22 +2,34 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sympwalk.combinat import PartitionFn, class_size_qsq, gl_order, sp_order
+from sympwalk.bounds import upper_bound_tv
+from sympwalk.combinat import (
+    PartitionFn,
+    class_size_qsq,
+    coset_space_size,
+    gl_order,
+    sp_order,
+)
 from sympwalk.errors import OddMultiplicityError, StateSpaceTooLargeError
 from sympwalk.field import build_field
 from sympwalk.linalg import MatFq, class_invariant, is_form_preserving, standard_J
 from sympwalk.spectral import eigenvalue_phi
 from sympwalk.walk import (
     FormState,
+    _classify_states_batched,
+    _classify_X,
     _key_type_from_pairs,
     classify_double_coset,
     double_coset_key,
     exact_form_chain,
-    form_space_size,
     group_walk_step,
     initial_state,
+    monte_carlo_curve,
     monte_carlo_tv,
     nonsymplectic_representative,
     stationary_type_distribution,
@@ -34,9 +46,9 @@ TRANSVECTION2 = PartitionFn.make([(1, (2,))])
 
 
 def test_form_space_sizes():
-    assert form_space_size(2, 2) == 28
-    assert form_space_size(2, 3) == 468
-    assert form_space_size(3, 2) == 13888
+    assert coset_space_size(2, 2) == 28
+    assert coset_space_size(2, 3) == 468
+    assert coset_space_size(3, 2) == 13888
 
 
 def test_initial_state_q2_is_J():
@@ -320,6 +332,60 @@ def test_monte_carlo_q3_matches_typed_exact(chain23):
         exact = chain23.typed_tv(k)
         res = monte_carlo_tv(2, 3, k, 150_000, seed=13 + k)
         assert abs(float(res.estimate - exact)) <= max(3 * res.stderr, 2e-3)
+
+
+def test_monte_carlo_tv_is_curve_step():
+    # one chunk: later steps draw after every earlier step is counted
+    curve = monte_carlo_curve(2, 3, 3, 5_000, seed=21)
+    for k in range(4):
+        assert monte_carlo_tv(2, 3, k, 5_000, seed=21) == curve[k][1]
+    # several chunks: each chunk draws its start, then k_max steps
+    for k in (1, 3):
+        res = monte_carlo_tv(2, 3, k, 5_000, seed=22, chunk=2_000)
+        assert res == monte_carlo_curve(2, 3, k, 5_000, seed=22, chunk=2_000)[k][1]
+
+
+def test_monte_carlo_beyond_int64_keys():
+    # (3,5) states have 36 base-5 digits, more than an int64 key holds
+    for k, res in monte_carlo_curve(3, 5, 3, 200, seed=1):
+        assert sum(res.counts.values()) == 200
+        if k >= 1:
+            assert float(res.estimate) <= upper_bound_tv(3, 5, k).value + 3 * res.stderr
+
+
+def test_monte_carlo_rejects_fields_beyond_uint8():
+    with pytest.raises(StateSpaceTooLargeError):
+        monte_carlo_curve(2, 257, 1, 10)
+    with pytest.raises(StateSpaceTooLargeError):
+        support_violations(2, 257, 1, 10)
+
+
+@st.composite
+def _random_grams(draw):
+    """(n, field, w) with w = k^T J k for a random invertible k = P L D U."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 4))
+    N = 2 * n
+    residues = st.integers(0, p - 1)
+    perm = draw(st.permutations(range(N)))
+    units = draw(st.lists(st.integers(1, p - 1), min_size=N, max_size=N))
+    low = draw(st.lists(residues, min_size=N * N, max_size=N * N))
+    up = draw(st.lists(residues, min_size=N * N, max_size=N * N))
+    field = build_field(p, 1)
+    P = MatFq(field, [[int(perm[i] == j) for j in range(N)] for i in range(N)])
+    L = MatFq(field, [[1 if i == j else low[i * N + j] * (i > j) for j in range(N)] for i in range(N)])
+    U = MatFq(field, [[1 if i == j else up[i * N + j] * (i < j) for j in range(N)] for i in range(N)])
+    k = P * L * MatFq.diagonal(field, units) * U
+    return n, field, k.transpose() * standard_J(n, field) * k
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_grams())
+def test_batched_classifier_matches_scalar_oracle(case):
+    n, field, w = case
+    assert w.is_alternating() and w.is_invertible()
+    keys, types = _classify_states_batched(np.array([w.to_lists()], dtype=np.uint8), n, field)
+    assert (keys[0], types[0]) == _classify_X(standard_J(n, field).inverse() * w)
 
 
 def test_one_step_distribution_at_n4():
