@@ -1,134 +1,34 @@
 """Vectorized prime-field helpers for chain building and simulation.
 
-States are Gram matrices over F_p held as (S, N, N) uint8 arrays, so the
-Monte Carlo drivers admit only p <= 256.  Exact chains key states by
-base-p digit packing into int64, under the budget of _check_packable;
-Monte Carlo deduplicates states by their raw row bytes and needs no key.
-Matrix products run in float64 on entries < p, so results are exact
-integers before reduction mod p.  The largest intermediate is the
-unreduced double product in mc_step, at most N^2 p^3, which is below
-2^53 for p <= 256 and any N below 2^14.
+Monte Carlo states are Gram matrices over F_p held as (S, N, N) uint8
+arrays, so the Monte Carlo drivers admit only p <= 256.  Exact chains hold
+their states as int64 arrays.  Both key a state by its raw row bytes, the
+only state key in the package.  Matrix products run in float64 on entries
+< p, so results are exact integers before reduction mod p.  The largest
+intermediate is the unreduced double product in mc_step, at most N^2 p^3,
+which is below 2^53 for p <= 256 and any N below 2^14.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InternalError, StateSpaceTooLargeError
 
+def transvection_images(w, v, f, p):
+    """Distinct congruence images t^T w t != w of one alternating Gram w.
 
-def _check_packable(dim, p):
-    # keys must be exact both as int64 and as float64 dot products
-    if dim * dim * np.log2(p) > 52:
-        raise StateSpaceTooLargeError("state keys do not fit exactly in float64")
-
-
-def pack_keys(states, p):
-    S, N, _ = states.shape
-    digits = states.reshape(S, N * N).astype(np.int64)
-    powers = p ** np.arange(N * N, dtype=np.int64)
-    return digits @ powers
-
-
-def _pack_float(states_f, p):
-    """Keys of a float64 state batch; exact because p^(N^2) < 2^53."""
-    B = states_f.shape[0]
-    flat = states_f.reshape(B, -1)
-    powers = np.float64(p) ** np.arange(flat.shape[1], dtype=np.float64)
-    return (flat @ powers).astype(np.int64)
-
-
-def unpack_keys_array(keys, dim, p):
-    """Decode int64 keys back to (K, dim, dim) float64 state matrices."""
-    nn = dim * dim
-    powers = p ** np.arange(nn, dtype=np.int64)
-    digits = (np.asarray(keys, dtype=np.int64)[:, None] // powers[None, :]) % p
-    return digits.reshape(-1, dim, dim).astype(np.float64)
-
-
-def _congruence_f(states_f, m_f, p):
-    """(m^T w m) mod p for every float64 Gram matrix w in the batch."""
-    return np.mod((m_f.T @ states_f) @ m_f, p)
-
-
-def enumerate_closure(seeds, moves, p, cap):
-    """BFS closure of the seed Grams under congruence by the given moves.
-
-    Works key-first: per round only int64 keys are retained, and frontier
-    matrices are decoded from keys, keeping memory at O(|moves| * frontier)
-    words.  Returns the sorted key array.
+    t = I + v f runs over the transvections given by the rows of v and f.
+    Because w is alternating, v^T w v = 0 and the image is the rank-2
+    update w + f^T u - u^T f with u = v^T w, so the batch costs O(T N^2)
+    int64 operations, exact while N p^2 < 2^63.  Returns the sorted
+    distinct images as int64 rows of length N^2 and the number of
+    transvections giving each.
     """
-    dim = seeds.shape[1]
-    _check_packable(dim, p)
-    moves_f = [m.astype(np.float64) for m in moves]
-    keys_sorted = np.unique(pack_keys(seeds, p))
-    frontier = seeds.astype(np.float64)
-    while len(frontier):
-        cand = np.unique(
-            np.concatenate(
-                [_pack_float(_congruence_f(frontier, m, p), p) for m in moves_f]
-            )
-        )
-        pos = np.searchsorted(keys_sorted, cand)
-        pos_clip = np.minimum(pos, len(keys_sorted) - 1)
-        new = cand[keys_sorted[pos_clip] != cand]
-        if not len(new):
-            break
-        keys_sorted = np.sort(np.concatenate([keys_sorted, new]))
-        if len(keys_sorted) > cap:
-            raise StateSpaceTooLargeError(
-                f"closure exceeded cap {cap} (at {len(keys_sorted)} states)"
-            )
-        frontier = unpack_keys_array(new, dim, p)
-    return keys_sorted
-
-
-def move_permutations(keys_sorted, dim, moves, p, max_entries=2 * 10 ** 8):
-    """Index permutation of the state list under each congruence move."""
-    S = len(keys_sorted)
-    if len(moves) * S > max_entries // 4:
-        raise StateSpaceTooLargeError("permutation table would be too large")
-    states_f = unpack_keys_array(keys_sorted, dim, p)
-    perms = []
-    for m in moves:
-        keys = _pack_float(_congruence_f(states_f, m.astype(np.float64), p), p)
-        perm = np.searchsorted(keys_sorted, keys)
-        if not (keys_sorted[perm] == keys).all():
-            raise InternalError("congruence image left the enumerated state set")
-        perms.append(perm.astype(np.int32))
-    return perms
-
-
-def lump_transition_counts(perms, lump_of, n_lumps):
-    """Exact integer counts of moving transitions into each lump.
-
-    counts[i, L] = number of moves t with perm_t(i) != i landing in lump L;
-    moved[i] = number of moves displacing state i.
-    """
-    S = len(lump_of)
-    lump_of = np.asarray(lump_of, dtype=np.int64)
-    counts = np.zeros(S * n_lumps, dtype=np.int64)
-    moved = np.zeros(S, dtype=np.int64)
-    src = np.arange(S, dtype=np.int64)
-    for perm in perms:
-        m = perm != src
-        flat = src[m] * n_lumps + lump_of[perm[m]]
-        counts += np.bincount(flat, minlength=S * n_lumps)
-        moved += m
-    return counts.reshape(S, n_lumps), moved
-
-
-def reachable_from(perms, start_index, n_states):
-    """States reachable from start_index under the given permutations."""
-    seen = np.zeros(n_states, dtype=bool)
-    seen[start_index] = True
-    frontier = np.array([start_index], dtype=np.int64)
-    while len(frontier):
-        nxt = np.unique(np.concatenate([perm[frontier] for perm in perms]))
-        nxt = nxt[~seen[nxt]]
-        seen[nxt] = True
-        frontier = nxt
-    return np.nonzero(seen)[0]
+    u = v @ w % p
+    outer = f[:, :, None] * u[:, None, :]
+    imgs = (w + outer - outer.transpose(0, 2, 1)) % p
+    moved = imgs[(imgs != w).any(axis=(1, 2))]
+    return np.unique(moved.reshape(len(moved), -1), axis=0, return_counts=True)
 
 
 def batched_rank(mats, p, inv_table):

@@ -51,7 +51,9 @@ def _frac_str(x):
 def _resolve_field_args(args):
     if args.q is not None:
         return field_from_order(args.q)
-    if args.p is None or args.k is None:
+    if args.p is None:
+        return field_from_order(2)
+    if args.k is None:
         raise SystemExit(EXIT_USAGE)
     return build_field(args.p, args.k)
 
@@ -61,9 +63,16 @@ def _add_field_args(sub):
     sub.add_argument("--q", type=int, default=None, help="field size (prime power)")
     sub.add_argument("--p", type=int, default=None, help="field characteristic")
     sub.add_argument("--k", type=int, default=None, help="extension degree")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _add_output_args(sub, formats=True):
+    if formats:
+        sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--seed", type=int, default=0)
+
+
+def _add_enum_cap(sub):
     sub.add_argument("--enum-cap", type=int, default=14, help="label enumeration cap on n")
 
 
@@ -223,10 +232,14 @@ def build_parser():
 
     sp_spec = subs.add_parser("spectrum", help="eigenvalue table")
     _add_field_args(sp_spec)
+    _add_output_args(sp_spec)
+    _add_enum_cap(sp_spec)
     sp_spec.set_defaults(func=cmd_spectrum)
 
     sp_bounds = subs.add_parser("bounds", help="TV bound curves")
     _add_field_args(sp_bounds)
+    _add_output_args(sp_bounds)
+    _add_enum_cap(sp_bounds)
     sp_bounds.add_argument("--k-range", required=True, help="A..B inclusive")
     sp_bounds.add_argument("--exact", action="store_true")
     sp_bounds.add_argument("--logfloat", action="store_true")
@@ -237,35 +250,30 @@ def build_parser():
 
     sp_chain = subs.add_parser("chain", help="exact finite chain")
     _add_field_args(sp_chain)
+    _add_output_args(sp_chain)
     sp_chain.add_argument("--kmax", type=int, default=10)
     sp_chain.add_argument("--state-cap", type=int, default=walk_mod.DEFAULT_STATE_CAP)
     sp_chain.set_defaults(func=cmd_chain)
 
     sp_sim = subs.add_parser("simulate", help="Monte Carlo walk")
     _add_field_args(sp_sim)
+    _add_output_args(sp_sim, formats=False)
     sp_sim.add_argument("--steps", type=int, required=True)
     sp_sim.add_argument("--trials", type=int, default=100_000)
     sp_sim.set_defaults(func=cmd_simulate)
 
     sp_ver = subs.add_parser("verify", help="run invariant suites")
-    _add_field_args(sp_ver)
+    _add_output_args(sp_ver)
     sp_ver.add_argument("--suite", action="append", choices=sorted(verify_mod.SUITES))
     sp_ver.add_argument("--max-n", type=int, default=4)
     sp_ver.add_argument("--trials", type=int, default=20000)
     sp_ver.set_defaults(func=cmd_verify)
-    # verify does not need --n; give it a default
-    sp_ver.set_defaults(n=2)
-    for action in sp_ver._actions:
-        if action.dest == "n":
-            action.required = False
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.q is None and args.p is None:
-        args.q = 2
     try:
         return args.func(args)
     except (StateSpaceTooLargeError, EnumerationTooLargeError, FieldTooLargeError) as exc:

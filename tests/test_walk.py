@@ -228,10 +228,10 @@ def _charpoly_fraction_matrix(m):
     return coeffs  # monic, descending powers
 
 
-@pytest.mark.parametrize("nq", [(2, 2), (2, 3)])
-def test_lumped_spectrum_matches_formula(nq, chain22, chain23):
+@pytest.mark.parametrize("nq", [(2, 2), (2, 3), (3, 2), (2, 4)])
+def test_lumped_spectrum_matches_formula(nq, request):
     n, q = nq
-    chain = chain22 if q == 2 else chain23
+    chain = request.getfixturevalue(f"chain{n}{q}")
     from sympwalk.combinat import enumerate_partition_fns
 
     got = _charpoly_fraction_matrix(chain.lumped_transition)
@@ -282,12 +282,35 @@ def test_stationary_identity(chain22, chain23):
             assert chain.stationary[lump] == class_size_qsq(chain.lump_types[lump], chain.q) * ratio
 
 
-def test_generic_engine_agrees_with_numpy(chain22):
-    generic = exact_form_chain(2, 2, engine="generic")
-    assert generic.lumped_transition == chain22.lumped_transition
-    assert generic.lump_sizes == chain22.lump_sizes
-    assert generic.stationary == chain22.stationary
-    assert [t.entries for t in generic.lump_types] == [t.entries for t in chain22.lump_types]
+def test_chain_3_2_matches_full_enumeration(chain32):
+    # lumps, sizes and matrix of the chain built on all 13,888 forms
+    F = Fraction
+    assert chain32.num_states == 13888
+    assert chain32.lump_types == [
+        PartitionFn.make([(1, (1,)), (2, (1,))]),
+        PartitionFn.make([(1, (1, 1, 1))]),
+        PartitionFn.make([(1, (2, 1))]),
+        PartitionFn.make([(1, (3,))]),
+        PartitionFn.make([(3, (1,))]),
+        PartitionFn.make([(3, (1,))]),
+    ]
+    assert chain32.lump_sizes == [4032, 1, 315, 3780, 2880, 2880]
+    assert chain32.lumped_transition == [
+        [F(19, 63), F(0), F(2, 63), F(2, 7), F(4, 21), F(4, 21)],
+        [F(0), F(0), F(1), F(0), F(0), F(0)],
+        [F(128, 315), F(1, 315), F(2, 15), F(16, 35), F(0), F(0)],
+        [F(32, 105), F(0), F(4, 105), F(79, 315), F(64, 315), F(64, 315)],
+        [F(4, 15), F(0), F(0), F(4, 15), F(1, 5), F(4, 15)],
+        [F(4, 15), F(0), F(0), F(4, 15), F(4, 15), F(1, 5)],
+    ]
+    assert chain32.j_lump == 1 and chain32.sector_lumps == tuple(range(6))
+
+
+def test_bruteforce_oracle_limits(chain32, chain24):
+    # above the full-matrix cap, and over an extension field
+    for chain in (chain32, chain24):
+        with pytest.raises(StateSpaceTooLargeError):
+            chain.full_tv_curve_bruteforce(1)
 
 
 def test_chain_rejects_oversized_space():
