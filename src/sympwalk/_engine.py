@@ -3,10 +3,11 @@
 Monte Carlo states are Gram matrices over F_p held as (S, N, N) uint8
 arrays, so the Monte Carlo drivers admit only p <= 256.  Exact chains hold
 their states as int64 arrays.  Both key a state by its raw row bytes, the
-only state key in the package.  Matrix products run in float64 on entries
-< p, so results are exact integers before reduction mod p.  The largest
-intermediate is the unreduced double product in mc_step, at most N^2 p^3,
-which is below 2^53 for p <= 256 and any N below 2^14.
+only state key in the package.  A transvection moves an alternating Gram
+by the rank-2 update of rank2_image.  mc_step runs it in int32: every
+intermediate is below N p^2 + p, which is below 2^31 for p <= 256 and any
+N below 2^15.  transvection_images runs it in int64.  The remaining matrix
+products run in float64 on entries < p, reduced mod p after every product.
 """
 
 from __future__ import annotations
@@ -14,19 +15,26 @@ from __future__ import annotations
 import numpy as np
 
 
+def rank2_image(w, f, u, p):
+    """(w + f^T u - u^T f) mod p, broadcast over leading axes.
+
+    This is t^T w t for the transvection t = I + vf and u = v^T w of an
+    alternating w: the term (v^T w v) f^T f vanishes.
+    """
+    outer = f[..., :, None] * u[..., None, :]
+    # shifted by p^2 to be nonnegative: fmod is then mod, at a third of the cost
+    return np.fmod(w + p * p + outer - np.swapaxes(outer, -1, -2), p)
+
+
 def transvection_images(w, v, f, p):
     """Distinct congruence images t^T w t != w of one alternating Gram w.
 
     t = I + v f runs over the transvections given by the rows of v and f.
-    Because w is alternating, v^T w v = 0 and the image is the rank-2
-    update w + f^T u - u^T f with u = v^T w, so the batch costs O(T N^2)
-    int64 operations, exact while N p^2 < 2^63.  Returns the sorted
-    distinct images as int64 rows of length N^2 and the number of
-    transvections giving each.
+    The batch costs O(T N^2) int64 operations, exact while N p^2 < 2^63.
+    Returns the sorted distinct images as int64 rows of length N^2 and the
+    number of transvections giving each.
     """
-    u = v @ w % p
-    outer = f[:, :, None] * u[:, None, :]
-    imgs = (w + outer - outer.transpose(0, 2, 1)) % p
+    imgs = rank2_image(w, f, v @ w % p, p)
     moved = imgs[(imgs != w).any(axis=(1, 2))]
     return np.unique(moved.reshape(len(moved), -1), axis=0, return_counts=True)
 
@@ -88,46 +96,31 @@ def initial_grams(j_mat, p, trials, rng, inv_table):
 def mc_step(grams, p, rng, inv_table):
     """One walk step on every Gram in the batch.
 
-    Samples a uniform transvection t = I + vf not preserving the lane's
-    form (rejection over lanes), then applies w -> t^-T w t^-1 with
-    t^-1 = I - vf.
+    Each lane draws a uniform transvection t = I + vf (f projected so that
+    f v = 0) and moves w to t^-T w t^-1 = w + u^T f - f^T u, u = v^T w.  A
+    lane whose image equals w (t preserves w, or v or f is zero) draws
+    again.
     """
     B, N, _ = grams.shape
-    v_out = np.zeros((B, N), dtype=np.int64)
-    f_out = np.zeros((B, N), dtype=np.int64)
+    out = np.empty_like(grams)
+    g32 = grams.astype(np.int32)
     pending = np.arange(B)
-    g64 = grams.astype(np.int64)
     while len(pending):
         m = len(pending)
-        vv = rng.integers(0, p, size=(m, N))
-        gg = rng.integers(0, p, size=(m, N))
-        v_ok = vv.any(axis=1)
-        piv = np.argmax(vv != 0, axis=1)
+        vv = rng.integers(0, p, size=(m, N)).astype(np.int32)
+        ff = rng.integers(0, p, size=(m, N)).astype(np.int32)
+        # project f onto the annihilator of v at v's first nonzero entry
         lane = np.arange(m)
-        vpiv = vv[lane, piv]
-        vpiv_safe = np.where(vpiv == 0, 1, vpiv)
-        dot = np.mod((gg * vv).sum(axis=1), p)
-        coef = np.mod(dot * inv_table[vpiv_safe], p)
-        ff = gg.copy()
-        ff[lane, piv] = np.mod(ff[lane, piv] - coef, p)
-        f_ok = ff.any(axis=1)
-        # preservation test: f proportional to w = v^T Omega
-        w = np.mod(np.einsum("bi,bij->bj", vv, g64[pending]), p)
-        wpiv = np.argmax(w != 0, axis=1)
-        wval = w[lane, wpiv]
-        wval_safe = np.where(wval == 0, 1, wval)
-        c = np.mod(ff[lane, wpiv] * inv_table[wval_safe], p)
-        preserves = (np.mod(c[:, None] * w, p) == ff).all(axis=1)
-        accept = v_ok & f_ok & ~preserves
-        idx = pending[accept]
-        v_out[idx] = vv[accept]
-        f_out[idx] = ff[accept]
+        piv = np.argmax(vv != 0, axis=1)
+        dot = (ff * vv).sum(axis=1) % p
+        ff[lane, piv] = (ff[lane, piv] - dot * inv_table[vv[lane, piv]]) % p
+        w = g32[pending]
+        u = np.fmod(np.einsum("bi,bij->bj", vv, w), p)  # nonnegative: fmod is mod
+        img = rank2_image(w, u, ff, p)
+        accept = (img != w).any(axis=(1, 2))
+        out[pending[accept]] = img[accept]
         pending = pending[~accept]
-    eye = np.eye(N, dtype=np.int64)[None]
-    t_inv = np.mod(eye - v_out[:, :, None] * f_out[:, None, :], p).astype(np.float64)
-    g = grams.astype(np.float64)
-    out = np.mod(np.matmul(np.matmul(t_inv.transpose(0, 2, 1), g), t_inv), p)
-    return out.astype(np.uint8)
+    return out
 
 
 def batched_charpoly(mats, p):

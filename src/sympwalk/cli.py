@@ -54,7 +54,7 @@ def _resolve_field_args(args):
     if args.p is None:
         return field_from_order(2)
     if args.k is None:
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError("--p needs --k")
     return build_field(args.p, args.k)
 
 

@@ -452,7 +452,7 @@ class _Moves:
             self._v = np.array([t.v for t in tvs], dtype=np.int64)
             self._f = np.array([t.f for t in tvs], dtype=np.int64)
         else:
-            self._mats = [(t.matrix().transpose(), t.matrix()) for t in tvs]
+            self._vf = [(t.v, t.f) for t in tvs]
             self._j_inv = standard_J(n, field).inverse()
 
     def starts(self):
@@ -477,10 +477,23 @@ class _Moves:
             return [
                 (r.tobytes(), c, r.reshape(w.shape)) for r, c in zip(rows, counts.tolist())
             ]
+        # the rank-2 update of _engine.rank2_image, entry by entry: the
+        # image stays alternating, so only the upper triangle is computed
+        F = self.field
+        N = w.nrows
+        wt = w.transpose()
         counts = Counter()
         first = {}
-        for tt, t in self._mats:
-            img = tt * w * t
+        for v, f in self._vf:
+            u = wt.mat_vec(v)  # v^T w
+            rows = [list(r) for r in w.rows]
+            for i in range(N):
+                for j in range(i + 1, N):
+                    d = F.sub(F.mul(f[i], u[j]), F.mul(u[i], f[j]))
+                    if d:
+                        rows[i][j] = F.add(rows[i][j], d)
+                        rows[j][i] = F.sub(rows[j][i], d)
+            img = MatFq(F, rows)
             if img != w:
                 key = img.key()
                 counts[key] += 1

@@ -1,6 +1,8 @@
 import csv
+import importlib.util
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +149,13 @@ def test_p_k_field_selection(capsys):
     assert "1/15" in out
 
 
+def test_p_without_k_is_usage_error(capsys):
+    code = main(["spectrum", "--n", "2", "--p", "3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: --p needs --k\n"
+
+
 def test_bounds_logfloat_large_n(capsys):
     code, out = run_cli(
         capsys, "bounds", "--n", "12", "--q", "2", "--k-range", "12..22", "--logfloat"
@@ -200,3 +209,29 @@ def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH = _bench_workloads()
+BENCH_CALLS = [
+    (name, seed)
+    for name, workload in BENCH.WORKLOADS.items()
+    for seed in ((0, 1) if workload.seeded else (0,))
+]
+
+
+@pytest.mark.parametrize("name, seed", BENCH_CALLS, ids=[f"{n}-{s}" for n, s in BENCH_CALLS])
+def test_benchmark_outputs_match_pinned_digests(capsys, name, seed):
+    """The benchmark's exact argv gives the stdout pinned in perfbench/refs.json."""
+    workload = BENCH.WORKLOADS[name]
+    argv = workload.argv(seed, 0)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert BENCH.digest(out) == BENCH.load_refs()[name][workload.ref_key(argv)]
