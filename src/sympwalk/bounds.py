@@ -88,29 +88,37 @@ def _log_fraction_abs(fr: Fraction) -> float:
     return _log_int(abs(fr.numerator)) - _log_int(fr.denominator)
 
 
+@lru_cache(maxsize=None)
+def _log_terms(n, q):
+    """(log(count * multiplicity), log|phi|) per spectral term with phi != 0,
+    in the order of _spectral_terms."""
+    return tuple(
+        (_log_int(cnt * mult), _log_fraction_abs(phi))
+        for phi, mult, cnt in _spectral_terms(n, q)
+        if phi != 0
+    )
+
+
 def upper_bound_tv(n, q, k, mode="auto") -> BoundValue:
     """Spectral upper bound on TV distance after k steps.
 
     mode "exact" keeps the squared bound as one Fraction (default for
-    n <= 8); "logfloat" accumulates term logs in float (per-term relative
-    error well under 1e-9), needed once dimensions reach q^Theta(n^2).
+    n <= 8); "logfloat" accumulates term logs in float (relative error
+    below 1e-9 against exact mode, tested for n <= 8 at q = 2 and n <= 6 at
+    q = 3), needed once dimensions reach q^Theta(n^2).  The logs of the
+    weights and of |phi| are computed once per (n, q) and reused for every k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if mode == "auto":
         mode = "exact" if n <= EXACT_MODE_MAX_N else "logfloat"
-    terms = _spectral_terms(n, q)
     if mode == "exact":
         sq = Fraction(0)
-        for phi, mult, cnt in terms:
+        for phi, mult, cnt in _spectral_terms(n, q):
             sq += Fraction(cnt * mult) * phi ** (2 * k)
         sq /= 4
         return BoundValue(math.sqrt(sq), sq, "exact")
-    logs = []
-    for phi, mult, cnt in terms:
-        if phi == 0:
-            continue
-        logs.append(_log_int(cnt * mult) + 2 * k * _log_fraction_abs(phi))
+    logs = [weight + 2 * k * log_phi for weight, log_phi in _log_terms(n, q)]
     if not logs:
         return BoundValue(0.0, None, "logfloat")
     top = max(logs)
@@ -128,27 +136,33 @@ def bound_curve(n, q, ks, mode="auto") -> BoundCurve:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _anchored_kernel_data(n, q):
-    """(parts at x-1, double-coset size, count) per anchored class type.
+def _fixed_space_masses(n, q, size_of):
+    """Total size of the classes per fixed-space dimension 0..n.
 
-    The number of parts of the partition at x - 1 equals the dimension of
-    the fixed space of the class representative.
+    The fixed space of a class representative has the dimension of the
+    number of parts of its partition at x - 1.  `size_of(fn, q)` is
+    class_size_qsq (double cosets, per unit of |Sp_2n|) or class_size
+    (GL_n(F_q) classes); it is evaluated once per class type.
     """
-    out = []
+    masses = [0] * (n + 1)
+    sizes = {}
     for fn, pi0, cnt in enumerate_anchored_fns(n, q):
-        out.append((len(pi0), fn, cnt))
-    return tuple(out)
+        if fn not in sizes:
+            sizes[fn] = size_of(fn, q)
+        masses[len(pi0)] += cnt * sizes[fn]
+    return tuple(masses)
 
 
 def support_fraction(n, q, c) -> Fraction:
     """Mass fraction (within GL_2n) of the union of double cosets whose
-    label has at least c parts at x - 1."""
+    label has at least c parts at x - 1.
+
+    The double-coset masses per fixed-space dimension are integers summed
+    once per (n, q); each c adds their tail and reduces one Fraction.
+    """
     if not 0 <= c <= n:
         raise ValueError("need 0 <= c <= n")
-    total = 0
-    for kdim, fn, cnt in _anchored_kernel_data(n, q):
-        if kdim >= c:
-            total += cnt * class_size_qsq(fn, q)
+    total = sum(_fixed_space_masses(n, q, class_size_qsq)[c:])
     return Fraction(total * sp_order(n, q), gl_order(2 * n, q))
 
 
@@ -172,10 +186,7 @@ def fixed_space_tail_check(n, q, c):
     """
     if not 0 <= c <= n:
         raise ValueError("need 0 <= c <= n")
-    lhs = 0
-    for kdim, fn, cnt in _anchored_kernel_data(n, q):
-        if kdim >= c:
-            lhs += cnt * class_size(fn, q)
+    lhs = sum(_fixed_space_masses(n, q, class_size)[c:])
     rhs = Fraction(4 * gl_order(n, q), q ** c)
     return lhs, rhs, Fraction(lhs) <= rhs
 

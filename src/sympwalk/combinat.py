@@ -68,10 +68,14 @@ def leg(lam, i, j):
 
 
 def hook_lengths(lam):
-    """Hook length of every box, as a list of rows of ints."""
+    """Hook length of every box, as a list of rows of ints.
+
+    The leg of box (i, j) is conj[j - 1] - i, read off the conjugate once.
+    """
+    conj = conjugate(lam)
     return [
-        [arm(lam, i, j) + leg(lam, i, j) + 1 for j in range(1, lam[i - 1] + 1)]
-        for i in range(1, len(lam) + 1)
+        [part - j + conj[j - 1] - i + 1 for j in range(1, part + 1)]
+        for i, part in enumerate(lam, start=1)
     ]
 
 
@@ -85,7 +89,7 @@ def hook_poly(lam, t):
 
 
 def multiplicities(lam):
-    """m_i(lam): how many parts equal i."""
+    """m_i(lam): how many parts equal i (works for any tuple of hashables)."""
     out = {}
     for part in lam:
         out[part] = out.get(part, 0) + 1
@@ -229,53 +233,52 @@ def _assignment_count(mset, n_orbits):
     ways = 1
     for i in range(m):
         ways *= n_orbits - i
-    for cnt in multiplicities_of_items(mset).values():
+    for cnt in multiplicities(mset).values():
         ways //= math.factorial(cnt)
     return ways
 
 
-def multiplicities_of_items(items):
-    out = {}
-    for it in items:
-        out[it] = out.get(it, 0) + 1
-    return out
+@lru_cache(maxsize=None)
+def _enumerate_types(n, q, removed):
+    """Types of weight n with `removed` degree-1 orbits taken out.
+
+    Returns (PartitionFn, count) pairs in recursion order: degrees rise,
+    and at each degree the number of boxes it carries rises from 0.
+    """
+    # orbit_count(d, q) >= 1 for every d when q >= 2
+    n_orbs = [orbit_count(d, q) - (removed if d == 1 else 0) for d in range(1, n + 1)]
+    results = []
+
+    def rec(d, remaining, acc_entries, acc_count):
+        if remaining == 0:
+            results.append((PartitionFn(tuple(sorted(acc_entries))), acc_count))
+            return
+        if d > n:
+            return
+        n_orb = n_orbs[d - 1]
+        rec(d + 1, remaining, acc_entries, acc_count)
+        for used in range(1, remaining // d + 1):
+            for mset in _partition_multisets(used, n_orb):
+                ways = _assignment_count(mset, n_orb)
+                entries = acc_entries + [(d, lam) for lam in mset]
+                rec(d + 1, remaining - d * used, entries, acc_count * ways)
+
+    rec(1, n, [], 1)
+    return tuple(results)
 
 
 @lru_cache(maxsize=None)
 def enumerate_partition_fns(n, q, context="M"):
     """All types of partition-valued functions of weight n over F_q.
 
-    Returns a tuple of (PartitionFn, count) where count is the number of
-    concrete functions of that type.  `context` is "M" (class labels) or
+    Returns a sorted tuple of (PartitionFn, count) where count is the number
+    of concrete functions of that type.  `context` is "M" (class labels) or
     "L" (character labels); the orbit counts agree degree by degree, so it
     only documents intent.
     """
     if context not in ("M", "L"):
         raise ValueError("context must be 'M' or 'L'")
-    degrees = [d for d in range(1, n + 1) if orbit_count(d, q) > 0]
-    results = []
-
-    def rec(idx, remaining, acc_entries, acc_count):
-        if remaining == 0:
-            results.append((PartitionFn(tuple(sorted(acc_entries))), acc_count))
-            return
-        if idx == len(degrees):
-            return
-        d = degrees[idx]
-        n_orb = orbit_count(d, q)
-        for used in range(0, remaining // d + 1):
-            if used == 0:
-                rec(idx + 1, remaining, acc_entries, acc_count)
-                continue
-            for mset in _partition_multisets(used, n_orb):
-                ways = _assignment_count(mset, n_orb)
-                if ways == 0:
-                    continue
-                entries = acc_entries + [(d, lam) for lam in mset]
-                rec(idx + 1, remaining - d * used, entries, acc_count * ways)
-
-    rec(0, n, [], 1)
-    return tuple(sorted(results))
+    return tuple(sorted(_enumerate_types(n, q, 0)))
 
 
 def enumerate_anchored_fns(n, q):
@@ -289,49 +292,14 @@ def enumerate_anchored_fns(n, q):
     """
     out = []
     for w0 in range(0, n + 1):
-        pi0s = partitions_of(w0) if w0 else ((),)
-        for pi0 in pi0s:
-            rest_weight = n - w0
-            for rest, count in _enumerate_with_reduced_degree_one(rest_weight, q):
+        for pi0 in partitions_of(w0):
+            for rest, count in _enumerate_types(n - w0, q, 1):
                 entries = list(rest.entries)
                 if pi0:
                     entries.append((1, pi0))
                 fn = PartitionFn(tuple(sorted(entries)))
                 out.append((fn, pi0, count))
     return out
-
-
-@lru_cache(maxsize=None)
-def _enumerate_with_reduced_degree_one(n, q):
-    """Like enumerate_partition_fns but with one degree-1 orbit removed."""
-    if n == 0:
-        return ((PartitionFn(()), 1),)
-    degrees = [1] + [d for d in range(2, n + 1) if orbit_count(d, q) > 0]
-    results = []
-
-    def rec(idx, remaining, acc_entries, acc_count):
-        if remaining == 0:
-            results.append((PartitionFn(tuple(sorted(acc_entries))), acc_count))
-            return
-        if idx == len(degrees):
-            return
-        d = degrees[idx]
-        n_orb = orbit_count(d, q) - (1 if d == 1 else 0)
-        for used in range(0, remaining // d + 1):
-            if used == 0:
-                rec(idx + 1, remaining, acc_entries, acc_count)
-                continue
-            if n_orb == 0:
-                continue
-            for mset in _partition_multisets(used, n_orb):
-                ways = _assignment_count(mset, n_orb)
-                if ways == 0:
-                    continue
-                entries = acc_entries + [(d, lam) for lam in mset]
-                rec(idx + 1, remaining - d * used, entries, acc_count * ways)
-
-    rec(0, n, [], 1)
-    return tuple(results)
 
 
 # ---------------------------------------------------------------------------
@@ -366,27 +334,29 @@ def a_mu(mu: PartitionFn, q) -> Fraction:
     """Centralizer order of the class labeled mu in GL_n(F_q).
 
     a_mu(q) = q^n prod_f q_f^(2 n(mu(f))) prod_i prod_{j<=m_i} (1 - q_f^-j)
-    evaluated exactly in rationals; the result is provably an integer and
-    consumers check that.
+    with an integer numerator and denominator and one reduction; the result
+    is provably an integer and consumers check that.
     """
-    n = mu.weight
-    out = Fraction(q) ** n
+    num = q ** mu.weight
+    den = 1
     for d, lam in mu.entries:
         qf = q ** d
-        out *= Fraction(qf) ** (2 * n_stat(lam))
-        for _, m_i in multiplicities(lam).items():
+        num *= qf ** (2 * n_stat(lam))
+        for m_i in multiplicities(lam).values():
             for j in range(1, m_i + 1):
-                out *= 1 - Fraction(1, qf ** j)
-    return out
+                qfj = qf ** j
+                num *= qfj - 1
+                den *= qfj
+    return Fraction(num, den)
 
 
 def class_size(mu: PartitionFn, q) -> int:
     """|C_mu| = |GL_n(F_q)| / a_mu(q), checked integral."""
-    n = mu.weight
-    val = Fraction(gl_order(n, q)) / a_mu(mu, q)
-    if val.denominator != 1:
+    a = a_mu(mu, q)
+    size, rem = divmod(gl_order(mu.weight, q) * a.denominator, a.numerator)
+    if rem:
         raise NonIntegerResultError(f"class size not integral for {mu} at q={q}")
-    return val.numerator
+    return size
 
 
 def class_size_qsq(mu: PartitionFn, q) -> int:
@@ -403,16 +373,19 @@ def dim_irrep(lam: PartitionFn, q) -> int:
     """Dimension of the irreducible character labeled lam.
 
     d_lam = psi_N(q) prod_phi q_phi^(n(lam(phi)')) / H_(lam(phi))(q_phi)
-    with N the weight, q_phi = q^deg(phi), H the hook polynomial.
+    with N the weight, q_phi = q^deg(phi), H the hook polynomial; one
+    divmod of an integer numerator by an integer denominator, checked exact.
     """
-    N = lam.weight
-    val = Fraction(psi_factor(N, q))
+    num = psi_factor(lam.weight, q)
+    den = 1
     for d, part in lam.entries:
         qphi = q ** d
-        val *= Fraction(qphi ** n_stat(conjugate(part)), hook_poly(part, qphi))
-    if val.denominator != 1:
+        num *= qphi ** n_stat(conjugate(part))
+        den *= hook_poly(part, qphi)
+    dim, rem = divmod(num, den)
+    if rem:
         raise NonIntegerResultError(f"dimension not integral for {lam} at q={q}")
-    return val.numerator
+    return dim
 
 
 def coset_space_size(n, q):

@@ -180,6 +180,8 @@ class FieldSpec:
         self.k = k
         self.q = p ** k
         self.modulus = modulus
+        self._add_table = None
+        self._neg_table = None
         self._mul_table = None
         self._inv_table = None
         if self.k > 1 and self.q <= _TABLE_LIMIT:
@@ -224,6 +226,11 @@ class FieldSpec:
     def add(self, a, b):
         if self.k == 1:
             return (a + b) % self.p
+        if self._add_table is not None:
+            return self._add_table[a][b]
+        return self._add_slow(a, b)
+
+    def _add_slow(self, a, b):
         p = self.p
         out = 0
         mul = 1
@@ -237,6 +244,11 @@ class FieldSpec:
     def neg(self, a):
         if self.k == 1:
             return (-a) % self.p
+        if self._neg_table is not None:
+            return self._neg_table[a]
+        return self._neg_slow(a)
+
+    def _neg_slow(self, a):
         p = self.p
         out = 0
         mul = 1
@@ -288,6 +300,8 @@ class FieldSpec:
 
     def _build_tables(self):
         q = self.q
+        self._add_table = [[self._add_slow(a, b) for b in range(q)] for a in range(q)]
+        self._neg_table = [self._neg_slow(a) for a in range(q)]
         self._mul_table = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
         inv = [0] * q
         for a in range(1, q):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,13 @@ from sympwalk.bounds import (
     support_fraction,
     upper_bound_tv,
 )
-from sympwalk.combinat import enumerate_partition_fns, gl_order
+from sympwalk.combinat import (
+    class_size_qsq,
+    enumerate_anchored_fns,
+    enumerate_partition_fns,
+    gl_order,
+    sp_order,
+)
 
 
 def test_upper_bound_squared_formula_2_2():
@@ -52,6 +59,16 @@ def test_support_fraction_examples():
     assert support_fraction(2, 2, 2) == Fraction(1, 28)
     # (1 + 15) * 720 / 20160 = 4/7: identity and transvection cosets qualify
     assert Fraction((1 + 15) * 720, 20160) == Fraction(4, 7)
+
+
+@pytest.mark.parametrize(
+    "n, q", [(n, 2) for n in range(2, 7)] + [(n, 3) for n in range(2, 5)] + [(2, 5), (3, 5)]
+)
+def test_support_fraction_matches_per_label_sum(n, q):
+    labels = enumerate_anchored_fns(n, q)
+    for c in range(n + 1):
+        total = sum(cnt * class_size_qsq(fn, q) for fn, pi0, cnt in labels if len(pi0) >= c)
+        assert support_fraction(n, q, c) == Fraction(total * sp_order(n, q), gl_order(2 * n, q))
 
 
 def test_lower_bound_examples():
@@ -126,10 +143,11 @@ def test_negative_mass_sweep(q):
 
 
 def test_logfloat_matches_exact():
-    for n, q, k in ((4, 2, 5), (6, 2, 8), (8, 2, 10), (5, 3, 6)):
-        e = upper_bound_tv(n, q, k, "exact")
-        f = upper_bound_tv(n, q, k, "logfloat")
-        assert abs(e.value - f.value) <= 1e-9 * e.value
+    for n, q in [(n, 2) for n in range(1, 9)] + [(n, 3) for n in range(1, 7)]:
+        for k in range(1, 2 * n + 3):
+            exact = math.sqrt(upper_bound_tv(n, q, k, "exact").squared)
+            logfloat = upper_bound_tv(n, q, k, "logfloat").value
+            assert math.isclose(logfloat, exact, rel_tol=1e-9, abs_tol=0.0), (n, q, k)
 
 
 def test_auto_mode_switch():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -235,3 +236,23 @@ def test_benchmark_outputs_match_pinned_digests(capsys, name, seed):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert BENCH.digest(out) == BENCH.load_refs()[name][workload.ref_key(argv)]
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (
+            ["bounds", "--n", "12", "--q", "2", "--k-range", "1..16"],
+            "8c11c58fce7a12d9882bb45e69da159fb1998648ca4bfac0aa8ee4fe71bfcfa0",
+        ),
+        (
+            ["bounds", "--n", "6", "--q", "3", "--k-range", "1..8", "--format", "json"],
+            "6f4e2f37a7d5e92a97e9b32128c9642954a96f20eb2455034433f505bbeec76f",
+        ),
+    ],
+    ids=["n12-q2-logfloat-csv", "n6-q3-exact-json"],
+)
+def test_bounds_output_is_pinned(capsys, argv, sha256):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256

@@ -5,6 +5,7 @@ import pytest
 from sympwalk.combinat import (
     PartitionFn,
     a_mu,
+    arm,
     class_size,
     class_size_qsq,
     conjugate,
@@ -15,6 +16,7 @@ from sympwalk.combinat import (
     gl_order,
     hook_lengths,
     hook_poly,
+    leg,
     multiplicities,
     n_stat,
     orbit_count,
@@ -56,6 +58,16 @@ def test_hooks_of_square():
     flat = sorted(h for row in hook_lengths((2, 2)) for h in row)
     assert flat == [1, 2, 2, 3]
     assert hook_poly((2, 2), 2) == (2 ** 3 - 1) * 3 * 3 * 1  # 63
+
+
+def test_hook_lengths_match_arm_plus_leg():
+    for n in range(11):
+        for lam in partitions_of(n):
+            want = [
+                [arm(lam, i, j) + leg(lam, i, j) + 1 for j in range(1, lam[i - 1] + 1)]
+                for i in range(1, len(lam) + 1)
+            ]
+            assert hook_lengths(lam) == want, lam
 
 
 def test_multiplicities():
@@ -201,6 +213,33 @@ def test_a_mu_is_integral_and_exact():
                 val = a_mu(fn, q)
                 assert val.denominator == 1
                 assert gl_order(n, q) % val.numerator == 0
+
+
+def _a_mu_fraction_product(mu, q):
+    out = Fraction(q) ** mu.weight
+    for d, lam in mu.entries:
+        qf = q ** d
+        out *= Fraction(qf) ** (2 * n_stat(lam))
+        for m_i in multiplicities(lam).values():
+            for j in range(1, m_i + 1):
+                out *= 1 - Fraction(1, qf ** j)
+    return out
+
+
+def _dim_irrep_fraction_product(lam, q):
+    val = Fraction(psi_factor(lam.weight, q))
+    for d, part in lam.entries:
+        qphi = q ** d
+        val *= Fraction(qphi ** n_stat(conjugate(part)), hook_poly(part, qphi))
+    return val
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_a_mu_and_dim_irrep_match_fraction_products(q):
+    for n in range(6):
+        for fn, _ in enumerate_partition_fns(n, q, "M"):
+            assert a_mu(fn, q) == _a_mu_fraction_product(fn, q)
+            assert dim_irrep(fn, q) == _dim_irrep_fraction_product(fn, q)
 
 
 def test_non_integer_guard_fires(monkeypatch):

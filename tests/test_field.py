@@ -156,3 +156,14 @@ def test_serialization_coefficient_lists():
     F2 = build_field(2, 1)
     poly = PolyFq(F2, (1, 1, 1))
     assert list(poly.coeffs) == [1, 1, 1]  # low-to-high, "x^2+x+1 over F_2"
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25])
+def test_add_and_neg_tables_match_digitwise(q):
+    F = field_from_order(q)
+    assert F._add_table is not None and F._neg_table is not None
+    for a in F.elements():
+        assert F.neg(a) == F._neg_slow(a)
+        for b in F.elements():
+            assert F.add(a, b) == F._add_slow(a, b)
+            assert F.sub(a, b) == F._add_slow(a, F._neg_slow(b))
