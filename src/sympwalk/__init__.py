@@ -41,7 +41,6 @@ from .walk import (
     FormState,
     classify_double_coset,
     exact_form_chain,
-    exact_tv_curve,
     initial_state,
     monte_carlo_tv,
     step,
@@ -71,7 +70,6 @@ __all__ = [
     "eigenvalue_via_lift",
     "enumerate_partition_fns",
     "exact_form_chain",
-    "exact_tv_curve",
     "field_from_order",
     "gl_order",
     "initial_state",

@@ -6,7 +6,8 @@ their states as int64 arrays.  Both key a state by its raw row bytes, the
 only state key in the package.  A transvection moves an alternating Gram
 by the rank-2 update of rank2_image.  mc_step runs it in int32: every
 intermediate is below N p^2 + p, which is below 2^31 for p <= 256 and any
-N below 2^15.  transvection_images runs it in int64.  The remaining matrix
+N below 2^15.  plane_images (the exact chains) and transvection_images
+(their brute-force oracle) run it in int64.  The remaining matrix
 products run in float64 on entries < p, reduced mod p after every product.
 """
 
@@ -29,14 +30,63 @@ def rank2_image(w, f, u, p):
 def transvection_images(w, v, f, p):
     """Distinct congruence images t^T w t != w of one alternating Gram w.
 
-    t = I + v f runs over the transvections given by the rows of v and f.
-    The batch costs O(T N^2) int64 operations, exact while N p^2 < 2^63.
-    Returns the sorted distinct images as int64 rows of length N^2 and the
-    number of transvections giving each.
+    The transvection route, kept for the brute-force oracle
+    (ChainModel.full_tv_curve_bruteforce): t = I + v f runs over the
+    transvections given by the rows of v and f, so it shares no code with
+    the plane enumeration of plane_images.  The batch costs O(T N^2) int64
+    operations, exact while N p^2 < 2^63.  Returns the sorted distinct
+    images as int64 rows of length N^2 and the number of transvections
+    giving each.
     """
     imgs = rank2_image(w, f, v @ w % p, p)
     moved = imgs[(imgs != w).any(axis=(1, 2))]
     return np.unique(moved.reshape(len(moved), -1), axis=0, return_counts=True)
+
+
+def two_planes(N, q):
+    """Every 2-plane of F_q^N once, as the rows (a, b) of its reduced basis.
+
+    Entries are field codes: a has its leading 1 in column i, b in column
+    j > i, a is 0 in column j, and both are 0 left of their leading 1.
+    Returns two (P, N) int64 arrays, P the Gaussian binomial [N, 2]_q.
+    """
+    a_parts, b_parts = [], []
+    for i in range(N):
+        for j in range(i + 1, N):
+            free_a = [c for c in range(i + 1, N) if c != j]
+            free_b = list(range(j + 1, N))
+            m = len(free_a) + len(free_b)
+            digits = np.arange(q ** m)[:, None] // q ** np.arange(m) % q
+            a = np.zeros((len(digits), N), dtype=np.int64)
+            b = np.zeros_like(a)
+            a[:, i] = 1
+            b[:, j] = 1
+            a[:, free_a] = digits[:, : len(free_a)]
+            b[:, free_b] = digits[:, len(free_a):]
+            a_parts.append(a)
+            b_parts.append(b)
+    return np.concatenate(a_parts), np.concatenate(b_parts)
+
+
+def plane_images(w, a, b, p):
+    """The distinct congruence images t^T w t != w of one alternating Gram w.
+
+    A transvection that moves w adds a nonzero multiple of x y^T - y x^T
+    (rank2_image), where x, y span a 2-plane isotropic for w^-1, and each
+    (plane, multiple) pair comes from exactly p(p+1) transvections.  The
+    planes isotropic for w^-1 are the images under w^T of the planes
+    isotropic for w, so the images are w + lam (x y^T - y x^T) for
+    x = w^T a, y = w^T b over the planes (a, b) of two_planes with
+    a^T w b = 0 and lam = 1..p-1, all distinct.  Returns them as a
+    (P (p-1), N, N) int64 array.
+    """
+    N = len(w)
+    aw = a @ w % p
+    iso = (aw * b).sum(axis=1) % p == 0
+    x = aw[iso]
+    y = b[iso] @ w % p
+    lam = np.arange(1, p)[:, None, None]
+    return rank2_image(w, lam * x % p, y, p).reshape(-1, N, N)
 
 
 def batched_rank(mats, p, inv_table):
@@ -160,15 +210,14 @@ def batched_charpoly(mats, p):
 
 
 def batched_matpoly(mats, coeffs_desc, p):
-    """Evaluate a polynomial (descending int coefficients) at each matrix."""
+    """Evaluate a polynomial of degree >= 1 (descending int coefficients)
+    at each matrix, by Horner's rule: degree - 1 matrix products."""
     S, N, _ = mats.shape
     m = mats.astype(np.float64)
     eye = np.eye(N)[None]
-    acc = np.zeros((S, N, N))
-    for c in coeffs_desc:
-        acc = np.mod(np.matmul(acc, m), p)
-        if c:
-            acc = np.mod(acc + c * eye, p)
+    acc = np.mod(coeffs_desc[0] * m + coeffs_desc[1] * eye, p)
+    for c in coeffs_desc[2:]:
+        acc = np.mod(np.matmul(acc, m) + c * eye, p)
     return acc.astype(np.int64)
 
 

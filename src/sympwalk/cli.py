@@ -76,6 +76,13 @@ def _add_enum_cap(sub):
     sub.add_argument("--enum-cap", type=int, default=14, help="label enumeration cap on n")
 
 
+def _add_state_cap(sub):
+    sub.add_argument(
+        "--state-cap", type=int, default=walk_mod.DEFAULT_STATE_CAP,
+        help="cap on the exact chain's work: lumps x distinct images per lump",
+    )
+
+
 def _emit(text, out_path):
     if out_path:
         with open(out_path, "w") as fh:
@@ -245,14 +252,14 @@ def build_parser():
     sp_bounds.add_argument("--logfloat", action="store_true")
     sp_bounds.add_argument("--with-exact", action="store_true",
                            help="merge the exact chain TV column (small spaces)")
-    sp_bounds.add_argument("--state-cap", type=int, default=walk_mod.DEFAULT_STATE_CAP)
+    _add_state_cap(sp_bounds)
     sp_bounds.set_defaults(func=cmd_bounds)
 
     sp_chain = subs.add_parser("chain", help="exact finite chain")
     _add_field_args(sp_chain)
     _add_output_args(sp_chain)
     sp_chain.add_argument("--kmax", type=int, default=10)
-    sp_chain.add_argument("--state-cap", type=int, default=walk_mod.DEFAULT_STATE_CAP)
+    _add_state_cap(sp_chain)
     sp_chain.set_defaults(func=cmd_chain)
 
     sp_sim = subs.add_parser("simulate", help="Monte Carlo walk")

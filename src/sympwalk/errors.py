@@ -46,7 +46,7 @@ class EnumerationTooLargeError(SympwalkError):
 
 
 class StateSpaceTooLargeError(SympwalkError):
-    """Chain state space exceeds the configured cap."""
+    """A chain's work or state space exceeds the configured cap."""
 
 
 class OddMultiplicityError(SympwalkError):

@@ -302,17 +302,21 @@ class FieldSpec:
         q = self.q
         self._add_table = [[self._add_slow(a, b) for b in range(q)] for a in range(q)]
         self._neg_table = [self._neg_slow(a) for a in range(q)]
-        self._mul_table = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            if inv[a]:
-                continue
-            for b in range(1, q):
-                if self._mul_table[a][b] == 1:
-                    inv[a] = b
-                    inv[b] = a
-                    break
-        self._inv_table = inv
+        # log/antilog tables of a generator g: q - 1 products instead of q^2
+        for g in range(2, q):
+            exp = [1, g]  # g^0, g^1, ... up to the first return to 1
+            while exp[-1] != 1:
+                exp.append(self._mul_slow(exp[-1], g))
+            if len(exp) == q:  # g has order q - 1: it generates
+                break
+        exp = exp[:-1] * 2
+        log = [0] * q
+        for e in range(q - 1):
+            log[exp[e]] = e
+        self._mul_table = [[0] * q] + [
+            [0] + [exp[log[a] + log[b]] for b in range(1, q)] for a in range(1, q)
+        ]
+        self._inv_table = [0] + [exp[q - 1 - log[a]] for a in range(1, q)]
 
 
 _FIELD_CACHE = {}

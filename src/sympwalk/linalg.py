@@ -493,16 +493,6 @@ def sample_nonpreserving_transvection(omega, rng, max_tries=10 ** 6):
 # Uniform symplectic group sampling
 # ---------------------------------------------------------------------------
 
-def _omega_std(n, field, x, y):
-    """x^T J y for the standard J, without building J."""
-    F = field
-    acc = 0
-    for i in range(n):
-        acc = F.add(acc, F.mul(x[i], y[n + i]))
-        acc = F.sub(acc, F.mul(x[n + i], y[i]))
-    return acc
-
-
 def sample_symplectic(n, field, rng):
     """Uniform element of Sp_2n(F_q) w.r.t. the standard form.
 

@@ -29,7 +29,6 @@ from .combinat import (
     dim_irrep,
     enumerate_partition_fns,
     hook_poly,
-    leg,
     n_stat,
     remove_corner,
     removable_corners,
@@ -51,18 +50,21 @@ def proportions_a_b(n, q):
 
 def macdonald_cprime(lam, q) -> Fraction:
     """c'_lam(q, q^2) = prod over boxes (1 - q^(a+1) t^l), t = q^2."""
-    out = Fraction(1)
-    for i in range(1, len(lam) + 1):
-        for j in range(1, lam[i - 1] + 1):
-            out *= 1 - Fraction(q) ** (arm(lam, i, j) + 1 + 2 * leg(lam, i, j))
-    return out
+    conj = conjugate(lam)
+    out = 1
+    for i, part in enumerate(lam, start=1):
+        for j in range(1, part + 1):
+            out *= 1 - q ** (part - j + 1 + 2 * (conj[j - 1] - i))
+    return Fraction(out)
+
+
+def _b_factor(a, l, q) -> Fraction:
+    return Fraction(1 - q ** (a + 2 * l + 2), 1 - q ** (a + 1 + 2 * l))
 
 
 def macdonald_b(lam, i, j, q) -> Fraction:
     """b_lam(s; q, q^2) = (1 - q^a t^(l+1)) / (1 - q^(a+1) t^l) at box s."""
-    a = arm(lam, i, j)
-    l = leg(lam, i, j)
-    return Fraction(1 - q ** (a + 2 * l + 2), 1 - q ** (a + 1 + 2 * l))
+    return _b_factor(arm(lam, i, j), conjugate(lam)[j - 1] - i, q)
 
 
 def psi_prime(lam, mu, q) -> Fraction:
@@ -80,11 +82,14 @@ def psi_prime(lam, mu, q) -> Fraction:
     if len(diff) != 1:
         raise NotSingleBoxError(f"skew {lam}/{mu} is not a single box")
     (ri, rj) = diff[0]
+    conj_lam = conjugate(lam)  # the leg of box (i, j) is conj[j - 1] - i
+    conj_mu = conjugate(mu)
     out = Fraction(1)
     for i in range(1, ri):
         # box (i, rj) lies above the removed corner
-        out *= macdonald_b(lam, i, rj, q) / macdonald_b(mu, i, rj, q)
-
+        out *= _b_factor(lam[i - 1] - rj, conj_lam[rj - 1] - i, q) / _b_factor(
+            mu[i - 1] - rj, conj_mu[rj - 1] - i, q
+        )
     return out
 
 
@@ -125,14 +130,16 @@ def _term_local(part, corner, reduced, q) -> Fraction:
     a + 2l + 1 taken in the partition before and after removal.
     """
     ri, rj = corner
+    conj_full = conjugate(part)  # the leg of box (i, j) is conj[j - 1] - i
+    conj_red = conjugate(reduced)
     out = Fraction(1)
     for i in range(1, ri):  # column above the corner
-        e_full = arm(part, i, rj) + 2 * leg(part, i, rj) + 2
-        e_red = arm(reduced, i, rj) + 2 * leg(reduced, i, rj) + 2
+        e_full = part[i - 1] - rj + 2 * (conj_full[rj - 1] - i) + 2
+        e_red = reduced[i - 1] - rj + 2 * (conj_red[rj - 1] - i) + 2
         out *= Fraction(1 - q ** e_full, 1 - q ** e_red)
     for j in range(1, rj):  # row left of the corner
-        e_full = arm(part, ri, j) + 2 * leg(part, ri, j) + 1
-        e_red = arm(reduced, ri, j) + 2 * leg(reduced, ri, j) + 1
+        e_full = part[ri - 1] - j + 2 * (conj_full[j - 1] - ri) + 1
+        e_red = reduced[ri - 1] - j + 2 * (conj_red[j - 1] - ri) + 1
         out *= Fraction(1 - q ** e_full, 1 - q ** e_red)
     return out * Fraction(q) ** (1 - rj)
 

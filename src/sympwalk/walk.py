@@ -11,11 +11,12 @@ its per-factor block partitions have even multiplicities and halve to the
 label mu of weight n.
 
 Exact chains are built on the lumps, the double cosets, and never on the
-full form space: each lumped row is read off one representative form, so
-the work grows with the number of lumps, not of forms.  They give exact
+full form space: each lumped row is read off the distinct images of one
+representative form, listed from the 2-planes isotropic for it, so the
+work grows with the number of lumps, not of forms.  They give exact
 rational transition matrices, stationary distributions and total-variation
-curves.  A brute-force oracle that enumerates every form checks the TV
-curves on small spaces.
+curves.  A brute-force oracle that enumerates every form under the
+congruences by every transvection checks the TV curves on small spaces.
 """
 
 from __future__ import annotations
@@ -148,7 +149,8 @@ def _classify_states_batched(states_np, n, field):
 
     Same outputs as _classify_X state by state: batched characteristic
     polynomials, one factorization per distinct polynomial, batched rank
-    sequences per factor.
+    sequences per factor, and one partition and key per distinct rank
+    pattern within a polynomial.
     """
     from .field import PolyFq
     from .linalg import factor_poly, partition_from_rank_sequence
@@ -158,37 +160,45 @@ def _classify_states_batched(states_np, n, field):
     S = len(states_np)
     j_inv = np.array(standard_J(n, field).inverse().to_lists(), dtype=np.float64)
     x = np.mod(np.matmul(j_inv, states_np.astype(np.float64)), p).astype(np.int64)
-    cps = _engine.batched_charpoly(x, p)
     groups = {}
-    for i in range(S):
-        groups.setdefault(tuple(cps[i].tolist()), []).append(i)
+    for i, cp in enumerate(_engine.batched_charpoly(x, p).tolist()):
+        groups.setdefault(tuple(cp), []).append(i)
     inv_table = _engine.mod_inverse_table(p)
     keys = [None] * S
     types = [None] * S
     for cp_desc, idxs in groups.items():
         poly = PolyFq(field, list(reversed(cp_desc)))
         xs = x[np.array(idxs)]
-        per_factor = []
-        for f, mult in factor_poly(poly):
-            d = f.degree
+        factors = factor_poly(poly)
+        ranks = []  # per factor f of multiplicity m: rank f(X)^j, j = 1..m
+        for f, mult in factors:
             fx = _engine.batched_matpoly(xs, list(reversed(f.coeffs)), p)
-            ranks = [np.full(len(idxs), N, dtype=np.int64)]
+            floor = N - f.degree * mult  # rank of f(X)^j for every j >= largest block
             power = fx
             for j in range(1, mult + 1):
-                ranks.append(_engine.batched_rank(power, p, inv_table))
+                rank = _engine.batched_rank(power, p, inv_table)
+                ranks.append(rank)
+                if (rank == floor).all():
+                    ranks.extend([rank] * (mult - j))
+                    break
                 if j < mult:
                     power = _engine.batched_matmul_mod(power, fx, p)
-            parts = []
-            for t in range(len(idxs)):
-                lam = partition_from_rank_sequence([int(r[t]) for r in ranks], d)
+        # states with equal rank sequences share key and type: one call per pattern
+        by_pattern = {}
+        for i, seq in zip(idxs, np.stack(ranks, axis=1).tolist()):
+            by_pattern.setdefault(tuple(seq), []).append(i)
+        for seq, members in by_pattern.items():
+            pairs = []
+            at = 0
+            for f, mult in factors:
+                lam = partition_from_rank_sequence([N, *seq[at:at + mult]], f.degree)
                 if sum(lam) != mult:
                     raise InternalError("batched partition weight mismatch")
-                parts.append(lam)
-            per_factor.append((f, parts))
-        for t, i in enumerate(idxs):
-            keys[i], types[i] = _key_type_from_pairs(
-                [(f, parts[t]) for f, parts in per_factor]
-            )
+                pairs.append((f, lam))
+                at += mult
+            key_type = _key_type_from_pairs(pairs)
+            for i in members:
+                keys[i], types[i] = key_type
     return keys, types
 
 
@@ -378,26 +388,36 @@ class ChainModel:
         """Oracle for tv_curve: TV of the unlumped law on every form.
 
         Enumerates the form space by a row-bytes BFS from the twisted
-        starts under the transvection images, with no classifier and no
-        lumping, and evolves integer mass vectors over the denominator
-        (q-1) * move_count^k.  Prime fields with at most FULL_MATRIX_CAP
-        forms only.
+        starts under the congruences by every transvection
+        (_engine.transvection_images over all_transvections), with no
+        plane enumeration, no classifier and no lumping, and evolves
+        integer mass vectors over the denominator (q-1) * move_count^k.
+        Prime fields with at most FULL_MATRIX_CAP forms only.
         """
         if self.num_states > FULL_MATRIX_CAP or self.field.k > 1:
             raise StateSpaceTooLargeError(
                 f"the full transition is built only over prime fields with at "
                 f"most {FULL_MATRIX_CAP} forms"
             )
-        moves = _Moves(self.n, self.field)
-        states = moves.starts()  # distinct: one per Pfaffian sector
+        n, field = self.n, self.field
+        tvs = list(all_transvections(2 * n, field))
+        v = np.array([t.v for t in tvs], dtype=np.int64)
+        f = np.array([t.f for t in tvs], dtype=np.int64)
+        # the twisted starts, distinct: one per Pfaffian sector
+        states = [
+            np.array(_initial_gram(n, field, a).to_lists(), dtype=np.int64)
+            for a in range(1, self.q)
+        ]
         index = {w.tobytes(): i for i, w in enumerate(states)}
         full_rows = []
         for w in states:  # grows while it is read: the BFS queue
             row = {}
-            for key, count, img in moves.images(w):
+            imgs, counts = _engine.transvection_images(w, v, f, field.p)
+            for img, count in zip(imgs, counts.tolist()):
+                key = img.tobytes()
                 if key not in index:
                     index[key] = len(states)
-                    states.append(img)
+                    states.append(img.reshape(w.shape))
                 row[index[key]] = count
             full_rows.append(row)
         S = len(states)
@@ -435,24 +455,31 @@ def _vec_times_matrix(vec, matrix):
 
 
 class _Moves:
-    """The congruences w -> t^T w t by every transvection t of one field.
+    """The distinct moves w -> t^T w t != w of one field, listed from 2-planes.
 
+    A transvection that moves w adds a nonzero multiple of x y^T - y x^T,
+    where x, y span a 2-plane isotropic for w^-1, and each (plane, multiple)
+    pair comes from exactly q(q+1) transvections, its weight.  The planes
+    isotropic for w^-1 are the images under w^T of the planes isotropic for
+    w, so the images of a state are listed directly from the reduced bases
+    of all 2-planes (_engine.two_planes), built once per chain.
     This is the only part of chain building that depends on the field.
-    Prime fields hold states as int64 arrays, form all images of a state
-    in one numpy batch and classify them with _classify_states_batched.
-    Extension fields hold states as MatFq and classify with _classify_X.
-    A state's key is its row bytes.
+    Prime fields hold states as int64 arrays, list the images in one numpy
+    batch (_engine.plane_images) and classify them with
+    _classify_states_batched.  Extension fields hold states as MatFq, apply
+    the same update entry by entry with FieldSpec operations and classify
+    with _classify_X.  A state's key is its row bytes.
     """
 
     def __init__(self, n, field):
         self.n = n
         self.field = field
-        tvs = list(all_transvections(2 * n, field))
+        self.weight = field.q * (field.q + 1)
+        a, b = _engine.two_planes(2 * n, field.q)
         if field.k == 1:
-            self._v = np.array([t.v for t in tvs], dtype=np.int64)
-            self._f = np.array([t.f for t in tvs], dtype=np.int64)
+            self._a, self._b = a, b
         else:
-            self._vf = [(t.v, t.f) for t in tvs]
+            self._planes = list(zip(a.tolist(), b.tolist()))
             self._j_inv = standard_J(n, field).inverse()
 
     def starts(self):
@@ -471,34 +498,38 @@ class _Moves:
         return state
 
     def images(self, w):
-        """(key, multiplicity, image) for each distinct image t^T w t != w."""
+        """Keys and images of the distinct t^T w t != w, each of weight q(q+1)."""
         if self.field.k == 1:
-            rows, counts = _engine.transvection_images(w, self._v, self._f, self.field.p)
-            return [
-                (r.tobytes(), c, r.reshape(w.shape)) for r, c in zip(rows, counts.tolist())
-            ]
-        # the rank-2 update of _engine.rank2_image, entry by entry: the
-        # image stays alternating, so only the upper triangle is computed
+            imgs = _engine.plane_images(w, self._a, self._b, self.field.p)
+            return [r.tobytes() for r in imgs], imgs
         F = self.field
         N = w.nrows
         wt = w.transpose()
-        counts = Counter()
-        first = {}
-        for v, f in self._vf:
-            u = wt.mat_vec(v)  # v^T w
-            rows = [list(r) for r in w.rows]
-            for i in range(N):
-                for j in range(i + 1, N):
-                    d = F.sub(F.mul(f[i], u[j]), F.mul(u[i], f[j]))
+        imgs = []
+        for a, b in self._planes:
+            x = wt.mat_vec(a)
+            iso = 0
+            for bi, xi in zip(b, x):
+                if bi and xi:
+                    iso = F.add(iso, F.mul(bi, xi))
+            if iso:  # a^T w b != 0: the plane is not isotropic for w
+                continue
+            y = wt.mat_vec(b)
+            # the upper triangle of x y^T - y x^T; the image stays alternating
+            upper = [
+                (i, j, F.sub(F.mul(x[i], y[j]), F.mul(y[i], x[j])))
+                for i in range(N)
+                for j in range(i + 1, N)
+            ]
+            for lam in range(1, F.q):
+                rows = [list(r) for r in w.rows]
+                for i, j, d in upper:
                     if d:
+                        d = F.mul(lam, d)
                         rows[i][j] = F.add(rows[i][j], d)
                         rows[j][i] = F.sub(rows[j][i], d)
-            img = MatFq(F, rows)
-            if img != w:
-                key = img.key()
-                counts[key] += 1
-                first.setdefault(key, img)
-        return [(key, c, first[key]) for key, c in counts.items()]
+                imgs.append(MatFq(F, rows))
+        return [img.key() for img in imgs], imgs
 
     def classify(self, states):
         """(complete key, type) of each state."""
@@ -508,17 +539,36 @@ class _Moves:
         return [_classify_X(self._j_inv * w) for w in states]
 
 
+def _move_count(n, q):
+    """Transvections of GL_2n(F_q) that move a given form."""
+    return transvection_count(2 * n, q) - (q ** (2 * n) - 1)
+
+
+def chain_work(n, q):
+    """Image classifications needed to build the exact chain at (n, q).
+
+    One row per lump, the lumps counted by enumerate_partition_fns, each
+    read off the move_count / (q(q+1)) distinct images of its
+    representative.  This is what the chain cap bounds.
+    """
+    lumps = sum(cnt for _, cnt in enumerate_partition_fns(n, q, context="M"))
+    return lumps * _move_count(n, q) // (q * (q + 1))
+
+
 def exact_form_chain(n, field_or_q, cap=DEFAULT_STATE_CAP) -> ChainModel:
     """Build the exact lumped chain on all symplectic forms of F_q^(2n).
 
     The walk commutes with congruence by GL_2n, so it lumps exactly over
     the Sp_2n-orbits (the double cosets), and any one form of an orbit
     gives that lump's row.  A BFS over lumps, seeded with the q - 1
-    twisted starts (one per Pfaffian sector), classifies the images of one
-    representative per lump; an image of an unseen class becomes the next
-    representative.  Lump sizes come from class_size_qsq.  The sampled
-    Dynkin check compares each row with the row of a second member
-    k^T w k, k uniform in Sp_2n.  cap bounds the number of forms.
+    twisted starts (one per Pfaffian sector), classifies the distinct
+    images of one representative per lump, listed from the 2-planes
+    isotropic for it (_Moves), each of weight q(q+1); an image of an
+    unseen class becomes the next representative.  Lump sizes come from
+    class_size_qsq.  The sampled Dynkin check compares each row with the
+    row of a second member k^T w k, k uniform in Sp_2n.  cap bounds the
+    work, chain_work(n, q) image classifications, checked before any is
+    done.
     """
     field = _resolve_field(field_or_q)
     q = field.q
@@ -526,31 +576,35 @@ def exact_form_chain(n, field_or_q, cap=DEFAULT_STATE_CAP) -> ChainModel:
         raise ValueError(
             "the walk is trivial for n = 1: every transvection of GL_2 is symplectic"
         )
+    work = chain_work(n, q)
+    if work > cap:
+        raise StateSpaceTooLargeError(
+            f"the chain needs {work} image classifications, above cap {cap}"
+        )
     S = coset_space_size(n, q)
-    if S > cap:
-        raise StateSpaceTooLargeError(f"form space has {S} states, above cap {cap}")
-    move_count = transvection_count(2 * n, q) - (q ** (2 * n) - 1)
+    move_count = _move_count(n, q)
     moves = _Moves(n, field)
     classified = {}  # state key -> (complete key, type)
 
     def lumped_row(w):
         """Images of w per complete key, and one image of each key."""
-        images = moves.images(w)
-        moved = sum(c for _, c, _ in images)
-        if moved != move_count:
+        keys, imgs = moves.images(w)
+        if len(set(keys)) * moves.weight != move_count:
             raise InternalError(
-                f"a form has {moved} non-fixing transvections, expected {move_count}"
+                f"a form has {len(set(keys))} distinct images of weight "
+                f"{moves.weight}, expected {move_count} moving transvections"
             )
-        unseen = [(key, img) for key, _, img in images if key not in classified]
+        unseen = [i for i, key in enumerate(keys) if key not in classified]
         if unseen:
-            labels = moves.classify([img for _, img in unseen])
-            classified.update(zip((key for key, _ in unseen), labels))
+            labels = moves.classify([imgs[i] for i in unseen])
+            classified.update(zip((keys[i] for i in unseen), labels))
         row = Counter()
         members = {}
-        for key, c, img in images:
+        for key, img in zip(keys, imgs):
             lump, typ = classified[key]
-            row[lump] += c
-            members.setdefault(lump, (typ, img))
+            row[lump] += moves.weight
+            if lump not in members:
+                members[lump] = (typ, img)
         return row, members
 
     seeds = moves.starts()
@@ -648,11 +702,6 @@ def _typed_lumping_ok(lump_types, rep_rows):
         if len({agg[i] for i in members}) != 1:
             return False
     return True
-
-
-def exact_tv_curve(chain: ChainModel, k_max):
-    """Exact TV rows (k, tv_full, tv_lumped) for the twist-randomized start."""
-    return chain.tv_curve(k_max)
 
 
 # ---------------------------------------------------------------------------

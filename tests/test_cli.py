@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,17 @@ def test_unknown_suite_is_usage_error(capsys):
 def test_resource_cap_exit_code(capsys):
     code = main(["chain", "--n", "5", "--q", "3", "--kmax", "2"])
     assert code == 3
+
+
+def test_chain_work_cap_exits_before_any_work(capsys):
+    # (5,2) needs 27 lumps x 86,955 images, above the default cap
+    start = time.perf_counter()
+    code = main(["chain", "--n", "5", "--q", "2"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("resource cap:") and "Traceback" not in err
+    assert elapsed < 1.0
 
 
 def test_simulate_field_beyond_uint8_is_resource_cap(capsys):

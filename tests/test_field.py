@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sympwalk.errors import (
@@ -167,3 +169,19 @@ def test_add_and_neg_tables_match_digitwise(q):
         for b in F.elements():
             assert F.add(a, b) == F._add_slow(a, b)
             assert F.sub(a, b) == F._add_slow(a, F._neg_slow(b))
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 256])
+def test_mul_and_inv_tables_match_polynomial_products(q):
+    F = field_from_order(q)
+    assert F._mul_table is not None and F._inv_table is not None
+    if q <= 25:
+        pairs = [(a, b) for a in F.elements() for b in F.elements()]
+    else:
+        rng = random.Random(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(4000)]
+        pairs += [(0, b) for b in range(q)] + [(a, 1) for a in range(q)]
+    for a, b in pairs:
+        assert F.mul(a, b) == F._mul_slow(a, b)
+    for a in range(1, q):
+        assert F._mul_slow(a, F.inv(a)) == 1

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,14 +17,24 @@ from sympwalk.combinat import (
     sp_order,
 )
 from sympwalk.errors import OddMultiplicityError, StateSpaceTooLargeError
-from sympwalk.field import build_field
-from sympwalk.linalg import MatFq, class_invariant, is_form_preserving, standard_J
+from sympwalk.field import build_field, field_from_order
+from sympwalk.linalg import (
+    MatFq,
+    all_transvections,
+    class_invariant,
+    is_form_preserving,
+    sample_symplectic,
+    standard_J,
+)
 from sympwalk.spectral import eigenvalue_phi
 from sympwalk.walk import (
+    DEFAULT_STATE_CAP,
     FormState,
+    _Moves,
     _classify_states_batched,
     _classify_X,
     _key_type_from_pairs,
+    chain_work,
     classify_double_coset,
     double_coset_key,
     exact_form_chain,
@@ -254,8 +265,6 @@ def test_chain_2_3_structure(chain23):
     assert chain23.move_count == 960
     assert sum(chain23.lump_sizes) == 468
     # concrete cosets, not types: the (2,) label appears at two orbits
-    from collections import Counter
-
     type_counts = Counter(t for t in chain23.lump_types)
     assert type_counts[PartitionFn.make([(1, (2,))])] == 2
     assert type_counts[PartitionFn.make([(2, (1,))])] == 3
@@ -304,6 +313,49 @@ def test_chain_3_2_matches_full_enumeration(chain32):
         [F(4, 15), F(0), F(0), F(4, 15), F(4, 15), F(1, 5)],
     ]
     assert chain32.j_lump == 1 and chain32.sector_lumps == tuple(range(6))
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (3, 2), (2, 5), (2, 4)])
+def test_plane_images_match_transvection_congruences(n, q):
+    """The images listed from isotropic planes are exactly the congruences
+    t^T w t != w over all transvections, each reached q(q+1) times."""
+    field = field_from_order(q)
+    moves = _Moves(n, field)
+    mats = [t.matrix() for t in all_transvections(2 * n, field)]
+    rng = random.Random(5)
+    grams = [moves.gram(w) for w in moves.starts()]
+    for _ in range(3):
+        k = sample_symplectic(n, field, rng)
+        grams.append(k.transpose() * grams[0] * k)
+    if field.k == 1:  # dense int64 products of the same transvection matrices
+        dense = np.array([m.to_lists() for m in mats], dtype=np.int64)
+    for gram in grams:
+        w = moves.state(gram)
+        keys, _ = moves.images(w)
+        assert len(set(keys)) == len(keys)
+        if field.k == 1:
+            congruences = np.einsum("tji,jk,tkl->til", dense, w, dense) % q
+            oracle = Counter(c.tobytes() for c in congruences)
+            del oracle[w.tobytes()]
+        else:
+            oracle = Counter((m.transpose() * gram * m).key() for m in mats)
+            del oracle[gram.key()]
+        assert set(oracle) == set(keys)
+        assert set(oracle.values()) == {q * (q + 1)}
+
+
+def test_work_cap_counts_lumps_times_images(chain22, chain23, chain32, chain24):
+    for chain in (chain22, chain23, chain32, chain24):
+        images = chain.move_count // (chain.q * (chain.q + 1))
+        assert chain_work(chain.n, chain.q) == chain.num_lumps * images
+    # (3,3) has 24 lumps of 7,280 images, (4,2) 14 of 5,355
+    assert chain_work(3, 3) == 24 * 7280 <= DEFAULT_STATE_CAP
+    assert chain_work(4, 2) == 14 * 5355 <= DEFAULT_STATE_CAP
+    assert chain_work(5, 2) > DEFAULT_STATE_CAP
+    for n in (2, 3, 4):
+        for q in (2, 3, 4, 5, 7):
+            if coset_space_size(n, q) <= DEFAULT_STATE_CAP:  # the former form cap
+                assert chain_work(n, q) <= DEFAULT_STATE_CAP
 
 
 def test_bruteforce_oracle_limits(chain32, chain24):
