@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NonIntegerResultError, WeightMismatchError
-from .field import _moebius
+from .field import irreducible_count
 
 
 # ---------------------------------------------------------------------------
@@ -193,16 +193,10 @@ class PartitionFn:
 def orbit_count(d, q):
     """Number of degree-d Frobenius orbits labeling classes/characters.
 
-    Degree 1: the q-1 units.  Degree d >= 2: all monic irreducibles of
-    degree d (necklace count); those automatically avoid the root 0.
+    The monic irreducibles of degree d other than x: degree 1 gives the
+    q-1 units, and for d >= 2 every irreducible avoids the root 0.
     """
-    if d == 1:
-        return q - 1
-    total = 0
-    for e in range(1, d + 1):
-        if d % e == 0:
-            total += _moebius(e) * q ** (d // e)
-    return total // d
+    return irreducible_count(q, d, exclude_x=True)
 
 
 def _partition_multisets(total, max_slots, max_key=None):

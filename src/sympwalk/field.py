@@ -3,11 +3,16 @@
 An element of F_{p^k} is stored as an integer code in [0, q): the residue
 class with coefficient vector (c_0, ..., c_{k-1}) in the power basis has
 code sum(c_i * p**i).  For prime fields the code is the residue itself.
-The modulus is chosen deterministically (lexicographically smallest monic
-irreducible of its degree), so codes mean the same thing across runs.
+The modulus is the first monic polynomial of degree k, in lexicographic
+order, that the Rabin test `is_irreducible` accepts over the prime field,
+so codes mean the same thing across runs.  `PolyFq` is the one polynomial
+arithmetic: over the prime field it also selects and checks the modulus
+and serves as the oracle for the multiplication tables.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import (
     DivisionByZeroError,
@@ -36,128 +41,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# Polynomial arithmetic over F_p on raw coefficient lists (low-to-high).
-# Used for modulus selection before any FieldSpec exists.
-# ---------------------------------------------------------------------------
-
-def _ptrim(cs):
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
-
-
-def _pmod(a, m, p):
-    # m monic
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        lead = a[-1]
-        if lead:
-            shift = len(a) - 1 - dm
-            for i, c in enumerate(m):
-                a[shift + i] = (a[shift + i] - lead * c) % p
-        a.pop()
-    return _ptrim(a)
-
-
-def _pmulmod(a, b, m, p):
-    return _pmod(_pmul(a, b, p), m, p)
-
-
-def _ppowmod(a, e, m, p):
-    result = [1]
-    base = _pmod(a, m, p)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, m, p)
-        base = _pmulmod(base, base, m, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        bm = [(c * inv) % p for c in b]
-        a, b = b, _pmod(a, bm, p)
-    return a
-
-
-def _prime_factors(n):
+def base_digits(code, base, length):
+    """The first `length` base-`base` digits of code, low to high."""
     out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _pdiff(a, b, p):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out.append((x - y) % p)
-    return _ptrim(out)
-
-
-def _irreducible_mod_p(coeffs, p):
-    """Rabin test for a monic polynomial over F_p, degree >= 1."""
-    d = len(coeffs) - 1
-    if d == 1:
-        return True
-    x = [0, 1]
-    if _pdiff(_ppowmod(x, p ** d, coeffs, p), x, p):
-        return False  # x^(p^d) != x mod f
-    for r in _prime_factors(d):
-        diff = _pdiff(_ppowmod(x, p ** (d // r), coeffs, p), x, p)
-        if not diff:
-            return False  # f divides x^(p^(d/r)) - x: all factors have small degree
-        if len(_pgcd(coeffs, diff, p)) - 1 >= 1:
-            return False
-    return True
-
-
-def _smallest_irreducible(p, k):
-    """Lexicographically smallest monic irreducible of degree k over F_p.
-
-    Candidates are ordered by their low-to-high coefficient tuple read as a
-    base-p counter, which makes the choice reproducible.
-    """
-    if k == 1:
-        return (0, 1)  # the polynomial x
-    for code in range(p ** k):
-        coeffs = []
-        c = code
-        for _ in range(k):
-            coeffs.append(c % p)
-            c //= p
-        coeffs.append(1)
-        if coeffs[0] == 0:
-            continue  # divisible by x
-        if _irreducible_mod_p(coeffs, p):
-            return tuple(coeffs)
-    raise AssertionError("no irreducible found; unreachable for prime p")
+    for _ in range(length):
+        code, d = divmod(code, base)
+        out.append(d)
+    return tuple(out)
 
 
 class FieldSpec:
@@ -174,8 +64,10 @@ class FieldSpec:
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
-        if k > 1 and not _irreducible_mod_p(list(modulus), p):
-            raise ValueError("modulus is reducible")
+        if k > 1:
+            self._modulus_poly = PolyFq(FieldSpec(p, 1, (0, 1)), modulus)
+            if not is_irreducible(self._modulus_poly):
+                raise ValueError("modulus is reducible")
         self.p = p
         self.k = k
         self.q = p ** k
@@ -203,11 +95,7 @@ class FieldSpec:
 
     def decode(self, a):
         """Coefficient tuple (low-to-high, length k) of the code a."""
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
+        return base_digits(a, self.p, self.k)
 
     def encode(self, coeffs):
         a = 0
@@ -231,15 +119,7 @@ class FieldSpec:
         return self._add_slow(a, b)
 
     def _add_slow(self, a, b):
-        p = self.p
-        out = 0
-        mul = 1
-        for _ in range(self.k):
-            out += ((a % p + b % p) % p) * mul
-            a //= p
-            b //= p
-            mul *= p
-        return out
+        return self.encode([x + y for x, y in zip(self.decode(a), self.decode(b))])
 
     def neg(self, a):
         if self.k == 1:
@@ -249,14 +129,7 @@ class FieldSpec:
         return self._neg_slow(a)
 
     def _neg_slow(self, a):
-        p = self.p
-        out = 0
-        mul = 1
-        for _ in range(self.k):
-            out += ((-a) % p % p) * mul
-            a //= p
-            mul *= p
-        return out
+        return self.encode([-x for x in self.decode(a)])
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -269,10 +142,9 @@ class FieldSpec:
         return self._mul_slow(a, b)
 
     def _mul_slow(self, a, b):
-        ca = list(self.decode(a))
-        cb = list(self.decode(b))
-        prod = _pmod(_pmul(ca, cb, self.p), list(self.modulus), self.p)
-        return self.encode(prod + [0] * (self.k - len(prod)))
+        prime = self._modulus_poly.field
+        prod = PolyFq(prime, self.decode(a)) * PolyFq(prime, self.decode(b))
+        return self.encode((prod % self._modulus_poly).coeffs)
 
     def inv(self, a):
         if a == 0:
@@ -299,9 +171,11 @@ class FieldSpec:
         return result
 
     def _build_tables(self):
-        q = self.q
-        self._add_table = [[self._add_slow(a, b) for b in range(q)] for a in range(q)]
-        self._neg_table = [self._neg_slow(a) for a in range(q)]
+        p, q = self.p, self.q
+        digits = np.array([self.decode(a) for a in range(q)], dtype=np.int64)
+        place = p ** np.arange(self.k, dtype=np.int64)
+        self._add_table = ((digits[:, None] + digits[None]) % p @ place).tolist()
+        self._neg_table = (-digits % p @ place).tolist()
         # log/antilog tables of a generator g: q - 1 products instead of q^2
         for g in range(2, q):
             exp = [1, g]  # g^0, g^1, ... up to the first return to 1
@@ -323,7 +197,7 @@ _FIELD_CACHE = {}
 
 
 def build_field(p, k, max_size=DEFAULT_MAX_FIELD_SIZE):
-    """Return F_{p^k} with the deterministic (lex-smallest) modulus.
+    """Return F_{p^k} with the deterministic (lex-smallest irreducible) modulus.
 
     Instances are cached per (p, k): FieldSpec is immutable, so sharing is
     safe across threads and workers.
@@ -336,7 +210,10 @@ def build_field(p, k, max_size=DEFAULT_MAX_FIELD_SIZE):
         raise FieldTooLargeError(f"q = {p}^{k} exceeds cap {max_size}")
     key = (p, k)
     if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = FieldSpec(p, k, _smallest_irreducible(p, k))
+        modulus = (0, 1)  # the polynomial x
+        if k > 1:
+            modulus = next(_irreducibles(build_field(p, 1, max_size), k)).coeffs
+        _FIELD_CACHE[key] = FieldSpec(p, k, modulus)
     return _FIELD_CACHE[key]
 
 
@@ -568,6 +445,20 @@ class PolyFq:
         return "PolyFq(" + "+".join(terms) + ")"
 
 
+def _prime_factors(n):
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def is_irreducible(poly: PolyFq) -> bool:
     """Rabin irreducibility test over F_q (monic input, degree >= 1)."""
     if poly.degree < 1:
@@ -628,18 +519,19 @@ def enumerate_irreducibles(field, d, exclude_x=False, cap=ENUMERATION_CAP):
         raise ValueError("degree must be >= 1")
     if field.q ** d > cap:
         raise EnumerationTooLargeError(f"q^d = {field.q}^{d} exceeds cap {cap}")
-    out = []
+    return [f for f in _irreducibles(field, d) if not (exclude_x and f.coeffs == (0, 1))]
+
+
+def _irreducibles(field, d):
+    """Monic irreducibles of degree d over F_q, lazily, in lex order.
+
+    Candidates are ordered by their low-to-high coefficient tuple read as a
+    base-q counter, which makes the first one a reproducible modulus.
+    """
     q = field.q
     for code in range(q ** d):
-        coeffs = []
-        c = code
-        for _ in range(d):
-            coeffs.append(c % q)
-            c //= q
-        coeffs.append(1)
-        if exclude_x and d == 1 and coeffs[0] == 0:
-            continue
-        poly = PolyFq(field, coeffs)
+        if d > 1 and code % q == 0:
+            continue  # constant term 0: divisible by x
+        poly = PolyFq(field, (*base_digits(code, q, d), 1))
         if is_irreducible(poly):
-            out.append(poly)
-    return out
+            yield poly

@@ -20,7 +20,7 @@ from .errors import (
     NotInvertibleError,
     SingularMatrixError,
 )
-from .field import PolyFq, enumerate_irreducibles
+from .field import PolyFq, base_digits, enumerate_irreducibles
 
 
 class MatFq:
@@ -359,25 +359,11 @@ class Transvection:
         )
 
 
-def _nonzero_vectors(dim, field):
-    q = field.q
-    for code in range(1, q ** dim):
-        v = []
-        c = code
-        for _ in range(dim):
-            v.append(c % q)
-            c //= q
-        yield tuple(v)
-
-
 def projective_vectors(dim, field):
     """One representative per line: first nonzero coordinate equals 1."""
-    for v in _nonzero_vectors(dim, field):
-        for c in v:
-            if c:
-                lead = c
-                break
-        if lead == 1:
+    for code in range(1, field.q ** dim):
+        v = base_digits(code, field.q, dim)
+        if next(filter(None, v)) == 1:
             yield v
 
 
@@ -409,13 +395,8 @@ def all_transvections(dim, field):
         basis = annihilator_basis(v, field)
         m = len(basis)
         for code in range(1, F.q ** m):
-            coeffs = []
-            c = code
-            for _ in range(m):
-                coeffs.append(c % F.q)
-                c //= F.q
             f = [0] * dim
-            for coeff, b in zip(coeffs, basis):
+            for coeff, b in zip(base_digits(code, F.q, m), basis):
                 if coeff:
                     f = [F.add(a, F.mul(coeff, x)) for a, x in zip(f, b)]
             yield Transvection(F, v, tuple(f))

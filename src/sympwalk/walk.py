@@ -42,13 +42,15 @@ from .errors import (
     OddMultiplicityError,
     StateSpaceTooLargeError,
 )
-from .field import FieldSpec, field_from_order
+from .field import FieldSpec, PolyFq, field_from_order
 from .linalg import (
     MatFq,
     Transvection,
     all_transvections,
     class_invariant,
+    factor_poly,
     is_form_preserving,
+    partition_from_rank_sequence,
     sample_nonpreserving_transvection,
     sample_symplectic,
     standard_J,
@@ -152,9 +154,6 @@ def _classify_states_batched(states_np, n, field):
     sequences per factor, and one partition and key per distinct rank
     pattern within a polynomial.
     """
-    from .field import PolyFq
-    from .linalg import factor_poly, partition_from_rank_sequence
-
     p = field.p
     N = 2 * n
     S = len(states_np)
@@ -202,32 +201,28 @@ def _classify_states_batched(states_np, n, field):
     return keys, types
 
 
-def _x_of_form(gram: MatFq) -> MatFq:
-    J = standard_J(gram.nrows // 2, gram.field)
-    return J.inverse() * gram
-
-
-def _x_of_group(g: MatFq) -> MatFq:
-    J = standard_J(g.nrows // 2, g.field)
-    return J.inverse() * g.transpose() * J * g
+def _classify_obj(obj):
+    """(key, type) of a form, via X = J^-1 w, or of a group element g,
+    via X = J^-1 g^T J g."""
+    if isinstance(obj, FormState):
+        J = standard_J(obj.n, obj.field)
+        w = obj.gram
+    elif isinstance(obj, MatFq):
+        J = standard_J(obj.nrows // 2, obj.field)
+        w = obj.transpose() * J * obj
+    else:
+        raise TypeError("expected FormState or MatFq")
+    return _classify_X(J.inverse() * w)
 
 
 def double_coset_key(obj):
     """Complete double-coset invariant: ((poly coeffs, partition), ...)."""
-    if isinstance(obj, FormState):
-        return _classify_X(_x_of_form(obj.gram))[0]
-    if isinstance(obj, MatFq):
-        return _classify_X(_x_of_group(obj))[0]
-    raise TypeError("expected FormState or MatFq")
+    return _classify_obj(obj)[0]
 
 
 def classify_double_coset(obj) -> PartitionFn:
     """Type label mu (weight n) of the double coset of a form or element."""
-    if isinstance(obj, FormState):
-        return _classify_X(_x_of_form(obj.gram))[1]
-    if isinstance(obj, MatFq):
-        return _classify_X(_x_of_group(obj))[1]
-    raise TypeError("expected FormState or MatFq")
+    return _classify_obj(obj)[1]
 
 
 def stationary_type_distribution(n, q):
@@ -820,8 +815,9 @@ def support_violations(n, field_or_q, c, trials, seed=0, classify_sample=50):
     rng = np.random.default_rng(seed)
     inv_table = _engine.mod_inverse_table(p)
     J = standard_J(n, field)
+    j_inv_mat = J.inverse()
     jmat = np.array(J.to_lists(), dtype=np.uint8)
-    j_inv = np.array(J.inverse().to_lists(), dtype=np.int64)
+    j_inv = np.array(j_inv_mat.to_lists(), dtype=np.int64)
     grams = np.broadcast_to(jmat, (trials, 2 * n, 2 * n)).copy()
     for _ in range(k):
         grams = _engine.mc_step(grams, p, rng, inv_table)
@@ -831,7 +827,6 @@ def support_violations(n, field_or_q, c, trials, seed=0, classify_sample=50):
     violations = int((ranks > 2 * (n - c)).sum())
     # cross-check the rank criterion against the classifier on a subsample:
     # the block partition of X at x - 1 has exactly dim ker(X - I) parts
-    j_inv_mat = standard_J(n, field).inverse()
     for i in range(min(classify_sample, trials)):
         inv = class_invariant(j_inv_mat * MatFq(field, grams[i].tolist()))
         parts_at_one = 0

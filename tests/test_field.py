@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -8,12 +9,14 @@ from sympwalk.errors import (
     NotPrimeError,
 )
 from sympwalk.field import (
+    FieldSpec,
     PolyFq,
     build_field,
     enumerate_irreducibles,
     field_from_order,
     irreducible_count,
     is_irreducible,
+    is_prime,
 )
 
 PRIME_POWERS_16 = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
@@ -23,6 +26,37 @@ def test_build_field_moduli_are_deterministic():
     assert build_field(2, 1).modulus == (0, 1)  # the polynomial x
     assert build_field(2, 2).modulus == (1, 1, 1)  # x^2 + x + 1, the only choice
     assert build_field(3, 1).modulus == (0, 1)
+
+
+def test_extension_moduli_are_pinned():
+    # every extension field with p <= 1024 and p^k <= 2^20 (242 fields):
+    # element codes mean the same thing only while the moduli stay fixed
+    fields = []
+    for p in filter(is_prime, range(2, 1025)):
+        k = 2
+        while p ** k <= 2 ** 20:
+            fields.append((p, k, build_field(p, k).modulus))
+            k += 1
+    assert len(fields) == 242
+    digest = hashlib.sha256(repr(fields).encode()).hexdigest()
+    assert digest == "18d74e0be467049cdb2a980dafab1f97f53b312e82195b4aa35d57de52a08a57"
+
+
+def test_reducible_modulus_is_rejected():
+    with pytest.raises(ValueError, match="modulus is reducible"):
+        FieldSpec(2, 2, (1, 0, 1))  # x^2 + 1 = (x + 1)^2 over F_2
+
+
+def test_direct_fieldspec_above_the_build_cap():
+    p = next(filter(is_prime, range(2 ** 20 + 1, 2 ** 21)))
+    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)  # non-residue
+    with pytest.raises(FieldTooLargeError):
+        build_field(p, 2)
+    F = FieldSpec(p, 2, (-c, 0, 1))  # x^2 - c
+    assert F.q == p * p and F.modulus == (p - c, 0, 1)
+    x = p  # the code of the class of x
+    assert F.mul(x, x) == c
+    assert F.mul(x, F.inv(x)) == 1
 
 
 def test_build_field_rejects_bad_input():

@@ -1,10 +1,11 @@
+import hashlib
 import random
 from collections import Counter
 
 import pytest
 
 from sympwalk.errors import DimensionMismatchError, SingularMatrixError
-from sympwalk.field import PolyFq, build_field
+from sympwalk.field import PolyFq, build_field, field_from_order
 from sympwalk.linalg import (
     MatFq,
     Transvection,
@@ -121,6 +122,34 @@ def test_transvection_census(q, field):
     J = standard_J(dim // 2, field)
     sym = sum(1 for t in all_transvections(dim, field) if is_form_preserving(t.matrix(), J))
     assert sym == symplectic_transvection_count(dim, q)
+
+
+# SHA-256 of [(t.v, t.f) for t in all_transvections(4, F_q)] and of
+# list(projective_vectors(4, F_q)): the enumeration order is part of the
+# contract (chain builders and seeded outputs depend on it)
+TRANSVECTION_ORDER_DIGESTS = {
+    2: (
+        "9a3f5b0b71e2a7fa61f4458d7ec4c50f87085be2200d2784868ec35cb2592d89",
+        "ddc1e684cf924f52e991e30c3d2ef3b3889589e6cd612cade5bead36527e2db8",
+    ),
+    3: (
+        "a647e79740d71c00d8b5dada1fcb0c73c6dd36456c15e7d6110cb0cecda701c8",
+        "0a7b0fbd1d18d08cc772b1809d28028bbb5c7fb706f1b9e47efe7b053edde243",
+    ),
+    4: (
+        "095c327d05c701dbe0b2389ba0fe355de69cf2c132b45e10aaad604261669732",
+        "cdf121abf25ad96c695d02c40c64835949084654ea21abc7e05828c452278f08",
+    ),
+}
+
+
+@pytest.mark.parametrize("q", sorted(TRANSVECTION_ORDER_DIGESTS))
+def test_transvection_enumeration_order_is_pinned(q):
+    field = field_from_order(q)
+    tvs = repr([(t.v, t.f) for t in all_transvections(4, field)])
+    pvs = repr(list(projective_vectors(4, field)))
+    got = tuple(hashlib.sha256(r.encode()).hexdigest() for r in (tvs, pvs))
+    assert got == TRANSVECTION_ORDER_DIGESTS[q]
 
 
 def test_transvection_counts_at_2_2():
