@@ -63,11 +63,16 @@ def _is_determinant_twist(lam_fn: PartitionFn, n) -> bool:
     return len(lam_fn.entries) == 1 and lam_fn.entries[0] == (1, (1,) * n)
 
 
+def check_enumeration_cap(n):
+    """The spectral label enumeration stops at n = ENUMERATION_MAX_N."""
+    if n > ENUMERATION_MAX_N:
+        raise EnumerationTooLargeError(f"n={n} beyond enumeration cap {ENUMERATION_MAX_N}")
+
+
 @lru_cache(maxsize=None)
 def _spectral_terms(n, q):
     """(phi, multiplicity, count) per non-excluded label type."""
-    if n > ENUMERATION_MAX_N:
-        raise EnumerationTooLargeError(f"n={n} beyond enumeration cap {ENUMERATION_MAX_N}")
+    check_enumeration_cap(n)
     out = []
     for fn, cnt in enumerate_partition_fns(n, q, context="L"):
         if _is_determinant_twist(fn, n):

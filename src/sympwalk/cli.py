@@ -49,13 +49,13 @@ def _frac_str(x):
 
 
 def _resolve_field_args(args):
-    if args.q is not None:
-        return field_from_order(args.q)
-    if args.p is None:
-        return field_from_order(2)
-    if args.k is None:
-        raise ValueError("--p needs --k")
-    return build_field(args.p, args.k)
+    if args.q is not None and (args.p is not None or args.k is not None):
+        raise ValueError("--q excludes --p and --k")
+    if (args.p is None) != (args.k is None):
+        raise ValueError("--p needs --k" if args.k is None else "--k needs --p")
+    if args.p is not None:
+        return build_field(args.p, args.k)
+    return field_from_order(2 if args.q is None else args.q)
 
 
 def _add_field_args(sub):
@@ -70,10 +70,6 @@ def _add_output_args(sub, formats=True):
         sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--seed", type=int, default=0)
-
-
-def _add_enum_cap(sub):
-    sub.add_argument("--enum-cap", type=int, default=14, help="label enumeration cap on n")
 
 
 def _add_state_cap(sub):
@@ -101,10 +97,7 @@ def _parse_range(range_text):
 
 def cmd_spectrum(args):
     field = _resolve_field_args(args)
-    if args.n > args.enum_cap:
-        raise EnumerationTooLargeError(
-            f"n={args.n} above enumeration cap {args.enum_cap} (raise with --enum-cap)"
-        )
+    bounds_mod.check_enumeration_cap(args.n)
     data = spectrum_json(args.n, field.q)
     if args.format == "json":
         _emit(json.dumps(data, indent=2) + "\n", args.out)
@@ -121,12 +114,7 @@ def cmd_spectrum(args):
 def cmd_bounds(args):
     field = _resolve_field_args(args)
     n, q = args.n, field.q
-    if n > args.enum_cap:
-        raise EnumerationTooLargeError(
-            f"n={n} above enumeration cap {args.enum_cap} (raise with --enum-cap)"
-        )
     ks = _parse_range(args.k_range)
-    mode = "exact" if args.exact else ("logfloat" if args.logfloat else "auto")
     tv_exact = {}
     if args.with_exact:
         chain = walk_mod.exact_form_chain(n, field, cap=args.state_cap)
@@ -134,7 +122,7 @@ def cmd_bounds(args):
             tv_exact[k] = tv_full
     rows = []
     for k in ks:
-        bv = bounds_mod.upper_bound_tv(n, q, k, mode)
+        bv = bounds_mod.upper_bound_tv(n, q, k, args.mode)
         c = n - k
         lower = bounds_mod.lower_bound_tv(n, q, c) if 0 <= c <= n else ""
         rows.append(
@@ -240,16 +228,15 @@ def build_parser():
     sp_spec = subs.add_parser("spectrum", help="eigenvalue table")
     _add_field_args(sp_spec)
     _add_output_args(sp_spec)
-    _add_enum_cap(sp_spec)
     sp_spec.set_defaults(func=cmd_spectrum)
 
     sp_bounds = subs.add_parser("bounds", help="TV bound curves")
     _add_field_args(sp_bounds)
     _add_output_args(sp_bounds)
-    _add_enum_cap(sp_bounds)
     sp_bounds.add_argument("--k-range", required=True, help="A..B inclusive")
-    sp_bounds.add_argument("--exact", action="store_true")
-    sp_bounds.add_argument("--logfloat", action="store_true")
+    mode = sp_bounds.add_mutually_exclusive_group()
+    for name in ("exact", "logfloat"):
+        mode.add_argument(f"--{name}", dest="mode", action="store_const", const=name, default="auto")
     sp_bounds.add_argument("--with-exact", action="store_true",
                            help="merge the exact chain TV column (small spaces)")
     _add_state_cap(sp_bounds)

@@ -20,7 +20,7 @@ from .errors import (
     NotInvertibleError,
     SingularMatrixError,
 )
-from .field import PolyFq, base_digits, enumerate_irreducibles
+from .field import PolyFq, base_digits
 
 
 class MatFq:
@@ -606,52 +606,59 @@ def _dot(F, a, b):
     return acc
 
 
-_IRRED_CACHE = {}
-
-
-def _irreducibles_of_degree(field, d):
-    key = (field.p, field.k, d)
-    if key not in _IRRED_CACHE:
-        _IRRED_CACHE[key] = enumerate_irreducibles(field, d)
-    return _IRRED_CACHE[key]
-
-
 def factor_poly(poly: PolyFq):
-    """Factor a monic polynomial by trial division, ascending degree.
+    """Factor a polynomial over F_q into (monic irreducible, multiplicity)
+    pairs sorted by (degree, coeffs), in time polynomial in log q.
 
-    Returns a list of (irreducible PolyFq, multiplicity).  Desk-scale only:
-    enumerates irreducibles up to half the remaining degree.
+    Distinct-degree split: with every factor of degree below d divided out,
+    gcd(rem, x^(q^d) - x) is the product of the distinct degree-d factors
+    of rem.  Once deg(rem) < 2(d + 1), rem is 1 or irreducible.
     """
-    if not poly.is_monic:
-        poly = poly.monic()
+    F = poly.field
+    x = x_qd = PolyFq.x(F)  # x_qd: x^(q^d) mod rem
+    rem = poly.monic()
     factors = []
-    rem = poly
-    d = 1
-    while rem.degree >= 1:
-        if d > rem.degree // 2:
-            factors.append((rem, 1))
-            break
-        hit = False
-        for cand in _irreducibles_of_degree(poly.field, d):
-            mult = 0
-            while True:
-                quo, r = divmod(rem, cand)
-                if r.is_zero:
-                    rem = quo
-                    mult += 1
-                else:
-                    break
-            if mult:
-                factors.append((cand, mult))
-                hit = True
-                if rem.degree < 1:
-                    break
+    d = 0
+    while rem.degree >= 2 * (d + 1):
         d += 1
-    # merge exact equal factors (possible when the tail was irreducible)
-    merged = {}
-    for f, m in factors:
-        merged[f] = merged.get(f, 0) + m
-    return sorted(merged.items(), key=lambda fm: (fm[0].degree, fm[0].coeffs))
+        x_qd = x_qd.pow_mod(F.q, rem)
+        for f in _equal_degree_split(rem.gcd(x_qd - x), d):
+            mult = 0
+            while (qr := divmod(rem, f))[1].is_zero:
+                rem, mult = qr[0], mult + 1
+            factors.append((f, mult))
+    if rem.degree >= 1:
+        factors.append((rem, 1))
+    return sorted(factors, key=lambda fm: (fm[0].degree, fm[0].coeffs))
+
+
+def _equal_degree_split(g, d):
+    """The factors of g, a monic product of distinct degree-d irreducibles.
+
+    r splits g when gcd(g, t) is a proper factor (Cantor-Zassenhaus).  For
+    odd q, t = r^((q^d - 1)/2) - 1 and r runs through the base-q counter
+    from x.  For q = 2^k, t = sum of r^(2^i), i < kd, is F_2-linear in r and
+    equal at every factor for constant r, so r = theta^i x^j (theta^i the
+    code 2^i, 0 < j < deg g) suffice: with the constants they span F_q[x]/g.
+    """
+    if g.degree <= d:
+        return [g] if g.degree == d else []
+    F, m = g.field, g.degree
+    if F.p == 2:
+        rs = (PolyFq(F, (0,) * j + (2 ** i,)) for j in range(1, m) for i in range(F.k))
+    else:
+        rs = (PolyFq(F, base_digits(c, F.q, m)) for c in range(F.q, F.q ** m))
+    for r in rs:
+        if F.p == 2:  # t_1 = r, t_(j+1) = r + t_j^2
+            t = r
+            for _ in range(F.k * d - 1):
+                t = r + t * t % g
+        else:
+            t = r.pow_mod((F.q ** d - 1) // 2, g) - PolyFq.one(F)
+        h = g.gcd(t)
+        if 0 < h.degree < m:
+            return _equal_degree_split(h, d) + _equal_degree_split(g // h, d)
+    raise InternalError(f"no candidate splits {g} into degree-{d} factors")
 
 
 @dataclass(frozen=True)
@@ -711,7 +718,7 @@ def class_invariant(X: MatFq) -> ClassInvariant:
         if sum(lam) != mult:
             raise InternalError("partition weight disagrees with factor multiplicity")
         entries.append((f, lam))
-    inv = ClassInvariant(tuple(sorted(entries, key=lambda e: (e[0].degree, e[0].coeffs))))
+    inv = ClassInvariant(tuple(entries))  # factor_poly's order
     if inv.total_weight() != N:
         raise InternalError("class invariant weight mismatch")
     return inv

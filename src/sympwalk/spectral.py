@@ -256,7 +256,7 @@ class SpectralLine:
     type_count: int
 
 
-def spectrum(n, q, method="local"):
+def spectrum(n, q):
     """All eigenvalue lines for given (n, q), sorted by descending phi.
 
     For n = 1 the walk is trivial (SL_2 = Sp_2, every transvection is
@@ -264,7 +264,7 @@ def spectrum(n, q, method="local"):
     """
     lines = []
     for lam_fn, count in enumerate_partition_fns(n, q, context="L"):
-        phi = eigenvalue_phi(lam_fn, n, q, method=method)
+        phi = eigenvalue_phi(lam_fn, n, q)
         mult = dim_irrep(lam_fn.doubled(), q)
         lines.append(SpectralLine(lam_fn, phi, mult, count))
     lines.sort(key=lambda line: (-line.phi, line.lam.entries))

@@ -163,10 +163,16 @@ def test_p_k_field_selection(capsys):
 
 
 def test_p_without_k_is_usage_error(capsys):
-    code = main(["spectrum", "--n", "2", "--p", "3"])
-    captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert captured.err == "error: --p needs --k\n"
+    # field flags that would be ignored are usage errors, not silent choices
+    for argv, message in (
+        (["spectrum", "--n", "2", "--p", "3"], "--p needs --k"),
+        (["spectrum", "--n", "2", "--k", "3"], "--k needs --p"),
+        (["spectrum", "--n", "2", "--q", "4", "--p", "3", "--k", "1"], "--q excludes --p and --k"),
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 def test_bounds_logfloat_large_n(capsys):
@@ -181,8 +187,14 @@ def test_bounds_logfloat_large_n(capsys):
 
 
 def test_enumeration_cap_exit_code(capsys):
-    code = main(["spectrum", "--n", "15", "--q", "2"])
-    assert code == 3
+    for argv in (
+        ["spectrum", "--n", "15", "--q", "2"],
+        ["bounds", "--n", "15", "--q", "2", "--k-range", "15..15"],
+    ):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "resource cap: n=15 beyond enumeration cap 14\n"
 
 
 def test_verify_default_run_passes(capsys):
@@ -216,6 +228,7 @@ def test_bad_counts_are_usage_errors(capsys, argv):
         ["simulate", "--n", "2", "--steps", "1", "--trials", "10", "--format", "json"],
         ["verify", "--suite", "field", "--n", "2"],
         ["chain", "--n", "2", "--enum-cap", "3"],
+        ["bounds", "--n", "2", "--k-range", "1..2", "--exact", "--logfloat"],
     ],
 )
 def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):

@@ -5,7 +5,13 @@ from collections import Counter
 import pytest
 
 from sympwalk.errors import DimensionMismatchError, SingularMatrixError
-from sympwalk.field import PolyFq, build_field, field_from_order
+from sympwalk.field import (
+    PolyFq,
+    build_field,
+    enumerate_irreducibles,
+    field_from_order,
+    is_irreducible,
+)
 from sympwalk.linalg import (
     MatFq,
     Transvection,
@@ -271,24 +277,36 @@ def test_charpoly_diagonal_oracle():
     assert got == x_minus(1) * x_minus(2) * x_minus(2)
 
 
-def test_factor_poly_roundtrip():
-    rng = random.Random(31)
-    from sympwalk.field import enumerate_irreducibles
+def _irreducible_pool(field):
+    """Monic irreducibles to multiply together: every one of degree 1-3
+    for small q; over F_251, x - a and x^2 - c with c a non-residue."""
+    p = field.p
+    if field.q < 251:
+        return [f for d in (1, 2, 3) if field.q ** d <= 729 for f in enumerate_irreducibles(field, d)]
+    linear = [PolyFq(field, (field.neg(a), 1)) for a in range(p)]
+    quadratic = [PolyFq(field, (p - c, 0, 1)) for c in range(1, p) if pow(c, (p - 1) // 2, p) == p - 1]
+    return linear + quadratic
 
-    irr = enumerate_irreducibles(F2, 1) + enumerate_irreducibles(F2, 2) + enumerate_irreducibles(F2, 3)
-    for _ in range(25):
-        chosen = rng.sample(irr, k=rng.randrange(1, 4))
-        mults = [rng.randrange(1, 3) for _ in chosen]
-        poly = PolyFq.one(F2)
-        for f, m in zip(chosen, mults):
-            for _ in range(m):
-                poly = poly * f
-        got = factor_poly(poly)
-        want = sorted(
-            {f: m for f, m in zip(chosen, mults)}.items(),
-            key=lambda fm: (fm[0].degree, fm[0].coeffs),
-        )
-        assert got == want
+
+def test_factor_poly_roundtrip():
+    # F_4 exercises the characteristic-2 trace split, F_251 large p
+    rng = random.Random(31)
+    for q in (3, 4, 9, 251):
+        field = field_from_order(q)
+        pool = _irreducible_pool(field)
+        for _ in range(25):
+            chosen = rng.sample(pool, k=rng.randrange(1, 5))
+            mults = [rng.randrange(1, 4) for _ in chosen]
+            poly = PolyFq.one(field)
+            for f, m in zip(chosen, mults):
+                for _ in range(m):
+                    poly = poly * f
+            got = factor_poly(poly.scale(rng.randrange(1, q)))
+            want = sorted(
+                zip(chosen, mults), key=lambda fm: (fm[0].degree, fm[0].coeffs)
+            )
+            assert got == want, (q, poly)
+            assert all(is_irreducible(f) for f, _ in got)
 
 
 def test_class_invariant_examples():

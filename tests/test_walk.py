@@ -421,11 +421,13 @@ def test_monte_carlo_tv_is_curve_step():
 
 
 def test_monte_carlo_beyond_int64_keys():
-    # (3,5) states have 36 base-5 digits, more than an int64 key holds
-    for k, res in monte_carlo_curve(3, 5, 3, 200, seed=1):
-        assert sum(res.counts.values()) == 200
-        if k >= 1:
-            assert float(res.estimate) <= upper_bound_tv(3, 5, k).value + 3 * res.stderr
+    # (3,5) states have 36 base-5 digits, more than an int64 key holds;
+    # (2,251) and (3,101) factor characteristic polynomials at large p
+    for n, q in ((3, 5), (2, 251), (3, 101)):
+        for k, res in monte_carlo_curve(n, q, 3, 200, seed=1):
+            assert sum(res.counts.values()) == 200
+            if k >= 1:
+                assert float(res.estimate) <= upper_bound_tv(n, q, k).value + 3 * res.stderr
 
 
 def test_monte_carlo_rejects_fields_beyond_uint8():
