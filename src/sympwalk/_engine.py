@@ -1,17 +1,19 @@
 """Vectorized prime-field helpers for chain building and simulation.
 
-Monte Carlo states are Gram matrices over F_p held as (S, N, N) uint8
-arrays, so the Monte Carlo drivers admit only p <= 256.  Exact chains hold
-their states as int64 arrays.  Both key a state by its raw row bytes, the
-only state key in the package.  A transvection moves an alternating Gram
-by the rank-2 update of rank2_image.  mc_step runs it in int32: every
-intermediate is below N p^2 + p, which is below 2^31 for p <= 256 and any
-N below 2^15.  plane_images (the exact chains) and transvection_images
-(their brute-force oracle) run it in int64.  The remaining matrix
-products run in float64 on entries < p, reduced mod p after every product.
+One storage layout: every batched state, in Monte Carlo and in exact
+chains alike, is a Gram matrix over F_p held as an (S, N, N) uint8 array,
+so both admit only q <= 256, and is keyed by its raw row bytes (the
+brute-force oracle, transvection_images, keeps its own int64 rows).  Two
+integer widths and no floating point: mc_step moves states by the rank-2
+update of rank2_image in int32 (every intermediate is below N p^2 + p,
+below 2^31 for p <= 256 and N < 2^15); every other product runs in int64
+on entries < p, reduced mod p after every product, exact while
+N p^2 < 2^63.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,22 +80,34 @@ def plane_images(w, a, b, p):
     isotropic for w, so the images are w + lam (x y^T - y x^T) for
     x = w^T a, y = w^T b over the planes (a, b) of two_planes with
     a^T w b = 0 and lam = 1..p-1, all distinct.  Returns them as a
-    (P (p-1), N, N) int64 array.
+    (P (p-1), N, N) uint8 array.
     """
     N = len(w)
+    w = w.astype(np.int64)
     aw = a @ w % p
     iso = (aw * b).sum(axis=1) % p == 0
     x = aw[iso]
     y = b[iso] @ w % p
     lam = np.arange(1, p)[:, None, None]
-    return rank2_image(w, lam * x % p, y, p).reshape(-1, N, N)
+    return rank2_image(w, lam * x % p, y, p).reshape(-1, N, N).astype(np.uint8)
 
 
-def batched_rank(mats, p, inv_table):
+def j_inv_times(grams, p):
+    """X = J^-1 w mod p for every Gram w of the batch, as int64.
+
+    J = [[0, I], [-I, 0]] has J^-1 = [[0, -I], [I, 0]], so X is w with its
+    row blocks swapped and the new top block negated.
+    """
+    w = grams.astype(np.int64)
+    n = w.shape[1] // 2
+    return np.concatenate((-w[:, n:] % p, w[:, :n]), axis=1)
+
+
+def batched_rank(mats, p):
     """Rank over F_p of every matrix in the (B, M, N) batch."""
     a = np.mod(mats.astype(np.int64), p)
     B, M, N = a.shape
-    inv_table = np.asarray(inv_table, dtype=np.int64)
+    inv_table = mod_inverse_table(p)
     pivot_row = np.zeros(B, dtype=np.int64)
     rows_idx = np.arange(M, dtype=np.int64)[None, :]
     for col in range(N):
@@ -104,10 +118,7 @@ def batched_rank(mats, p, inv_table):
             continue
         piv = np.argmax(cand[lanes], axis=1)
         pr = pivot_row[lanes]
-        # swap rows pr <-> piv
-        tmp = a[lanes, pr, :].copy()
-        a[lanes, pr, :] = a[lanes, piv, :]
-        a[lanes, piv, :] = tmp
+        a[lanes, pr], a[lanes, piv] = a[lanes, piv], a[lanes, pr]  # row swap
         # normalize pivot rows
         scale = inv_table[a[lanes, pr, col]]
         a[lanes, pr, :] = np.mod(a[lanes, pr, :] * scale[:, None], p)
@@ -121,10 +132,11 @@ def batched_rank(mats, p, inv_table):
     return pivot_row
 
 
+@lru_cache(maxsize=None)
 def mod_inverse_table(p):
-    table = np.zeros(p, dtype=np.int64)
-    for x in range(1, p):
-        table[x] = pow(x, p - 2, p)
+    """x -> x^-1 mod p (0 -> 0), one read-only int64 array per p."""
+    table = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    table.flags.writeable = False
     return table
 
 
@@ -132,18 +144,18 @@ def mod_inverse_table(p):
 # Monte Carlo stepping
 # ---------------------------------------------------------------------------
 
-def initial_grams(j_mat, p, trials, rng, inv_table):
+def initial_grams(j_mat, p, trials, rng):
     """D-randomized starts: row/column 0 of J scaled by a uniform unit."""
     N = j_mat.shape[0]
     grams = np.broadcast_to(j_mat.astype(np.int64), (trials, N, N)).copy()
     alphas = rng.integers(1, p, size=trials)
-    ainv = inv_table[alphas]
+    ainv = mod_inverse_table(p)[alphas]
     grams[:, 0, :] = np.mod(grams[:, 0, :] * ainv[:, None], p)
     grams[:, :, 0] = np.mod(grams[:, :, 0] * ainv[:, None], p)
     return grams.astype(np.uint8)
 
 
-def mc_step(grams, p, rng, inv_table):
+def mc_step(grams, p, rng):
     """One walk step on every Gram in the batch.
 
     Each lane draws a uniform transvection t = I + vf (f projected so that
@@ -152,6 +164,7 @@ def mc_step(grams, p, rng, inv_table):
     again.
     """
     B, N, _ = grams.shape
+    inv_table = mod_inverse_table(p)
     out = np.empty_like(grams)
     g32 = grams.astype(np.int32)
     pending = np.arange(B)
@@ -176,51 +189,36 @@ def mc_step(grams, p, rng, inv_table):
 def batched_charpoly(mats, p):
     """Characteristic polynomial coefficients mod p for every matrix.
 
-    Division-free (Berkowitz) with reduction mod p after every product, so
-    float64 intermediates stay tiny and exact.  Returns (S, N+1) int64
-    coefficients of det(xI - M), highest degree first.
+    Division-free (Berkowitz): the charpoly of each leading k+1 block is
+    a Toeplitz column times that of the leading k block.  Returns (S, N+1)
+    int64 coefficients of det(xI - M), highest degree first.
     """
     S, N, _ = mats.shape
-    m = np.mod(mats.astype(np.float64), p)
-    v = np.zeros((S, 2))
-    v[:, 0] = 1
-    v[:, 1] = np.mod(-m[:, 0, 0], p)
-    for k in range(1, N):
-        a = m[:, k, k]
-        R = m[:, k, :k]
-        C = m[:, :k, k]
-        sub = m[:, :k, :k]
-        col = np.zeros((S, k + 2))
+    m = np.mod(mats.astype(np.int64), p)
+    v = np.ones((S, 1), dtype=np.int64)  # the empty leading block
+    for k in range(N):
+        R, w, sub = m[:, k, :k], m[:, :k, k], m[:, :k, :k]
+        col = np.zeros((S, k + 2), dtype=np.int64)
         col[:, 0] = 1
-        col[:, 1] = np.mod(-a, p)
-        w = C.copy()
+        col[:, 1] = -m[:, k, k] % p
         for j in range(k):
-            if j > 0:
-                w = np.mod(np.einsum("sij,sj->si", sub, w), p)
-            col[:, j + 2] = np.mod(-(R * w).sum(axis=1), p)
-        new_v = np.zeros((S, k + 2))
-        for i in range(k + 2):
-            acc = np.zeros(S)
-            for j in range(min(i, k) + 1):
-                if i - j < k + 2:
-                    acc += col[:, i - j] * v[:, j]
-            new_v[:, i] = np.mod(acc, p)
-        v = new_v
-    return v.astype(np.int64)
+            if j:
+                w = np.einsum("sij,sj->si", sub, w) % p
+            col[:, j + 2] = -(R * w).sum(axis=1) % p
+        new_v = np.zeros((S, k + 2), dtype=np.int64)
+        for j in range(k + 1):
+            new_v[:, j:] += col[:, : k + 2 - j] * v[:, j, None]
+        v = new_v % p
+    return v
 
 
 def batched_matpoly(mats, coeffs_desc, p):
     """Evaluate a polynomial of degree >= 1 (descending int coefficients)
-    at each matrix, by Horner's rule: degree - 1 matrix products."""
+    at each matrix, by Horner's rule in int64: degree - 1 matrix products."""
     S, N, _ = mats.shape
-    m = mats.astype(np.float64)
-    eye = np.eye(N)[None]
+    m = mats.astype(np.int64)
+    eye = np.eye(N, dtype=np.int64)[None]
     acc = np.mod(coeffs_desc[0] * m + coeffs_desc[1] * eye, p)
     for c in coeffs_desc[2:]:
-        acc = np.mod(np.matmul(acc, m) + c * eye, p)
-    return acc.astype(np.int64)
-
-
-def batched_matmul_mod(a, b, p):
-    out = np.matmul(a.astype(np.float64), b.astype(np.float64))
-    return np.mod(out, p).astype(np.int64)
+        acc = np.mod(acc @ m + c * eye, p)
+    return acc

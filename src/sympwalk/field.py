@@ -411,13 +411,15 @@ class PolyFq:
         return a.monic() if not a.is_zero else a
 
     def pow_mod(self, e, mod):
-        result = PolyFq.one(self.field)
+        """self^e mod `mod`, square-and-multiply from the top bit of e."""
+        if not e:
+            return PolyFq.one(self.field)
         base = self % mod
-        while e:
-            if e & 1:
+        result = base
+        for bit in bin(e)[3:]:
+            result = (result * result) % mod
+            if bit == "1":
                 result = (result * base) % mod
-            base = (base * base) % mod
-            e >>= 1
         return result
 
     def __call__(self, a):

@@ -22,6 +22,8 @@ from .errors import (
 )
 from .field import PolyFq, base_digits
 
+REJECTION_MAX_TRIES = 10 ** 6  # draws before sample_nonpreserving_transvection gives up
+
 
 class MatFq:
     """Dense matrix over F_q with row-major field-code entries."""
@@ -460,10 +462,10 @@ def preserves_form(t: Transvection, omega: MatFq) -> bool:
     return all(t.f[i] == F.mul(c, w[i]) for i in range(len(w)))
 
 
-def sample_nonpreserving_transvection(omega, rng, max_tries=10 ** 6):
+def sample_nonpreserving_transvection(omega, rng):
     """Uniform transvection t with t^T.omega.t != omega, by rejection."""
     dim = omega.nrows
-    for _ in range(max_tries):
+    for _ in range(REJECTION_MAX_TRIES):
         t = _sample_transvection_dim(dim, omega.field, rng)
         if not preserves_form(t, omega):
             return t

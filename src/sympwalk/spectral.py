@@ -28,8 +28,7 @@ from .combinat import (
     conjugate,
     dim_irrep,
     enumerate_partition_fns,
-    hook_poly,
-    n_stat,
+    psi_factor,
     remove_corner,
     removable_corners,
 )
@@ -172,12 +171,8 @@ def eigenvalue_phi(lam_fn: PartitionFn, n, q, method="local") -> Fraction:
 # ---------------------------------------------------------------------------
 
 def _delta(lam_fn: PartitionFn, q) -> Fraction:
-    """prod_phi q_phi^(n(lam(phi)')) / H_(lam(phi))(q_phi)."""
-    out = Fraction(1)
-    for d, part in lam_fn.entries:
-        qphi = q ** d
-        out *= Fraction(qphi ** n_stat(conjugate(part)), hook_poly(part, qphi))
-    return out
+    """prod_phi q_phi^(n(lam(phi)')) / H_(lam(phi))(q_phi) = d_lam / psi_N(q)."""
+    return Fraction(dim_irrep(lam_fn, q), psi_factor(lam_fn.weight, q))
 
 
 def char_ratio_transvection(lam_fn: PartitionFn, N, q) -> Fraction:

@@ -59,12 +59,19 @@ from .linalg import (
 
 DEFAULT_STATE_CAP = 2 * 10 ** 5
 FULL_MATRIX_CAP = 600
+SUPPORT_CLASSIFY_SAMPLE = 50  # trials of support_violations checked by class_invariant
 
 
 def _resolve_field(field_or_q):
     if isinstance(field_or_q, FieldSpec):
         return field_or_q
     return field_from_order(int(field_or_q))
+
+
+def _check_byte_codes(field):
+    """Batched states and state keys hold one byte per field code."""
+    if field.q > 256:
+        raise StateSpaceTooLargeError(f"states are stored as uint8; q = {field.q} exceeds 256")
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +164,10 @@ def _classify_states_batched(states_np, n, field):
     p = field.p
     N = 2 * n
     S = len(states_np)
-    j_inv = np.array(standard_J(n, field).inverse().to_lists(), dtype=np.float64)
-    x = np.mod(np.matmul(j_inv, states_np.astype(np.float64)), p).astype(np.int64)
+    x = _engine.j_inv_times(states_np, p)
     groups = {}
     for i, cp in enumerate(_engine.batched_charpoly(x, p).tolist()):
         groups.setdefault(tuple(cp), []).append(i)
-    inv_table = _engine.mod_inverse_table(p)
     keys = [None] * S
     types = [None] * S
     for cp_desc, idxs in groups.items():
@@ -175,13 +180,13 @@ def _classify_states_batched(states_np, n, field):
             floor = N - f.degree * mult  # rank of f(X)^j for every j >= largest block
             power = fx
             for j in range(1, mult + 1):
-                rank = _engine.batched_rank(power, p, inv_table)
+                rank = _engine.batched_rank(power, p)
                 ranks.append(rank)
                 if (rank == floor).all():
                     ranks.extend([rank] * (mult - j))
                     break
                 if j < mult:
-                    power = _engine.batched_matmul_mod(power, fx, p)
+                    power = power @ fx % p
         # states with equal rank sequences share key and type: one call per pattern
         by_pattern = {}
         for i, seq in zip(idxs, np.stack(ranks, axis=1).tolist()):
@@ -459,14 +464,15 @@ class _Moves:
     w, so the images of a state are listed directly from the reduced bases
     of all 2-planes (_engine.two_planes), built once per chain.
     This is the only part of chain building that depends on the field.
-    Prime fields hold states as int64 arrays, list the images in one numpy
+    Prime fields hold states as uint8 arrays, list the images in one numpy
     batch (_engine.plane_images) and classify them with
     _classify_states_batched.  Extension fields hold states as MatFq, apply
     the same update entry by entry with FieldSpec operations and classify
-    with _classify_X.  A state's key is its row bytes.
+    with _classify_X.  A state's key is its row bytes, one byte per code.
     """
 
     def __init__(self, n, field):
+        _check_byte_codes(field)
         self.n = n
         self.field = field
         self.weight = field.q * (field.q + 1)
@@ -484,7 +490,7 @@ class _Moves:
 
     def state(self, gram: MatFq):
         if self.field.k == 1:
-            return np.array(gram.to_lists(), dtype=np.int64)
+            return np.array(gram.to_lists(), dtype=np.uint8)
         return gram
 
     def gram(self, state) -> MatFq:
@@ -729,10 +735,7 @@ def _mc_field(field_or_q, n):
     field = _resolve_field(field_or_q)
     if field.k != 1:
         raise StateSpaceTooLargeError("Monte Carlo engine supports prime fields")
-    if field.p > 256:
-        raise StateSpaceTooLargeError(
-            f"Monte Carlo engine stores residues as uint8; p = {field.p} exceeds 256"
-        )
+    _check_byte_codes(field)
     if n < 2:
         raise ValueError("the walk is trivial for n = 1")
     return field
@@ -764,7 +767,6 @@ def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0, chunk=250_000):
     row_bytes = np.dtype((np.void, N * N))
     pi = stationary_type_distribution(n, p)
     rng = np.random.default_rng(seed)
-    inv_table = _engine.mod_inverse_table(p)
     jmat = np.array(standard_J(n, field).to_lists(), dtype=np.uint8)
     type_of = {}  # row bytes -> type label
     per_step = [Counter() for _ in range(k_max + 1)]
@@ -772,7 +774,7 @@ def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0, chunk=250_000):
     while remaining:
         b = min(chunk, remaining)
         remaining -= b
-        grams = _engine.initial_grams(jmat, p, b, rng, inv_table)
+        grams = _engine.initial_grams(jmat, p, b, rng)
         for k in range(k_max + 1):
             rows = grams.reshape(b, N * N).view(row_bytes).ravel()
             uniq, cnt = np.unique(rows, return_counts=True)
@@ -785,7 +787,7 @@ def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0, chunk=250_000):
             for key, c in zip(keys, cnt.tolist()):
                 per_step[k][type_of[key]] += c
             if k < k_max:
-                grams = _engine.mc_step(grams, p, rng, inv_table)
+                grams = _engine.mc_step(grams, p, rng)
     out = []
     for k in range(k_max + 1):
         est, err = _tv_and_stderr(per_step[k], trials, pi)
@@ -797,7 +799,7 @@ def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0, chunk=250_000):
 # Support sampling (lower-bound mechanism)
 # ---------------------------------------------------------------------------
 
-def support_violations(n, field_or_q, c, trials, seed=0, classify_sample=50):
+def support_violations(n, field_or_q, c, trials, seed=0):
     """Sampled check that k = n - c walk steps land in double cosets whose
     label has at least c parts at x - 1.
 
@@ -813,21 +815,18 @@ def support_violations(n, field_or_q, c, trials, seed=0, classify_sample=50):
     p = field.p
     k = n - c
     rng = np.random.default_rng(seed)
-    inv_table = _engine.mod_inverse_table(p)
     J = standard_J(n, field)
     j_inv_mat = J.inverse()
     jmat = np.array(J.to_lists(), dtype=np.uint8)
-    j_inv = np.array(j_inv_mat.to_lists(), dtype=np.int64)
     grams = np.broadcast_to(jmat, (trials, 2 * n, 2 * n)).copy()
     for _ in range(k):
-        grams = _engine.mc_step(grams, p, rng, inv_table)
-    x = np.mod(np.matmul(j_inv.astype(np.float64), grams.astype(np.float64)), p)
-    x_minus_i = np.mod(x - np.eye(2 * n)[None], p).astype(np.int64)
-    ranks = _engine.batched_rank(x_minus_i, p, inv_table)
+        grams = _engine.mc_step(grams, p, rng)
+    x = _engine.j_inv_times(grams, p)
+    ranks = _engine.batched_rank(x - np.eye(2 * n, dtype=np.int64), p)
     violations = int((ranks > 2 * (n - c)).sum())
     # cross-check the rank criterion against the classifier on a subsample:
     # the block partition of X at x - 1 has exactly dim ker(X - I) parts
-    for i in range(min(classify_sample, trials)):
+    for i in range(min(SUPPORT_CLASSIFY_SAMPLE, trials)):
         inv = class_invariant(j_inv_mat * MatFq(field, grams[i].tolist()))
         parts_at_one = 0
         for f, lam in inv.entries:

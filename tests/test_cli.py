@@ -142,10 +142,15 @@ def test_chain_work_cap_exits_before_any_work(capsys):
 
 
 def test_simulate_field_beyond_uint8_is_resource_cap(capsys):
-    code = main(["simulate", "--n", "2", "--q", "257", "--steps", "1", "--trials", "10"])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert err.startswith("resource cap:") and "Traceback" not in err
+    # the chain passes this work cap, then stops before listing the 2-planes
+    for argv in (
+        ["simulate", "--n", "2", "--q", "257", "--steps", "1", "--trials", "10"],
+        ["chain", "--n", "2", "--q", "257", "--state-cap", "1000000000000000"],
+    ):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("resource cap:") and "Traceback" not in err
 
 
 def test_out_file(tmp_path, capsys):

@@ -219,3 +219,17 @@ def test_mul_and_inv_tables_match_polynomial_products(q):
         assert F.mul(a, b) == F._mul_slow(a, b)
     for a in range(1, q):
         assert F._mul_slow(a, F.inv(a)) == 1
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_pow_mod_matches_repeated_multiplication(q):
+    F = field_from_order(q)
+    rng = random.Random(q)
+    mod = PolyFq(F, [rng.randrange(q) for _ in range(5)] + [1])
+    base = PolyFq(F, [rng.randrange(q) for _ in range(7)])
+    exponents = set(range(41)) | {q ** d for d in range(1, 6)}
+    acc = PolyFq.one(F)
+    for e in range(max(exponents) + 1):
+        if e in exponents:
+            assert base.pow_mod(e, mod) == acc
+        acc = (acc * base) % mod
