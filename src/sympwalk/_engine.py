@@ -1,14 +1,12 @@
 """Vectorized prime-field helpers for chain building and simulation.
 
-One storage layout: every batched state, in Monte Carlo and in exact
-chains alike, is a Gram matrix over F_p held as an (S, N, N) uint8 array,
-so both admit only q <= 256, and is keyed by its raw row bytes (the
-brute-force oracle, transvection_images, keeps its own int64 rows).  Two
-integer widths and no floating point: mc_step moves states by the rank-2
-update of rank2_image in int32 (every intermediate is below N p^2 + p,
-below 2^31 for p <= 256 and N < 2^15); every other product runs in int64
-on entries < p, reduced mod p after every product, exact while
-N p^2 < 2^63.
+Every batched state, in Monte Carlo and in exact chains alike, is an
+(S, N, N) uint8 array of Grams over F_p, so q <= 256 (the brute-force
+oracle, transvection_images, keeps int64 rows).  rank2_image and mc_step
+work lanes last, over rows as long as the batch.  No floating point:
+mc_step computes in int32 (N p^2 + p < 2^31), distinct_states labels in
+int64 (batches below 2^31), both checked first; every other product is
+int64 on entries < p, reduced mod p after each (N p^2 < 2^63).
 """
 
 from __future__ import annotations
@@ -17,16 +15,25 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import StateSpaceTooLargeError
 
-def rank2_image(w, f, u, p):
-    """(w + f^T u - u^T f) mod p, broadcast over leading axes.
 
-    This is t^T w t for the transvection t = I + vf and u = v^T w of an
-    alternating w: the term (v^T w v) f^T f vanishes.
-    """
-    outer = f[..., :, None] * u[..., None, :]
-    # shifted by p^2 to be nonnegative: fmod is then mod, at a third of the cost
-    return np.fmod(w + p * p + outer - np.swapaxes(outer, -1, -2), p)
+def rank2_image(w, x, y, p):
+    """(w + x y^T - y x^T) mod p, lanes last: x and y are (N, *lanes) and w
+    broadcasts against (N, N, *lanes).  With x = v^T w this is t^-T w t^-1
+    for t = I + vy and an alternating w: (v^T w v) y^T y vanishes."""
+    d = x[:, None] * y[None]
+    d = d - d.swapaxes(0, 1)
+    d += w
+    return _mod(d, p)
+
+
+def _mod(x, p):
+    """x mod p in place, for either sign: x // p uses SIMD, fmod and % do not."""
+    q = x // p
+    q *= p
+    x -= q
+    return x
 
 
 def transvection_images(w, v, f, p):
@@ -35,14 +42,12 @@ def transvection_images(w, v, f, p):
     The transvection route, kept for the brute-force oracle
     (ChainModel.full_tv_curve_bruteforce): t = I + v f runs over the
     transvections given by the rows of v and f, so it shares no code with
-    the plane enumeration of plane_images.  The batch costs O(T N^2) int64
-    operations, exact while N p^2 < 2^63.  Returns the sorted distinct
-    images as int64 rows of length N^2 and the number of transvections
-    giving each.
+    the plane enumeration of plane_images.  Returns the sorted distinct images
+    as int64 rows of length N^2 and the number of transvections giving each.
     """
-    imgs = rank2_image(w, f, v @ w % p, p)
-    moved = imgs[(imgs != w).any(axis=(1, 2))]
-    return np.unique(moved.reshape(len(moved), -1), axis=0, return_counts=True)
+    imgs = rank2_image(w[:, :, None], f.T, (v @ w % p).T, p)
+    moved = imgs[:, :, (imgs != w[:, :, None]).any(axis=(0, 1))]
+    return np.unique(moved.reshape(w.size, -1).T, axis=0, return_counts=True)
 
 
 def two_planes(N, q):
@@ -86,10 +91,10 @@ def plane_images(w, a, b, p):
     w = w.astype(np.int64)
     aw = a @ w % p
     iso = (aw * b).sum(axis=1) % p == 0
-    x = aw[iso]
-    y = b[iso] @ w % p
-    lam = np.arange(1, p)[:, None, None]
-    return rank2_image(w, lam * x % p, y, p).reshape(-1, N, N).astype(np.uint8)
+    x, y = aw[iso].T, (b[iso] @ w % p).T
+    lam_x = np.arange(1, p)[:, None] * x[:, None] % p  # (N, p - 1, planes)
+    imgs = rank2_image(w[:, :, None, None], lam_x, y[:, None], p)
+    return np.ascontiguousarray(imgs.reshape(N, N, -1).transpose(2, 0, 1), dtype=np.uint8)
 
 
 def j_inv_times(grams, p):
@@ -134,8 +139,8 @@ def batched_rank(mats, p):
 
 @lru_cache(maxsize=None)
 def mod_inverse_table(p):
-    """x -> x^-1 mod p (0 -> 0), one read-only int64 array per p."""
-    table = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    """x -> x^-1 mod p (0 -> 0), one read-only int32 array per p."""
+    table = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int32)
     table.flags.writeable = False
     return table
 
@@ -146,44 +151,68 @@ def mod_inverse_table(p):
 
 def initial_grams(j_mat, p, trials, rng):
     """D-randomized starts: row/column 0 of J scaled by a uniform unit."""
-    N = j_mat.shape[0]
-    grams = np.broadcast_to(j_mat.astype(np.int64), (trials, N, N)).copy()
-    alphas = rng.integers(1, p, size=trials)
-    ainv = mod_inverse_table(p)[alphas]
-    grams[:, 0, :] = np.mod(grams[:, 0, :] * ainv[:, None], p)
-    grams[:, :, 0] = np.mod(grams[:, :, 0] * ainv[:, None], p)
-    return grams.astype(np.uint8)
+    grams = np.tile(j_mat, (trials, 1, 1))
+    ainv = mod_inverse_table(p)[rng.integers(1, p, size=trials)][:, None]
+    grams[:, 0, :] = _mod(grams[:, 0, :] * ainv, p)
+    grams[:, :, 0] = _mod(grams[:, :, 0] * ainv, p)
+    return grams
 
 
 def mc_step(grams, p, rng):
-    """One walk step on every Gram in the batch.
-
-    Each lane draws a uniform transvection t = I + vf (f projected so that
-    f v = 0) and moves w to t^-T w t^-1 = w + u^T f - f^T u, u = v^T w.  A
-    lane whose image equals w (t preserves w, or v or f is zero) draws
-    again.
-    """
-    B, N, _ = grams.shape
-    inv_table = mod_inverse_table(p)
-    out = np.empty_like(grams)
-    g32 = grams.astype(np.int32)
-    pending = np.arange(B)
+    """One walk step on every Gram of the batch, held lanes last, (N, N, B):
+    each lane draws a uniform transvection t = I + vf (f v = 0) and moves w
+    to t^-T w t^-1 = w + u^T f - f^T u, u = v^T w, or, if u = 0 or f is in
+    span(u), draws again.  Its image is formed once, after its last round."""
+    N = grams.shape[1]
+    if N * p * p + p >= 2 ** 31:
+        raise StateSpaceTooLargeError(f"int32 steps need N p^2 + p < 2^31, got {N * p * p + p}")
+    w = np.ascontiguousarray(grams.transpose(1, 2, 0))
+    u, f, moves = _draw_moves(w, p, rng)
+    pending = np.flatnonzero(~moves)
     while len(pending):
-        m = len(pending)
-        vv = rng.integers(0, p, size=(m, N)).astype(np.int32)
-        ff = rng.integers(0, p, size=(m, N)).astype(np.int32)
-        # project f onto the annihilator of v at v's first nonzero entry
-        lane = np.arange(m)
-        piv = np.argmax(vv != 0, axis=1)
-        dot = (ff * vv).sum(axis=1) % p
-        ff[lane, piv] = (ff[lane, piv] - dot * inv_table[vv[lane, piv]]) % p
-        w = g32[pending]
-        u = np.fmod(np.einsum("bi,bij->bj", vv, w), p)  # nonnegative: fmod is mod
-        img = rank2_image(w, u, ff, p)
-        accept = (img != w).any(axis=(1, 2))
-        out[pending[accept]] = img[accept]
-        pending = pending[~accept]
-    return out
+        u_p, f_p, moves = _draw_moves(w[:, :, pending], p, rng)
+        u[:, pending], f[:, pending] = u_p, f_p  # kept from the round that moves the lane
+        pending = pending[~moves]
+    return np.ascontiguousarray(rank2_image(w, u, f, p).transpose(2, 0, 1), dtype=np.uint8)
+
+
+def _draw_moves(w, p, rng):
+    """Draw v, f for each lane of w, (N, N, m): u = v^T w and f projected at
+    v's first nonzero entry, (N, m) each, and whether the lane moves, read off
+    the row of u f^T - f u^T at u's first nonzero entry (all-True mask if none)."""
+    N, _, m = w.shape
+    v = np.ascontiguousarray(rng.integers(0, p, size=(m, N)).T, dtype=np.int32)
+    f = np.ascontiguousarray(rng.integers(0, p, size=(m, N)).T, dtype=np.int32)
+    u = _mod(np.einsum("im,ijm->jm", v, w), p)
+    vu = np.stack((v, u))
+    rank = (vu != 0) * np.arange(N, 0, -1, dtype=np.int32)[:, None]
+    at = rank == rank.max(axis=1, keepdims=True)
+    v_at, u_at = np.einsum("kim,kim->km", vu, at)
+    f = _mod(f - at[0] * (_mod(np.einsum("im,im->m", v, f), p) * mod_inverse_table(p)[v_at]), p)
+    row = u_at * f - np.einsum("im,im->m", f, at[1]) * u
+    return u, f, _mod(row, p).any(axis=0)
+
+
+def distinct_states(grams, p):
+    """Each distinct alternating Gram of a (B, N, N) batch, in row-byte order,
+    and its multiplicity.  The strict upper triangle, which fixes the Gram, is
+    packed at (p-1).bit_length() bits an entry, first entry highest, in 32-bit
+    words; each refines a dense int64 label by np.unique(label << 32 | word)."""
+    B, N, _ = grams.shape
+    if B >= 2 ** 31:
+        raise StateSpaceTooLargeError(f"int64 labels shift by 32 bits; a batch of {B} reaches 2^31")
+    bits = (p - 1).bit_length()
+    upper = [i * N + j for i in range(N) for j in range(i + 1, N)]
+    shift = np.array([bits * (~e % (32 // bits)) for e in range(len(upper))], dtype=np.uint32)
+    packed = grams.reshape(B, -1).T[upper].astype(np.uint32) << shift[:, None]
+    label = np.zeros(B, dtype=np.int64)
+    for start in range(0, len(upper), 32 // bits):
+        label <<= 32
+        label |= np.bitwise_or.reduce(packed[start:start + 32 // bits], axis=0)
+        _, label = np.unique(label, return_inverse=True)
+    lanes = np.empty(label.max() + 1, dtype=np.intp)
+    lanes[label] = np.arange(B)
+    return grams[lanes], np.bincount(label)
 
 
 def batched_charpoly(mats, p):

@@ -754,8 +754,9 @@ def monte_carlo_tv(n, field_or_q, k, trials, seed=0, chunk=250_000) -> MCResult:
 def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0, chunk=250_000):
     """MCResult per step k = 0..k_max from one set of trajectories.
 
-    Each step's lanes are deduplicated by their raw row bytes, and the rows
-    not seen before in this call are classified in one batch.
+    Each step's lanes are deduplicated by exact packed labels
+    (_engine.distinct_states), and the states not seen before in this call
+    are classified in one batch.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -763,12 +764,10 @@ def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0, chunk=250_000):
         raise ValueError(f"the number of steps must be >= 0, got {k_max}")
     field = _mc_field(field_or_q, n)
     p = field.p
-    N = 2 * n
-    row_bytes = np.dtype((np.void, N * N))
     pi = stationary_type_distribution(n, p)
     rng = np.random.default_rng(seed)
     jmat = np.array(standard_J(n, field).to_lists(), dtype=np.uint8)
-    type_of = {}  # row bytes -> type label
+    type_of = {}  # the bytes of a distinct state -> its type label
     per_step = [Counter() for _ in range(k_max + 1)]
     remaining = trials
     while remaining:
@@ -776,13 +775,11 @@ def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0, chunk=250_000):
         remaining -= b
         grams = _engine.initial_grams(jmat, p, b, rng)
         for k in range(k_max + 1):
-            rows = grams.reshape(b, N * N).view(row_bytes).ravel()
-            uniq, cnt = np.unique(rows, return_counts=True)
-            keys = uniq.tolist()
+            states, cnt = _engine.distinct_states(grams, p)
+            keys = [s.tobytes() for s in states]
             new = [i for i, key in enumerate(keys) if key not in type_of]
             if new:
-                states = uniq[new].view(np.uint8).reshape(-1, N, N)
-                _, types = _classify_states_batched(states, n, field)
+                _, types = _classify_states_batched(states[new], n, field)
                 type_of.update(zip((keys[i] for i in new), types))
             for key, c in zip(keys, cnt.tolist()):
                 per_step[k][type_of[key]] += c
@@ -817,8 +814,7 @@ def support_violations(n, field_or_q, c, trials, seed=0):
     rng = np.random.default_rng(seed)
     J = standard_J(n, field)
     j_inv_mat = J.inverse()
-    jmat = np.array(J.to_lists(), dtype=np.uint8)
-    grams = np.broadcast_to(jmat, (trials, 2 * n, 2 * n)).copy()
+    grams = np.tile(np.array(J.to_lists(), dtype=np.uint8), (trials, 1, 1))
     for _ in range(k):
         grams = _engine.mc_step(grams, p, rng)
     x = _engine.j_inv_times(grams, p)

@@ -1,9 +1,12 @@
 import hashlib
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sympwalk import _engine
+from sympwalk.errors import StateSpaceTooLargeError
 from sympwalk.field import build_field
 from sympwalk.linalg import MatFq, all_transvections, standard_J
 
@@ -49,13 +52,16 @@ def test_mc_step_keeps_invertible_alternating_forms(n, p):
 
 
 # SHA-256 of the bytes of every batch of _trajectory(n, p, 400, 5, seed=7),
-# computed with the dense float64 step that preceded the rank-2 update.
+# computed with the dense float64 step that preceded the rank-2 update; the
+# (3,3) and (3,101) entries with the lanes-first int32 rank-2 step.
 TRAJECTORY_DIGESTS = {
     (2, 2): "acc94e62871cba05ddf2d8bcffe72b949cb287423e09a2177a39d923e27cbbd3",
     (2, 3): "cd1c8b7d231087f3c03e864b1cbb1e4cd86fe8af2a742f992ec322969d6f0c37",
     (3, 5): "46cc1b5016a44e67aad45ba6ff73811fcb4a7e8c9d90811f6bf42f76d6f923f2",
     (4, 2): "ced915a4cd00beaf7f607017167a3be5c98928e7a8a313d2e49eac0fd26bd6bd",
     (2, 251): "476bc32bf7646bd36471a80241d4c3b60b0a261f055f29d11e781a6002c6587f",
+    (3, 3): "121cee2fc15825fae0d15f1f2d5e933b84347e101bdd6f53802c51ac16b68b52",
+    (3, 101): "d78fb5eca128613382db8eee42726ec030890e9f4ee6fef8acb0d436d2709918",
 }
 
 
@@ -65,3 +71,118 @@ def test_mc_step_trajectory_is_pinned(nq):
     for grams in _trajectory(*nq, trials=400, steps=5, seed=7):
         h.update(grams.tobytes())
     assert h.hexdigest() == TRAJECTORY_DIGESTS[nq]
+
+
+class _Draws:
+    """Stands in for a Generator: integers() returns the given arrays in turn."""
+
+    def __init__(self, *arrays):
+        self.arrays = list(arrays)
+
+    def integers(self, low, high, size):
+        out = self.arrays.pop(0)
+        assert out.shape == size and out.min() >= low and out.max() < high
+        return out
+
+
+def _projected(v, f, p):
+    """f minus its multiple of e_i, i = v's first nonzero entry, with f v = 0."""
+    f = list(f)
+    if any(v):
+        i = next(i for i, x in enumerate(v) if x)
+        dot = sum(a * b for a, b in zip(v, f))
+        f[i] = (f[i] - dot * pow(v[i], -1, p)) % p
+    return f
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_move_predicate_on_every_draw(p):
+    """For every (v, f) of F_p^4, the engine moves the lane iff t^T w t != w,
+    t = I + v f' (f' the projected f), and the image it forms is
+    t^-T w t^-1 = (I - v f')^T w (I - v f'), both formed by MatFq."""
+    N = 4
+    field = build_field(p, 1)
+    draws = list(itertools.product(itertools.product(range(p), repeat=N), repeat=2))
+    vs = np.array([v for v, _ in draws])
+    fs = np.array([f for _, f in draws])
+    forms = [np.array(standard_J(2, field).to_lists()), _trajectory(2, p, 1, 3, seed=5)[-1][0]]
+    for w in forms:
+        lanes = np.broadcast_to(w.astype(np.uint8)[:, :, None], (N, N, len(draws)))
+        u, f_proj, moves = _engine._draw_moves(lanes, p, _Draws(vs, fs))
+        images = _engine.rank2_image(lanes, u, f_proj, p)
+        gram = MatFq(field, w.tolist())
+        for lane, (v, f) in enumerate(draws):
+            fp = _projected(v, f, p)
+            assert f_proj[:, lane].tolist() == fp
+            t = MatFq(field, [[(i == j) + v[i] * fp[j] for j in range(N)] for i in range(N)])
+            t_inv = MatFq(field, [[(i == j) - v[i] * fp[j] for j in range(N)] for i in range(N)])
+            assert moves[lane] == (t.transpose() * gram * t != gram)
+            if moves[lane]:
+                image = t_inv.transpose() * gram * t_inv
+                assert images[:, :, lane].tolist() == [list(r) for r in image.rows]
+
+
+def _alternating(rng, B, N, p):
+    """B random alternating Grams over F_p as (B, N, N) uint8."""
+    upper = np.triu(rng.integers(0, p, size=(B, N, N)), 1)
+    return ((upper - upper.transpose(0, 2, 1)) % p).astype(np.uint8)
+
+
+def _set_upper(grams, pos, values, p):
+    """Write values at the pos-th strict upper entry (row by row) of each Gram."""
+    i, j = (ix[pos] for ix in np.triu_indices(grams.shape[1], 1))
+    grams[:, i, j] = values
+    grams[:, j, i] = (-np.asarray(values)) % p
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (3, 3), (3, 101), (4, 251)])
+def test_distinct_states_match_row_bytes(n, p):
+    """Representatives and multiplicities equal np.unique over row bytes."""
+    N = 2 * n
+    rng = np.random.default_rng(p)
+    pool = _alternating(rng, 20, N, p)
+    E = N * (N - 1) // 2
+    last = pool[:2].copy()  # differ only in the last upper entry
+    _set_upper(last, E - 1, [0, 1], p)
+    batches = [
+        pool[rng.integers(0, 20, size=500)],
+        np.concatenate([pool, _alternating(rng, 300, N, p), pool[:5], last]),
+        np.broadcast_to(pool[3], (50, N, N)).copy(),
+        last,
+    ]
+    per_word = 32 // (p - 1).bit_length()
+    for edge in range(per_word, E, per_word):  # differ only across a word boundary
+        pair = np.repeat(pool[:1], 2, axis=0)
+        _set_upper(pair, edge - 1, [p - 1, 0], p)
+        _set_upper(pair, edge, [0, p - 1], p)
+        batches.append(pair)
+    assert len(batches) > 4 or E <= per_word
+    row_bytes = np.dtype((np.void, N * N))
+    for grams in batches:
+        rows = grams.reshape(len(grams), -1).view(row_bytes).ravel()
+        uniq, counts = np.unique(rows, return_counts=True)
+        states, mult = _engine.distinct_states(grams, p)
+        assert [g.tobytes() for g in states] == uniq.tolist()
+        assert mult.tolist() == counts.tolist()
+        assert mult.sum() == len(grams)
+
+
+def _allocates_nothing(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateSpaceTooLargeError):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000
+
+
+def test_int_bounds_are_checked_before_any_allocation():
+    """mc_step needs N p^2 + p < 2^31 (int32); distinct_states a batch below
+    2^31 (labels shifted by 32 bits in int64).  Neither batch holds memory:
+    one has no lanes, the other is a broadcast view."""
+    N = 34_088  # N * 251^2 + 251 >= 2^31; no lanes, so a missed check allocates nothing either
+    _allocates_nothing(lambda: _engine.mc_step(np.zeros((0, N, N), dtype=np.uint8), 251, None))
+    huge = np.broadcast_to(np.uint8(0), (2 ** 31, 4, 4))
+    _allocates_nothing(lambda: _engine.distinct_states(huge, 2))
