@@ -2,11 +2,12 @@
 
 Every batched state, in Monte Carlo and in exact chains alike, is an
 (S, N, N) uint8 array of Grams over F_p, so q <= 256 (the brute-force
-oracle, transvection_images, keeps int64 rows).  rank2_image and mc_step
-work lanes last, over rows as long as the batch.  No floating point:
-mc_step computes in int32 (N p^2 + p < 2^31), distinct_states labels in
-int64 (batches below 2^31), both checked first; every other product is
-int64 on entries < p, reduced mod p after each (N p^2 < 2^63).
+oracle, transvection_images, keeps int64 rows).  rank2_image, mc_step
+and batched_rank work lanes last, over rows as long as the batch.  No
+floating point: mc_step computes in int32 (N p^2 + p < 2^31), batched_rank
+in int32 (p^2 + p < 2^31), distinct_states labels in int64 (batches below
+2^31), each checked first; every other product is int64 on entries < p,
+reduced mod p after each (N p^2 < 2^63).
 """
 
 from __future__ import annotations
@@ -109,32 +110,36 @@ def j_inv_times(grams, p):
 
 
 def batched_rank(mats, p):
-    """Rank over F_p of every matrix in the (B, M, N) batch."""
-    a = np.mod(mats.astype(np.int64), p)
-    B, M, N = a.shape
+    """Rank over F_p of every matrix in the (B, M, N) batch, as (B,) int64.
+
+    Held lanes last in int32, (M, N, B).  Column by column, the first row
+    nonzero there (one max reduction) is the pivot, scaled to 1, and the
+    column is cleared from every row, the pivot's own included, which
+    zeroes it: no row is swapped or picked twice, and the rank is the
+    number of columns that found a pivot.  The input is reduced mod p in
+    int64 as it is narrowed to int32; every later entry stays below
+    p^2 + p < 2^31, checked before anything is allocated.
+    """
+    if p * p + p >= 2 ** 31:
+        raise StateSpaceTooLargeError(f"int32 ranks need p^2 + p < 2^31, got {p * p + p}")
+    B, M, N = mats.shape
+    a = np.empty((M, N, B), dtype=np.int32)
+    np.mod(mats.transpose(1, 2, 0), p, out=a, dtype=np.int64, casting="unsafe")
     inv_table = mod_inverse_table(p)
-    pivot_row = np.zeros(B, dtype=np.int64)
-    rows_idx = np.arange(M, dtype=np.int64)[None, :]
+    order = np.arange(M, 0, -1, dtype=np.int32)[:, None]
+    rank = np.zeros(B, dtype=np.int64)
     for col in range(N):
-        cand = (a[:, :, col] != 0) & (rows_idx >= pivot_row[:, None])
-        has = cand.any(axis=1)
-        lanes = np.nonzero(has)[0]
-        if not len(lanes):
-            continue
-        piv = np.argmax(cand[lanes], axis=1)
-        pr = pivot_row[lanes]
-        a[lanes, pr], a[lanes, piv] = a[lanes, piv], a[lanes, pr]  # row swap
-        # normalize pivot rows
-        scale = inv_table[a[lanes, pr, col]]
-        a[lanes, pr, :] = np.mod(a[lanes, pr, :] * scale[:, None], p)
-        # eliminate strictly below the pivot row
-        sub = a[lanes]
-        below = rows_idx[0][None, :] > pr[:, None]
-        factors = sub[:, :, col] * below
-        sub = np.mod(sub - factors[:, :, None] * sub[np.arange(len(lanes)), pr, :][:, None, :], p)
-        a[lanes] = sub
-        pivot_row[lanes] += 1
-    return pivot_row
+        sub = a[:, col:]
+        c = sub[:, 0]
+        first = (c != 0) * order
+        top = first.max(axis=0, initial=0)
+        at = (first == np.maximum(top, 1)).astype(np.int32)  # one-hot; no row if top is 0
+        piv = np.einsum("mb,mnb->nb", at, sub)
+        piv = _mod(piv * inv_table[piv[0]], p)
+        sub -= c[:, None] * piv
+        _mod(sub, p)
+        rank += top > 0
+    return rank
 
 
 @lru_cache(maxsize=None)
@@ -162,13 +167,18 @@ def mc_step(grams, p, rng):
     """One walk step on every Gram of the batch, held lanes last, (N, N, B):
     each lane draws a uniform transvection t = I + vf (f v = 0) and moves w
     to t^-T w t^-1 = w + u^T f - f^T u, u = v^T w, or, if u = 0 or f is in
-    span(u), draws again.  Its image is formed once, after its last round."""
+    span(u), draws again.  Its image is formed once, after its last round.
+    For N >= 3 every nonzero form has a move; a lane that stays after the
+    first round and cannot move (the zero form, or any form if N < 3) is a
+    ValueError, not an endless redraw."""
     N = grams.shape[1]
     if N * p * p + p >= 2 ** 31:
         raise StateSpaceTooLargeError(f"int32 steps need N p^2 + p < 2^31, got {N * p * p + p}")
     w = np.ascontiguousarray(grams.transpose(1, 2, 0))
     u, f, moves = _draw_moves(w, p, rng)
     pending = np.flatnonzero(~moves)
+    if len(pending) and (N < 3 or not w[:, :, pending].any(axis=(0, 1)).all()):
+        raise ValueError(f"no transvection moves a {N} x {N} form of the batch")
     while len(pending):
         u_p, f_p, moves = _draw_moves(w[:, :, pending], p, rng)
         u[:, pending], f[:, pending] = u_p, f_p  # kept from the round that moves the lane

@@ -50,13 +50,6 @@ class BoundValue:
     mode: str
 
 
-@dataclass(frozen=True)
-class BoundCurve:
-    n: int
-    q: int
-    points: tuple  # of (k, BoundValue)
-
-
 def _is_determinant_twist(lam_fn: PartitionFn, n) -> bool:
     """Labels fixed by the initial randomization: a single degree-1 orbit
     carrying (1^n).  Includes the trivial label."""
@@ -130,10 +123,6 @@ def upper_bound_tv(n, q, k, mode="auto") -> BoundValue:
     acc = sum(math.exp(lg - top) for lg in logs)
     log_sq = top + math.log(acc) - math.log(4)
     return BoundValue(math.exp(log_sq / 2), None, "logfloat")
-
-
-def bound_curve(n, q, ks, mode="auto") -> BoundCurve:
-    return BoundCurve(n, q, tuple((k, upper_bound_tv(n, q, k, mode)) for k in ks))
 
 
 # ---------------------------------------------------------------------------

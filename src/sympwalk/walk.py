@@ -60,6 +60,7 @@ from .linalg import (
 DEFAULT_STATE_CAP = 2 * 10 ** 5
 FULL_MATRIX_CAP = 600
 SUPPORT_CLASSIFY_SAMPLE = 50  # trials of support_violations checked by class_invariant
+CLASSIFY_LANES = 2 ** 12  # states per classifier slice; bounds its f(X)^j arrays
 
 
 def _resolve_field(field_or_q):
@@ -156,54 +157,98 @@ def _classify_X(X):
 def _classify_states_batched(states_np, n, field):
     """Complete keys and types for a packed state array, vectorized.
 
-    Same outputs as _classify_X state by state: batched characteristic
-    polynomials, one factorization per distinct polynomial, batched rank
-    sequences per factor, and one partition and key per distinct rank
-    pattern within a polynomial.
+    Same outputs as _classify_X state by state.  The states are taken in
+    slices of CLASSIFY_LANES, so the stacked f(X)^j arrays stay bounded
+    whatever the batch size.  In each slice: batched characteristic
+    polynomials, one factorization per distinct polynomial (shared by the
+    slices), f(X) for every factor f of every polynomial (_factor_jobs),
+    then the ranks of f(X)^j over all factors at once (_rank_sequences).
+    States with the same polynomial and rank sequence share one partition
+    and key.
     """
-    p = field.p
     N = 2 * n
-    S = len(states_np)
-    x = _engine.j_inv_times(states_np, p)
+    factored = {}  # characteristic polynomial -> its factors
+    labels = {}  # (polynomial, rank sequence) -> (complete key, type)
+    out = []
+    for start in range(0, len(states_np), CLASSIFY_LANES):
+        states = states_np[start:start + CLASSIFY_LANES]
+        groups, jobs, fx = _factor_jobs(states, field, factored)
+        ranks = iter(_rank_sequences(fx, jobs, field.p))
+        lane_label = [None] * len(states)
+        for cp, idxs in groups.items():
+            factors = factored[cp]
+            seqs = np.concatenate([next(ranks) for _ in factors], axis=1).tolist()
+            for i, seq in zip(idxs, seqs):
+                pattern = (cp, tuple(seq))
+                if pattern not in labels:
+                    labels[pattern] = _label_from_ranks(factors, seq, N)
+                lane_label[i] = labels[pattern]
+        out.extend(lane_label)
+    return [key for key, _ in out], [typ for _, typ in out]
+
+
+def _factor_jobs(states, field, factored):
+    """Group the states by the characteristic polynomial of X = J^-1 w and
+    factor each polynomial not yet in factored.  Returns the groups
+    (polynomial -> lanes), one job (lanes, m, floor = N - deg(f) m) per
+    factor f of multiplicity m of each group, in order, and f(X) of every
+    job, stacked."""
+    p = field.p
+    N = states.shape[1]
+    x = _engine.j_inv_times(states, p)
     groups = {}
     for i, cp in enumerate(_engine.batched_charpoly(x, p).tolist()):
         groups.setdefault(tuple(cp), []).append(i)
-    keys = [None] * S
-    types = [None] * S
-    for cp_desc, idxs in groups.items():
-        poly = PolyFq(field, list(reversed(cp_desc)))
-        xs = x[np.array(idxs)]
-        factors = factor_poly(poly)
-        ranks = []  # per factor f of multiplicity m: rank f(X)^j, j = 1..m
-        for f, mult in factors:
-            fx = _engine.batched_matpoly(xs, list(reversed(f.coeffs)), p)
-            floor = N - f.degree * mult  # rank of f(X)^j for every j >= largest block
-            power = fx
-            for j in range(1, mult + 1):
-                rank = _engine.batched_rank(power, p)
-                ranks.append(rank)
-                if (rank == floor).all():
-                    ranks.extend([rank] * (mult - j))
-                    break
-                if j < mult:
-                    power = power @ fx % p
-        # states with equal rank sequences share key and type: one call per pattern
-        by_pattern = {}
-        for i, seq in zip(idxs, np.stack(ranks, axis=1).tolist()):
-            by_pattern.setdefault(tuple(seq), []).append(i)
-        for seq, members in by_pattern.items():
-            pairs = []
-            at = 0
-            for f, mult in factors:
-                lam = partition_from_rank_sequence([N, *seq[at:at + mult]], f.degree)
-                if sum(lam) != mult:
-                    raise InternalError("batched partition weight mismatch")
-                pairs.append((f, lam))
-                at += mult
-            key_type = _key_type_from_pairs(pairs)
-            for i in members:
-                keys[i], types[i] = key_type
-    return keys, types
+    jobs, fx = [], []
+    for cp, idxs in groups.items():
+        if cp not in factored:
+            factored[cp] = factor_poly(PolyFq(field, list(reversed(cp))))
+        for f, mult in factored[cp]:
+            fx.append(_engine.batched_matpoly(x[idxs], list(reversed(f.coeffs)), p))
+            jobs.append((len(idxs), mult, N - f.degree * mult))
+    return groups, jobs, np.concatenate(fx)
+
+
+def _rank_sequences(fx, jobs, p):
+    """rank f(X)^j, j = 1..m, as a (lanes, m) array for each job
+    (lanes, m, floor) of the stacked f(X), with one batched_rank call per
+    power j over every job still pending.  A job stops once all its lanes
+    are at the floor N - deg(f) m: rank f(X)^j reaches it at the largest
+    block size and stays there."""
+    def split(stack, ts):
+        return np.split(stack, np.cumsum([jobs[t][0] for t in ts])[:-1])
+
+    pending = list(range(len(jobs)))
+    fxs = split(fx, pending)
+    ranks = [[] for _ in jobs]
+    powers = fx  # f(X)^j of the pending jobs, stacked
+    while pending:
+        rank_j = split(_engine.batched_rank(powers, p), pending)
+        still, nxt = [], []
+        for t, rank, power in zip(pending, rank_j, split(powers, pending)):
+            _, mult, floor = jobs[t]
+            ranks[t].append(rank)
+            if (rank == floor).all():
+                ranks[t].extend([rank] * (mult - len(ranks[t])))
+            elif len(ranks[t]) < mult:
+                still.append(t)
+                nxt.append(power @ fxs[t] % p)
+        pending = still
+        powers = np.concatenate(nxt) if nxt else None
+    return [np.stack(r, axis=1) for r in ranks]
+
+
+def _label_from_ranks(factors, seq, N):
+    """(complete key, type) from the rank sequences of all factors, in order."""
+    pairs = []
+    at = 0
+    for f, mult in factors:
+        lam = partition_from_rank_sequence([N, *seq[at:at + mult]], f.degree)
+        if sum(lam) != mult:
+            raise InternalError("batched partition weight mismatch")
+        pairs.append((f, lam))
+        at += mult
+    return _key_type_from_pairs(pairs)
 
 
 def _classify_obj(obj):
@@ -755,8 +800,10 @@ def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0, chunk=250_000):
     """MCResult per step k = 0..k_max from one set of trajectories.
 
     Each step's lanes are deduplicated by exact packed labels
-    (_engine.distinct_states), and the states not seen before in this call
-    are classified in one batch.
+    (_engine.distinct_states).  A chunk of trials is stepped k_max times
+    first; then the states it met that no earlier chunk did are classified
+    in one batch and every step is tallied.  Classification draws nothing
+    from rng, so the draws are those of stepping alone.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -767,24 +814,30 @@ def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0, chunk=250_000):
     pi = stationary_type_distribution(n, p)
     rng = np.random.default_rng(seed)
     jmat = np.array(standard_J(n, field).to_lists(), dtype=np.uint8)
-    type_of = {}  # the bytes of a distinct state -> its type label
+    type_of = {}  # the bytes of a distinct state -> its type label (None until classified)
     per_step = [Counter() for _ in range(k_max + 1)]
     remaining = trials
     while remaining:
         b = min(chunk, remaining)
         remaining -= b
         grams = _engine.initial_grams(jmat, p, b, rng)
+        steps = []  # (keys, counts) of each step's distinct states
+        unseen, unseen_states = [], []  # keys first met in this chunk, and their states
         for k in range(k_max + 1):
             states, cnt = _engine.distinct_states(grams, p)
             keys = [s.tobytes() for s in states]
             new = [i for i, key in enumerate(keys) if key not in type_of]
-            if new:
-                _, types = _classify_states_batched(states[new], n, field)
-                type_of.update(zip((keys[i] for i in new), types))
-            for key, c in zip(keys, cnt.tolist()):
-                per_step[k][type_of[key]] += c
+            type_of.update((keys[i], None) for i in new)
+            unseen.extend(keys[i] for i in new)
+            unseen_states.append(states[new])
+            steps.append((keys, cnt.tolist()))
             if k < k_max:
                 grams = _engine.mc_step(grams, p, rng)
+        _, types = _classify_states_batched(np.concatenate(unseen_states), n, field)
+        type_of.update(zip(unseen, types))
+        for k, (keys, cnt) in enumerate(steps):
+            for key, c in zip(keys, cnt):
+                per_step[k][type_of[key]] += c
     out = []
     for k in range(k_max + 1):
         est, err = _tv_and_stderr(per_step[k], trials, pi)

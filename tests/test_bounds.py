@@ -5,7 +5,6 @@ import pytest
 
 from sympwalk.bounds import (
     _spectral_terms,
-    bound_curve,
     fixed_space_tail_check,
     lower_bound_raw,
     lower_bound_tv,
@@ -156,8 +155,5 @@ def test_auto_mode_switch():
 
 
 def test_bound_curve_structure():
-    curve = bound_curve(2, 2, range(1, 6))
-    ks = [k for k, _ in curve.points]
-    assert ks == [1, 2, 3, 4, 5]
-    values = [bv.value for _, bv in curve.points]
+    values = [upper_bound_tv(2, 2, k).value for k in range(1, 6)]
     assert all(b > a for a, b in zip(values[1:], values))

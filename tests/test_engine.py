@@ -73,6 +73,24 @@ def test_mc_step_trajectory_is_pinned(nq):
     assert h.hexdigest() == TRAJECTORY_DIGESTS[nq]
 
 
+@pytest.mark.parametrize("p", [2, 3, 251])
+@pytest.mark.parametrize("M, N", [(6, 6), (4, 7), (9, 3)])
+def test_batched_rank_matches_matfq(p, M, N):
+    """Mixed-rank batches, each matrix a product of random M x r and r x N
+    factors (r = 0..min(M, N)), shifted by multiples of p into negative
+    int64 entries; and an empty batch."""
+    rng = np.random.default_rng(100 * p + 10 * M + N)
+    inner = rng.integers(0, min(M, N) + 1, size=60)
+    mats = np.array(
+        [rng.integers(0, p, size=(M, r)) @ rng.integers(0, p, size=(r, N)) % p for r in inner]
+    )
+    ranks = _engine.batched_rank(mats - p * rng.integers(0, 3, size=mats.shape), p)
+    field = build_field(p, 1)
+    assert ranks.tolist() == [MatFq(field, m.tolist()).rank() for m in mats]
+    assert len(set(ranks.tolist())) > 2
+    assert _engine.batched_rank(np.zeros((0, M, N), dtype=np.int64), p).shape == (0,)
+
+
 class _Draws:
     """Stands in for a Generator: integers() returns the given arrays in turn."""
 
@@ -83,6 +101,20 @@ class _Draws:
         out = self.arrays.pop(0)
         assert out.shape == size and out.min() >= low and out.max() < high
         return out
+
+
+def test_mc_step_rejects_lanes_that_cannot_move():
+    """The zero form has no move, and no form of size N < 3 has one: mc_step
+    raises after its first round instead of redrawing forever (the stub has
+    the draws of one round only, so a second round fails the test too)."""
+    rng = np.random.default_rng(0)
+    mixed = _trajectory(3, 3, trials=5, steps=1, seed=2)[-1]
+    mixed[2] = 0
+    size2 = np.array([[[0, 1], [2, 0]]] * 4, dtype=np.uint8)
+    for grams in (np.zeros((4, 6, 6), dtype=np.uint8), mixed, size2):
+        B, N, _ = grams.shape
+        with pytest.raises(ValueError):
+            _engine.mc_step(grams, 3, _Draws(*rng.integers(0, 3, size=(2, B, N))))
 
 
 def _projected(v, f, p):
@@ -179,10 +211,13 @@ def _allocates_nothing(call):
 
 
 def test_int_bounds_are_checked_before_any_allocation():
-    """mc_step needs N p^2 + p < 2^31 (int32); distinct_states a batch below
-    2^31 (labels shifted by 32 bits in int64).  Neither batch holds memory:
-    one has no lanes, the other is a broadcast view."""
+    """mc_step needs N p^2 + p < 2^31 (int32), batched_rank p^2 + p < 2^31
+    (int32), distinct_states a batch below 2^31 (labels shifted by 32 bits
+    in int64).  No batch holds memory: two have no lanes, the other is a
+    broadcast view."""
     N = 34_088  # N * 251^2 + 251 >= 2^31; no lanes, so a missed check allocates nothing either
     _allocates_nothing(lambda: _engine.mc_step(np.zeros((0, N, N), dtype=np.uint8), 251, None))
+    # 46349^2 + 46349 >= 2^31
+    _allocates_nothing(lambda: _engine.batched_rank(np.zeros((0, 4, 4), dtype=np.int64), 46_349))
     huge = np.broadcast_to(np.uint8(0), (2 ** 31, 4, 4))
     _allocates_nothing(lambda: _engine.distinct_states(huge, 2))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sympwalk import _engine, walk
 from sympwalk.bounds import upper_bound_tv
 from sympwalk.combinat import (
     PartitionFn,
@@ -418,6 +419,33 @@ def test_monte_carlo_tv_is_curve_step():
     for k in (1, 3):
         res = monte_carlo_tv(2, 3, k, 5_000, seed=22, chunk=2_000)
         assert res == monte_carlo_curve(2, 3, k, 5_000, seed=22, chunk=2_000)[k][1]
+
+
+def test_monte_carlo_classifies_once_per_chunk(monkeypatch):
+    calls = []
+
+    def counted(states, n, field):
+        calls.append(len(states))
+        return _classify_states_batched(states, n, field)
+
+    monkeypatch.setattr(walk, "_classify_states_batched", counted)
+    monte_carlo_curve(2, 3, 3, 5_000, chunk=2_000)
+    assert len(calls) == 3 and calls[0] > 0
+
+
+def test_classifier_slices_match_one_batch(monkeypatch):
+    """(3,3) states classified in slices of 7 lanes, so one polynomial and
+    one rank pattern span several slices, give the keys and types of one batch."""
+    rng = np.random.default_rng(4)
+    jmat = np.array(standard_J(3, F3).to_lists(), dtype=np.uint8)
+    grams = [_engine.initial_grams(jmat, 3, 40, rng)]
+    for _ in range(4):
+        grams.append(_engine.mc_step(grams[-1], 3, rng))
+    states = np.concatenate(grams)
+    whole = _classify_states_batched(states, 3, F3)
+    monkeypatch.setattr(walk, "CLASSIFY_LANES", 7)
+    assert _classify_states_batched(states, 3, F3) == whole
+    assert len(set(whole[0])) > 7
 
 
 def test_monte_carlo_beyond_int64_keys():
