@@ -1,13 +1,11 @@
-"""Vectorized prime-field helpers for chain building and simulation.
+"""Vectorized prime-field kernels for chains, simulation and classification.
 
-Every batched state, in Monte Carlo and in exact chains alike, is an
-(S, N, N) uint8 array of Grams over F_p, so q <= 256 (the brute-force
-oracle, transvection_images, keeps int64 rows).  rank2_image, mc_step
-and batched_rank work lanes last, over rows as long as the batch.  No
-floating point: mc_step computes in int32 (N p^2 + p < 2^31), batched_rank
-in int32 (p^2 + p < 2^31), distinct_states labels in int64 (batches below
-2^31), each checked first; every other product is int64 on entries < p,
-reduced mod p after each (N p^2 < 2^63).
+One rule: states cross the module boundary as (B, N, N) uint8 Grams over
+F_p, so q <= 256, and every kernel computes lanes last, (N, N, B), in
+int32, reduced with _mod, under a bound it checks before it allocates
+(_check_int32).  No floating point.  Not kernels: distinct_states labels
+states in int64 (batches below 2^31), and the brute-force oracle,
+transvection_images, keeps int64 rows.
 """
 
 from __future__ import annotations
@@ -37,6 +35,12 @@ def _mod(x, p):
     return x
 
 
+def _check_int32(terms, p, what):
+    """Sums of `terms` products of residues plus a residue must fit int32."""
+    if terms * p * p + p >= 2 ** 31:
+        raise StateSpaceTooLargeError(f"int32 {what} need {terms} p^2 + p < 2^31 at p = {p}")
+
+
 def transvection_images(w, v, f, p):
     """Distinct congruence images t^T w t != w of one alternating Gram w.
 
@@ -56,7 +60,7 @@ def two_planes(N, q):
 
     Entries are field codes: a has its leading 1 in column i, b in column
     j > i, a is 0 in column j, and both are 0 left of their leading 1.
-    Returns two (P, N) int64 arrays, P the Gaussian binomial [N, 2]_q.
+    Returns two (P, N) int32 arrays, P the Gaussian binomial [N, 2]_q.
     """
     a_parts, b_parts = [], []
     for i in range(N):
@@ -65,7 +69,7 @@ def two_planes(N, q):
             free_b = list(range(j + 1, N))
             m = len(free_a) + len(free_b)
             digits = np.arange(q ** m)[:, None] // q ** np.arange(m) % q
-            a = np.zeros((len(digits), N), dtype=np.int64)
+            a = np.zeros((len(digits), N), dtype=np.int32)
             b = np.zeros_like(a)
             a[:, i] = 1
             b[:, j] = 1
@@ -89,45 +93,46 @@ def plane_images(w, a, b, p):
     (P (p-1), N, N) uint8 array.
     """
     N = len(w)
-    w = w.astype(np.int64)
-    aw = a @ w % p
-    iso = (aw * b).sum(axis=1) % p == 0
-    x, y = aw[iso].T, (b[iso] @ w % p).T
-    lam_x = np.arange(1, p)[:, None] * x[:, None] % p  # (N, p - 1, planes)
+    _check_int32(N, p, "plane images")
+    w = w.astype(np.int32)
+    aw = _mod(a @ w, p)
+    iso = _mod(np.einsum("ij,ij->i", aw, b), p) == 0
+    x, y = aw[iso].T, _mod(b[iso] @ w, p).T
+    lam_x = _mod(np.arange(1, p, dtype=np.int32)[:, None] * x[:, None], p)  # (N, p - 1, planes)
     imgs = rank2_image(w[:, :, None, None], lam_x, y[:, None], p)
     return np.ascontiguousarray(imgs.reshape(N, N, -1).transpose(2, 0, 1), dtype=np.uint8)
 
 
 def j_inv_times(grams, p):
-    """X = J^-1 w mod p for every Gram w of the batch, as int64.
+    """X = J^-1 w mod p, lanes last, for every Gram w of the (B, N, N) batch.
+    J^-1 = [[0, -I], [I, 0]] swaps w's row blocks and negates the new top."""
+    B, N, _ = grams.shape
+    x = np.empty((N, N, B), dtype=np.int32)
+    x[...] = np.roll(grams.transpose(1, 2, 0), N // 2, axis=0)
+    x[: N // 2] *= -1
+    return _mod(x, p)
 
-    J = [[0, I], [-I, 0]] has J^-1 = [[0, -I], [I, 0]], so X is w with its
-    row blocks swapped and the new top block negated.
-    """
-    w = grams.astype(np.int64)
-    n = w.shape[1] // 2
-    return np.concatenate((-w[:, n:] % p, w[:, :n]), axis=1)
+
+def batched_matmul(a, b, p):
+    """a b mod p for lanes-last (M, K, B) and (K, N, B) residues."""
+    _check_int32(a.shape[1], p, "matrix products")
+    return _mod(np.einsum("ijb,jkb->ikb", a, b), p)
 
 
-def batched_rank(mats, p):
-    """Rank over F_p of every matrix in the (B, M, N) batch, as (B,) int64.
-
-    Held lanes last in int32, (M, N, B).  Column by column, the first row
-    nonzero there (one max reduction) is the pivot, scaled to 1, and the
-    column is cleared from every row, the pivot's own included, which
-    zeroes it: no row is swapped or picked twice, and the rank is the
-    number of columns that found a pivot.  The input is reduced mod p in
-    int64 as it is narrowed to int32; every later entry stays below
-    p^2 + p < 2^31, checked before anything is allocated.
-    """
-    if p * p + p >= 2 ** 31:
-        raise StateSpaceTooLargeError(f"int32 ranks need p^2 + p < 2^31, got {p * p + p}")
-    B, M, N = mats.shape
-    a = np.empty((M, N, B), dtype=np.int32)
-    np.mod(mats.transpose(1, 2, 0), p, out=a, dtype=np.int64, casting="unsafe")
+def batched_rank(a, p):
+    """Rank over F_p of every matrix of the lanes-last (M, N, B) batch, as
+    (B,) int32; a is reduced mod p and eliminated in place.  Column by
+    column, the first row nonzero there (one max reduction) is the pivot,
+    scaled to 1, and the column is cleared from every row, the pivot's own
+    included, which zeroes it: no row is swapped or picked twice, and the
+    rank is the number of columns that found a pivot.  Every entry stays
+    below p^2 + p."""
+    _check_int32(1, p, "ranks")
+    M, N, B = a.shape
+    _mod(a, p)
     inv_table = mod_inverse_table(p)
     order = np.arange(M, 0, -1, dtype=np.int32)[:, None]
-    rank = np.zeros(B, dtype=np.int64)
+    rank = np.zeros(B, dtype=np.int32)
     for col in range(N):
         sub = a[:, col:]
         c = sub[:, 0]
@@ -172,8 +177,7 @@ def mc_step(grams, p, rng):
     first round and cannot move (the zero form, or any form if N < 3) is a
     ValueError, not an endless redraw."""
     N = grams.shape[1]
-    if N * p * p + p >= 2 ** 31:
-        raise StateSpaceTooLargeError(f"int32 steps need N p^2 + p < 2^31, got {N * p * p + p}")
+    _check_int32(N, p, "steps")
     w = np.ascontiguousarray(grams.transpose(1, 2, 0))
     u, f, moves = _draw_moves(w, p, rng)
     pending = np.flatnonzero(~moves)
@@ -225,39 +229,41 @@ def distinct_states(grams, p):
     return grams[lanes], np.bincount(label)
 
 
-def batched_charpoly(mats, p):
-    """Characteristic polynomial coefficients mod p for every matrix.
-
-    Division-free (Berkowitz): the charpoly of each leading k+1 block is
-    a Toeplitz column times that of the leading k block.  Returns (S, N+1)
-    int64 coefficients of det(xI - M), highest degree first.
-    """
-    S, N, _ = mats.shape
-    m = np.mod(mats.astype(np.int64), p)
-    v = np.ones((S, 1), dtype=np.int64)  # the empty leading block
+def batched_charpoly(x, p):
+    """det(xI - X) mod p of every X of the lanes-last (N, N, B) batch, as
+    (N + 1, B) coefficients, highest degree first.  Division-free
+    (Berkowitz): the charpoly of each leading k+1 block is a Toeplitz
+    column times that of the leading k block."""
+    N, _, B = x.shape
+    _check_int32(N, p, "characteristic polynomials")
+    v = np.ones((1, B), dtype=np.int32)  # the empty leading block
     for k in range(N):
-        R, w, sub = m[:, k, :k], m[:, :k, k], m[:, :k, :k]
-        col = np.zeros((S, k + 2), dtype=np.int64)
-        col[:, 0] = 1
-        col[:, 1] = -m[:, k, k] % p
+        R, w, sub = x[k, :k], x[:k, k], x[:k, :k]
+        col = np.empty((k + 2, B), dtype=np.int32)
+        col[0] = 1
+        col[1] = -x[k, k]
         for j in range(k):
             if j:
-                w = np.einsum("sij,sj->si", sub, w) % p
-            col[:, j + 2] = -(R * w).sum(axis=1) % p
-        new_v = np.zeros((S, k + 2), dtype=np.int64)
+                w = _mod(np.einsum("ijb,jb->ib", sub, w), p)
+            col[j + 2] = -np.einsum("ib,ib->b", R, w)
+        _mod(col, p)
+        new_v = np.zeros((k + 2, B), dtype=np.int32)
         for j in range(k + 1):
-            new_v[:, j:] += col[:, : k + 2 - j] * v[:, j, None]
-        v = new_v % p
+            new_v[j:] += col[: k + 2 - j] * v[j]
+        v = _mod(new_v, p)
     return v
 
 
-def batched_matpoly(mats, coeffs_desc, p):
-    """Evaluate a polynomial of degree >= 1 (descending int coefficients)
-    at each matrix, by Horner's rule in int64: degree - 1 matrix products."""
-    S, N, _ = mats.shape
-    m = mats.astype(np.int64)
-    eye = np.eye(N, dtype=np.int64)[None]
-    acc = np.mod(coeffs_desc[0] * m + coeffs_desc[1] * eye, p)
-    for c in coeffs_desc[2:]:
-        acc = np.mod(acc @ m + c * eye, p)
+def batched_matpoly(x, coeffs_desc, p):
+    """f(X) mod p at every X of the lanes-last (N, N, B) batch, for f of
+    degree >= 1 (descending residues), by Horner's rule."""
+    N = len(x)
+    _check_int32(N, p, "polynomial evaluation")
+    diag = np.arange(N)
+    acc = coeffs_desc[0] * x
+    for i, c in enumerate(coeffs_desc[1:]):
+        if i:
+            acc = batched_matmul(acc, x, p)
+        acc[diag, diag] += c
+        _mod(acc, p)
     return acc

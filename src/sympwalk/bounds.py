@@ -57,7 +57,9 @@ def _is_determinant_twist(lam_fn: PartitionFn, n) -> bool:
 
 
 def check_enumeration_cap(n):
-    """The spectral label enumeration stops at n = ENUMERATION_MAX_N."""
+    """The spectral label enumeration runs for 1 <= n <= ENUMERATION_MAX_N."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if n > ENUMERATION_MAX_N:
         raise EnumerationTooLargeError(f"n={n} beyond enumeration cap {ENUMERATION_MAX_N}")
 
@@ -67,7 +69,7 @@ def _spectral_terms(n, q):
     """(phi, multiplicity, count) per non-excluded label type."""
     check_enumeration_cap(n)
     out = []
-    for fn, cnt in enumerate_partition_fns(n, q, context="L"):
+    for fn, cnt in enumerate_partition_fns(n, q):
         if _is_determinant_twist(fn, n):
             continue
         out.append((eigenvalue_phi(fn, n, q), dim_irrep(fn.doubled(), q), cnt))

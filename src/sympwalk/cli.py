@@ -273,7 +273,7 @@ def main(argv=None):
     except (StateSpaceTooLargeError, EnumerationTooLargeError, FieldTooLargeError) as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return EXIT_RESOURCE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -262,16 +262,13 @@ def _enumerate_types(n, q, removed):
 
 
 @lru_cache(maxsize=None)
-def enumerate_partition_fns(n, q, context="M"):
+def enumerate_partition_fns(n, q):
     """All types of partition-valued functions of weight n over F_q.
 
     Returns a sorted tuple of (PartitionFn, count) where count is the number
-    of concrete functions of that type.  `context` is "M" (class labels) or
-    "L" (character labels); the orbit counts agree degree by degree, so it
-    only documents intent.
+    of concrete functions of that type.  They serve as class labels and as
+    character labels alike: the orbit counts agree degree by degree.
     """
-    if context not in ("M", "L"):
-        raise ValueError("context must be 'M' or 'L'")
     return tuple(sorted(_enumerate_types(n, q, 0)))
 
 

@@ -5,7 +5,7 @@ class SympwalkError(Exception):
     """Base class for all sympwalk errors."""
 
 
-class NotPrimeError(SympwalkError):
+class NotPrimeError(SympwalkError, ValueError):
     """Field characteristic is not prime."""
 
 

@@ -196,7 +196,7 @@ class FieldSpec:
 _FIELD_CACHE = {}
 
 
-def build_field(p, k, max_size=DEFAULT_MAX_FIELD_SIZE):
+def build_field(p, k):
     """Return F_{p^k} with the deterministic (lex-smallest irreducible) modulus.
 
     Instances are cached per (p, k): FieldSpec is immutable, so sharing is
@@ -206,18 +206,18 @@ def build_field(p, k, max_size=DEFAULT_MAX_FIELD_SIZE):
         raise NotPrimeError(f"{p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be >= 1")
-    if p ** k > max_size:
-        raise FieldTooLargeError(f"q = {p}^{k} exceeds cap {max_size}")
+    if p ** k > DEFAULT_MAX_FIELD_SIZE:
+        raise FieldTooLargeError(f"q = {p}^{k} exceeds cap {DEFAULT_MAX_FIELD_SIZE}")
     key = (p, k)
     if key not in _FIELD_CACHE:
         modulus = (0, 1)  # the polynomial x
         if k > 1:
-            modulus = next(_irreducibles(build_field(p, 1, max_size), k)).coeffs
+            modulus = next(_irreducibles(build_field(p, 1), k)).coeffs
         _FIELD_CACHE[key] = FieldSpec(p, k, modulus)
     return _FIELD_CACHE[key]
 
 
-def field_from_order(q, max_size=DEFAULT_MAX_FIELD_SIZE):
+def field_from_order(q):
     """Return F_q for a prime power q."""
     if q < 2:
         raise ValueError("field order must be >= 2")
@@ -230,7 +230,7 @@ def field_from_order(q, max_size=DEFAULT_MAX_FIELD_SIZE):
                 k += 1
             if m != 1:
                 raise NotPrimeError(f"{q} is not a prime power")
-            return build_field(p, k, max_size=max_size)
+            return build_field(p, k)
     raise NotPrimeError(f"{q} is not a prime power")
 
 

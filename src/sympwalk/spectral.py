@@ -258,7 +258,7 @@ def spectrum(n, q):
     symplectic): the single line is the trivial one.
     """
     lines = []
-    for lam_fn, count in enumerate_partition_fns(n, q, context="L"):
+    for lam_fn, count in enumerate_partition_fns(n, q):
         phi = eigenvalue_phi(lam_fn, n, q)
         mult = dim_irrep(lam_fn.doubled(), q)
         lines.append(SpectralLine(lam_fn, phi, mult, count))

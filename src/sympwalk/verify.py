@@ -99,14 +99,14 @@ def check_combinat(max_n=4, trials=0, seed=0):
     for q in (2, 3):
         for n in range(1, max_n + 1):
             total = sum(
-                cnt * cb.class_size(fn, q) for fn, cnt in cb.enumerate_partition_fns(n, q, "M")
+                cnt * cb.class_size(fn, q) for fn, cnt in cb.enumerate_partition_fns(n, q)
             )
             out.append(
                 _res("combinat", f"class_sizes_sum_n{n}_q{q}", total == cb.gl_order(n, q),
                      f"{total} != {cb.gl_order(n, q)}")
             )
             total2 = sum(
-                cnt * cb.class_size_qsq(fn, q) for fn, cnt in cb.enumerate_partition_fns(n, q, "M")
+                cnt * cb.class_size_qsq(fn, q) for fn, cnt in cb.enumerate_partition_fns(n, q)
             )
             out.append(
                 _res("combinat", f"coset_sizes_sum_n{n}_q{q}", total2 == cb.coset_space_size(n, q),
@@ -114,7 +114,7 @@ def check_combinat(max_n=4, trials=0, seed=0):
             )
             total3 = sum(
                 cnt * cb.dim_irrep(fn.doubled(), q)
-                for fn, cnt in cb.enumerate_partition_fns(n, q, "L")
+                for fn, cnt in cb.enumerate_partition_fns(n, q)
             )
             out.append(
                 _res("combinat", f"doubled_dims_sum_n{n}_q{q}", total3 == cb.coset_space_size(n, q),
@@ -140,7 +140,7 @@ def check_spectral(max_n=4, trials=0, seed=0):
     for q in (2, 3):
         for n in range(2, max_n + 1):
             bad = []
-            for fn, cnt in cb.enumerate_partition_fns(n, q, "L"):
+            for fn, cnt in cb.enumerate_partition_fns(n, q):
                 pl = sp.eigenvalue_phi(fn, n, q, "local")
                 pg = sp.eigenvalue_phi(fn, n, q, "global")
                 pv = sp.eigenvalue_via_lift(fn, n, q)

@@ -61,6 +61,7 @@ DEFAULT_STATE_CAP = 2 * 10 ** 5
 FULL_MATRIX_CAP = 600
 SUPPORT_CLASSIFY_SAMPLE = 50  # trials of support_violations checked by class_invariant
 CLASSIFY_LANES = 2 ** 12  # states per classifier slice; bounds its f(X)^j arrays
+MC_CHUNK = 250_000  # Monte Carlo trials stepped, then classified, together
 
 
 def _resolve_field(field_or_q):
@@ -192,21 +193,22 @@ def _factor_jobs(states, field, factored):
     factor each polynomial not yet in factored.  Returns the groups
     (polynomial -> lanes), one job (lanes, m, floor = N - deg(f) m) per
     factor f of multiplicity m of each group, in order, and f(X) of every
-    job, stacked."""
+    job, stacked lanes last."""
     p = field.p
     N = states.shape[1]
     x = _engine.j_inv_times(states, p)
     groups = {}
-    for i, cp in enumerate(_engine.batched_charpoly(x, p).tolist()):
+    for i, cp in enumerate(_engine.batched_charpoly(x, p).T.tolist()):
         groups.setdefault(tuple(cp), []).append(i)
     jobs, fx = [], []
     for cp, idxs in groups.items():
         if cp not in factored:
             factored[cp] = factor_poly(PolyFq(field, list(reversed(cp))))
+        x_group = x[:, :, idxs]
         for f, mult in factored[cp]:
-            fx.append(_engine.batched_matpoly(x[idxs], list(reversed(f.coeffs)), p))
+            fx.append(_engine.batched_matpoly(x_group, list(reversed(f.coeffs)), p))
             jobs.append((len(idxs), mult, N - f.degree * mult))
-    return groups, jobs, np.concatenate(fx)
+    return groups, jobs, np.concatenate(fx, axis=2)
 
 
 def _rank_sequences(fx, jobs, p):
@@ -215,26 +217,25 @@ def _rank_sequences(fx, jobs, p):
     power j over every job still pending.  A job stops once all its lanes
     are at the floor N - deg(f) m: rank f(X)^j reaches it at the largest
     block size and stays there."""
-    def split(stack, ts):
-        return np.split(stack, np.cumsum([jobs[t][0] for t in ts])[:-1])
-
-    pending = list(range(len(jobs)))
-    fxs = split(fx, pending)
+    sizes = np.array([lanes for lanes, _, _ in jobs])
     ranks = [[] for _ in jobs]
+    pending = np.arange(len(jobs))
     powers = fx  # f(X)^j of the pending jobs, stacked
-    while pending:
-        rank_j = split(_engine.batched_rank(powers, p), pending)
-        still, nxt = [], []
-        for t, rank, power in zip(pending, rank_j, split(powers, pending)):
+    while len(pending):
+        rank_j = _engine.batched_rank(powers.copy(), p)
+        going = np.zeros(len(jobs), dtype=bool)
+        for t, rank in zip(pending, np.split(rank_j, np.cumsum(sizes[pending])[:-1])):
             _, mult, floor = jobs[t]
             ranks[t].append(rank)
             if (rank == floor).all():
                 ranks[t].extend([rank] * (mult - len(ranks[t])))
             elif len(ranks[t]) < mult:
-                still.append(t)
-                nxt.append(power @ fxs[t] % p)
-        pending = still
-        powers = np.concatenate(nxt) if nxt else None
+                going[t] = True
+        if going.any():
+            kept = np.repeat(going[pending], sizes[pending])
+            factor = fx[:, :, np.repeat(going, sizes)]
+            powers = _engine.batched_matmul(powers[:, :, kept], factor, p)
+        pending = np.flatnonzero(going)
     return [np.stack(r, axis=1) for r in ranks]
 
 
@@ -279,7 +280,7 @@ def stationary_type_distribution(n, q):
     """Stationary mass per type label: count * |coset| / |form space|."""
     out = {}
     denom = coset_space_size(n, q)
-    for fn, cnt in enumerate_partition_fns(n, q, context="M"):
+    for fn, cnt in enumerate_partition_fns(n, q):
         out[fn] = Fraction(cnt * class_size_qsq(fn, q), denom)
     return out
 
@@ -530,8 +531,8 @@ class _Moves:
 
     def starts(self):
         """The q - 1 twisted starts, one in each Pfaffian sector."""
-        q = self.field.q
-        return [self.state(_initial_gram(self.n, self.field, a)) for a in range(1, q)]
+        starts = [self.state(_initial_gram(self.n, self.field, a)) for a in range(1, self.field.q)]
+        return np.stack(starts) if self.field.k == 1 else starts
 
     def state(self, gram: MatFq):
         if self.field.k == 1:
@@ -577,12 +578,12 @@ class _Moves:
                 imgs.append(MatFq(F, rows))
         return [img.key() for img in imgs], imgs
 
-    def classify(self, states):
-        """(complete key, type) of each state."""
+    def classify(self, *batches):
+        """(complete key, type) of each state of the batches, in one call."""
         if self.field.k == 1:
-            keys, types = _classify_states_batched(np.stack(states), self.n, self.field)
+            keys, types = _classify_states_batched(np.concatenate(batches), self.n, self.field)
             return list(zip(keys, types))
-        return [_classify_X(self._j_inv * w) for w in states]
+        return [_classify_X(self._j_inv * w) for batch in batches for w in batch]
 
 
 def _move_count(n, q):
@@ -597,7 +598,7 @@ def chain_work(n, q):
     read off the move_count / (q(q+1)) distinct images of its
     representative.  This is what the chain cap bounds.
     """
-    lumps = sum(cnt for _, cnt in enumerate_partition_fns(n, q, context="M"))
+    lumps = sum(cnt for _, cnt in enumerate_partition_fns(n, q))
     return lumps * _move_count(n, q) // (q * (q + 1))
 
 
@@ -612,7 +613,8 @@ def exact_form_chain(n, field_or_q, cap=DEFAULT_STATE_CAP) -> ChainModel:
     isotropic for it (_Moves), each of weight q(q+1); an image of an
     unseen class becomes the next representative.  Lump sizes come from
     class_size_qsq.  The sampled Dynkin check compares each row with the
-    row of a second member k^T w k, k uniform in Sp_2n.  cap bounds the
+    row of a second member k^T w k, k uniform in Sp_2n, classified in the
+    same call; no image label outlives its lump.  cap bounds the
     work, chain_work(n, q) image classifications, checked before any is
     done.
     """
@@ -630,28 +632,15 @@ def exact_form_chain(n, field_or_q, cap=DEFAULT_STATE_CAP) -> ChainModel:
     S = coset_space_size(n, q)
     move_count = _move_count(n, q)
     moves = _Moves(n, field)
-    classified = {}  # state key -> (complete key, type)
 
-    def lumped_row(w):
-        """Images of w per complete key, and one image of each key."""
+    def distinct_images(w):
         keys, imgs = moves.images(w)
         if len(set(keys)) * moves.weight != move_count:
             raise InternalError(
                 f"a form has {len(set(keys))} distinct images of weight "
                 f"{moves.weight}, expected {move_count} moving transvections"
             )
-        unseen = [i for i, key in enumerate(keys) if key not in classified]
-        if unseen:
-            labels = moves.classify([imgs[i] for i in unseen])
-            classified.update(zip((keys[i] for i in unseen), labels))
-        row = Counter()
-        members = {}
-        for key, img in zip(keys, imgs):
-            lump, typ = classified[key]
-            row[lump] += moves.weight
-            if lump not in members:
-                members[lump] = (typ, img)
-        return row, members
+        return imgs
 
     seeds = moves.starts()
     seed_labels = moves.classify(seeds)
@@ -664,13 +653,16 @@ def exact_form_chain(n, field_or_q, cap=DEFAULT_STATE_CAP) -> ChainModel:
     while pending:
         lump = pending.pop()
         _, w = lumps[lump]
-        rows[lump], members = lumped_row(w)
         k = sample_symplectic(n, field, rng)
-        if lumped_row(moves.state(k.transpose() * moves.gram(w) * k))[0] != rows[lump]:
+        imgs = distinct_images(w)
+        member_imgs = distinct_images(moves.state(k.transpose() * moves.gram(w) * k))
+        labels = moves.classify(imgs, member_imgs)
+        rows[lump] = Counter(other for other, _ in labels[:len(imgs)])
+        if Counter(other for other, _ in labels[len(imgs):]) != rows[lump]:
             raise InternalError(f"lump {lump} is not exactly lumpable")
-        for other, member in members.items():
+        for (other, typ), img in zip(labels, imgs):
             if other not in lumps:
-                lumps[other] = member
+                lumps[other] = (typ, img)
                 pending.append(other)
 
     # canonical lump order: by (type, key)
@@ -681,7 +673,7 @@ def exact_form_chain(n, field_or_q, cap=DEFAULT_STATE_CAP) -> ChainModel:
     if sum(lump_sizes) != S:
         raise InternalError(f"lump sizes sum to {sum(lump_sizes)}, expected {S} forms")
     L = len(lump_keys)
-    rep_rows = [[rows[a][b] for b in lump_keys] for a in lump_keys]
+    rep_rows = [[rows[a][b] * moves.weight for b in lump_keys] for a in lump_keys]
     lumped_transition = [[Fraction(c, move_count) for c in row] for row in rep_rows]
     for row in lumped_transition:
         if sum(row) != 1:
@@ -786,21 +778,21 @@ def _mc_field(field_or_q, n):
     return field
 
 
-def monte_carlo_tv(n, field_or_q, k, trials, seed=0, chunk=250_000) -> MCResult:
+def monte_carlo_tv(n, field_or_q, k, trials, seed=0) -> MCResult:
     """Empirical lumped law after k steps vs. the exact stationary lumps.
 
     The lumped TV is a data-processing lower bound on the full-space TV
     and is reported as such.  Deterministic for a fixed seed, and equal to
     step k of monte_carlo_curve with the same arguments.
     """
-    return monte_carlo_curve(n, field_or_q, k, trials, seed=seed, chunk=chunk)[k][1]
+    return monte_carlo_curve(n, field_or_q, k, trials, seed=seed)[k][1]
 
 
-def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0, chunk=250_000):
+def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0):
     """MCResult per step k = 0..k_max from one set of trajectories.
 
     Each step's lanes are deduplicated by exact packed labels
-    (_engine.distinct_states).  A chunk of trials is stepped k_max times
+    (_engine.distinct_states).  A chunk of MC_CHUNK trials is stepped k_max times
     first; then the states it met that no earlier chunk did are classified
     in one batch and every step is tallied.  Classification draws nothing
     from rng, so the draws are those of stepping alone.
@@ -818,7 +810,7 @@ def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0, chunk=250_000):
     per_step = [Counter() for _ in range(k_max + 1)]
     remaining = trials
     while remaining:
-        b = min(chunk, remaining)
+        b = min(MC_CHUNK, remaining)
         remaining -= b
         grams = _engine.initial_grams(jmat, p, b, rng)
         steps = []  # (keys, counts) of each step's distinct states
@@ -870,8 +862,8 @@ def support_violations(n, field_or_q, c, trials, seed=0):
     grams = np.tile(np.array(J.to_lists(), dtype=np.uint8), (trials, 1, 1))
     for _ in range(k):
         grams = _engine.mc_step(grams, p, rng)
-    x = _engine.j_inv_times(grams, p)
-    ranks = _engine.batched_rank(x - np.eye(2 * n, dtype=np.int64), p)
+    x_minus_1 = _engine.batched_matpoly(_engine.j_inv_times(grams, p), [1, p - 1], p)
+    ranks = _engine.batched_rank(x_minus_1, p)
     violations = int((ranks > 2 * (n - c)).sum())
     # cross-check the rank criterion against the classifier on a subsample:
     # the block partition of X at x - 1 has exactly dim ker(X - I) parts

@@ -96,7 +96,7 @@ def test_criterion_2_eigenvalue_triple_agreement(chain22):
     checked = 0
     for q in (2, 3):
         for n in range(1, 5):
-            for fn, _ in enumerate_partition_fns(n, q, "L"):
+            for fn, _ in enumerate_partition_fns(n, q):
                 assert eigenvalue_phi(fn, n, q, "local") == eigenvalue_phi(
                     fn, n, q, "global"
                 ) == eigenvalue_via_lift(fn, n, q)
@@ -105,7 +105,7 @@ def test_criterion_2_eigenvalue_triple_agreement(chain22):
     got = _charpoly_fractions(chain22.lumped_transition)
     phis = [
         eigenvalue_phi(fn, 2, 2)
-        for fn, cnt in enumerate_partition_fns(2, 2, "L")
+        for fn, cnt in enumerate_partition_fns(2, 2)
         for _ in range(cnt)
     ]
     assert got == _poly_from_roots(phis)
@@ -119,19 +119,19 @@ def test_criterion_3_counting_identities():
     for q in (2, 3):
         for n in range(1, 6):
             total = sum(
-                cnt * class_size(fn, q) for fn, cnt in enumerate_partition_fns(n, q, "M")
+                cnt * class_size(fn, q) for fn, cnt in enumerate_partition_fns(n, q)
             )
             assert total == gl_order(n, q), (n, q)
         for n in range(1, 5):
-            fns = enumerate_partition_fns(n, q, "M")
+            fns = enumerate_partition_fns(n, q)
             assert sum(cnt * class_size_qsq(fn, q) for fn, cnt in fns) == coset_space_size(n, q)
-            lns = enumerate_partition_fns(n, q, "L")
+            lns = enumerate_partition_fns(n, q)
             assert (
                 sum(cnt * dim_irrep(fn.doubled(), q) for fn, cnt in lns)
                 == coset_space_size(n, q)
             )
     dims = sorted(
-        dim_irrep(fn.doubled(), 2) for fn, _ in enumerate_partition_fns(2, 2, "L")
+        dim_irrep(fn.doubled(), 2) for fn, _ in enumerate_partition_fns(2, 2)
     )
     assert dims == [1, 7, 20] and sum(dims) == 28
     elapsed = time.time() - t0
@@ -200,7 +200,7 @@ def test_criterion_7_eigenvalue_floor_and_corner_bound():
     for q in (2, 3):
         for n in range(2, 6):
             floor = eigenvalue_floor(n, q)
-            for fn, _ in enumerate_partition_fns(n, q, "L"):
+            for fn, _ in enumerate_partition_fns(n, q):
                 phi = eigenvalue_phi(fn, n, q)
                 assert floor <= phi, (n, q, fn)
                 assert phi <= corner_bound(fn, n, q), (n, q, fn)

@@ -47,7 +47,7 @@ def test_determinant_twist_exclusion():
     # the (1^n at one degree-1 orbit) labels are dropped: trivial plus the
     # q - 2 nontrivial determinant twists
     for n, q in ((2, 2), (3, 2), (2, 3), (3, 3)):
-        all_count = sum(cnt for _, cnt in enumerate_partition_fns(n, q, "L"))
+        all_count = sum(cnt for _, cnt in enumerate_partition_fns(n, q))
         kept = sum(cnt for _, _, cnt in _spectral_terms(n, q))
         assert all_count - kept == q - 1
 

@@ -218,10 +218,23 @@ def test_verify_default_run_passes(capsys):
         ["simulate", "--n", "2", "--steps", "1", "--trials", "-5"],
         ["simulate", "--n", "2", "--steps", "-1", "--trials", "10"],
         ["chain", "--n", "2", "--kmax", "-1"],
+        ["simulate", "--n", "2", "--q", "6", "--steps", "1", "--trials", "10"],
+        ["chain", "--n", "2", "--p", "4", "--k", "1"],
+        ["spectrum", "--n", "0"],
+        ["spectrum", "--n", "-1"],
+        ["bounds", "--n", "0", "--k-range", "1..2"],
+        ["bounds", "--n", "-1", "--k-range", "1..2"],
     ],
 )
 def test_bad_counts_are_usage_errors(capsys, argv):
     code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    code = main(["chain", "--n", "2", "--out", str(tmp_path / "missing" / "x")])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error:")

@@ -79,7 +79,7 @@ def test_multiplicities():
 # ---------------------------------------------------------------------------
 
 def test_enumerate_weight2_q2():
-    fns = enumerate_partition_fns(2, 2, "M")
+    fns = enumerate_partition_fns(2, 2)
     assert len(fns) == 3
     assert all(cnt == 1 for _, cnt in fns)
     entries = {fn.entries for fn, _ in fns}
@@ -87,7 +87,7 @@ def test_enumerate_weight2_q2():
 
 
 def test_enumerate_weight1_q3():
-    fns = enumerate_partition_fns(1, 3, "M")
+    fns = enumerate_partition_fns(1, 3)
     assert len(fns) == 1
     fn, cnt = fns[0]
     assert fn.entries == ((1, (1,)),) and cnt == 2  # two degree-1 orbits
@@ -114,7 +114,7 @@ def brute_force_conjugacy_classes_gl2_f2():
 
 
 def test_class_count_matches_brute_force_gl2_f2():
-    fns = enumerate_partition_fns(2, 2, "M")
+    fns = enumerate_partition_fns(2, 2)
     brute = brute_force_conjugacy_classes_gl2_f2()
     assert len(brute) == sum(cnt for _, cnt in fns) == 3
     sizes = sorted(class_size(fn, 2) for fn, _ in fns)
@@ -158,7 +158,7 @@ def test_identity_class_is_singleton():
 
 def test_class_size_qsq_values_2_2():
     by_entries = {
-        fn.entries: class_size_qsq(fn, 2) for fn, _ in enumerate_partition_fns(2, 2, "M")
+        fn.entries: class_size_qsq(fn, 2) for fn, _ in enumerate_partition_fns(2, 2)
     }
     assert by_entries == {
         ((1, (1, 1)),): 1,
@@ -181,19 +181,19 @@ def test_dim_irrep_values_2_2():
 @pytest.mark.parametrize("q", [2, 3])
 def test_sum_class_sizes_equals_group_order(q):
     for n in range(1, 6):
-        total = sum(cnt * class_size(fn, q) for fn, cnt in enumerate_partition_fns(n, q, "M"))
+        total = sum(cnt * class_size(fn, q) for fn, cnt in enumerate_partition_fns(n, q))
         assert total == gl_order(n, q)
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_sum_coset_sizes_and_doubled_dims(q):
     for n in range(1, 5):
-        fns = enumerate_partition_fns(n, q, "M")
+        fns = enumerate_partition_fns(n, q)
         assert sum(cnt * class_size_qsq(fn, q) for fn, cnt in fns) == coset_space_size(n, q)
-        lns = enumerate_partition_fns(n, q, "L")
+        lns = enumerate_partition_fns(n, q)
         assert sum(cnt * dim_irrep(fn.doubled(), q) for fn, cnt in lns) == coset_space_size(n, q)
     if q == 2:
-        fns = enumerate_partition_fns(2, 2, "L")
+        fns = enumerate_partition_fns(2, 2)
         dims = sorted(dim_irrep(fn.doubled(), 2) for fn, _ in fns)
         assert dims == [1, 7, 20]
 
@@ -201,7 +201,7 @@ def test_sum_coset_sizes_and_doubled_dims(q):
 def test_sum_dims_squared_equals_group_order():
     for N in range(1, 5):
         total = sum(
-            cnt * dim_irrep(fn, 2) ** 2 for fn, cnt in enumerate_partition_fns(N, 2, "L")
+            cnt * dim_irrep(fn, 2) ** 2 for fn, cnt in enumerate_partition_fns(N, 2)
         )
         assert total == gl_order(N, 2)
 
@@ -209,7 +209,7 @@ def test_sum_dims_squared_equals_group_order():
 def test_a_mu_is_integral_and_exact():
     for q in (2, 3):
         for n in range(1, 5):
-            for fn, _ in enumerate_partition_fns(n, q, "M"):
+            for fn, _ in enumerate_partition_fns(n, q):
                 val = a_mu(fn, q)
                 assert val.denominator == 1
                 assert gl_order(n, q) % val.numerator == 0
@@ -237,7 +237,7 @@ def _dim_irrep_fraction_product(lam, q):
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_a_mu_and_dim_irrep_match_fraction_products(q):
     for n in range(6):
-        for fn, _ in enumerate_partition_fns(n, q, "M"):
+        for fn, _ in enumerate_partition_fns(n, q):
             assert a_mu(fn, q) == _a_mu_fraction_product(fn, q)
             assert dim_irrep(fn, q) == _dim_irrep_fraction_product(fn, q)
 
@@ -272,7 +272,7 @@ def test_json_roundtrip():
 def test_anchored_enumeration_consistency():
     for n, q in ((2, 2), (3, 2), (2, 3), (4, 2), (3, 3)):
         plain = {}
-        for fn, cnt in enumerate_partition_fns(n, q, "M"):
+        for fn, cnt in enumerate_partition_fns(n, q):
             plain[fn] = plain.get(fn, 0) + cnt
         anchored = {}
         for fn, _pi0, cnt in enumerate_anchored_fns(n, q):

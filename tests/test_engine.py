@@ -7,8 +7,8 @@ import pytest
 
 from sympwalk import _engine
 from sympwalk.errors import StateSpaceTooLargeError
-from sympwalk.field import build_field
-from sympwalk.linalg import MatFq, all_transvections, standard_J
+from sympwalk.field import PolyFq, build_field
+from sympwalk.linalg import MatFq, _eval_poly_at_matrix, all_transvections, charpoly, standard_J
 
 
 def _trajectory(n, p, trials, steps, seed):
@@ -47,7 +47,7 @@ def test_mc_step_keeps_invertible_alternating_forms(n, p):
         g = after.astype(np.int64)
         assert not g[:, np.arange(N), np.arange(N)].any()
         assert not ((g + g.transpose(0, 2, 1)) % p).any()
-        assert (_engine.batched_rank(g, p) == N).all()
+        assert (_engine.batched_rank(g.transpose(1, 2, 0).astype(np.int32), p) == N).all()
         assert (after != before).any(axis=(1, 2)).all()
 
 
@@ -78,17 +78,43 @@ def test_mc_step_trajectory_is_pinned(nq):
 def test_batched_rank_matches_matfq(p, M, N):
     """Mixed-rank batches, each matrix a product of random M x r and r x N
     factors (r = 0..min(M, N)), shifted by multiples of p into negative
-    int64 entries; and an empty batch."""
+    entries, held lanes last in int32; and an empty batch."""
     rng = np.random.default_rng(100 * p + 10 * M + N)
     inner = rng.integers(0, min(M, N) + 1, size=60)
     mats = np.array(
         [rng.integers(0, p, size=(M, r)) @ rng.integers(0, p, size=(r, N)) % p for r in inner]
     )
-    ranks = _engine.batched_rank(mats - p * rng.integers(0, 3, size=mats.shape), p)
+    shifted = mats - p * rng.integers(0, 3, size=mats.shape)
+    ranks = _engine.batched_rank(shifted.transpose(1, 2, 0).astype(np.int32), p)
     field = build_field(p, 1)
     assert ranks.tolist() == [MatFq(field, m.tolist()).rank() for m in mats]
     assert len(set(ranks.tolist())) > 2
-    assert _engine.batched_rank(np.zeros((0, M, N), dtype=np.int64), p).shape == (0,)
+    assert _engine.batched_rank(np.zeros((M, N, 0), dtype=np.int32), p).shape == (0,)
+
+
+@pytest.mark.parametrize("p", [2, 3, 251])
+@pytest.mark.parametrize("N", [1, 2, 5, 6])
+def test_charpoly_and_matpoly_match_matfq(p, N):
+    """batched_charpoly and batched_matpoly on random lanes-last int32
+    batches equal linalg.charpoly and linalg._eval_poly_at_matrix lane by
+    lane, for polynomials of degree 1 to N + 1."""
+    rng = np.random.default_rng(1000 * p + N)
+    x = rng.integers(0, p, size=(N, N, 40)).astype(np.int32)
+    field = build_field(p, 1)
+    mats = [MatFq(field, x[:, :, b].tolist()) for b in range(x.shape[2])]
+    cps = _engine.batched_charpoly(x, p)
+    assert cps.shape == (N + 1, 40)
+    assert [cps[:, b].tolist() for b in range(40)] == [
+        list(reversed(charpoly(m).coeffs)) for m in mats
+    ]
+    for degree in range(1, N + 2):
+        coeffs = [int(c) for c in rng.integers(0, p, size=degree + 1)]
+        coeffs[0] = int(rng.integers(1, p))
+        fx = _engine.batched_matpoly(x, coeffs, p)
+        poly = PolyFq(field, list(reversed(coeffs)))
+        assert [fx[:, :, b].tolist() for b in range(40)] == [
+            [list(r) for r in _eval_poly_at_matrix(poly, m).rows] for m in mats
+        ]
 
 
 class _Draws:
@@ -211,13 +237,18 @@ def _allocates_nothing(call):
 
 
 def test_int_bounds_are_checked_before_any_allocation():
-    """mc_step needs N p^2 + p < 2^31 (int32), batched_rank p^2 + p < 2^31
-    (int32), distinct_states a batch below 2^31 (labels shifted by 32 bits
-    in int64).  No batch holds memory: two have no lanes, the other is a
+    """mc_step, batched_charpoly, batched_matpoly and batched_matmul need
+    N p^2 + p < 2^31 (int32), batched_rank p^2 + p < 2^31 (int32),
+    distinct_states a batch below 2^31 (labels shifted by 32 bits in int64).
+    No batch holds memory: all but one have no lanes, the other is a
     broadcast view."""
     N = 34_088  # N * 251^2 + 251 >= 2^31; no lanes, so a missed check allocates nothing either
     _allocates_nothing(lambda: _engine.mc_step(np.zeros((0, N, N), dtype=np.uint8), 251, None))
-    # 46349^2 + 46349 >= 2^31
-    _allocates_nothing(lambda: _engine.batched_rank(np.zeros((0, 4, 4), dtype=np.int64), 46_349))
+    # 46349^2 + 46349 >= 2^31, so any N fails at p = 46,349
+    lanes_last = np.zeros((2, 2, 0), dtype=np.int32)
+    _allocates_nothing(lambda: _engine.batched_charpoly(lanes_last, 46_349))
+    _allocates_nothing(lambda: _engine.batched_matpoly(lanes_last, [1, 1], 46_349))
+    _allocates_nothing(lambda: _engine.batched_matmul(lanes_last, lanes_last, 46_349))
+    _allocates_nothing(lambda: _engine.batched_rank(lanes_last, 46_349))
     huge = np.broadcast_to(np.uint8(0), (2 ** 31, 4, 4))
     _allocates_nothing(lambda: _engine.distinct_states(huge, 2))

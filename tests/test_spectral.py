@@ -106,7 +106,7 @@ def test_char_ratio_trivial_is_one():
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_dual_path_equality(n, q):
-    for fn, _ in enumerate_partition_fns(n, q, "L"):
+    for fn, _ in enumerate_partition_fns(n, q):
         local = eigenvalue_phi(fn, n, q, method="local")
         ratio_form = eigenvalue_phi(fn, n, q, method="global")
         lift = eigenvalue_via_lift(fn, n, q)
@@ -117,7 +117,7 @@ def test_dual_path_equality(n, q):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_floor_and_corner_bounds(n, q):
     floor = eigenvalue_floor(n, q)
-    for fn, _ in enumerate_partition_fns(n, q, "L"):
+    for fn, _ in enumerate_partition_fns(n, q):
         phi = eigenvalue_phi(fn, n, q)
         assert floor <= phi <= corner_bound(fn, n, q)
         assert -1 <= phi <= 1
@@ -154,7 +154,7 @@ def test_trace_identity(n, q):
     # the full operator has zero diagonal: sum of d * phi over concrete labels
     total = sum(
         cnt * dim_irrep(fn.doubled(), q) * eigenvalue_phi(fn, n, q)
-        for fn, cnt in enumerate_partition_fns(n, q, "L")
+        for fn, cnt in enumerate_partition_fns(n, q)
     )
     assert total == 0
 

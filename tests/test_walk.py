@@ -249,7 +249,7 @@ def test_lumped_spectrum_matches_formula(nq, request):
     got = _charpoly_fraction_matrix(chain.lumped_transition)
     # independent product over concrete labels of (x - phi)
     want = [Fraction(1)]
-    for fn, cnt in enumerate_partition_fns(n, q, "L"):
+    for fn, cnt in enumerate_partition_fns(n, q):
         phi = eigenvalue_phi(fn, n, q)
         for _ in range(cnt):
             new = [Fraction(0)] * (len(want) + 1)
@@ -410,18 +410,20 @@ def test_monte_carlo_q3_matches_typed_exact(chain23):
         assert abs(float(res.estimate - exact)) <= max(3 * res.stderr, 2e-3)
 
 
-def test_monte_carlo_tv_is_curve_step():
+def test_monte_carlo_tv_is_curve_step(monkeypatch):
     # one chunk: later steps draw after every earlier step is counted
     curve = monte_carlo_curve(2, 3, 3, 5_000, seed=21)
     for k in range(4):
         assert monte_carlo_tv(2, 3, k, 5_000, seed=21) == curve[k][1]
     # several chunks: each chunk draws its start, then k_max steps
+    monkeypatch.setattr(walk, "MC_CHUNK", 2_000)
     for k in (1, 3):
-        res = monte_carlo_tv(2, 3, k, 5_000, seed=22, chunk=2_000)
-        assert res == monte_carlo_curve(2, 3, k, 5_000, seed=22, chunk=2_000)[k][1]
+        res = monte_carlo_tv(2, 3, k, 5_000, seed=22)
+        assert res == monte_carlo_curve(2, 3, k, 5_000, seed=22)[k][1]
 
 
-def test_monte_carlo_classifies_once_per_chunk(monkeypatch):
+def _counted_classifier(monkeypatch):
+    """Wrap walk._classify_states_batched; returns the list of batch sizes."""
     calls = []
 
     def counted(states, n, field):
@@ -429,8 +431,23 @@ def test_monte_carlo_classifies_once_per_chunk(monkeypatch):
         return _classify_states_batched(states, n, field)
 
     monkeypatch.setattr(walk, "_classify_states_batched", counted)
-    monte_carlo_curve(2, 3, 3, 5_000, chunk=2_000)
+    return calls
+
+
+def test_monte_carlo_classifies_once_per_chunk(monkeypatch):
+    calls = _counted_classifier(monkeypatch)
+    monkeypatch.setattr(walk, "MC_CHUNK", 2_000)
+    monte_carlo_curve(2, 3, 3, 5_000)
     assert len(calls) == 3 and calls[0] > 0
+
+
+def test_chain_classifies_once_per_lump(monkeypatch):
+    """One classifier call for the seeds, then one per lump for the images
+    of its representative and of its Dynkin member together."""
+    calls = _counted_classifier(monkeypatch)
+    chain = exact_form_chain(2, 3)
+    images = chain.move_count // (3 * 4)
+    assert calls == [2] + [2 * images] * chain.num_lumps
 
 
 def test_classifier_slices_match_one_batch(monkeypatch):
