@@ -15,6 +15,7 @@ small in c.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,11 +30,14 @@ from .combinat import (
     gl_order,
     sp_order,
 )
-from .errors import EnumerationTooLargeError
+from .errors import EnumerationTooLargeError, ExactArithmeticTooLargeError
 from .spectral import eigenvalue_phi
 
 EXACT_MODE_MAX_N = 8
 ENUMERATION_MAX_N = 14
+# Exact mode costs about terms x (2k x largest bit length of phi)^2 big-int
+# work; at 4e11 one call took 0.3-1 s across (n, q) up to (8, 4) on a 2-CPU host.
+EXACT_WORK_MAX = 4 * 10**11
 
 
 @dataclass(frozen=True)
@@ -99,32 +103,79 @@ def _log_terms(n, q):
     )
 
 
+@lru_cache(maxsize=None)
+def _phi_bits(n, q):
+    """(number of spectral terms, largest bit length of any phi)."""
+    terms = _spectral_terms(n, q)
+    bits = max(
+        (max(phi.numerator.bit_length(), phi.denominator.bit_length()) for phi, _, _ in terms),
+        default=0,
+    )
+    return len(terms), bits
+
+
+def _exact_work(n, q, ks):
+    """Estimated big-integer work of the exact spectral sums at every k in
+    ks, known before any power is taken: per k, terms x size^2, with size =
+    2k x the largest bit length of any phi."""
+    count, bits = _phi_bits(n, q)
+    return count * sum((2 * k * bits) ** 2 for k in ks)
+
+
+def resolve_mode(n, q, ks, mode="auto"):
+    """The mode of upper_bound_tv at every k in ks.
+
+    "auto" is exact for n <= EXACT_MODE_MAX_N while the exact work over all
+    of ks stays within EXACT_WORK_MAX (about 1 s), and logfloat otherwise.
+    An explicit "exact" beyond that work raises ExactArithmeticTooLargeError.
+    """
+    if mode == "auto":
+        fits = n <= EXACT_MODE_MAX_N and _exact_work(n, q, ks) <= EXACT_WORK_MAX
+        return "exact" if fits else "logfloat"
+    if mode == "exact":
+        work = _exact_work(n, q, ks)
+        if work > EXACT_WORK_MAX:
+            raise ExactArithmeticTooLargeError(
+                f"exact bound at n={n} q={q} up to k={max(ks)} needs about {work:.1e} "
+                f"units of big-integer work, beyond {EXACT_WORK_MAX:.0e}; use --logfloat"
+            )
+    return mode
+
+
+def _positive_float(value):
+    """A positive bound that underflows below the smallest normal float is
+    reported as that float: it still bounds the true value from above."""
+    return max(value, sys.float_info.min)
+
+
 def upper_bound_tv(n, q, k, mode="auto") -> BoundValue:
     """Spectral upper bound on TV distance after k steps.
 
     mode "exact" keeps the squared bound as one Fraction (default for
-    n <= 8); "logfloat" accumulates term logs in float (relative error
-    below 1e-9 against exact mode, tested for n <= 8 at q = 2 and n <= 6 at
-    q = 3), needed once dimensions reach q^Theta(n^2).  The logs of the
-    weights and of |phi| are computed once per (n, q) and reused for every k.
+    n <= 8 within the work cap, see resolve_mode); "logfloat" accumulates
+    term logs in float (relative error below 1e-9 against exact mode,
+    tested for n <= 8 at q = 2 and n <= 6 at q = 3), needed once
+    dimensions reach q^Theta(n^2).  The logs of the weights and of |phi| are
+    computed once per (n, q) and reused for every k.  A positive bound never
+    reads below sys.float_info.min.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if mode == "auto":
-        mode = "exact" if n <= EXACT_MODE_MAX_N else "logfloat"
+    mode = resolve_mode(n, q, (k,), mode)
     if mode == "exact":
         sq = Fraction(0)
         for phi, mult, cnt in _spectral_terms(n, q):
             sq += Fraction(cnt * mult) * phi ** (2 * k)
         sq /= 4
-        return BoundValue(math.sqrt(sq), sq, "exact")
+        value = math.sqrt(sq)
+        return BoundValue(_positive_float(value) if sq else value, sq, "exact")
     logs = [weight + 2 * k * log_phi for weight, log_phi in _log_terms(n, q)]
     if not logs:
         return BoundValue(0.0, None, "logfloat")
     top = max(logs)
     acc = sum(math.exp(lg - top) for lg in logs)
     log_sq = top + math.log(acc) - math.log(4)
-    return BoundValue(math.exp(log_sq / 2), None, "logfloat")
+    return BoundValue(_positive_float(math.exp(log_sq / 2)), None, "logfloat")
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from . import verify as verify_mod
 from . import walk as walk_mod
 from .errors import (
     EnumerationTooLargeError,
+    ExactArithmeticTooLargeError,
     FieldTooLargeError,
     StateSpaceTooLargeError,
 )
@@ -115,6 +116,7 @@ def cmd_bounds(args):
     field = _resolve_field_args(args)
     n, q = args.n, field.q
     ks = _parse_range(args.k_range)
+    mode = bounds_mod.resolve_mode(n, q, ks, args.mode)
     tv_exact = {}
     if args.with_exact:
         chain = walk_mod.exact_form_chain(n, field, cap=args.state_cap)
@@ -122,7 +124,7 @@ def cmd_bounds(args):
             tv_exact[k] = tv_full
     rows = []
     for k in ks:
-        bv = bounds_mod.upper_bound_tv(n, q, k, args.mode)
+        bv = bounds_mod.upper_bound_tv(n, q, k, mode)
         c = n - k
         lower = bounds_mod.lower_bound_tv(n, q, c) if 0 <= c <= n else ""
         rows.append(
@@ -270,7 +272,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (StateSpaceTooLargeError, EnumerationTooLargeError, FieldTooLargeError) as exc:
+    except (
+        StateSpaceTooLargeError,
+        EnumerationTooLargeError,
+        ExactArithmeticTooLargeError,
+        FieldTooLargeError,
+    ) as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return EXIT_RESOURCE
     except (ValueError, OSError) as exc:

@@ -233,6 +233,16 @@ def _assignment_count(mset, n_orbits):
 
 
 @lru_cache(maxsize=None)
+def _weighted_multisets(total, n_orbits):
+    """(multiset, assignment count) for each partition multiset of the given
+    total weight that fits on n_orbits orbits, in _partition_multisets order."""
+    return tuple(
+        (mset, _assignment_count(mset, n_orbits))
+        for mset in _partition_multisets(total, n_orbits)
+    )
+
+
+@lru_cache(maxsize=None)
 def _enumerate_types(n, q, removed):
     """Types of weight n with `removed` degree-1 orbits taken out.
 
@@ -247,13 +257,12 @@ def _enumerate_types(n, q, removed):
         if remaining == 0:
             results.append((PartitionFn(tuple(sorted(acc_entries))), acc_count))
             return
-        if d > n:
+        if d > remaining:  # no degree from d on fits the remaining weight
             return
         n_orb = n_orbs[d - 1]
         rec(d + 1, remaining, acc_entries, acc_count)
         for used in range(1, remaining // d + 1):
-            for mset in _partition_multisets(used, n_orb):
-                ways = _assignment_count(mset, n_orb)
+            for mset, ways in _weighted_multisets(used, n_orb):
                 entries = acc_entries + [(d, lam) for lam in mset]
                 rec(d + 1, remaining - d * used, entries, acc_count * ways)
 
@@ -297,6 +306,7 @@ def enumerate_anchored_fns(n, q):
 # Group orders, class sizes, dimensions
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def gl_order(n, q):
     """|GL_n(F_q)| = prod_{i=0}^{n-1} (q^n - q^i)."""
     out = 1
@@ -313,6 +323,7 @@ def sp_order(n, q):
     return out
 
 
+@lru_cache(maxsize=None)
 def psi_factor(n, q):
     """psi_n(q) = prod_{i=1}^n (q^i - 1)."""
     out = 1
@@ -321,23 +332,36 @@ def psi_factor(n, q):
     return out
 
 
+@lru_cache(maxsize=None)
+def _centralizer_factor(d, lam, q):
+    """(numerator, denominator) of one entry's factor of a_mu:
+    q_f^(2 n(lam)) prod_i prod_{j<=m_i} (q_f^j - 1) over prod q_f^j."""
+    qf = q ** d
+    num = qf ** (2 * n_stat(lam))
+    den = 1
+    for m_i in multiplicities(lam).values():
+        for j in range(1, m_i + 1):
+            qfj = qf ** j
+            num *= qfj - 1
+            den *= qfj
+    return num, den
+
+
 def a_mu(mu: PartitionFn, q) -> Fraction:
     """Centralizer order of the class labeled mu in GL_n(F_q).
 
     a_mu(q) = q^n prod_f q_f^(2 n(mu(f))) prod_i prod_{j<=m_i} (1 - q_f^-j)
     with an integer numerator and denominator and one reduction; the result
-    is provably an integer and consumers check that.
+    is provably an integer and consumers check that.  Each entry's
+    (numerator, denominator) is cached per (degree, partition, q); the
+    product and its reduction are formed per label.
     """
     num = q ** mu.weight
     den = 1
     for d, lam in mu.entries:
-        qf = q ** d
-        num *= qf ** (2 * n_stat(lam))
-        for m_i in multiplicities(lam).values():
-            for j in range(1, m_i + 1):
-                qfj = qf ** j
-                num *= qfj - 1
-                den *= qfj
+        f_num, f_den = _centralizer_factor(d, lam, q)
+        num *= f_num
+        den *= f_den
     return Fraction(num, den)
 
 
@@ -360,19 +384,28 @@ def class_size_qsq(mu: PartitionFn, q) -> int:
     return class_size(mu, q * q)
 
 
+@lru_cache(maxsize=None)
+def _dim_factor(d, part, q):
+    """(q_phi^(n(part')), H_part(q_phi)) for one entry, q_phi = q^d."""
+    qphi = q ** d
+    return qphi ** n_stat(conjugate(part)), hook_poly(part, qphi)
+
+
 def dim_irrep(lam: PartitionFn, q) -> int:
     """Dimension of the irreducible character labeled lam.
 
     d_lam = psi_N(q) prod_phi q_phi^(n(lam(phi)')) / H_(lam(phi))(q_phi)
     with N the weight, q_phi = q^deg(phi), H the hook polynomial; one
-    divmod of an integer numerator by an integer denominator, checked exact.
+    divmod of an integer numerator by an integer denominator, checked exact
+    for every label.  Each entry's (numerator, denominator) pair is cached
+    per (degree, partition, q).
     """
     num = psi_factor(lam.weight, q)
     den = 1
     for d, part in lam.entries:
-        qphi = q ** d
-        num *= qphi ** n_stat(conjugate(part))
-        den *= hook_poly(part, qphi)
+        f_num, f_den = _dim_factor(d, part, q)
+        num *= f_num
+        den *= f_den
     dim, rem = divmod(num, den)
     if rem:
         raise NonIntegerResultError(f"dimension not integral for {lam} at q={q}")

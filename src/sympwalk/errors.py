@@ -45,6 +45,10 @@ class EnumerationTooLargeError(SympwalkError):
     """Requested enumeration exceeds the configured cap."""
 
 
+class ExactArithmeticTooLargeError(SympwalkError):
+    """Exact rational arithmetic would exceed the configured work cap."""
+
+
 class StateSpaceTooLargeError(SympwalkError):
     """A chain's work or state space exceeds the configured cap."""
 

@@ -13,6 +13,12 @@ Two independent evaluation routes are provided and must agree exactly:
   (the classical transvection-walk eigenvalue), pushed through the affine
   relation T = aS + bI between the two walks.
 
+phi depends only on the label's degree-1 partitions.  The local route,
+the production path, is memoised: each partition's removal sum per
+(partition, q), and phi per (degree-1 partitions, n, q).  The global route
+and the lift route recompute everything on every call; they are the
+oracles the local route is checked against.
+
 All arithmetic is exact (Fraction); signs are carried, never stripped.
 """
 
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .combinat import (
     PartitionFn,
@@ -131,39 +138,68 @@ def _term_local(part, corner, reduced, q) -> Fraction:
     ri, rj = corner
     conj_full = conjugate(part)  # the leg of box (i, j) is conj[j - 1] - i
     conj_red = conjugate(reduced)
-    out = Fraction(1)
+    num, den = 1, q ** (rj - 1)
     for i in range(1, ri):  # column above the corner
         e_full = part[i - 1] - rj + 2 * (conj_full[rj - 1] - i) + 2
         e_red = reduced[i - 1] - rj + 2 * (conj_red[rj - 1] - i) + 2
-        out *= Fraction(1 - q ** e_full, 1 - q ** e_red)
+        num *= 1 - q ** e_full
+        den *= 1 - q ** e_red
     for j in range(1, rj):  # row left of the corner
         e_full = part[ri - 1] - j + 2 * (conj_full[j - 1] - ri) + 1
         e_red = reduced[ri - 1] - j + 2 * (conj_red[j - 1] - ri) + 1
-        out *= Fraction(1 - q ** e_full, 1 - q ** e_red)
-    return out * Fraction(q) ** (1 - rj)
+        num *= 1 - q ** e_full
+        den *= 1 - q ** e_red
+    return Fraction(num, den)
 
 
-def eigenvalue_phi(lam_fn: PartitionFn, n, q, method="local") -> Fraction:
-    """Walk eigenvalue phi for the label lam_fn of weight n.
-
-    method="local" uses the row/column product; method="global" the
-    c'/psi' ratio.  The two are algebraically equal and tested as such.
-    For n = 1 every transvection of GL_2 is symplectic, the walk is
-    trivial, and the only label is the trivial one with eigenvalue 1.
-    """
-    check_weight(lam_fn, n)
-    if n == 1:
-        return Fraction(1)
-    term_fn = {"local": _term_local, "global": _term_global}[method]
+@lru_cache(maxsize=None)
+def _removal_sum_local(part, q) -> Fraction:
+    """Sum of _term_local over the removable corners of one partition."""
     total = Fraction(0)
-    for _, part, corner, reduced in _degree_one_removals(lam_fn):
-        total += term_fn(part, corner, reduced, q)
+    for corner in removable_corners(part):
+        total += _term_local(part, corner, remove_corner(part, corner), q)
+    return total
+
+
+def _phi_from_removal_sum(total, n, q) -> Fraction:
     const = Fraction(q ** (2 * n) - 1, q ** (2 * n - 2) * (q * q - 1))
     pref = Fraction(
         q ** (2 * n - 2) * (q * q - 1),
         (q ** (2 * n) - 1) * (q ** (2 * n - 2) - 1),
     )
     return pref * (total - const)
+
+
+@lru_cache(maxsize=None)
+def _phi_local(degree_one_parts, n, q) -> Fraction:
+    """phi of every label whose degree-1 partitions are degree_one_parts."""
+    total = Fraction(0)
+    for part in degree_one_parts:
+        total += _removal_sum_local(part, q)
+    return _phi_from_removal_sum(total, n, q)
+
+
+def eigenvalue_phi(lam_fn: PartitionFn, n, q, method="local") -> Fraction:
+    """Walk eigenvalue phi for the label lam_fn of weight n.
+
+    method="local" uses the row/column product; method="global" the
+    c'/psi' ratio.  The two are algebraically equal and tested as such;
+    only the local route is memoised (see the module docstring).  For
+    n = 1 every transvection of GL_2 is symplectic, the walk is trivial,
+    and the only label is the trivial one with eigenvalue 1.
+    """
+    check_weight(lam_fn, n)
+    if n == 1:
+        return Fraction(1)
+    if method == "local":
+        parts = tuple(part for d, part in lam_fn.entries if d == 1)
+        return _phi_local(parts, n, q)
+    if method != "global":
+        raise ValueError(f"unknown eigenvalue method {method!r}")
+    total = Fraction(0)
+    for _, part, corner, reduced in _degree_one_removals(lam_fn):
+        total += _term_global(part, corner, reduced, q)
+    return _phi_from_removal_sum(total, n, q)
 
 
 # ---------------------------------------------------------------------------

@@ -21,3 +21,15 @@ def chain32():
 @pytest.fixture(scope="session")
 def chain24():
     return exact_form_chain(2, 4)
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty every lru cache of the label, eigenvalue and bound modules, so a
+    test sees the memoised path filled from scratch whatever ran before."""
+    from sympwalk import bounds, combinat, spectral
+
+    for module in (combinat, spectral, bounds):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()

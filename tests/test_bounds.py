@@ -1,25 +1,33 @@
+import hashlib
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 from sympwalk.bounds import (
+    EXACT_WORK_MAX,
+    _exact_work,
+    _fixed_space_masses,
     _spectral_terms,
     fixed_space_tail_check,
     lower_bound_raw,
     lower_bound_tv,
     negative_mass_bound,
     ratio_constant_check,
+    resolve_mode,
     support_fraction,
     upper_bound_tv,
 )
 from sympwalk.combinat import (
+    class_size,
     class_size_qsq,
     enumerate_anchored_fns,
     enumerate_partition_fns,
     gl_order,
     sp_order,
 )
+from sympwalk.errors import ExactArithmeticTooLargeError
 
 
 def test_upper_bound_squared_formula_2_2():
@@ -157,3 +165,56 @@ def test_auto_mode_switch():
 def test_bound_curve_structure():
     values = [upper_bound_tv(2, 2, k).value for k in range(1, 6)]
     assert all(b > a for a, b in zip(values[1:], values))
+
+
+# sha256 of the repr of every memoised bound ingredient, recorded before the
+# per-entry factors were cached
+MEMO_DIGESTS = {
+    (10, 3): "e6f801fb621931f6c639f60b3841eef93f05f08660e0d498647b4448e204a3f5",
+    (12, 2): "798c141415e455035219c6590e591b6d19b443419a90338caec061c8563d65bb",
+    (8, 4): "5c7a0c63e6d90dc0535f8020168e29b95b3f7f88f80c052244fb95e4d969fb2e",
+}
+
+
+def _memo_digest(n, q):
+    values = (
+        _spectral_terms(n, q),
+        _fixed_space_masses(n, q, class_size_qsq),
+        _fixed_space_masses(n, q, class_size),
+        enumerate_partition_fns(n, q),
+    )
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n, q", sorted(MEMO_DIGESTS))
+def test_memoised_terms_and_masses_are_pinned(cold_caches, n, q):
+    assert _memo_digest(n, q) == MEMO_DIGESTS[n, q]  # caches filled here
+    assert _memo_digest(n, q) == MEMO_DIGESTS[n, q]  # and read back warm
+
+
+def test_auto_mode_falls_back_to_logfloat_beyond_the_work_cap():
+    with pytest.raises(ExactArithmeticTooLargeError):
+        upper_bound_tv(8, 2, 10**5, "exact")
+    assert upper_bound_tv(8, 2, 10**5).mode == "logfloat"
+    assert upper_bound_tv(3, 2, 10**6).mode == "logfloat"
+    # the cap covers a whole range of k, each of which alone would fit
+    assert resolve_mode(8, 2, [1000]) == "exact"
+    assert resolve_mode(8, 2, range(1, 1001)) == "logfloat"
+    with pytest.raises(ExactArithmeticTooLargeError):
+        resolve_mode(8, 2, range(1, 1001), "exact")
+
+
+def test_exact_mode_admits_every_small_k():
+    # the tests, verify and the benchmark's chain check use k <= 2n + 2 <= 18
+    for n, q in ((8, 2), (6, 3), (8, 3), (4, 5)):
+        assert _exact_work(n, q, range(1, 19)) <= EXACT_WORK_MAX
+        assert resolve_mode(n, q, range(1, 19)) == "exact"
+
+
+@pytest.mark.parametrize("mode", ["exact", "logfloat"])
+def test_positive_bound_never_reads_zero(mode):
+    # at (2, 2) the squared bound is 20 (1/15)^(2k)/4 + 7 (1/3)^(2k)/4
+    bound = upper_bound_tv(2, 2, 700, mode)
+    assert bound.value == sys.float_info.min
+    if mode == "exact":
+        assert 0 < bound.squared < Fraction(sys.float_info.min) ** 2

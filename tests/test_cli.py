@@ -3,6 +3,9 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -202,6 +205,47 @@ def test_enumeration_cap_exit_code(capsys):
         assert err == "resource cap: n=15 beyond enumeration cap 14\n"
 
 
+def test_exact_bound_beyond_work_cap_is_resource_cap(capsys):
+    t0 = time.perf_counter()
+    code = main(["bounds", "--n", "3", "--q", "2", "--k-range", "1000000..1000000", "--exact"])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - t0 < 1
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("resource cap:")
+
+
+def test_long_auto_range_falls_back_to_logfloat_at_once(capsys):
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, "bounds", "--n", "8", "--q", "2", "--k-range", "1..3000")
+    assert time.perf_counter() - t0 < 5
+    assert code == 0
+    assert {r["mode"] for r in csv.DictReader(io.StringIO(out))} == {"logfloat"}
+
+
+def test_tiny_upper_bound_prints_smallest_normal_float(capsys):
+    # the logfloat bound at (10, 3) underflows from k = 332 on
+    code, out = run_cli(capsys, "bounds", "--n", "10", "--q", "3", "--k-range", "330..360")
+    assert code == 0
+    uppers = [float(r["tv_upper"]) for r in csv.DictReader(io.StringIO(out))]
+    assert len(uppers) == 31
+    assert all(u >= sys.float_info.min for u in uppers)
+    assert uppers[-1] == sys.float_info.min
+    assert all(b <= a for a, b in zip(uppers, uppers[1:]))
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["spectrum", "--n", "2", "--q", "2"]
+    _, want = run_cli(capsys, *argv)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sympwalk", *argv], capture_output=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want.encode()  # bytes: the CSV rows end in \r\n
+
+
 def test_verify_default_run_passes(capsys):
     code, out = run_cli(capsys, "verify", "--max-n", "3", "--trials", "5000")
     assert code == 0
@@ -224,6 +268,8 @@ def test_verify_default_run_passes(capsys):
         ["spectrum", "--n", "-1"],
         ["bounds", "--n", "0", "--k-range", "1..2"],
         ["bounds", "--n", "-1", "--k-range", "1..2"],
+        ["verify", "--max-n", "1", "--suite", "spectral"],
+        ["verify", "--max-n", "0", "--suite", "bounds"],
     ],
 )
 def test_bad_counts_are_usage_errors(capsys, argv):

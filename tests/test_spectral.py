@@ -103,14 +103,30 @@ def test_char_ratio_trivial_is_one():
         assert char_ratio_transvection(lam, 2 * n, q) == 1
 
 
-@pytest.mark.parametrize("q", [2, 3])
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "n, q", [(n, q) for n in (2, 3, 4, 5) for q in (2, 3)] + [(n, q) for n in (2, 3, 4) for q in (4, 5)]
+)
 def test_dual_path_equality(n, q):
     for fn, _ in enumerate_partition_fns(n, q):
         local = eigenvalue_phi(fn, n, q, method="local")
         ratio_form = eigenvalue_phi(fn, n, q, method="global")
         lift = eigenvalue_via_lift(fn, n, q)
         assert local == ratio_form == lift
+
+
+@pytest.mark.parametrize("n, q", [(4, 3), (3, 4)])
+def test_local_route_warm_cache_matches_cold(cold_caches, n, q):
+    labels = [fn for fn, _ in enumerate_partition_fns(n, q)]
+    cold = [eigenvalue_phi(fn, n, q, method="local") for fn in labels]
+    oracle = [eigenvalue_phi(fn, n, q, method="global") for fn in labels]
+    warm = [eigenvalue_phi(fn, n, q, method="local") for fn in labels]
+    assert cold == oracle == warm
+    assert all(type(phi) is Fraction for phi in warm)
+
+
+def test_unknown_eigenvalue_method_is_rejected():
+    with pytest.raises(ValueError):
+        eigenvalue_phi(ROW2, 2, 2, method="lift")
 
 
 @pytest.mark.parametrize("q", [2, 3])
