@@ -1,11 +1,12 @@
 """Vectorized prime-field kernels for chains, simulation and classification.
 
 One rule: states cross the module boundary as (B, N, N) uint8 Grams over
-F_p, so q <= 256, and every kernel computes lanes last, (N, N, B), in
+F_p, so p <= 256, and every kernel computes lanes last, (N, N, B), in
 int32, reduced with _mod, under a bound it checks before it allocates
-(_check_int32).  No floating point.  Not kernels: distinct_states labels
-states in int64 (batches below 2^31), and the brute-force oracle,
-transvection_images, keeps int64 rows.
+(_check_int32).  No floating point.  A matrix over F_q, q = p^k, comes
+realified: each entry c becomes the k x k block over F_p of multiplication
+by c, and ranks are k times those over F_q.  Not kernels: distinct_states labels states in int64 (batches below
+2^31), and the brute-force oracle, transvection_images, keeps int64 rows.
 """
 
 from __future__ import annotations
@@ -80,27 +81,35 @@ def two_planes(N, q):
     return np.concatenate(a_parts), np.concatenate(b_parts)
 
 
-def plane_images(w, a, b, p):
-    """The distinct congruence images t^T w t != w of one alternating Gram w.
+def plane_images(w, a, b, units, p):
+    """The distinct congruence images t^T w t != w of one alternating Gram w,
+    every matrix realified over F_p (see above).
 
-    A transvection that moves w adds a nonzero multiple of x y^T - y x^T
-    (rank2_image), where x, y span a 2-plane isotropic for w^-1, and each
-    (plane, multiple) pair comes from exactly p(p+1) transvections.  The
-    planes isotropic for w^-1 are the images under w^T of the planes
-    isotropic for w, so the images are w + lam (x y^T - y x^T) for
-    x = w^T a, y = w^T b over the planes (a, b) of two_planes with
-    a^T w b = 0 and lam = 1..p-1, all distinct.  Returns them as a
-    (P (p-1), N, N) uint8 array.
+    A transvection that moves w adds a nonzero multiple of x y^T - y x^T,
+    where x, y span a 2-plane isotropic for w^-1, and each (plane, multiple)
+    pair comes from exactly q(q+1) transvections.  The planes isotropic for
+    w^-1 are the images under w^T of the planes isotropic for w, so the
+    images are w + x lam y^T - y lam x^T for x^T = a^T w, y^T = b^T w over
+    the planes (a, b) of two_planes with a^T w b = 0 and the q - 1 units
+    lam, all distinct.  a and b are (P, k, Nk), units (q - 1, k, k), and
+    y lam x^T is x lam y^T with its blocks, not their entries, transposed.
+    Returns the images as a (P' (q-1), Nk, Nk) uint8 array, unit-major.
     """
-    N = len(w)
-    _check_int32(N, p, "plane images")
+    Nk = len(w)
+    P, k, _ = a.shape
+    N = Nk // k
+    _check_int32(Nk, p, "plane images")
     w = w.astype(np.int32)
-    aw = _mod(a @ w, p)
-    iso = _mod(np.einsum("ij,ij->i", aw, b), p) == 0
-    x, y = aw[iso].T, _mod(b[iso] @ w, p).T
-    lam_x = _mod(np.arange(1, p, dtype=np.int32)[:, None] * x[:, None], p)  # (N, p - 1, planes)
-    imgs = rank2_image(w[:, :, None, None], lam_x, y[:, None], p)
-    return np.ascontiguousarray(imgs.reshape(N, N, -1).transpose(2, 0, 1), dtype=np.uint8)
+    xt = _mod(a.reshape(-1, Nk) @ w, p).reshape(P, k, Nk)
+    b_digits = b.reshape(P, k, N, k)[..., 0].transpose(0, 2, 1).reshape(P, Nk)  # column 0 of b's blocks
+    iso = ~_mod(np.einsum("pin,pn->pi", xt, b_digits), p).any(axis=1)
+    x = xt[iso].reshape(-1, k, N, k).transpose(0, 2, 1, 3).reshape(-1, Nk, k)  # x^T's blocks stacked
+    yt = _mod(b[iso].reshape(-1, Nk) @ w, p).reshape(-1, k, Nk)
+    lam_yt = _mod(np.einsum("lij,pjn->lpin", units, yt), p)
+    d = sum((x[:, :, j, None] * lam_yt[:, :, j, None] for j in range(1, k)),
+            x[:, :, 0, None] * lam_yt[:, :, 0, None]).reshape(-1, N, k, N, k)
+    d = d - d.transpose(0, 3, 2, 1, 4) + w.reshape(N, k, N, k)
+    return _mod(d, p).reshape(-1, Nk, Nk).astype(np.uint8)
 
 
 def j_inv_times(grams, p):
@@ -254,16 +263,28 @@ def batched_charpoly(x, p):
     return v
 
 
-def batched_matpoly(x, coeffs_desc, p):
-    """f(X) mod p at every X of the lanes-last (N, N, B) batch, for f of
-    degree >= 1 (descending residues), by Horner's rule."""
-    N = len(x)
-    _check_int32(N, p, "polynomial evaluation")
-    diag = np.arange(N)
-    acc = coeffs_desc[0] * x
-    for i, c in enumerate(coeffs_desc[1:]):
+def batched_matpoly(x, coeff_blocks, p):
+    """f(X) mod p at every realified X of the lanes-last (Nk, Nk, B) batch,
+    for f of degree >= 1, by Horner's rule.  coeff_blocks, (deg f + 1, k, k),
+    holds the multiplication blocks of f's coefficients, highest degree
+    first; each is added on the block diagonal."""
+    Nk = len(x)
+    _check_int32(Nk, p, "polynomial evaluation")
+    k = coeff_blocks.shape[1]
+    rows, cols = _block_diagonal(Nk, k)
+    lead, x_rows = coeff_blocks[0], x.reshape(-1, k, *x.shape[1:])
+    acc = sum((lead[:, j, None, None] * x_rows[:, j, None] for j in range(1, k)),
+              lead[:, 0, None, None] * x_rows[:, 0, None]).reshape(x.shape)  # the leading block times X
+    for i, c in enumerate(coeff_blocks[1:]):
         if i:
             acc = batched_matmul(acc, x, p)
-        acc[diag, diag] += c
+        acc[rows, cols] += c[:, :, None]
         _mod(acc, p)
     return acc
+
+
+@lru_cache(maxsize=None)
+def _block_diagonal(Nk, k):
+    """Row and column indices, (Nk / k, k, k) each, of the k x k diagonal blocks."""
+    first = np.arange(0, Nk, k)[:, None, None]
+    return first + np.arange(k)[:, None], first + np.arange(k)

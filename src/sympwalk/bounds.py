@@ -133,13 +133,19 @@ def resolve_mode(n, q, ks, mode="auto"):
         fits = n <= EXACT_MODE_MAX_N and _exact_work(n, q, ks) <= EXACT_WORK_MAX
         return "exact" if fits else "logfloat"
     if mode == "exact":
-        work = _exact_work(n, q, ks)
-        if work > EXACT_WORK_MAX:
-            raise ExactArithmeticTooLargeError(
-                f"exact bound at n={n} q={q} up to k={max(ks)} needs about {work:.1e} "
-                f"units of big-integer work, beyond {EXACT_WORK_MAX:.0e}; use --logfloat"
-            )
+        _check_exact_work(n, q, ks, "exact bound without --logfloat")
     return mode
+
+
+def _check_exact_work(n, q, ks, what):
+    """Raise ExactArithmeticTooLargeError, before any power is taken, if the
+    exact spectral sums at every k in ks exceed EXACT_WORK_MAX."""
+    work = _exact_work(n, q, ks)
+    if work > EXACT_WORK_MAX:
+        raise ExactArithmeticTooLargeError(
+            f"{what} at n={n} q={q} up to k={max(ks)} needs about {work:.1e} "
+            f"units of big-integer work, beyond {EXACT_WORK_MAX:.0e}"
+        )
 
 
 def _positive_float(value):
@@ -252,9 +258,11 @@ def ratio_constant_check(n, q):
 
 def negative_mass_bound(n, q, k):
     """Crude bound q^(2n^2) (q^(2n-2) - 1)^(-2k) on the negative-eigenvalue
-    part of the spectral sum, plus the exact negative partial sum."""
+    part of the spectral sum, plus the exact negative partial sum.  Its work
+    is capped as upper_bound_tv's exact mode is."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    _check_exact_work(n, q, (k,), "negative mass bound")
     crude = Fraction(q ** (2 * n * n), (q ** (2 * n - 2) - 1) ** (2 * k))
     exact = Fraction(0)
     for phi, mult, cnt in _spectral_terms(n, q):

@@ -270,6 +270,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact rationals print in full: lift the int-to-str digit limit of
+    # Python 3.10.7 on (0 means none) for this call only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (
@@ -283,6 +288,9 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

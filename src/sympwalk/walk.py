@@ -13,10 +13,13 @@ label mu of weight n.
 Exact chains are built on the lumps, the double cosets, and never on the
 full form space: each lumped row is read off the distinct images of one
 representative form, listed from the 2-planes isotropic for it, so the
-work grows with the number of lumps, not of forms.  They give exact
-rational transition matrices, stationary distributions and total-variation
-curves.  A brute-force oracle that enumerates every form under the
-congruences by every transvection checks the TV curves on small spaces.
+work grows with the number of lumps, not of forms.  Over F_(p^k) the
+states are realified over F_p, so every field takes the batched
+prime-field path; the pure-Python _classify_X stays as its oracle.  They
+give exact rational transition matrices, stationary distributions and
+total-variation curves.  A brute-force oracle that enumerates every form
+under the congruences by every transvection checks the TV curves on small
+spaces.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,9 +75,29 @@ def _resolve_field(field_or_q):
 
 
 def _check_byte_codes(field):
-    """Batched states and state keys hold one byte per field code."""
+    """Batched states hold one byte per entry; fields stay within q <= 256."""
     if field.q > 256:
         raise StateSpaceTooLargeError(f"states are stored as uint8; q = {field.q} exceeds 256")
+
+
+@lru_cache(maxsize=None)
+def _mul_blocks(field):
+    """(q, k, k) int32, read-only: the matrix over F_p of multiplication by
+    each code c of F_q, q = p^k; column j holds the digits of c theta^j."""
+    powers = [field.p ** j for j in range(field.k)]
+    digits = [[field.decode(field.mul(c, t)) for t in powers] for c in range(field.q)]
+    blocks = np.ascontiguousarray(np.array(digits, dtype=np.int32).transpose(0, 2, 1))
+    blocks.flags.writeable = False
+    return blocks
+
+
+def _realify(codes, field):
+    """A (..., R, C) array of F_q codes over F_p, each entry c replaced by its
+    k x k multiplication block: (..., R k, C k) int32.  The identity at k = 1.
+    It is a ring map, but it does not commute with transposing."""
+    blocks = _mul_blocks(field)[np.asarray(codes)]
+    *lead, R, C, k, _ = blocks.shape
+    return blocks.swapaxes(-3, -2).reshape(*lead, R * k, C * k)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +180,7 @@ def _classify_X(X):
 
 
 def _classify_states_batched(states_np, n, field):
-    """Complete keys and types for a packed state array, vectorized.
+    """Complete keys and types for a batch of realified states, vectorized.
 
     Same outputs as _classify_X state by state.  The states are taken in
     slices of CLASSIFY_LANES, so the stacked f(X)^j arrays stay bounded
@@ -174,7 +198,7 @@ def _classify_states_batched(states_np, n, field):
     for start in range(0, len(states_np), CLASSIFY_LANES):
         states = states_np[start:start + CLASSIFY_LANES]
         groups, jobs, fx = _factor_jobs(states, field, factored)
-        ranks = iter(_rank_sequences(fx, jobs, field.p))
+        ranks = iter(_rank_sequences(fx, jobs, field))
         lane_label = [None] * len(states)
         for cp, idxs in groups.items():
             factors = factored[cp]
@@ -189,13 +213,15 @@ def _classify_states_batched(states_np, n, field):
 
 
 def _factor_jobs(states, field, factored):
-    """Group the states by the characteristic polynomial of X = J^-1 w and
-    factor each polynomial not yet in factored.  Returns the groups
-    (polynomial -> lanes), one job (lanes, m, floor = N - deg(f) m) per
-    factor f of multiplicity m of each group, in order, and f(X) of every
-    job, stacked lanes last."""
-    p = field.p
-    N = states.shape[1]
+    """Group the states by the characteristic polynomial over F_p of the
+    realified X = J^-1 w, the norm of X's own polynomial over F_q, and
+    factor each polynomial not yet in factored over F_q: every factor of
+    X's polynomial is among its factors.  Returns the groups (polynomial ->
+    lanes), one job (lanes, m, floor = N - deg(f) m) per factor f of
+    multiplicity m in the norm of each group, in order, and the realified
+    f(X) of every job, stacked lanes last."""
+    p, k = field.p, field.k
+    N = states.shape[1] // k
     x = _engine.j_inv_times(states, p)
     groups = {}
     for i, cp in enumerate(_engine.batched_charpoly(x, p).T.tolist()):
@@ -206,28 +232,32 @@ def _factor_jobs(states, field, factored):
             factored[cp] = factor_poly(PolyFq(field, list(reversed(cp))))
         x_group = x[:, :, idxs]
         for f, mult in factored[cp]:
-            fx.append(_engine.batched_matpoly(x_group, list(reversed(f.coeffs)), p))
+            fx.append(_engine.batched_matpoly(x_group, _mul_blocks(field)[list(reversed(f.coeffs))], p))
             jobs.append((len(idxs), mult, N - f.degree * mult))
     return groups, jobs, np.concatenate(fx, axis=2)
 
 
-def _rank_sequences(fx, jobs, p):
-    """rank f(X)^j, j = 1..m, as a (lanes, m) array for each job
-    (lanes, m, floor) of the stacked f(X), with one batched_rank call per
-    power j over every job still pending.  A job stops once all its lanes
-    are at the floor N - deg(f) m: rank f(X)^j reaches it at the largest
-    block size and stays there."""
+def _rank_sequences(fx, jobs, field):
+    """rank f(X)^j over F_q, j = 1..m, as a (lanes, m) array for each job
+    (lanes, m, floor) of the stacked realified f(X), whose rank over F_p is
+    k times it, with one batched_rank call per power j over every job still
+    pending.  A job stops once all its lanes are at the floor N - deg(f) m
+    or none changed rank from the previous power (r_0 = N): from there on
+    rank f(X)^j stays put."""
+    p, k = field.p, field.k
+    N = len(fx) // k
     sizes = np.array([lanes for lanes, _, _ in jobs])
     ranks = [[] for _ in jobs]
     pending = np.arange(len(jobs))
     powers = fx  # f(X)^j of the pending jobs, stacked
     while len(pending):
-        rank_j = _engine.batched_rank(powers.copy(), p)
+        rank_j = _engine.batched_rank(powers.copy(), p) // k
         going = np.zeros(len(jobs), dtype=bool)
         for t, rank in zip(pending, np.split(rank_j, np.cumsum(sizes[pending])[:-1])):
             _, mult, floor = jobs[t]
+            stalled = (rank == (ranks[t][-1] if ranks[t] else N)).all()
             ranks[t].append(rank)
-            if (rank == floor).all():
+            if stalled or (rank == floor).all():
                 ranks[t].extend([rank] * (mult - len(ranks[t])))
             elif len(ranks[t]) < mult:
                 going[t] = True
@@ -240,15 +270,19 @@ def _rank_sequences(fx, jobs, p):
 
 
 def _label_from_ranks(factors, seq, N):
-    """(complete key, type) from the rank sequences of all factors, in order."""
+    """(complete key, type) from the rank sequences of all factors of the
+    norm, in order.  A factor not dividing X's own polynomial gets the
+    empty partition and drops out of the key."""
     pairs = []
     at = 0
     for f, mult in factors:
         lam = partition_from_rank_sequence([N, *seq[at:at + mult]], f.degree)
-        if sum(lam) != mult:
-            raise InternalError("batched partition weight mismatch")
+        if sum(lam) > mult:
+            raise InternalError("batched partition weight exceeds the factor multiplicity")
         pairs.append((f, lam))
         at += mult
+    if sum(f.degree * sum(lam) for f, lam in pairs) != N:
+        raise InternalError("batched partition weight mismatch")
     return _key_type_from_pairs(pairs)
 
 
@@ -500,92 +534,6 @@ def _vec_times_matrix(vec, matrix):
     return out
 
 
-class _Moves:
-    """The distinct moves w -> t^T w t != w of one field, listed from 2-planes.
-
-    A transvection that moves w adds a nonzero multiple of x y^T - y x^T,
-    where x, y span a 2-plane isotropic for w^-1, and each (plane, multiple)
-    pair comes from exactly q(q+1) transvections, its weight.  The planes
-    isotropic for w^-1 are the images under w^T of the planes isotropic for
-    w, so the images of a state are listed directly from the reduced bases
-    of all 2-planes (_engine.two_planes), built once per chain.
-    This is the only part of chain building that depends on the field.
-    Prime fields hold states as uint8 arrays, list the images in one numpy
-    batch (_engine.plane_images) and classify them with
-    _classify_states_batched.  Extension fields hold states as MatFq, apply
-    the same update entry by entry with FieldSpec operations and classify
-    with _classify_X.  A state's key is its row bytes, one byte per code.
-    """
-
-    def __init__(self, n, field):
-        _check_byte_codes(field)
-        self.n = n
-        self.field = field
-        self.weight = field.q * (field.q + 1)
-        a, b = _engine.two_planes(2 * n, field.q)
-        if field.k == 1:
-            self._a, self._b = a, b
-        else:
-            self._planes = list(zip(a.tolist(), b.tolist()))
-            self._j_inv = standard_J(n, field).inverse()
-
-    def starts(self):
-        """The q - 1 twisted starts, one in each Pfaffian sector."""
-        starts = [self.state(_initial_gram(self.n, self.field, a)) for a in range(1, self.field.q)]
-        return np.stack(starts) if self.field.k == 1 else starts
-
-    def state(self, gram: MatFq):
-        if self.field.k == 1:
-            return np.array(gram.to_lists(), dtype=np.uint8)
-        return gram
-
-    def gram(self, state) -> MatFq:
-        if self.field.k == 1:
-            return MatFq(self.field, state.tolist())
-        return state
-
-    def images(self, w):
-        """Keys and images of the distinct t^T w t != w, each of weight q(q+1)."""
-        if self.field.k == 1:
-            imgs = _engine.plane_images(w, self._a, self._b, self.field.p)
-            return [r.tobytes() for r in imgs], imgs
-        F = self.field
-        N = w.nrows
-        wt = w.transpose()
-        imgs = []
-        for a, b in self._planes:
-            x = wt.mat_vec(a)
-            iso = 0
-            for bi, xi in zip(b, x):
-                if bi and xi:
-                    iso = F.add(iso, F.mul(bi, xi))
-            if iso:  # a^T w b != 0: the plane is not isotropic for w
-                continue
-            y = wt.mat_vec(b)
-            # the upper triangle of x y^T - y x^T; the image stays alternating
-            upper = [
-                (i, j, F.sub(F.mul(x[i], y[j]), F.mul(y[i], x[j])))
-                for i in range(N)
-                for j in range(i + 1, N)
-            ]
-            for lam in range(1, F.q):
-                rows = [list(r) for r in w.rows]
-                for i, j, d in upper:
-                    if d:
-                        d = F.mul(lam, d)
-                        rows[i][j] = F.add(rows[i][j], d)
-                        rows[j][i] = F.sub(rows[j][i], d)
-                imgs.append(MatFq(F, rows))
-        return [img.key() for img in imgs], imgs
-
-    def classify(self, *batches):
-        """(complete key, type) of each state of the batches, in one call."""
-        if self.field.k == 1:
-            keys, types = _classify_states_batched(np.concatenate(batches), self.n, self.field)
-            return list(zip(keys, types))
-        return [_classify_X(self._j_inv * w) for batch in batches for w in batch]
-
-
 def _move_count(n, q):
     """Transvections of GL_2n(F_q) that move a given form."""
     return transvection_count(2 * n, q) - (q ** (2 * n) - 1)
@@ -610,16 +558,17 @@ def exact_form_chain(n, field_or_q, cap=DEFAULT_STATE_CAP) -> ChainModel:
     gives that lump's row.  A BFS over lumps, seeded with the q - 1
     twisted starts (one per Pfaffian sector), classifies the distinct
     images of one representative per lump, listed from the 2-planes
-    isotropic for it (_Moves), each of weight q(q+1); an image of an
-    unseen class becomes the next representative.  Lump sizes come from
-    class_size_qsq.  The sampled Dynkin check compares each row with the
-    row of a second member k^T w k, k uniform in Sp_2n, classified in the
-    same call; no image label outlives its lump.  cap bounds the
-    work, chain_work(n, q) image classifications, checked before any is
-    done.
+    isotropic for it (_engine.plane_images), each of weight q(q+1); an
+    image of an unseen class becomes the next representative.  Every form
+    is held realified over F_p as uint8 (_realify), so one path serves
+    every F_q.  Lump sizes come from class_size_qsq.  The sampled Dynkin
+    check compares each row with the row of a second member R(k^T) w R(k),
+    k uniform in Sp_2n, classified in the same call; no image label
+    outlives its lump.  cap bounds the work, chain_work(n, q) image
+    classifications, checked before any is done.
     """
     field = _resolve_field(field_or_q)
-    q = field.q
+    p, q = field.p, field.q
     if n < 2:
         raise ValueError(
             "the walk is trivial for n = 1: every transvection of GL_2 is symplectic"
@@ -629,21 +578,27 @@ def exact_form_chain(n, field_or_q, cap=DEFAULT_STATE_CAP) -> ChainModel:
         raise StateSpaceTooLargeError(
             f"the chain needs {work} image classifications, above cap {cap}"
         )
+    _check_byte_codes(field)
     S = coset_space_size(n, q)
     move_count = _move_count(n, q)
-    moves = _Moves(n, field)
+    weight = q * (q + 1)
+    planes = [_realify(rows[:, None], field) for rows in _engine.two_planes(2 * n, q)]
 
     def distinct_images(w):
-        keys, imgs = moves.images(w)
-        if len(set(keys)) * moves.weight != move_count:
+        imgs = _engine.plane_images(w, *planes, _mul_blocks(field)[1:], p)
+        distinct = len({img.tobytes() for img in imgs})
+        if distinct * weight != move_count:
             raise InternalError(
-                f"a form has {len(set(keys))} distinct images of weight "
-                f"{moves.weight}, expected {move_count} moving transvections"
+                f"a form has {distinct} distinct images of weight "
+                f"{weight}, expected {move_count} moving transvections"
             )
         return imgs
 
-    seeds = moves.starts()
-    seed_labels = moves.classify(seeds)
+    def classify(*batches):
+        return list(zip(*_classify_states_batched(np.concatenate(batches), n, field)))
+
+    seeds = _realify([_initial_gram(n, field, a).to_lists() for a in range(1, q)], field).astype(np.uint8)
+    seed_labels = classify(seeds)
     lumps = {}  # complete key -> (type, representative)
     for (lump, typ), w in zip(seed_labels, seeds):
         lumps.setdefault(lump, (typ, w))
@@ -654,9 +609,10 @@ def exact_form_chain(n, field_or_q, cap=DEFAULT_STATE_CAP) -> ChainModel:
         lump = pending.pop()
         _, w = lumps[lump]
         k = sample_symplectic(n, field, rng)
+        member = _realify(k.transpose().to_lists(), field) @ w % p @ _realify(k.to_lists(), field) % p
         imgs = distinct_images(w)
-        member_imgs = distinct_images(moves.state(k.transpose() * moves.gram(w) * k))
-        labels = moves.classify(imgs, member_imgs)
+        member_imgs = distinct_images(member)
+        labels = classify(imgs, member_imgs)
         rows[lump] = Counter(other for other, _ in labels[:len(imgs)])
         if Counter(other for other, _ in labels[len(imgs):]) != rows[lump]:
             raise InternalError(f"lump {lump} is not exactly lumpable")
@@ -673,7 +629,7 @@ def exact_form_chain(n, field_or_q, cap=DEFAULT_STATE_CAP) -> ChainModel:
     if sum(lump_sizes) != S:
         raise InternalError(f"lump sizes sum to {sum(lump_sizes)}, expected {S} forms")
     L = len(lump_keys)
-    rep_rows = [[rows[a][b] * moves.weight for b in lump_keys] for a in lump_keys]
+    rep_rows = [[rows[a][b] * weight for b in lump_keys] for a in lump_keys]
     lumped_transition = [[Fraction(c, move_count) for c in row] for row in rep_rows]
     for row in lumped_transition:
         if sum(row) != 1:
@@ -862,7 +818,7 @@ def support_violations(n, field_or_q, c, trials, seed=0):
     grams = np.tile(np.array(J.to_lists(), dtype=np.uint8), (trials, 1, 1))
     for _ in range(k):
         grams = _engine.mc_step(grams, p, rng)
-    x_minus_1 = _engine.batched_matpoly(_engine.j_inv_times(grams, p), [1, p - 1], p)
+    x_minus_1 = _engine.batched_matpoly(_engine.j_inv_times(grams, p), _mul_blocks(field)[[1, p - 1]], p)
     ranks = _engine.batched_rank(x_minus_1, p)
     violations = int((ranks > 2 * (n - c)).sum())
     # cross-check the rank criterion against the classifier on a subsample:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,19 @@ def test_negative_mass_sweep(q):
             assert exact <= crude
         crude, _ = negative_mass_bound(n, q, n * n + n)
         assert crude < 1
+
+
+def test_negative_mass_bound_is_work_capped():
+    """Uncapped, negative_mass_bound(3, 2, 10**5) took about 3 s; it now
+    raises before any power is taken, while every verify call (k = n + 1,
+    n <= 8, q <= 4) stays admitted."""
+    start = time.perf_counter()
+    with pytest.raises(ExactArithmeticTooLargeError):
+        negative_mass_bound(3, 2, 10**5)
+    assert time.perf_counter() - start < 1
+    for n in range(2, 9):
+        for q in (2, 3, 4):
+            assert _exact_work(n, q, (n + 1,)) <= EXACT_WORK_MAX
 
 
 def test_logfloat_matches_exact():

@@ -88,6 +88,34 @@ def test_bounds_with_exact_merges_chain(capsys):
             assert tv <= float(r["tv_upper"]) + 1e-12
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit before 3.10.7"
+)
+@pytest.mark.parametrize(
+    "argv, column",
+    [
+        (("chain", "--n", "2", "--q", "2", "--kmax", "600"), "tv"),
+        (("bounds", "--n", "2", "--q", "2", "--k-range", "600..600", "--with-exact"), "tv_exact"),
+    ],
+)
+def test_exact_rationals_print_beyond_the_digit_limit(capsys, argv, column):
+    """Exact TV values print in full past Python's int-to-str digit limit
+    (4,300 digits by default, passed near k = 3,700 at (2,2); lowered here
+    to its 640-digit minimum, passed before k = 600), and the CLI restores
+    the limit it found."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out = run_cli(capsys, *argv)
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    tv = list(csv.DictReader(io.StringIO(out)))[-1][column]
+    num, _, den = tv.partition("/")
+    assert len(den) > 640 and 0 < int(num) < int(den)
+
+
 def test_simulate_deterministic(capsys):
     args = ("simulate", "--n", "2", "--q", "2", "--steps", "2", "--trials", "20000", "--seed", "7")
     code1, out1 = run_cli(capsys, *args)

@@ -7,8 +7,9 @@ import pytest
 
 from sympwalk import _engine
 from sympwalk.errors import StateSpaceTooLargeError
-from sympwalk.field import PolyFq, build_field
+from sympwalk.field import PolyFq, build_field, field_from_order
 from sympwalk.linalg import MatFq, _eval_poly_at_matrix, all_transvections, charpoly, standard_J
+from sympwalk.walk import _mul_blocks, _realify
 
 
 def _trajectory(n, p, trials, steps, seed):
@@ -92,28 +93,37 @@ def test_batched_rank_matches_matfq(p, M, N):
     assert _engine.batched_rank(np.zeros((M, N, 0), dtype=np.int32), p).shape == (0,)
 
 
-@pytest.mark.parametrize("p", [2, 3, 251])
+@pytest.mark.parametrize("q", [2, 3, 251, 4, 8, 9])
 @pytest.mark.parametrize("N", [1, 2, 5, 6])
-def test_charpoly_and_matpoly_match_matfq(p, N):
-    """batched_charpoly and batched_matpoly on random lanes-last int32
-    batches equal linalg.charpoly and linalg._eval_poly_at_matrix lane by
-    lane, for polynomials of degree 1 to N + 1."""
-    rng = np.random.default_rng(1000 * p + N)
-    x = rng.integers(0, p, size=(N, N, 40)).astype(np.int32)
-    field = build_field(p, 1)
-    mats = [MatFq(field, x[:, :, b].tolist()) for b in range(x.shape[2])]
+def test_charpoly_and_matpoly_match_matfq(q, N):
+    """On random lanes-last int32 batches, realified over F_p: batched_matpoly
+    equals the realified linalg._eval_poly_at_matrix lane by lane, for
+    polynomials of degree 1 to N + 1 given by their coefficient blocks, and
+    batched_charpoly equals the norm of linalg.charpoly, the product of its
+    Frobenius conjugates (linalg.charpoly itself over a prime field)."""
+    rng = np.random.default_rng(1000 * q + N)
+    field = field_from_order(q)
+    p, k = field.p, field.k
+    codes = rng.integers(0, q, size=(40, N, N))
+    x = np.ascontiguousarray(_realify(codes, field).transpose(1, 2, 0))
+    mats = [MatFq(field, c.tolist()) for c in codes]
     cps = _engine.batched_charpoly(x, p)
-    assert cps.shape == (N + 1, 40)
-    assert [cps[:, b].tolist() for b in range(40)] == [
-        list(reversed(charpoly(m).coeffs)) for m in mats
-    ]
+    assert cps.shape == (N * k + 1, 40)
+    norms = []
+    for m in mats:
+        cp = charpoly(m)
+        norm = cp
+        for i in range(1, k):
+            norm = norm * PolyFq(field, [field.pow(c, p ** i) for c in cp.coeffs])
+        norms.append(list(reversed(norm.coeffs)))
+    assert [cps[:, b].tolist() for b in range(40)] == norms
     for degree in range(1, N + 2):
-        coeffs = [int(c) for c in rng.integers(0, p, size=degree + 1)]
-        coeffs[0] = int(rng.integers(1, p))
-        fx = _engine.batched_matpoly(x, coeffs, p)
+        coeffs = [int(c) for c in rng.integers(0, q, size=degree + 1)]
+        coeffs[0] = int(rng.integers(1, q))
+        fx = _engine.batched_matpoly(x, _mul_blocks(field)[coeffs], p)
         poly = PolyFq(field, list(reversed(coeffs)))
         assert [fx[:, :, b].tolist() for b in range(40)] == [
-            [list(r) for r in _eval_poly_at_matrix(poly, m).rows] for m in mats
+            _realify(_eval_poly_at_matrix(poly, m).to_lists(), field).tolist() for m in mats
         ]
 
 
@@ -247,7 +257,7 @@ def test_int_bounds_are_checked_before_any_allocation():
     # 46349^2 + 46349 >= 2^31, so any N fails at p = 46,349
     lanes_last = np.zeros((2, 2, 0), dtype=np.int32)
     _allocates_nothing(lambda: _engine.batched_charpoly(lanes_last, 46_349))
-    _allocates_nothing(lambda: _engine.batched_matpoly(lanes_last, [1, 1], 46_349))
+    _allocates_nothing(lambda: _engine.batched_matpoly(lanes_last, np.ones((2, 1, 1), dtype=np.int32), 46_349))
     _allocates_nothing(lambda: _engine.batched_matmul(lanes_last, lanes_last, 46_349))
     _allocates_nothing(lambda: _engine.batched_rank(lanes_last, 46_349))
     huge = np.broadcast_to(np.uint8(0), (2 ** 31, 4, 4))

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import random
 from collections import Counter
@@ -24,6 +26,7 @@ from sympwalk.linalg import (
     all_transvections,
     class_invariant,
     is_form_preserving,
+    sample_nonpreserving_transvection,
     sample_symplectic,
     standard_J,
 )
@@ -31,10 +34,12 @@ from sympwalk.spectral import eigenvalue_phi
 from sympwalk.walk import (
     DEFAULT_STATE_CAP,
     FormState,
-    _Moves,
     _classify_states_batched,
     _classify_X,
+    _initial_gram,
     _key_type_from_pairs,
+    _mul_blocks,
+    _realify,
     chain_work,
     classify_double_coset,
     double_coset_key,
@@ -260,6 +265,28 @@ def test_lumped_spectrum_matches_formula(nq, request):
     assert got == want
 
 
+def _chain_digest(chain):
+    """SHA-256 of the repr of every ChainModel field, then of tv_curve(8)."""
+    h = hashlib.sha256()
+    for f in dataclasses.fields(chain):
+        h.update(repr(getattr(chain, f.name)).encode())
+    h.update(repr(chain.tv_curve(8)).encode())
+    return h.hexdigest()
+
+
+# Recorded with the entrywise MatFq chain builder over F_4 and the prime
+# plane-image path over F_5, before both became one realified path.
+CHAIN_DIGESTS = {
+    (2, 4): "b50ee993a5e13db62552a2ec5079a35b734b56ec6517347fa16b3e1a97dfbe44",
+    (2, 5): "cd170c16a02f8d7e53d08b3b74a84921e8b35ea12153570ff7a1582982960840",
+}
+
+
+def test_chains_are_pinned(chain24):
+    assert _chain_digest(chain24) == CHAIN_DIGESTS[(2, 4)]
+    assert _chain_digest(exact_form_chain(2, 5)) == CHAIN_DIGESTS[(2, 5)]
+
+
 def test_chain_2_3_structure(chain23):
     assert chain23.num_states == 468
     assert chain23.num_lumps == 8
@@ -316,33 +343,67 @@ def test_chain_3_2_matches_full_enumeration(chain32):
     assert chain32.j_lump == 1 and chain32.sector_lumps == tuple(range(6))
 
 
-@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (3, 2), (2, 5), (2, 4)])
-def test_plane_images_match_transvection_congruences(n, q):
-    """The images listed from isotropic planes are exactly the congruences
-    t^T w t != w over all transvections, each reached q(q+1) times."""
-    field = field_from_order(q)
-    moves = _Moves(n, field)
-    mats = [t.matrix() for t in all_transvections(2 * n, field)]
-    rng = random.Random(5)
-    grams = [moves.gram(w) for w in moves.starts()]
+def _realified(gram):
+    """A MatFq Gram realified over F_p as exact_form_chain holds it, uint8."""
+    return _realify(gram.to_lists(), gram.field).astype(np.uint8)
+
+
+def _plane_image_keys(gram):
+    """Row bytes of the realified plane images of a MatFq Gram."""
+    field = gram.field
+    planes = [_realify(rows[:, None], field) for rows in _engine.two_planes(gram.nrows, field.q)]
+    imgs = _engine.plane_images(_realified(gram), *planes, _mul_blocks(field)[1:], field.p)
+    return [img.tobytes() for img in imgs]
+
+
+def _sp_congruent_grams(n, field, seed):
+    """The q - 1 twisted starts and three Sp-congruent copies of the first."""
+    rng = random.Random(seed)
+    grams = [_initial_gram(n, field, a) for a in range(1, field.q)]
     for _ in range(3):
         k = sample_symplectic(n, field, rng)
         grams.append(k.transpose() * grams[0] * k)
+    return grams
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (3, 2), (2, 5), (2, 4)])
+def test_plane_images_match_transvection_congruences(n, q):
+    """The realified images listed from isotropic planes are exactly the
+    realified congruences t^T w t != w over all transvections, each reached
+    q(q+1) times."""
+    field = field_from_order(q)
+    mats = [t.matrix() for t in all_transvections(2 * n, field)]
     if field.k == 1:  # dense int64 products of the same transvection matrices, keyed as uint8
         dense = np.array([m.to_lists() for m in mats], dtype=np.int64)
-    for gram in grams:
-        w = moves.state(gram)
-        keys, _ = moves.images(w)
+    for gram in _sp_congruent_grams(n, field, 5):
+        w = _realified(gram)
+        keys = _plane_image_keys(gram)
         assert len(set(keys)) == len(keys)
         if field.k == 1:
             congruences = np.einsum("tji,jk,tkl->til", dense, w, dense) % q
             oracle = Counter(c.astype(np.uint8).tobytes() for c in congruences)
-            del oracle[w.tobytes()]
         else:
-            oracle = Counter((m.transpose() * gram * m).key() for m in mats)
-            del oracle[gram.key()]
+            oracle = Counter(_realified(m.transpose() * gram * m).tobytes() for m in mats)
+        del oracle[w.tobytes()]
         assert set(oracle) == set(keys)
         assert set(oracle.values()) == {q * (q + 1)}
+
+
+@pytest.mark.parametrize("q", [8, 9])
+def test_plane_images_contain_sampled_congruences(q):
+    """Over F_8, whose multiplication blocks are not all symmetric (those of
+    F_4 are, so a block left untransposed passes there), and over F_9: the
+    realified congruences by 300 random moving transvections, formed by
+    MatFq, are among the distinct plane images, which number
+    move_count / (q(q+1))."""
+    field = field_from_order(q)
+    rng = random.Random(q)
+    for gram in _sp_congruent_grams(2, field, q)[-2:]:
+        keys = set(_plane_image_keys(gram))
+        assert len(keys) * q * (q + 1) == walk._move_count(2, q)
+        for _ in range(300):
+            m = sample_nonpreserving_transvection(gram, rng).matrix()
+            assert _realified(m.transpose() * gram * m).tobytes() in keys
 
 
 def test_work_cap_counts_lumps_times_images(chain22, chain23, chain32, chain24):
@@ -485,15 +546,15 @@ def test_monte_carlo_rejects_fields_beyond_uint8():
 @st.composite
 def _random_grams(draw):
     """(n, field, w) with w = k^T J k for a random invertible k = P L D U."""
-    p = draw(st.sampled_from([2, 3, 5, 7, 251]))
+    q = draw(st.sampled_from([2, 3, 5, 7, 251, 4, 8, 9]))
     n = draw(st.integers(1, 4))
     N = 2 * n
-    residues = st.integers(0, p - 1)
+    codes = st.integers(0, q - 1)
     perm = draw(st.permutations(range(N)))
-    units = draw(st.lists(st.integers(1, p - 1), min_size=N, max_size=N))
-    low = draw(st.lists(residues, min_size=N * N, max_size=N * N))
-    up = draw(st.lists(residues, min_size=N * N, max_size=N * N))
-    field = build_field(p, 1)
+    units = draw(st.lists(st.integers(1, q - 1), min_size=N, max_size=N))
+    low = draw(st.lists(codes, min_size=N * N, max_size=N * N))
+    up = draw(st.lists(codes, min_size=N * N, max_size=N * N))
+    field = field_from_order(q)
     P = MatFq(field, [[int(perm[i] == j) for j in range(N)] for i in range(N)])
     L = MatFq(field, [[1 if i == j else low[i * N + j] * (i > j) for j in range(N)] for i in range(N)])
     U = MatFq(field, [[1 if i == j else up[i * N + j] * (i < j) for j in range(N)] for i in range(N)])
@@ -504,9 +565,11 @@ def _random_grams(draw):
 @settings(max_examples=300, deadline=None)
 @given(_random_grams())
 def test_batched_classifier_matches_scalar_oracle(case):
+    """The batched classifier on the realified form, over prime and extension
+    fields, against _classify_X on the form itself."""
     n, field, w = case
     assert w.is_alternating() and w.is_invertible()
-    keys, types = _classify_states_batched(np.array([w.to_lists()], dtype=np.uint8), n, field)
+    keys, types = _classify_states_batched(_realified(w)[None], n, field)
     assert (keys[0], types[0]) == _classify_X(standard_J(n, field).inverse() * w)
 
 
