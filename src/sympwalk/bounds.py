@@ -9,7 +9,9 @@ initial diagonal twist, not by the transvection steps.
 The lower bound comes from a support estimate: after n-c steps the walk
 sits inside the double cosets whose class label has at least c parts at
 the polynomial x - 1, and the total mass of those cosets is exponentially
-small in c.
+small in c.  The masses are read off the label types that the spectral
+sum enumerates: x - 1 is one of the q - 1 interchangeable degree-1 orbits,
+so each type's labels split over what x - 1 carries in exact shares.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from .combinat import (
     class_size,
     class_size_qsq,
     dim_irrep,
-    enumerate_anchored_fns,
     enumerate_partition_fns,
     gl_order,
+    multiplicities,
     sp_order,
 )
-from .errors import EnumerationTooLargeError, ExactArithmeticTooLargeError
+from .errors import EnumerationTooLargeError, ExactArithmeticTooLargeError, InternalError
 from .spectral import eigenvalue_phi
 
 EXACT_MODE_MAX_N = 8
@@ -193,16 +195,27 @@ def _fixed_space_masses(n, q, size_of):
     """Total size of the classes per fixed-space dimension 0..n.
 
     The fixed space of a class representative has the dimension of the
-    number of parts of its partition at x - 1.  `size_of(fn, q)` is
-    class_size_qsq (double cosets, per unit of |Sp_2n|) or class_size
-    (GL_n(F_q) classes); it is evaluated once per class type.
+    number of parts of its partition at x - 1.  That is one of the q - 1
+    degree-1 orbits, which the labels of a type permute among themselves:
+    of its cnt labels, x - 1 carries a degree-1 partition pi in
+    cnt m_pi / (q - 1) of them, m_pi the multiplicity of pi among the
+    type's degree-1 entries, and nothing in cnt (q - 1 - r) / (q - 1),
+    r the number of those entries.  Each share is checked integral.
+    `size_of(fn, q)` is class_size_qsq (double cosets, per unit of
+    |Sp_2n|) or class_size (GL_n(F_q) classes); it is evaluated once per
+    class type.
     """
     masses = [0] * (n + 1)
-    sizes = {}
-    for fn, pi0, cnt in enumerate_anchored_fns(n, q):
-        if fn not in sizes:
-            sizes[fn] = size_of(fn, q)
-        masses[len(pi0)] += cnt * sizes[fn]
+    for fn, cnt in enumerate_partition_fns(n, q):
+        size = size_of(fn, q)
+        at_one = multiplicities([lam for d, lam in fn.entries if d == 1])
+        shares = [(0, q - 1 - sum(at_one.values()))]
+        shares += [(len(lam), m) for lam, m in at_one.items()]
+        for parts, m in shares:
+            labels, rem = divmod(cnt * m, q - 1)
+            if rem:
+                raise InternalError(f"{cnt} labels of {fn} at q={q} do not split over x - 1")
+            masses[parts] += labels * size
     return tuple(masses)
 
 

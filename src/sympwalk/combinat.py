@@ -243,14 +243,15 @@ def _weighted_multisets(total, n_orbits):
 
 
 @lru_cache(maxsize=None)
-def _enumerate_types(n, q, removed):
-    """Types of weight n with `removed` degree-1 orbits taken out.
+def enumerate_partition_fns(n, q):
+    """All types of partition-valued functions of weight n over F_q.
 
-    Returns (PartitionFn, count) pairs in recursion order: degrees rise,
-    and at each degree the number of boxes it carries rises from 0.
+    Returns a sorted tuple of (PartitionFn, count) where count is the number
+    of concrete functions of that type.  They serve as class labels and as
+    character labels alike: the orbit counts agree degree by degree.
     """
     # orbit_count(d, q) >= 1 for every d when q >= 2
-    n_orbs = [orbit_count(d, q) - (removed if d == 1 else 0) for d in range(1, n + 1)]
+    n_orbs = [orbit_count(d, q) for d in range(1, n + 1)]
     results = []
 
     def rec(d, remaining, acc_entries, acc_count):
@@ -267,39 +268,7 @@ def _enumerate_types(n, q, removed):
                 rec(d + 1, remaining - d * used, entries, acc_count * ways)
 
     rec(1, n, [], 1)
-    return tuple(results)
-
-
-@lru_cache(maxsize=None)
-def enumerate_partition_fns(n, q):
-    """All types of partition-valued functions of weight n over F_q.
-
-    Returns a sorted tuple of (PartitionFn, count) where count is the number
-    of concrete functions of that type.  They serve as class labels and as
-    character labels alike: the orbit counts agree degree by degree.
-    """
-    return tuple(sorted(_enumerate_types(n, q, 0)))
-
-
-def enumerate_anchored_fns(n, q):
-    """Types with the partition at one marked degree-1 orbit resolved.
-
-    Yields (fn, anchored_partition, count): `anchored_partition` (possibly
-    empty) sits at a fixed degree-1 orbit -- the minimal polynomial of 1 --
-    and `count` is the number of concrete functions with that anchored
-    value whose remaining entries realize the rest of the type.  Summing
-    counts over all anchored partitions reproduces the plain enumeration.
-    """
-    out = []
-    for w0 in range(0, n + 1):
-        for pi0 in partitions_of(w0):
-            for rest, count in _enumerate_types(n - w0, q, 1):
-                entries = list(rest.entries)
-                if pi0:
-                    entries.append((1, pi0))
-                fn = PartitionFn(tuple(sorted(entries)))
-                out.append((fn, pi0, count))
-    return out
+    return tuple(sorted(results))
 
 
 # ---------------------------------------------------------------------------

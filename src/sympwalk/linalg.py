@@ -90,12 +90,6 @@ class MatFq:
     def to_lists(self):
         return [list(r) for r in self.rows]
 
-    def to_json(self):
-        """Rows of integer residues; for extension fields, coefficient lists."""
-        if self.field.k == 1:
-            return self.to_lists()
-        return [[list(self.field.decode(c)) for c in row] for row in self.rows]
-
     def __repr__(self):
         body = "; ".join(" ".join(str(c) for c in r) for r in self.rows)
         return f"MatFq[{body}]"

@@ -239,6 +239,8 @@ def run_suites(names=None, max_n=4, trials=20000, seed=0):
     # the dual-route and upper-bound sweeps start at n = 2: below it they check nothing
     if max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
+    # the combinat and spectral suites enumerate every label up to max_n
+    bounds_mod.check_enumeration_cap(max_n)
     names = list(SUITES) if not names else list(names)
     results = []
     for name in names:

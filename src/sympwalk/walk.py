@@ -58,6 +58,7 @@ from .linalg import (
     sample_nonpreserving_transvection,
     sample_symplectic,
     standard_J,
+    symplectic_transvection_count,
     transvection_count,
 )
 
@@ -323,10 +324,17 @@ def stationary_type_distribution(n, q):
 # Group-level walk helpers
 # ---------------------------------------------------------------------------
 
+def _check_walk_n(n):
+    """The walk moves forms only from n = 2 on."""
+    if n < 2:
+        raise ValueError(
+            f"need n >= 2, got {n}: for n = 1 every transvection of GL_2 is symplectic"
+        )
+
+
 def nonsymplectic_representative(n, field) -> MatFq:
     """The fixed non-symplectic transvection I + e_1 (e_(n+2)^T J)."""
-    if n < 2:
-        raise ValueError("every transvection is symplectic when n = 1")
+    _check_walk_n(n)
     J = standard_J(n, field)
     v = tuple(1 if i == 0 else 0 for i in range(2 * n))
     f = J.rows[n + 1]
@@ -536,7 +544,7 @@ def _vec_times_matrix(vec, matrix):
 
 def _move_count(n, q):
     """Transvections of GL_2n(F_q) that move a given form."""
-    return transvection_count(2 * n, q) - (q ** (2 * n) - 1)
+    return transvection_count(2 * n, q) - symplectic_transvection_count(2 * n, q)
 
 
 def chain_work(n, q):
@@ -569,10 +577,7 @@ def exact_form_chain(n, field_or_q, cap=DEFAULT_STATE_CAP) -> ChainModel:
     """
     field = _resolve_field(field_or_q)
     p, q = field.p, field.q
-    if n < 2:
-        raise ValueError(
-            "the walk is trivial for n = 1: every transvection of GL_2 is symplectic"
-        )
+    _check_walk_n(n)
     work = chain_work(n, q)
     if work > cap:
         raise StateSpaceTooLargeError(
@@ -729,8 +734,7 @@ def _mc_field(field_or_q, n):
     if field.k != 1:
         raise StateSpaceTooLargeError("Monte Carlo engine supports prime fields")
     _check_byte_codes(field)
-    if n < 2:
-        raise ValueError("the walk is trivial for n = 1")
+    _check_walk_n(n)
     return field
 
 

@@ -1,11 +1,15 @@
 import hashlib
+import itertools
 import math
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from sympwalk._engine import batched_rank
 from sympwalk.bounds import (
     EXACT_WORK_MAX,
     _exact_work,
@@ -23,12 +27,15 @@ from sympwalk.bounds import (
 from sympwalk.combinat import (
     class_size,
     class_size_qsq,
-    enumerate_anchored_fns,
+    coset_space_size,
     enumerate_partition_fns,
     gl_order,
     sp_order,
 )
 from sympwalk.errors import ExactArithmeticTooLargeError
+from sympwalk.field import field_from_order
+from sympwalk.linalg import standard_J
+from sympwalk.walk import _realify
 
 
 def test_upper_bound_squared_formula_2_2():
@@ -69,14 +76,83 @@ def test_support_fraction_examples():
     assert Fraction((1 + 15) * 720, 20160) == Fraction(4, 7)
 
 
+def _labels_per_partition_at_x_minus_1(fn, cnt, q):
+    """Oracle: split the cnt labels of a type by the partition (possibly
+    empty) that x - 1 carries, listing every arrangement of the type's
+    degree-1 partitions over the q - 1 degree-1 orbits, x - 1 first."""
+    at_one = [lam for d, lam in fn.entries if d == 1]
+    arrangements = set(itertools.permutations(at_one + [()] * (q - 1 - len(at_one))))
+    per_arrangement, rem = divmod(cnt, len(arrangements))
+    assert rem == 0
+    return {
+        pi: m * per_arrangement
+        for pi, m in Counter(arrangement[0] for arrangement in arrangements).items()
+    }
+
+
 @pytest.mark.parametrize(
     "n, q", [(n, 2) for n in range(2, 7)] + [(n, 3) for n in range(2, 5)] + [(2, 5), (3, 5)]
 )
 def test_support_fraction_matches_per_label_sum(n, q):
-    labels = enumerate_anchored_fns(n, q)
+    split = [
+        (class_size_qsq(fn, q), _labels_per_partition_at_x_minus_1(fn, cnt, q))
+        for fn, cnt in enumerate_partition_fns(n, q)
+    ]
     for c in range(n + 1):
-        total = sum(cnt * class_size_qsq(fn, q) for fn, pi0, cnt in labels if len(pi0) >= c)
+        total = sum(
+            labels * size for size, at in split for pi, labels in at.items() if len(pi) >= c
+        )
         assert support_fraction(n, q, c) == Fraction(total * sp_order(n, q), gl_order(2 * n, q))
+
+
+def _all_code_vectors(q, length):
+    """Every vector of F_q codes of the given length, as a (q^length, length) array."""
+    return np.array(list(itertools.product(range(q), repeat=length)), dtype=np.int64)
+
+
+def _ranks_over_fq(real, field):
+    """Rank over F_q of every matrix of a (B, R k, C k) batch of realified
+    F_q matrices: its rank over F_p, divided by k.  batched_rank eliminates
+    in place, so it gets a copy."""
+    lanes_last = np.array(real.transpose(1, 2, 0), dtype=np.int32, order="C")
+    return batched_rank(lanes_last, field.p) // field.k
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (3, 2), (2, 4)])
+def test_support_fraction_matches_brute_force_over_forms(n, q):
+    """Oracle: over every alternating Gram w of F_q^(2n), the invertible ones
+    whose J^-1 w - I has rank <= 2(n - c) make up support_fraction(n, q, c)."""
+    field = field_from_order(q)
+    N = 2 * n
+    above = _all_code_vectors(q, n * (N - 1))
+    upper = np.zeros((len(above), N, N), dtype=np.int64)
+    rows, cols = np.triu_indices(N, 1)
+    upper[:, rows, cols] = above
+    # w = U - U^T; realifying is additive, but it does not commute with transposing
+    w = (_realify(upper, field) - _realify(upper.transpose(0, 2, 1), field)) % field.p
+    forms = w[_ranks_over_fq(w, field) == N]
+    assert len(forms) == coset_space_size(n, q)
+    j_inv = _realify(standard_J(n, field).inverse().to_lists(), field)
+    ranks = _ranks_over_fq((j_inv @ forms - np.eye(N * field.k, dtype=np.int32)) % field.p, field)
+    for c in range(n + 1):
+        got = Fraction(int((ranks <= 2 * (n - c)).sum()), len(forms))
+        assert support_fraction(n, q, c) == got, c
+
+
+@pytest.mark.parametrize(
+    "n, q", [(n, 2) for n in range(1, 5)] + [(n, q) for q in (3, 4, 5) for n in (1, 2)]
+)
+def test_fixed_space_masses_match_brute_force_over_gl(n, q):
+    """Oracle: the invertible n x n matrices over F_q with dim ker(g - I) >= c
+    number the lhs of fixed_space_tail_check(n, q, c)."""
+    field = field_from_order(q)
+    real = _realify(_all_code_vectors(q, n * n).reshape(-1, n, n), field)
+    invertible = real[_ranks_over_fq(real, field) == n]
+    assert len(invertible) == gl_order(n, q)
+    fixed = n - _ranks_over_fq((invertible - np.eye(n * field.k, dtype=np.int32)) % field.p, field)
+    for c in range(n + 1):
+        lhs, _, _ = fixed_space_tail_check(n, q, c)
+        assert lhs == int((fixed >= c).sum()), c
 
 
 def test_lower_bound_examples():

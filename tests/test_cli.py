@@ -223,14 +223,19 @@ def test_bounds_logfloat_large_n(capsys):
 
 
 def test_enumeration_cap_exit_code(capsys):
+    # verify checks the cap before any suite enumerates a label
     for argv in (
         ["spectrum", "--n", "15", "--q", "2"],
         ["bounds", "--n", "15", "--q", "2", "--k-range", "15..15"],
+        ["verify", "--max-n", "15"],
     ):
+        start = time.perf_counter()
         code = main(argv)
-        err = capsys.readouterr().err
-        assert code == 3
-        assert err == "resource cap: n=15 beyond enumeration cap 14\n"
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "resource cap: n=15 beyond enumeration cap 14\n"
+        assert elapsed < 1.0
 
 
 def test_exact_bound_beyond_work_cap_is_resource_cap(capsys):
@@ -305,6 +310,21 @@ def test_bad_counts_are_usage_errors(capsys, argv):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        (["chain", "--n", "0"], 0),
+        (["chain", "--n", "-2"], -2),
+        (["simulate", "--n", "0", "--steps", "1", "--trials", "10"], 0),
+    ],
+)
+def test_walk_below_n2_names_the_given_n(capsys, argv, n):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: need n >= 2, got {n}")
 
 
 def test_unwritable_out_is_a_usage_error(capsys, tmp_path):

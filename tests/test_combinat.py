@@ -11,7 +11,6 @@ from sympwalk.combinat import (
     conjugate,
     coset_space_size,
     dim_irrep,
-    enumerate_anchored_fns,
     enumerate_partition_fns,
     gl_order,
     hook_lengths,
@@ -267,14 +266,3 @@ def test_json_roundtrip():
         {"degree": 2, "partition": [1], "orbit": 0},
     ]
     assert PartitionFn.from_json(js) == fn
-
-
-def test_anchored_enumeration_consistency():
-    for n, q in ((2, 2), (3, 2), (2, 3), (4, 2), (3, 3)):
-        plain = {}
-        for fn, cnt in enumerate_partition_fns(n, q):
-            plain[fn] = plain.get(fn, 0) + cnt
-        anchored = {}
-        for fn, _pi0, cnt in enumerate_anchored_fns(n, q):
-            anchored[fn] = anchored.get(fn, 0) + cnt
-        assert anchored == plain
