@@ -12,13 +12,12 @@ from .combinat import (
     gl_order,
     sp_order,
 )
-from .field import FieldElement, FieldSpec, PolyFq, build_field, field_from_order
+from .field import FieldSpec, PolyFq, build_field, field_from_order
 from .linalg import (
     MatFq,
     Transvection,
     class_invariant,
     is_form_preserving,
-    sample_nonpreserving_transvection,
     sample_symplectic,
     sample_transvection,
     standard_J,
@@ -38,21 +37,16 @@ from .bounds import (
 )
 from .walk import (
     ChainModel,
-    FormState,
     classify_double_coset,
     exact_form_chain,
-    initial_state,
     monte_carlo_tv,
-    step,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChainModel",
-    "FieldElement",
     "FieldSpec",
-    "FormState",
     "MatFq",
     "PartitionFn",
     "PolyFq",
@@ -72,18 +66,15 @@ __all__ = [
     "exact_form_chain",
     "field_from_order",
     "gl_order",
-    "initial_state",
     "is_form_preserving",
     "lower_bound_tv",
     "monte_carlo_tv",
     "proportions_a_b",
-    "sample_nonpreserving_transvection",
     "sample_symplectic",
     "sample_transvection",
     "sp_order",
     "spectrum",
     "standard_J",
-    "step",
     "support_fraction",
     "upper_bound_tv",
 ]

@@ -5,8 +5,9 @@ F_p, so p <= 256, and every kernel computes lanes last, (N, N, B), in
 int32, reduced with _mod, under a bound it checks before it allocates
 (_check_int32).  No floating point.  A matrix over F_q, q = p^k, comes
 realified: each entry c becomes the k x k block over F_p of multiplication
-by c, and ranks are k times those over F_q.  Not kernels: distinct_states labels states in int64 (batches below
-2^31), and the brute-force oracle, transvection_images, keeps int64 rows.
+by c, and ranks are k times those over F_q.  Not kernels: distinct_states
+labels states in int64 (batches below 2^31), and the brute-force oracle,
+transvection_images, keeps int64 rows.
 """
 
 from __future__ import annotations

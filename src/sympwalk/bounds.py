@@ -23,7 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import (
-    PartitionFn,
     class_size,
     class_size_qsq,
     dim_irrep,
@@ -33,7 +32,7 @@ from .combinat import (
     sp_order,
 )
 from .errors import EnumerationTooLargeError, ExactArithmeticTooLargeError, InternalError
-from .spectral import eigenvalue_phi
+from .spectral import eigenvalue_phi, trivial_label
 
 EXACT_MODE_MAX_N = 8
 ENUMERATION_MAX_N = 14
@@ -56,12 +55,6 @@ class BoundValue:
     mode: str
 
 
-def _is_determinant_twist(lam_fn: PartitionFn, n) -> bool:
-    """Labels fixed by the initial randomization: a single degree-1 orbit
-    carrying (1^n).  Includes the trivial label."""
-    return len(lam_fn.entries) == 1 and lam_fn.entries[0] == (1, (1,) * n)
-
-
 def check_enumeration_cap(n):
     """The spectral label enumeration runs for 1 <= n <= ENUMERATION_MAX_N."""
     if n < 1:
@@ -72,11 +65,14 @@ def check_enumeration_cap(n):
 
 @lru_cache(maxsize=None)
 def _spectral_terms(n, q):
-    """(phi, multiplicity, count) per non-excluded label type."""
+    """(phi, multiplicity, count) per label type, except the type of the
+    labels fixed by the initial randomization: (1^n) at a single degree-1
+    orbit, the type of the trivial label."""
     check_enumeration_cap(n)
+    twist = trivial_label(n)
     out = []
     for fn, cnt in enumerate_partition_fns(n, q):
-        if _is_determinant_twist(fn, n):
+        if fn == twist:
             continue
         out.append((eigenvalue_phi(fn, n, q), dim_irrep(fn.doubled(), q), cnt))
     return tuple(out)

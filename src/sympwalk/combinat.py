@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import NonIntegerResultError, WeightMismatchError
 from .field import irreducible_count
@@ -154,7 +154,7 @@ class PartitionFn:
             raise ValueError("parts must be weakly decreasing")
         return PartitionFn(entries)
 
-    @property
+    @cached_property
     def weight(self):
         return sum(d * sum(lam) for d, lam in self.entries)
 

@@ -106,9 +106,6 @@ class FieldSpec:
     def elements(self):
         return range(self.q)
 
-    def element(self, a):
-        return FieldElement(self, a % self.q if self.k == 1 else a)
-
     # -- arithmetic on codes ------------------------------------------------
 
     def add(self, a, b):
@@ -232,68 +229,6 @@ def field_from_order(q):
                 raise NotPrimeError(f"{q} is not a prime power")
             return build_field(p, k)
     raise NotPrimeError(f"{q} is not a prime power")
-
-
-class FieldElement:
-    """Thin wrapper pairing a code with its field; supports operators."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field, code):
-        self.field = field
-        self.code = code % field.q
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("elements from different fields")
-            return other.code
-        return int(other) % self.field.q
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.code, self._coerce(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.code, self._coerce(other)))
-
-    def __rsub__(self, other):
-        return FieldElement(self.field, self.field.sub(self._coerce(other), self.code))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.code, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.code, self._coerce(other)))
-
-    def __pow__(self, e):
-        return FieldElement(self.field, self.field.pow(self.code, e))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.code))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.code == other.code
-        if isinstance(other, int):
-            return self.code == other % self.field.q
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.k, self.code))
-
-    @property
-    def coeffs(self):
-        return self.field.decode(self.code)
-
-    def __repr__(self):
-        return f"FieldElement({self.code} in F_{self.field.q})"
 
 
 class PolyFq:

@@ -1,13 +1,13 @@
 """Exact dense linear algebra over F_q.
 
-Houses the standard symplectic Gram matrix J, form-preservation tests,
-transvection construction/enumeration/sampling, uniform sampling from the
-symplectic group, and the conjugacy-class invariant (primary/Jordan block
-partitions per irreducible factor of the characteristic polynomial).
+Houses the standard symplectic Gram matrix J, the form-preservation test,
+transvection construction, enumeration and uniform sampling, uniform
+sampling from the symplectic group, and the conjugacy-class invariant
+(primary/Jordan block partitions per irreducible factor of the
+characteristic polynomial).
 
 Everything here is exact; no floating point.  Matrices are value types
-(tuples of tuples of field codes) and all samplers take an explicit RNG so
-parallel shards can own independent generators.
+(tuples of tuples of field codes), and the samplers take an explicit RNG.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from .errors import (
     SingularMatrixError,
 )
 from .field import PolyFq, base_digits
-
-REJECTION_MAX_TRIES = 10 ** 6  # draws before sample_nonpreserving_transvection gives up
 
 
 class MatFq:
@@ -163,22 +161,6 @@ class MatFq:
     def transpose(self):
         return MatFq(self.field, list(zip(*self.rows)))
 
-    def mat_vec(self, v):
-        F = self.field
-        if len(v) != self.ncols:
-            raise DimensionMismatchError("vector length mismatch")
-        if F.k == 1:
-            p = F.p
-            return tuple(sum(a * b for a, b in zip(row, v)) % p for row in self.rows)
-        out = []
-        for row in self.rows:
-            acc = 0
-            for a, b in zip(row, v):
-                if a and b:
-                    acc = F.add(acc, F.mul(a, b))
-            out.append(acc)
-        return tuple(out)
-
     # -- elimination-based operations ----------------------------------------
 
     def _echelon(self, rows):
@@ -226,37 +208,6 @@ class MatFq:
             if any(work[i][j] != (1 if i == j else 0) for j in range(n)):
                 raise SingularMatrixError("matrix is singular")
         return MatFq(F, [row[n:] for row in work])
-
-    def det(self):
-        F = self.field
-        if not self.is_square:
-            raise DimensionMismatchError("det of non-square matrix")
-        rows = [list(r) for r in self.rows]
-        n = self.nrows
-        det = 1
-        sign_swaps = 0
-        r = 0
-        for col in range(n):
-            piv = None
-            for i in range(r, n):
-                if rows[i][col]:
-                    piv = i
-                    break
-            if piv is None:
-                return 0
-            if piv != r:
-                rows[r], rows[piv] = rows[piv], rows[r]
-                sign_swaps += 1
-            det = F.mul(det, rows[r][col])
-            inv = F.inv(rows[r][col])
-            for i in range(r + 1, n):
-                if rows[i][col]:
-                    c = F.mul(rows[i][col], inv)
-                    rows[i] = [F.sub(a, F.mul(c, b)) for a, b in zip(rows[i], rows[r])]
-            r += 1
-        if sign_swaps % 2:
-            det = F.neg(det)
-        return det
 
     def is_invertible(self):
         return self.is_square and self.rank() == self.nrows
@@ -339,21 +290,6 @@ class Transvection:
             ],
         )
 
-    def inverse_matrix(self):
-        # (I + vf)^(-1) = I - vf since f(v) = 0
-        F = self.field
-        n = len(self.v)
-        return MatFq(
-            F,
-            [
-                [
-                    F.sub(1 if i == j else 0, F.mul(self.v[i], self.f[j]))
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ],
-        )
-
 
 def projective_vectors(dim, field):
     """One representative per line: first nonzero coordinate equals 1."""
@@ -415,14 +351,9 @@ def sample_transvection(n, field, rng):
     uniform nonzero and f uniform nonzero in the annihilator of v is
     uniform over transvections.
     """
-    return _sample_transvection_dim(2 * n, field, rng)
-
-
-def _sample_transvection_dim(dim, field, rng):
-    if dim < 2:
-        raise ValueError("need dimension >= 2")
-    F = field
-    q = F.q
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    F, q, dim = field, field.q, 2 * n
     while True:
         v = tuple(rng.randrange(q) for _ in range(dim))
         if any(v):
@@ -437,33 +368,6 @@ def _sample_transvection_dim(dim, field, rng):
         if coeff:
             f = [F.add(a, F.mul(coeff, x)) for a, x in zip(f, b)]
     return Transvection(F, v, tuple(f))
-
-
-def preserves_form(t: Transvection, omega: MatFq) -> bool:
-    """I + vf preserves omega iff f is proportional to v^T.omega.
-
-    (v^T omega v = 0 automatically for alternating omega, and the rank-one
-    perturbation of the Gram matrix cancels exactly on that line.)
-    """
-    F = t.field
-    w = tuple(omega.transpose().mat_vec(t.v))  # w_j = sum_i v_i omega_ij
-    j = next((i for i, c in enumerate(w) if c), None)
-    if j is None:
-        raise InternalError("degenerate form in preserves_form")
-    c = F.div(t.f[j], w[j])
-    if c == 0:
-        return False
-    return all(t.f[i] == F.mul(c, w[i]) for i in range(len(w)))
-
-
-def sample_nonpreserving_transvection(omega, rng):
-    """Uniform transvection t with t^T.omega.t != omega, by rejection."""
-    dim = omega.nrows
-    for _ in range(REJECTION_MAX_TRIES):
-        t = _sample_transvection_dim(dim, omega.field, rng)
-        if not preserves_form(t, omega):
-            return t
-    raise InternalError("rejection sampling did not terminate")
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """The walk on symplectic forms: simulation, classification, exact chains.
 
-A state is an invertible alternating Gram matrix on F_q^(2n).  One step
-picks a transvection uniformly among those not fixing the current form and
-replaces the Gram w by t^-T w t^-1.  Start randomization applies a single
-diagonal twist diag(alpha, 1, ..., 1) with alpha uniform in F_q^*.
+One step of the walk picks a transvection t uniformly among those not
+fixing the current Gram w and replaces w by t^-T w t^-1.  Start
+randomization applies a single diagonal twist diag(alpha, 1, ..., 1) with
+alpha uniform in F_q^*.  Every production path holds the forms as batched
+uint8 Grams and steps, lists and labels them with the _engine kernels.
 
-The double-coset classifier maps a state (or a group element) to the class
-label of a half-size matrix: X = J^-1 w is conjugate to diag(M, M^T), so
-its per-factor block partitions have even multiplicities and halve to the
+The double-coset classifier maps a form w to the class label of a
+half-size matrix: X = J^-1 w is conjugate to diag(M, M^T), so its
+per-factor block partitions have even multiplicities and halve to the
 label mu of weight n.
 
 Exact chains are built on the lumps, the double cosets, and never on the
@@ -15,11 +16,17 @@ full form space: each lumped row is read off the distinct images of one
 representative form, listed from the 2-planes isotropic for it, so the
 work grows with the number of lumps, not of forms.  Over F_(p^k) the
 states are realified over F_p, so every field takes the batched
-prime-field path; the pure-Python _classify_X stays as its oracle.  They
-give exact rational transition matrices, stationary distributions and
-total-variation curves.  A brute-force oracle that enumerates every form
-under the congruences by every transvection checks the TV curves on small
-spaces.
+prime-field path.  They give exact rational transition matrices,
+stationary distributions and total-variation curves.
+
+Oracles kept on purpose, which no production path calls:
+- _classify_X, on linalg.class_invariant: the pure-Python classifier that
+  the batched one must match;
+- the group lift: group_walk_step draws from the bi-Sp-invariant walk on
+  GL_2n, and double_coset_key and classify_double_coset label a group
+  element g via X = J^-1 g^T J g;
+- ChainModel.full_tv_curve_bruteforce: TV curves by enumerating every
+  form under the congruences by every transvection, on small spaces.
 """
 
 from __future__ import annotations
@@ -55,7 +62,6 @@ from .linalg import (
     factor_poly,
     is_form_preserving,
     partition_from_rank_sequence,
-    sample_nonpreserving_transvection,
     sample_symplectic,
     standard_J,
     symplectic_transvection_count,
@@ -101,52 +107,13 @@ def _realify(codes, field):
     return blocks.swapaxes(-3, -2).reshape(*lead, R * k, C * k)
 
 
-# ---------------------------------------------------------------------------
-# States and steps
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FormState:
-    """An invertible alternating Gram matrix (a symplectic form)."""
-
-    gram: MatFq
-
-    def __post_init__(self):
-        if not self.gram.is_alternating():
-            raise ValueError("Gram matrix must be alternating")
-        if not self.gram.is_invertible():
-            raise ValueError("Gram matrix must be invertible")
-
-    @property
-    def n(self):
-        return self.gram.nrows // 2
-
-    @property
-    def field(self):
-        return self.gram.field
-
-
 def _initial_gram(n, field, alpha) -> MatFq:
+    """The base form J twisted by diag(alpha, 1, ..., 1): the start of the
+    walk in the Pfaffian sector of alpha."""
     J = standard_J(n, field)
     ainv = field.inv(alpha)
     h_inv = MatFq.diagonal(field, [ainv] + [1] * (2 * n - 1))
     return h_inv.transpose() * J * h_inv
-
-
-def initial_state(n, field, rng) -> FormState:
-    """The base form J twisted by diag(alpha, 1, ..., 1), alpha uniform unit."""
-    return FormState(_initial_gram(n, field, rng.randrange(1, field.q)))
-
-
-def step(state: FormState, rng) -> FormState:
-    """One move: congruence by the inverse of a uniformly chosen
-    transvection among those not fixing the current form."""
-    t = sample_nonpreserving_transvection(state.gram, rng)
-    ti = t.inverse_matrix()
-    new = FormState(ti.transpose() * state.gram * ti)
-    if new.gram == state.gram:
-        raise InternalError("walk did not move")
-    return new
 
 
 # ---------------------------------------------------------------------------
@@ -287,28 +254,20 @@ def _label_from_ranks(factors, seq, N):
     return _key_type_from_pairs(pairs)
 
 
-def _classify_obj(obj):
-    """(key, type) of a form, via X = J^-1 w, or of a group element g,
-    via X = J^-1 g^T J g."""
-    if isinstance(obj, FormState):
-        J = standard_J(obj.n, obj.field)
-        w = obj.gram
-    elif isinstance(obj, MatFq):
-        J = standard_J(obj.nrows // 2, obj.field)
-        w = obj.transpose() * J * obj
-    else:
-        raise TypeError("expected FormState or MatFq")
-    return _classify_X(J.inverse() * w)
+def _classify_g(g):
+    """(key, type) of a group element g of GL_2n, via X = J^-1 g^T J g."""
+    J = standard_J(g.nrows // 2, g.field)
+    return _classify_X(J.inverse() * g.transpose() * J * g)
 
 
-def double_coset_key(obj):
+def double_coset_key(g):
     """Complete double-coset invariant: ((poly coeffs, partition), ...)."""
-    return _classify_obj(obj)[0]
+    return _classify_g(g)[0]
 
 
-def classify_double_coset(obj) -> PartitionFn:
-    """Type label mu (weight n) of the double coset of a form or element."""
-    return _classify_obj(obj)[1]
+def classify_double_coset(g) -> PartitionFn:
+    """Type label mu (weight n) of the double coset Sp g Sp of g."""
+    return _classify_g(g)[1]
 
 
 def stationary_type_distribution(n, q):
@@ -356,15 +315,6 @@ def group_walk_step(g: MatFq, rng) -> MatFq:
     k1 = sample_symplectic(n, field, rng)
     k2 = sample_symplectic(n, field, rng)
     return g * (k1 * rep * k2)
-
-
-def transvection_product(n, field, steps, rng) -> MatFq:
-    """Product of `steps` uniform non-symplectic transvections (w.r.t. J)."""
-    J = standard_J(n, field)
-    g = MatFq.identity(field, 2 * n)
-    for _ in range(steps):
-        g = g * sample_nonpreserving_transvection(J, rng).matrix()
-    return g
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from sympwalk.combinat import (
 from sympwalk.field import build_field
 from sympwalk.linalg import (
     all_transvections,
-    preserves_form,
+    is_form_preserving,
     standard_J,
     symplectic_transvection_count,
     transvection_count,
@@ -149,7 +149,7 @@ def test_criterion_4_transvection_census():
         sym = 0
         for t in all_transvections(dim, field):
             seen.add(t.matrix().key())
-            if preserves_form(t, J):
+            if is_form_preserving(t.matrix(), J):
                 sym += 1
         assert len(seen) == transvection_count(dim, q)
         assert sym == symplectic_transvection_count(dim, q)

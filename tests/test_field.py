@@ -116,16 +116,6 @@ def test_frobenius_fixed_points(p, k):
         assert F.pow(a, F.q) == a
 
 
-def test_element_wrapper_operations():
-    F4 = build_field(2, 2)
-    g = F4.element(2)
-    assert (g * g) == F4.element(3)
-    assert (g + g).code == 0
-    assert (g / g).code == 1
-    assert (g ** 3).code == 1  # multiplicative order divides q - 1 = 3
-    assert g.inverse() * g == F4.element(1)
-
-
 def test_enumerate_irreducibles_examples():
     F2 = build_field(2, 1)
     got = enumerate_irreducibles(F2, 1, exclude_x=True)

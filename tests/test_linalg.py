@@ -21,9 +21,7 @@ from sympwalk.linalg import (
     class_invariant,
     factor_poly,
     is_form_preserving,
-    preserves_form,
     projective_vectors,
-    sample_nonpreserving_transvection,
     sample_symplectic,
     sample_transvection,
     standard_J,
@@ -89,8 +87,7 @@ def test_is_form_preserving_cases():
     assert not is_form_preserving(g2_example(), J)
     # a symplectic transvection I + v omega(v, .)
     v = (1, 0, 0, 0)
-    f = J.transpose().mat_vec(v)
-    t = Transvection(F2, v, tuple(f))
+    t = Transvection(F2, v, J.rows[0])  # f = e_1^T J
     assert is_form_preserving(t.matrix(), J)
 
 
@@ -163,25 +160,15 @@ def test_transvection_counts_at_2_2():
     assert symplectic_transvection_count(4, 2) == 15
 
 
-def test_preserves_form_matches_direct_check():
-    for field in (F2, F3):
-        J = standard_J(2, field)
-        for t in all_transvections(4, field):
-            assert preserves_form(t, J) == is_form_preserving(t.matrix(), J)
-
-
 def test_sample_transvection_properties():
     rng = random.Random(7)
     for field in (F2, F3):
         ident = MatFq.identity(field, 4)
         for _ in range(100):
             t = sample_transvection(2, field, rng)
-            m = t.matrix()
-            assert m.det() == 1
-            d = m - ident
+            d = t.matrix() - ident
             assert d.rank() == 1
-            assert d * d == MatFq.zeros(field, 4)
-            assert m * t.inverse_matrix() == ident
+            assert d * d == MatFq.zeros(field, 4)  # unipotent, so det = 1
 
 
 def test_sample_transvection_exhausts_uniformly():
@@ -192,22 +179,6 @@ def test_sample_transvection_exhausts_uniformly():
     assert len(counts) == 105
     expected = 200
     assert all(abs(c - expected) < 5 * (expected * (1 - 1 / 105)) ** 0.5 for c in counts.values())
-
-
-def test_sample_nonpreserving_transvection():
-    rng = random.Random(11)
-    J = standard_J(2, F2)
-    for _ in range(200):
-        t = sample_nonpreserving_transvection(J, rng)
-        m = t.matrix()
-        assert m.transpose() * J * m != J
-
-
-def test_nonpreserving_acceptance_fraction():
-    # 90 of the 105 transvections move the standard form when (n, q) = (2, 2)
-    J = standard_J(2, F2)
-    moved = sum(1 for t in all_transvections(4, F2) if not preserves_form(t, J))
-    assert moved == 105 - 15 == 90
 
 
 def test_annihilator_basis_spans_kernel():

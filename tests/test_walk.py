@@ -24,16 +24,14 @@ from sympwalk.field import build_field, field_from_order
 from sympwalk.linalg import (
     MatFq,
     all_transvections,
-    class_invariant,
     is_form_preserving,
-    sample_nonpreserving_transvection,
     sample_symplectic,
+    sample_transvection,
     standard_J,
 )
 from sympwalk.spectral import eigenvalue_phi
 from sympwalk.walk import (
     DEFAULT_STATE_CAP,
-    FormState,
     _classify_states_batched,
     _classify_X,
     _initial_gram,
@@ -45,14 +43,11 @@ from sympwalk.walk import (
     double_coset_key,
     exact_form_chain,
     group_walk_step,
-    initial_state,
     monte_carlo_curve,
     monte_carlo_tv,
     nonsymplectic_representative,
     stationary_type_distribution,
-    step,
     support_violations,
-    transvection_product,
 )
 
 F2 = build_field(2, 1)
@@ -68,47 +63,7 @@ def test_form_space_sizes():
     assert coset_space_size(3, 2) == 13888
 
 
-def test_initial_state_q2_is_J():
-    rng = random.Random(0)
-    J = standard_J(2, F2)
-    for _ in range(5):
-        assert initial_state(2, F2, rng).gram == J
-
-
-def test_initial_state_q3_two_grams():
-    rng = random.Random(1)
-    seen = {initial_state(2, F3, rng).gram.key() for _ in range(200)}
-    assert len(seen) == 2
-    for _ in range(20):
-        s = initial_state(2, F3, rng)
-        assert s.gram.is_alternating() and s.gram.is_invertible()
-
-
-def test_form_state_validation():
-    with pytest.raises(ValueError):
-        FormState(MatFq.identity(F2, 4))
-
-
-def test_step_moves_and_stays_alternating():
-    rng = random.Random(2)
-    state = initial_state(2, F2, rng)
-    for _ in range(30):
-        new = step(state, rng)
-        assert new.gram != state.gram
-        assert new.gram.is_alternating() and new.gram.is_invertible()
-        state = new
-
-
-def test_one_step_lands_in_transvection_coset():
-    rng = random.Random(3)
-    J_state = initial_state(2, F2, rng)
-    for _ in range(40):
-        assert classify_double_coset(step(J_state, rng)) == TRANSVECTION2
-
-
 def test_classifier_on_states_and_elements():
-    rng = random.Random(4)
-    assert classify_double_coset(initial_state(2, F2, rng)) == ID2
     g2 = MatFq(F2, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     assert classify_double_coset(g2) == TRANSVECTION2
     # group version of the identity
@@ -199,6 +154,20 @@ def test_classifier_complete_against_brute_force_orbits():
     by_type = {classify_double_coset(elems[next(iter(o))]): len(o) for _, o in blocks}
     for typ, size in by_type.items():
         assert size == 720 * class_size_qsq(typ, 2)
+    # the production classifier on the forms g^T J g of all elements, in one
+    # batched call: constant on each orbit, separating the orbits, and equal
+    # to the scalar labels of the group lift
+    order = list(elems)
+    mats = np.array([elems[key].rows for key in order], dtype=np.int64)
+    forms = np.einsum("bji,jk,bkl->bil", mats, np.array(J.rows), mats) % 2
+    batched = dict(zip(order, zip(*_classify_states_batched(forms.astype(np.uint8), 2, F2))))
+    labels = []
+    for key, orbit in blocks:
+        (label,) = {batched[m] for m in orbit}
+        g = elems[next(iter(orbit))]
+        assert label == (double_coset_key(g), classify_double_coset(g))
+        labels.append(label)
+    assert len(set(labels)) == len(blocks)
 
 
 def test_chain_2_2_matches_published_matrix(chain22):
@@ -393,17 +362,21 @@ def test_plane_images_match_transvection_congruences(n, q):
 def test_plane_images_contain_sampled_congruences(q):
     """Over F_8, whose multiplication blocks are not all symmetric (those of
     F_4 are, so a block left untransposed passes there), and over F_9: the
-    realified congruences by 300 random moving transvections, formed by
-    MatFq, are among the distinct plane images, which number
-    move_count / (q(q+1))."""
+    realified congruences by the first 300 uniform transvections that move
+    the form, formed by MatFq, are among the distinct plane images, which
+    number move_count / (q(q+1))."""
     field = field_from_order(q)
     rng = random.Random(q)
     for gram in _sp_congruent_grams(2, field, q)[-2:]:
         keys = set(_plane_image_keys(gram))
         assert len(keys) * q * (q + 1) == walk._move_count(2, q)
-        for _ in range(300):
-            m = sample_nonpreserving_transvection(gram, rng).matrix()
-            assert _realified(m.transpose() * gram * m).tobytes() in keys
+        moved = 0
+        while moved < 300:
+            m = sample_transvection(2, field, rng).matrix()
+            img = m.transpose() * gram * m
+            if img != gram:
+                moved += 1
+                assert _realified(img).tobytes() in keys
 
 
 def test_work_cap_counts_lumps_times_images(chain22, chain23, chain32, chain24):
@@ -620,22 +593,6 @@ def test_nonsymplectic_representative():
     assert not is_form_preserving(rep, J)
 
 
-def test_transvection_product_support():
-    rng = random.Random(17)
-    for n, field in ((2, F2), (3, F2), (2, F3)):
-        J = standard_J(n, field)
-        j_inv = J.inverse()
-        for c in range(n + 1):
-            for _ in range(10):
-                g = transvection_product(n, field, n - c, rng)
-                inv = class_invariant(j_inv * g.transpose() * J * g)
-                parts_at_one = 0
-                for f, flam in inv.entries:
-                    if f.degree == 1 and f.coeffs == ((field.q - 1) % field.q, 1):
-                        parts_at_one = len(flam) // 2
-                assert parts_at_one >= c
-
-
 def test_support_violations_sweep():
     for n, q in ((2, 2), (3, 2), (2, 3)):
         for c in range(n + 1):
@@ -646,12 +603,10 @@ def test_support_violations_sweep():
 def test_update_convention_invariance(chain22):
     """Pullback and pushforward updates give the same chain: the
     non-fixing transvection set is inversion-closed."""
-    from sympwalk.linalg import all_transvections, preserves_form
-
     J = standard_J(2, F2)
-    movers = [t for t in all_transvections(4, F2) if not preserves_form(t, J)]
+    movers = [t for t in all_transvections(4, F2) if not is_form_preserving(t.matrix(), J)]
     image_pullback = sorted(
-        (t.inverse_matrix().transpose() * J * t.inverse_matrix()).key() for t in movers
+        (t.matrix().inverse().transpose() * J * t.matrix().inverse()).key() for t in movers
     )
     image_pushforward = sorted(
         (t.matrix().transpose() * J * t.matrix()).key() for t in movers
