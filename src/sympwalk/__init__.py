@@ -26,6 +26,7 @@ from .spectral import (
     SpectralLine,
     char_ratio_transvection,
     eigenvalue_phi,
+    eigenvalue_phi_global,
     eigenvalue_via_lift,
     proportions_a_b,
     spectrum,
@@ -61,6 +62,7 @@ __all__ = [
     "coset_space_size",
     "dim_irrep",
     "eigenvalue_phi",
+    "eigenvalue_phi_global",
     "eigenvalue_via_lift",
     "enumerate_partition_fns",
     "exact_form_chain",

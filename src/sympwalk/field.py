@@ -12,6 +12,8 @@ and serves as the oracle for the multiplication tables.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import (
@@ -152,8 +154,26 @@ class FieldSpec:
             return self._inv_table[a]
         return self.pow(a, self.q - 2)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
+    # -- arithmetic on vectors of codes --------------------------------------
+
+    def dot(self, a, b):
+        """sum of a_i b_i over F_q."""
+        if self.k == 1:
+            return sum(map(operator.mul, a, b)) % self.p
+        add, mul = self.add, self.mul
+        acc = 0
+        for x, y in zip(a, b):
+            if x and y:
+                acc = add(acc, mul(x, y))
+        return acc
+
+    def axpy(self, c, x, y):
+        """The vector y + c x, formed in one pass."""
+        if self.k == 1:
+            p = self.p
+            return [(b + c * a) % p for a, b in zip(x, y)]
+        add, mul = self.add, self.mul
+        return [add(b, mul(c, a)) for a, b in zip(x, y)]
 
     def pow(self, a, e):
         if e < 0:
@@ -199,12 +219,13 @@ def build_field(p, k):
     Instances are cached per (p, k): FieldSpec is immutable, so sharing is
     safe across threads and workers.
     """
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
     if k < 1:
         raise ValueError("extension degree must be >= 1")
-    if p ** k > DEFAULT_MAX_FIELD_SIZE:
+    # p >= 2 gives p^k >= 2^k, so a large k exceeds the cap before p^k is formed
+    if p > 1 and (k >= DEFAULT_MAX_FIELD_SIZE.bit_length() or p ** k > DEFAULT_MAX_FIELD_SIZE):
         raise FieldTooLargeError(f"q = {p}^{k} exceeds cap {DEFAULT_MAX_FIELD_SIZE}")
+    if not is_prime(p):
+        raise NotPrimeError(f"{p} is not prime")
     key = (p, k)
     if key not in _FIELD_CACHE:
         modulus = (0, 1)  # the polynomial x
@@ -218,6 +239,8 @@ def field_from_order(q):
     """Return F_q for a prime power q."""
     if q < 2:
         raise ValueError("field order must be >= 2")
+    if q > DEFAULT_MAX_FIELD_SIZE:
+        raise FieldTooLargeError(f"q = {q} exceeds cap {DEFAULT_MAX_FIELD_SIZE}")
     for p in range(2, q + 1):
         if q % p == 0:
             k = 0
@@ -258,10 +281,6 @@ class PolyFq:
     @property
     def is_zero(self):
         return not self.coeffs
-
-    @property
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __eq__(self, other):
         return (

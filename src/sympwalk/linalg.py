@@ -8,6 +8,10 @@ characteristic polynomial).
 
 Everything here is exact; no floating point.  Matrices are value types
 (tuples of tuples of field codes), and the samplers take an explicit RNG.
+Every F_q operation goes through FieldSpec: its scalar add/mul/neg/inv
+and its vector primitives dot and axpy.  The prime-field fast path lives
+in FieldSpec alone; only the characteristic-2 split of factor_poly reads
+p and k.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ class MatFq:
         )
 
     def __hash__(self):
-        return hash((self.field.p, self.field.k, self.rows))
+        return hash((self.field, self.rows))
 
     def key(self):
         """Canonical bytes key (codes < 256 by construction of small fields)."""
@@ -100,28 +104,9 @@ class MatFq:
                 raise DimensionMismatchError(
                     f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}"
                 )
-            F = self.field
+            dot = self.field.dot
             bt = list(zip(*other.rows))
-            if F.k == 1:
-                p = F.p
-                return MatFq(
-                    F,
-                    [
-                        [sum(a * b for a, b in zip(row, col)) % p for col in bt]
-                        for row in self.rows
-                    ],
-                )
-            out = []
-            for row in self.rows:
-                orow = []
-                for col in bt:
-                    acc = 0
-                    for a, b in zip(row, col):
-                        if a and b:
-                            acc = F.add(acc, F.mul(a, b))
-                    orow.append(acc)
-                out.append(orow)
-            return MatFq(F, out)
+            return MatFq(self.field, [[dot(row, col) for col in bt] for row in self.rows])
         return NotImplemented
 
     __matmul__ = __mul__
@@ -137,22 +122,6 @@ class MatFq:
                 for r1, r2 in zip(self.rows, other.rows)
             ],
         )
-
-    def __sub__(self, other):
-        F = self.field
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatchError("shape mismatch in sub")
-        return MatFq(
-            F,
-            [
-                [F.sub(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-        )
-
-    def __neg__(self):
-        F = self.field
-        return MatFq(F, [[F.neg(a) for a in r] for r in self.rows])
 
     def scale(self, c):
         F = self.field
@@ -182,10 +151,7 @@ class MatFq:
                 rows[rank] = [F.mul(inv, a) for a in rows[rank]]
             for r in range(m):
                 if r != rank and rows[r][col]:
-                    c = rows[r][col]
-                    rows[r] = [
-                        F.sub(a, F.mul(c, b)) for a, b in zip(rows[r], rows[rank])
-                    ]
+                    rows[r] = F.axpy(F.neg(rows[r][col]), rows[rank], rows[r])
             rank += 1
             if rank == m:
                 break
@@ -193,9 +159,6 @@ class MatFq:
 
     def rank(self):
         return self._echelon([list(r) for r in self.rows])
-
-    def kernel_dim(self):
-        return self.ncols - self.rank()
 
     def inverse(self):
         if not self.is_square:
@@ -208,9 +171,6 @@ class MatFq:
             if any(work[i][j] != (1 if i == j else 0) for j in range(n)):
                 raise SingularMatrixError("matrix is singular")
         return MatFq(F, [row[n:] for row in work])
-
-    def is_invertible(self):
-        return self.is_square and self.rank() == self.nrows
 
     def is_alternating(self):
         """Gram test: zero diagonal and M^T = -M.
@@ -267,28 +227,15 @@ class Transvection:
     f: tuple
 
     def __post_init__(self):
-        F = self.field
         if not any(self.v) or not any(self.f):
             raise ValueError("v and f must be nonzero")
-        acc = 0
-        for a, b in zip(self.f, self.v):
-            acc = F.add(acc, F.mul(a, b))
-        if acc != 0:
+        if self.field.dot(self.f, self.v):
             raise ValueError("transvection needs f(v) = 0")
 
     def matrix(self):
         F = self.field
-        n = len(self.v)
-        return MatFq(
-            F,
-            [
-                [
-                    F.add(1 if i == j else 0, F.mul(self.v[i], self.f[j]))
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ],
-        )
+        ident = MatFq.identity(F, len(self.v)).rows
+        return MatFq(F, [F.axpy(c, self.f, row) for c, row in zip(self.v, ident)])
 
 
 def projective_vectors(dim, field):
@@ -322,16 +269,11 @@ def all_transvections(dim, field):
     (v, f) and (cv, f/c) give the same map, so v runs over projective
     representatives and f over all nonzero annihilator functionals.
     """
-    F = field
     for v in projective_vectors(dim, field):
         basis = annihilator_basis(v, field)
-        m = len(basis)
-        for code in range(1, F.q ** m):
-            f = [0] * dim
-            for coeff, b in zip(base_digits(code, F.q, m), basis):
-                if coeff:
-                    f = [F.add(a, F.mul(coeff, x)) for a, x in zip(f, b)]
-            yield Transvection(F, v, tuple(f))
+        for code in range(1, field.q ** len(basis)):
+            f = _combination(field, base_digits(code, field.q, len(basis)), basis, [0] * dim)
+            yield Transvection(field, v, f)
 
 
 def transvection_count(dim, q):
@@ -363,11 +305,15 @@ def sample_transvection(n, field, rng):
         coeffs = [rng.randrange(q) for _ in basis]
         if any(coeffs):
             break
-    f = [0] * dim
-    for coeff, b in zip(coeffs, basis):
-        if coeff:
-            f = [F.add(a, F.mul(coeff, x)) for a, x in zip(f, b)]
-    return Transvection(F, v, tuple(f))
+    return Transvection(F, v, _combination(F, coeffs, basis, [0] * dim))
+
+
+def _combination(F, coeffs, vectors, start):
+    """start + sum of c_i vectors_i, as a tuple."""
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            start = F.axpy(c, vec, start)
+    return tuple(start)
 
 
 # ---------------------------------------------------------------------------
@@ -382,80 +328,38 @@ def sample_symplectic(n, field, rng):
     vectors of W pairing to 1 with e_i.  The symplectic group acts simply
     transitively on symplectic bases, so the output is uniform.
     """
-    F = field
-    q = F.q
-    N = 2 * n
-    if F.k == 1:
-        add = lambda a, b: (a + b) % q
-        mul = lambda a, b: (a * b) % q
-        sub = lambda a, b: (a - b) % q
-        inv_of = lambda a: pow(a, q - 2, q)
-    else:
-        add, mul, sub, inv_of = F.add, F.mul, F.sub, F.inv
-
-    def omega(x, y):
-        acc = 0
-        for i in range(n):
-            acc = add(acc, mul(x[i], y[n + i]))
-            acc = sub(acc, mul(x[n + i], y[i]))
-        return acc
-
-    def combine(target, c, vec):
-        return [add(a, mul(c, x)) for a, x in zip(target, vec)]
-
-    basis = [tuple(1 if i == j else 0 for j in range(N)) for i in range(N)]
+    F, q, N = field, field.q, 2 * n
+    basis = MatFq.identity(F, N).rows
     es, fs = [], []
     for _ in range(n):
-        m = len(basis)
-        # e: uniform nonzero combination of the current basis of W
         while True:
-            coeffs = [rng.randrange(q) for _ in range(m)]
+            coeffs = [rng.randrange(q) for _ in basis]
             if any(coeffs):
                 break
-        e = [0] * N
-        for c, b in zip(coeffs, basis):
-            if c:
-                e = combine(e, c, b)
-        e = tuple(e)
-        # pairings of e against the basis of W
-        pair = [omega(e, b) for b in basis]
-        piv = next(i for i, c in enumerate(pair) if c)
-        inv = inv_of(pair[piv])
-        f0 = tuple(mul(inv, c) for c in basis[piv])
-        # kernel of omega(e, .) inside W
-        kernel = []
-        for i, b in enumerate(basis):
-            if i == piv:
-                continue
-            c = mul(pair[i], inv)
-            kernel.append(tuple(sub(a, mul(c, x)) for a, x in zip(b, basis[piv])))
-        # f: f0 plus uniform kernel element
-        coeffs = [rng.randrange(q) for _ in kernel]
-        f = list(f0)
-        for c, b in zip(coeffs, kernel):
-            if c:
-                f = combine(f, c, b)
-        f = tuple(f)
-        # W' = vectors of the kernel also pairing to 0 with f
-        pair_f = [omega(f, b) for b in kernel]
-        piv2 = next((i for i, c in enumerate(pair_f) if c), None)
-        if piv2 is None:
-            new_basis = kernel
-        else:
-            inv2 = inv_of(pair_f[piv2])
-            new_basis = []
-            for i, b in enumerate(kernel):
-                if i == piv2:
-                    continue
-                c = mul(pair_f[i], inv2)
-                new_basis.append(
-                    tuple(sub(a, mul(c, x)) for a, x in zip(b, kernel[piv2]))
-                )
-        basis = new_basis
+        e = _combination(F, coeffs, basis, [0] * N)  # uniform nonzero in W
+        f0, kernel = _complement_step(F, e, basis)  # f: f0 + uniform kernel vector
+        f = _combination(F, [rng.randrange(q) for _ in kernel], kernel, f0)
+        # e lies in the span of kernel and omega(f, e) = -1, so a pivot exists
+        _, basis = _complement_step(F, f, kernel)
         es.append(e)
         fs.append(f)
-    cols = es + fs
-    return MatFq(F, [[cols[j][i] for j in range(N)] for i in range(N)])
+    return MatFq(F, zip(*es, *fs))
+
+
+def _complement_step(F, x, basis):
+    """Split a basis of W against omega(x, .), which must not vanish on W.
+
+    u is the first basis vector pairing nonzero with x, scaled so that
+    omega(x, u) = 1; rest holds every other basis vector b minus
+    omega(x, b) u, a basis of the vectors of W orthogonal to x.
+    """
+    n = len(x) // 2
+    xj = [F.neg(a) for a in x[n:]] + list(x[:n])  # omega(x, b) = xj . b
+    pair = [F.dot(xj, b) for b in basis]
+    piv = next(i for i, c in enumerate(pair) if c)
+    u = F.axpy(F.inv(pair[piv]), basis[piv], [0] * len(x))
+    rest = [F.axpy(F.neg(c), u, b) for i, (c, b) in enumerate(zip(pair, basis)) if i != piv]
+    return u, rest
 
 
 # ---------------------------------------------------------------------------
@@ -482,28 +386,11 @@ def charpoly(M: MatFq) -> PolyFq:
         w = list(C)
         for j in range(k):
             if j > 0:
-                w = [_dot(F, sub[i], w) for i in range(k)]
-            col.append(F.neg(_dot(F, R, w)))
+                w = [F.dot(sub[i], w) for i in range(k)]
+            col.append(F.neg(F.dot(R, w)))
         # v' = T v for the (k+2) x (k+1) lower-triangular Toeplitz T
-        new_v = [0] * (k + 2)
-        for i in range(k + 2):
-            acc = 0
-            for j in range(len(v)):
-                if 0 <= i - j < len(col):
-                    acc = F.add(acc, F.mul(col[i - j], v[j]))
-            new_v[i] = acc
-        v = new_v
+        v = [F.dot(col[i::-1], v) for i in range(k + 2)]
     return PolyFq(F, list(reversed(v)))
-
-
-def _dot(F, a, b):
-    if F.k == 1:
-        return sum(x * y for x, y in zip(a, b)) % F.p
-    acc = 0
-    for x, y in zip(a, b):
-        if x and y:
-            acc = F.add(acc, F.mul(x, y))
-    return acc
 
 
 def factor_poly(poly: PolyFq):

@@ -7,8 +7,9 @@ partition-valued label lam of weight n, with multiplicity d_(lam u lam).
 Two independent evaluation routes are provided and must agree exactly:
 
 * eigenvalue_phi -- the combinatorial formula built from Macdonald-type
-  arm/leg data at parameter (q, t = q^2), in both a "global" c'-ratio form
-  and a "local" row/column product form;
+  arm/leg data at parameter (q, t = q^2), in its "local" row/column
+  product form; eigenvalue_phi_global evaluates the same formula in its
+  "global" c'-ratio form;
 * eigenvalue_via_lift -- the character ratio of GL_2n at a transvection
   (the classical transvection-walk eigenvalue), pushed through the affine
   relation T = aS + bI between the two walks.
@@ -161,13 +162,17 @@ def _removal_sum_local(part, q) -> Fraction:
     return total
 
 
-def _phi_from_removal_sum(total, n, q) -> Fraction:
-    const = Fraction(q ** (2 * n) - 1, q ** (2 * n - 2) * (q * q - 1))
-    pref = Fraction(
+def _prefactor(n, q) -> Fraction:
+    """q^(2n-2)(q^2-1) / ((q^2n-1)(q^(2n-2)-1)), in front of every corner sum."""
+    return Fraction(
         q ** (2 * n - 2) * (q * q - 1),
         (q ** (2 * n) - 1) * (q ** (2 * n - 2) - 1),
     )
-    return pref * (total - const)
+
+
+def _phi_from_removal_sum(total, n, q) -> Fraction:
+    const = Fraction(q ** (2 * n) - 1, q ** (2 * n - 2) * (q * q - 1))
+    return _prefactor(n, q) * (total - const)
 
 
 @lru_cache(maxsize=None)
@@ -179,23 +184,29 @@ def _phi_local(degree_one_parts, n, q) -> Fraction:
     return _phi_from_removal_sum(total, n, q)
 
 
-def eigenvalue_phi(lam_fn: PartitionFn, n, q, method="local") -> Fraction:
+def eigenvalue_phi(lam_fn: PartitionFn, n, q) -> Fraction:
     """Walk eigenvalue phi for the label lam_fn of weight n.
 
-    method="local" uses the row/column product; method="global" the
-    c'/psi' ratio.  The two are algebraically equal and tested as such;
-    only the local route is memoised (see the module docstring).  For
-    n = 1 every transvection of GL_2 is symplectic, the walk is trivial,
-    and the only label is the trivial one with eigenvalue 1.
+    The local route, memoised (see the module docstring).  For n = 1 every
+    transvection of GL_2 is symplectic, the walk is trivial, and the only
+    label is the trivial one with eigenvalue 1.
     """
     check_weight(lam_fn, n)
     if n == 1:
         return Fraction(1)
-    if method == "local":
-        parts = tuple(part for d, part in lam_fn.entries if d == 1)
-        return _phi_local(parts, n, q)
-    if method != "global":
-        raise ValueError(f"unknown eigenvalue method {method!r}")
+    parts = tuple(part for d, part in lam_fn.entries if d == 1)
+    return _phi_local(parts, n, q)
+
+
+def eigenvalue_phi_global(lam_fn: PartitionFn, n, q) -> Fraction:
+    """Oracle: phi from the c'/psi' ratio form of each removal term.
+
+    Algebraically equal to eigenvalue_phi and tested as such; recomputed
+    on every call.
+    """
+    check_weight(lam_fn, n)
+    if n == 1:
+        return Fraction(1)
     total = Fraction(0)
     for _, part, corner, reduced in _degree_one_removals(lam_fn):
         total += _term_global(part, corner, reduced, q)
@@ -259,17 +270,13 @@ def corner_bound(lam_fn: PartitionFn, n, q) -> Fraction:
            (q^(2i) - 1)(q^j - 1) / (q^(j-1) (q-1)(q^2-1)).
     """
     check_weight(lam_fn, n)
-    pref = Fraction(
-        q ** (2 * n - 2) * (q * q - 1),
-        (q ** (2 * n) - 1) * (q ** (2 * n - 2) - 1),
-    )
     total = Fraction(0)
     for _, part, (i, j), _reduced in _degree_one_removals(lam_fn):
         total += Fraction(
             (q ** (2 * i) - 1) * (q ** j - 1),
             q ** (j - 1) * (q - 1) * (q * q - 1),
         )
-    return pref * total
+    return _prefactor(n, q) * total
 
 
 # ---------------------------------------------------------------------------

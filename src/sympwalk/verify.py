@@ -141,8 +141,8 @@ def check_spectral(max_n=4, trials=0, seed=0):
         for n in range(2, max_n + 1):
             bad = []
             for fn, cnt in cb.enumerate_partition_fns(n, q):
-                pl = sp.eigenvalue_phi(fn, n, q, "local")
-                pg = sp.eigenvalue_phi(fn, n, q, "global")
+                pl = sp.eigenvalue_phi(fn, n, q)
+                pg = sp.eigenvalue_phi_global(fn, n, q)
                 pv = sp.eigenvalue_via_lift(fn, n, q)
                 if not (pl == pg == pv):
                     bad.append((fn.entries, str(pl), str(pg), str(pv)))

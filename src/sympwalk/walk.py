@@ -41,6 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _engine
+from .bounds import check_enumeration_cap
 from .combinat import (
     PartitionFn,
     class_size_qsq,
@@ -272,6 +273,7 @@ def classify_double_coset(g) -> PartitionFn:
 
 def stationary_type_distribution(n, q):
     """Stationary mass per type label: count * |coset| / |form space|."""
+    check_enumeration_cap(n)
     out = {}
     denom = coset_space_size(n, q)
     for fn, cnt in enumerate_partition_fns(n, q):
@@ -504,6 +506,7 @@ def chain_work(n, q):
     read off the move_count / (q(q+1)) distinct images of its
     representative.  This is what the chain cap bounds.
     """
+    check_enumeration_cap(n)
     lumps = sum(cnt for _, cnt in enumerate_partition_fns(n, q))
     return lumps * _move_count(n, q) // (q * (q + 1))
 

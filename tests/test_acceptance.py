@@ -36,6 +36,7 @@ from sympwalk.spectral import (
     corner_bound,
     eigenvalue_floor,
     eigenvalue_phi,
+    eigenvalue_phi_global,
     eigenvalue_via_lift,
     proportions_a_b,
 )
@@ -97,8 +98,8 @@ def test_criterion_2_eigenvalue_triple_agreement(chain22):
     for q in (2, 3):
         for n in range(1, 5):
             for fn, _ in enumerate_partition_fns(n, q):
-                assert eigenvalue_phi(fn, n, q, "local") == eigenvalue_phi(
-                    fn, n, q, "global"
+                assert eigenvalue_phi(fn, n, q) == eigenvalue_phi_global(
+                    fn, n, q
                 ) == eigenvalue_via_lift(fn, n, q)
                 checked += 1
     # and at (2, 2) both match the lumped-chain spectrum

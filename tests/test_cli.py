@@ -223,11 +223,14 @@ def test_bounds_logfloat_large_n(capsys):
 
 
 def test_enumeration_cap_exit_code(capsys):
-    # verify checks the cap before any suite enumerates a label
+    # verify checks the cap before any suite enumerates a label, chain and
+    # simulate before the lump count and the stationary law enumerate them
     for argv in (
         ["spectrum", "--n", "15", "--q", "2"],
         ["bounds", "--n", "15", "--q", "2", "--k-range", "15..15"],
         ["verify", "--max-n", "15"],
+        ["chain", "--n", "15", "--q", "3"],
+        ["simulate", "--n", "15", "--q", "3", "--steps", "1", "--trials", "2"],
     ):
         start = time.perf_counter()
         code = main(argv)
@@ -235,6 +238,24 @@ def test_enumeration_cap_exit_code(capsys):
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err == "resource cap: n=15 beyond enumeration cap 14\n"
+        assert elapsed < 1.0
+
+
+def test_field_cap_exits_before_q_is_factored(capsys):
+    # q = 2^61 - 1 and p = 10^18 + 3 are prime: trial division up to q, resp.
+    # sqrt(p), would run for hours; 3^(10^8) would take minutes to form
+    for argv, message in (
+        (["spectrum", "--n", "2", "--q", "2305843009213693951"], "q = 2305843009213693951 exceeds cap"),
+        (["bounds", "--n", "2", "--p", "1000000000000000003", "--k", "1", "--k-range", "1..2"],
+         "q = 1000000000000000003^1 exceeds cap"),
+        (["spectrum", "--n", "2", "--p", "3", "--k", "100000000"], "q = 3^100000000 exceeds cap"),
+    ):
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith(f"resource cap: {message}")
         assert elapsed < 1.0
 
 

@@ -99,7 +99,7 @@ def brute_force_conjugacy_classes_gl2_f2():
     for bits in range(16):
         rows = [[(bits >> 0) & 1, (bits >> 1) & 1], [(bits >> 2) & 1, (bits >> 3) & 1]]
         m = MatFq(F2, rows)
-        if m.is_invertible():
+        if m.rank() == 2:
             elems.append(m)
     classes = []
     seen = set()

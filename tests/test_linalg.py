@@ -43,8 +43,8 @@ def test_rank_identity():
 
 
 def test_kernel_dim_of_g2_minus_identity():
-    g2 = g2_example()
-    assert (g2 - MatFq.identity(F2, 4)).kernel_dim() == 3
+    g2 = g2_example()  # over F_2, g2 - I = g2 + I
+    assert 4 - (g2 + MatFq.identity(F2, 4)).rank() == 3
 
 
 def test_inverse_of_J_over_F3():
@@ -163,10 +163,10 @@ def test_transvection_counts_at_2_2():
 def test_sample_transvection_properties():
     rng = random.Random(7)
     for field in (F2, F3):
-        ident = MatFq.identity(field, 4)
+        minus_ident = MatFq.identity(field, 4).scale(field.neg(1))
         for _ in range(100):
             t = sample_transvection(2, field, rng)
-            d = t.matrix() - ident
+            d = t.matrix() + minus_ident
             assert d.rank() == 1
             assert d * d == MatFq.zeros(field, 4)  # unipotent, so det = 1
 
@@ -200,6 +200,20 @@ def test_sample_symplectic_preserves_form():
         for _ in range(50):
             g = sample_symplectic(n, field, rng)
             assert is_form_preserving(g, J)
+
+
+def test_sample_symplectic_draws_are_pinned():
+    # 20 seeded draws per (q, n) and the rng state after them: a change to
+    # one draw, one matrix entry or the sequence of rng calls moves this
+    h = hashlib.sha256()
+    for q in (2, 3, 4, 9):
+        field = field_from_order(q)
+        for n in (1, 2, 3):
+            rng = random.Random(1000 * q + n)
+            for _ in range(20):
+                h.update(repr(sample_symplectic(n, field, rng).rows).encode())
+            h.update(repr(rng.random()).encode())
+    assert h.hexdigest() == "bef2a2ce429dc14d2134fe95200b79523f03d4aa3029028c4b0a1cee7e189d73"
 
 
 def test_sample_symplectic_uniform_sp2():
@@ -297,11 +311,11 @@ def test_class_invariant_conjugation_invariance():
         while checked < 1000:
             rows = [[rng.randrange(field.q) for _ in range(4)] for _ in range(4)]
             x = MatFq(field, rows)
-            if not x.is_invertible():
+            if x.rank() < 4:
                 continue
             grows = [[rng.randrange(field.q) for _ in range(4)] for _ in range(4)]
             g = MatFq(field, grows)
-            if not g.is_invertible():
+            if g.rank() < 4:
                 continue
             conj = g * x * g.inverse()
             assert class_invariant(conj).entries == class_invariant(x).entries

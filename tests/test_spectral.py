@@ -9,6 +9,7 @@ from sympwalk.spectral import (
     corner_bound,
     eigenvalue_floor,
     eigenvalue_phi,
+    eigenvalue_phi_global,
     eigenvalue_via_lift,
     macdonald_b,
     macdonald_cprime,
@@ -108,8 +109,8 @@ def test_char_ratio_trivial_is_one():
 )
 def test_dual_path_equality(n, q):
     for fn, _ in enumerate_partition_fns(n, q):
-        local = eigenvalue_phi(fn, n, q, method="local")
-        ratio_form = eigenvalue_phi(fn, n, q, method="global")
+        local = eigenvalue_phi(fn, n, q)
+        ratio_form = eigenvalue_phi_global(fn, n, q)
         lift = eigenvalue_via_lift(fn, n, q)
         assert local == ratio_form == lift
 
@@ -117,16 +118,11 @@ def test_dual_path_equality(n, q):
 @pytest.mark.parametrize("n, q", [(4, 3), (3, 4)])
 def test_local_route_warm_cache_matches_cold(cold_caches, n, q):
     labels = [fn for fn, _ in enumerate_partition_fns(n, q)]
-    cold = [eigenvalue_phi(fn, n, q, method="local") for fn in labels]
-    oracle = [eigenvalue_phi(fn, n, q, method="global") for fn in labels]
-    warm = [eigenvalue_phi(fn, n, q, method="local") for fn in labels]
+    cold = [eigenvalue_phi(fn, n, q) for fn in labels]
+    oracle = [eigenvalue_phi_global(fn, n, q) for fn in labels]
+    warm = [eigenvalue_phi(fn, n, q) for fn in labels]
     assert cold == oracle == warm
     assert all(type(phi) is Fraction for phi in warm)
-
-
-def test_unknown_eigenvalue_method_is_rejected():
-    with pytest.raises(ValueError):
-        eigenvalue_phi(ROW2, 2, 2, method="lift")
 
 
 @pytest.mark.parametrize("q", [2, 3])

@@ -95,7 +95,7 @@ def test_classifier_complete_against_brute_force_orbits():
     for code in range(2 ** 16):
         rows = [[(code >> (4 * i + j)) & 1 for j in range(4)] for i in range(4)]
         m = MatFq(F2, rows)
-        if m.is_invertible():
+        if m.rank() == 4:
             elems[m.key()] = m
     assert len(elems) == 20160
     J = standard_J(2, F2)
@@ -541,7 +541,7 @@ def test_batched_classifier_matches_scalar_oracle(case):
     """The batched classifier on the realified form, over prime and extension
     fields, against _classify_X on the form itself."""
     n, field, w = case
-    assert w.is_alternating() and w.is_invertible()
+    assert w.is_alternating() and w.rank() == w.nrows
     keys, types = _classify_states_batched(_realified(w)[None], n, field)
     assert (keys[0], types[0]) == _classify_X(standard_J(n, field).inverse() * w)
 
