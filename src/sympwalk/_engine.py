@@ -1,12 +1,18 @@
 """Vectorized prime-field kernels for chains, simulation and classification.
 
 One rule: states cross the module boundary as (B, N, N) uint8 Grams over
-F_p, so p <= 256, and every kernel computes lanes last, (N, N, B), in
-int32, reduced with _mod, under a bound it checks before it allocates
-(_check_int32).  No floating point.  A matrix over F_q, q = p^k, comes
-realified: each entry c becomes the k x k block over F_p of multiplication
-by c, and ranks are k times those over F_q.  Not kernels: distinct_states
-labels states in int64 (batches below 2^31), and the brute-force oracle,
+F_p, so p <= 256, and every kernel computes lanes last, (N, N, B).  At odd
+p it computes in int32, reduced with _mod, under a bound it checks before
+it allocates (_check_int32).  At p = 2, mc_step, batched_rank and
+batched_matmul (and with it the Horner steps of batched_matpoly) bit-slice
+the lanes instead: _pack holds 64 lanes in each uint64 word, bit l of word
+w being lane 64 w + l, so a product is an AND, a sum an XOR, and no bound
+applies.  They take and return what their int32 forms (_rank_int32,
+_matmul_int32, and _mc_step with int32 rounds) do, which stay the odd-p
+path and the test oracle.  No floating point.  A matrix over F_q, q = p^k, comes realified:
+each entry c becomes the k x k block over F_p of multiplication by c, and
+ranks are k times those over F_q.  Not kernels: distinct_states labels
+states in int64 (batches below 2^31), and the brute-force oracle,
 transvection_images, keeps int64 rows.
 """
 
@@ -41,6 +47,31 @@ def _check_int32(terms, p, what):
     """Sums of `terms` products of residues plus a residue must fit int32."""
     if terms * p * p + p >= 2 ** 31:
         raise StateSpaceTooLargeError(f"int32 {what} need {terms} p^2 + p < 2^31 at p = {p}")
+
+
+def _pack(x):
+    """The low bits of the integers x, (..., B), as (..., W) uint64 words,
+    W = ceil(B / 64): bit l of word w is lane 64 w + l (on a little-endian
+    host; no kernel reads a word as a number), and the padding bits are 0."""
+    bits = np.bitwise_and(x, 1, dtype=np.uint8, casting="unsafe", order="C")  # keeps the low bit of x < 0
+    B = bits.shape[-1]
+    words = np.zeros((*bits.shape[:-1], -(-B // 64) * 8), dtype=np.uint8)
+    words[..., : -(-B // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    return words.view(np.uint64)
+
+
+def _unpack(words, B):
+    """The first B lanes of _pack's words as (..., B) uint8 bits."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=B, bitorder="little")
+
+
+def _first_set(x):
+    """For (K, W) words: the words of each lane's first set row among the K
+    (a running "seen" word), and the words of the lanes with any set."""
+    seen = np.bitwise_or.accumulate(x, axis=0)
+    first = x.copy()
+    first[1:] &= ~seen[:-1]
+    return first, seen[-1]
 
 
 def transvection_images(w, v, f, p):
@@ -124,22 +155,55 @@ def j_inv_times(grams, p):
 
 
 def batched_matmul(a, b, p):
-    """a b mod p for lanes-last (M, K, B) and (K, N, B) residues."""
+    """a b mod p for lanes-last (M, K, B) and (K, N, B) integers, as int32."""
+    return _matmul_f2(a, b) if p == 2 else _matmul_int32(a, b, p)
+
+
+def _matmul_int32(a, b, p):
     _check_int32(a.shape[1], p, "matrix products")
     return _mod(np.einsum("ijb,jkb->ikb", a, b), p)
 
 
+def _matmul_f2(a, b):
+    """a b over F_2 on packed lanes: an XOR over j of row j of b ANDed with
+    column j of a."""
+    a_w, b_w = _pack(a), _pack(b)
+    prod = a_w[:, 0, None] & b_w[0]
+    for j in range(1, a.shape[1]):
+        prod ^= a_w[:, j, None] & b_w[j]
+    return _unpack(prod, a.shape[-1]).astype(np.int32)
+
+
 def batched_rank(a, p):
-    """Rank over F_p of every matrix of the lanes-last (M, N, B) batch, as
-    (B,) int32; a is reduced mod p and eliminated in place.  Column by
-    column, the first row nonzero there (one max reduction) is the pivot,
-    scaled to 1, and the column is cleared from every row, the pivot's own
-    included, which zeroes it: no row is swapped or picked twice, and the
-    rank is the number of columns that found a pivot.  Every entry stays
-    below p^2 + p."""
+    """Rank over F_p of every matrix of the lanes-last (M, N, B) integer
+    batch, as (B,) int32; a is left as it is.  Column by column, the first
+    row nonzero there is the pivot, scaled to 1, and the column is cleared
+    from every row, the pivot's own included, which zeroes it: no row is
+    swapped or picked twice, and the rank is the number of columns that
+    found a pivot."""
+    return _rank_f2(a) if p == 2 else _rank_int32(a, p)
+
+
+def _rank_f2(a):
+    """batched_rank on packed lanes: the pivot is picked by _first_set and
+    the column cleared by XOR with the pivot row where the column is set."""
+    N, B = a.shape[1:]
+    a = _pack(a)
+    found = np.empty((N, a.shape[-1]), dtype=np.uint64)
+    for col in range(N):
+        c = a[:, col]
+        first, found[col] = _first_set(c)
+        piv = np.bitwise_or.reduce(first[:, None] & a[:, col:], axis=0)
+        a[:, col:] ^= c[:, None] & piv
+    return _unpack(found, B).sum(axis=0, dtype=np.int32)
+
+
+def _rank_int32(a, p):
+    """batched_rank in int32: the pivot is the first row nonzero in the
+    column (one max reduction), and every entry stays below p^2 + p."""
     _check_int32(1, p, "ranks")
     M, N, B = a.shape
-    _mod(a, p)
+    a = _mod(a.copy(), p)
     inv_table = mod_inverse_table(p)
     order = np.arange(M, 0, -1, dtype=np.int32)[:, None]
     rank = np.zeros(B, dtype=np.int32)
@@ -185,19 +249,34 @@ def mc_step(grams, p, rng):
     span(u), draws again.  Its image is formed once, after its last round.
     For N >= 3 every nonzero form has a move; a lane that stays after the
     first round and cannot move (the zero form, or any form if N < 3) is a
-    ValueError, not an endless redraw."""
+    ValueError, not an endless redraw.  At p = 2 the rounds run on packed
+    lanes; every round draws v, then f, as rng.integers(0, p, size=(lanes,
+    N)) at any p, so a seed gives the same steps as on int32 lanes."""
+    return _mc_step(grams, p, rng, packed=p == 2)
+
+
+def _mc_step(grams, p, rng, packed):
+    """mc_step with its rounds on packed lanes (p = 2 only) or int32 ones."""
     N = grams.shape[1]
-    _check_int32(N, p, "steps")
+    if not packed:
+        _check_int32(N, p, "steps")
+    draw = _draw_moves_f2 if packed else _draw_moves
     w = np.ascontiguousarray(grams.transpose(1, 2, 0))
-    u, f, moves = _draw_moves(w, p, rng)
+    u, f, moves = draw(w, p, rng)
     pending = np.flatnonzero(~moves)
-    if len(pending) and (N < 3 or not w[:, :, pending].any(axis=(0, 1)).all()):
+    if len(pending) and (N < 3 or not np.take(w, pending, axis=2).any(axis=(0, 1)).all()):
         raise ValueError(f"no transvection moves a {N} x {N} form of the batch")
     while len(pending):
-        u_p, f_p, moves = _draw_moves(w[:, :, pending], p, rng)
+        u_p, f_p, moves = draw(np.take(w, pending, axis=2), p, rng)
         u[:, pending], f[:, pending] = u_p, f_p  # kept from the round that moves the lane
         pending = pending[~moves]
-    return np.ascontiguousarray(rank2_image(w, u, f, p).transpose(2, 0, 1), dtype=np.uint8)
+    if packed:
+        image = u[:, None] & f
+        image ^= image.swapaxes(0, 1)
+        image ^= w
+    else:
+        image = rank2_image(w, u, f, p)
+    return np.ascontiguousarray(image.transpose(2, 0, 1), dtype=np.uint8)
 
 
 def _draw_moves(w, p, rng):
@@ -215,6 +294,24 @@ def _draw_moves(w, p, rng):
     f = _mod(f - at[0] * (_mod(np.einsum("im,im->m", v, f), p) * mod_inverse_table(p)[v_at]), p)
     row = u_at * f - np.einsum("im,im->m", f, at[1]) * u
     return u, f, _mod(row, p).any(axis=0)
+
+
+def _draw_moves_f2(w, p, rng):
+    """_draw_moves at p = 2 on packed lanes: u = v^T w is an XOR of ANDs, f
+    is projected by XOR at v's first set entry, and the row of
+    u f^T - f u^T at u's first set entry is f, or f ^ u if f is set there,
+    or 0 if u = 0.  u and f come back as uint8 bits."""
+    N, _, m = w.shape
+    w = _pack(w)
+    v = _pack(rng.integers(0, p, size=(m, N)).T)
+    f = _pack(rng.integers(0, p, size=(m, N)).T)
+    u = np.bitwise_xor.reduce(v[:, None] & w, axis=0)
+    v_first, _ = _first_set(v)
+    f ^= v_first & np.bitwise_xor.reduce(v & f, axis=0)
+    u_first, u_nonzero = _first_set(u)
+    row = (u_nonzero & f) ^ (np.bitwise_or.reduce(u_first & f, axis=0) & u)
+    moves = _unpack(np.bitwise_or.reduce(row, axis=0), m).view(bool)
+    return _unpack(u, m), _unpack(f, m), moves
 
 
 def distinct_states(grams, p):

@@ -130,9 +130,6 @@ class FieldSpec:
     def _neg_slow(self, a):
         return self.encode([-x for x in self.decode(a)])
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         if self.k == 1:
             return (a * b) % self.p
@@ -172,6 +169,9 @@ class FieldSpec:
         if self.k == 1:
             p = self.p
             return [(b + c * a) % p for a, b in zip(x, y)]
+        if self._mul_table is not None:
+            add, c_times = self._add_table, self._mul_table[c]
+            return [add[b][c_times[a]] for a, b in zip(x, y)]
         add, mul = self.add, self.mul
         return [add(b, mul(c, a)) for a, b in zip(x, y)]
 
@@ -292,38 +292,29 @@ class PolyFq:
     def __hash__(self):
         return hash((self.field.p, self.field.k, self.coeffs))
 
+    def _combine(self, c, other):
+        """self + c other (FieldSpec.axpy over other's coefficients)."""
+        m = len(other.coeffs)
+        out = list(self.coeffs) + [0] * (m - len(self.coeffs))
+        out[:m] = self.field.axpy(c, other.coeffs, out)
+        return PolyFq(self.field, out)
+
     def __add__(self, other):
-        F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else 0
-            b = other.coeffs[i] if i < len(other.coeffs) else 0
-            out.append(F.add(a, b))
-        return PolyFq(F, out)
+        return self._combine(1, other)
 
     def __sub__(self, other):
-        F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else 0
-            b = other.coeffs[i] if i < len(other.coeffs) else 0
-            out.append(F.sub(a, b))
-        return PolyFq(F, out)
+        return self._combine(self.field.neg(1), other)
 
     def __mul__(self, other):
-        F = self.field
-        if self.is_zero or other.is_zero:
-            return PolyFq(F, ())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return PolyFq(F, out)
+        """One axpy per coefficient of the shorter factor."""
+        a, b = self.coeffs, other.coeffs
+        if len(a) > len(b):
+            a, b = b, a
+        axpy, out = self.field.axpy, [0] * max(0, len(a) + len(b) - 1)
+        for i, c in enumerate(a):
+            if c:
+                out[i:i + len(b)] = axpy(c, b, out[i:])
+        return PolyFq(self.field, out)
 
     def scale(self, c):
         F = self.field
@@ -347,8 +338,7 @@ class PolyFq:
             shift = len(rem) - 1 - dd
             if c:
                 quot[shift] = c
-                for i, oc in enumerate(other.coeffs):
-                    rem[shift + i] = F.sub(rem[shift + i], F.mul(c, oc))
+                rem[shift:] = F.axpy(F.neg(c), other.coeffs, rem[shift:])
             rem.pop()
         return PolyFq(F, quot), PolyFq(F, rem)
 

@@ -220,7 +220,7 @@ def _rank_sequences(fx, jobs, field):
     pending = np.arange(len(jobs))
     powers = fx  # f(X)^j of the pending jobs, stacked
     while len(pending):
-        rank_j = _engine.batched_rank(powers.copy(), p) // k
+        rank_j = _engine.batched_rank(powers, p) // k
         going = np.zeros(len(jobs), dtype=bool)
         for t, rank in zip(pending, np.split(rank_j, np.cumsum(sizes[pending])[:-1])):
             _, mult, floor = jobs[t]
@@ -762,30 +762,34 @@ def support_violations(n, field_or_q, c, trials, seed=0):
     k transvections, whose fixed space has dimension >= 2n - k; the label
     condition is rank(X - I) <= 2(n - c) for X = J^-1 w.  Violations are
     counted via batched rank; a small subsample is cross-checked with the
-    full classifier.  Returns (violations, trials).
+    full classifier.  Trials are stepped and ranked in chunks of MC_CHUNK,
+    so memory stays bounded whatever their number.  Returns (violations,
+    trials).
     """
     field = _mc_field(field_or_q, n)
     if not 0 <= c <= n:
         raise ValueError("need 0 <= c <= n")
     p = field.p
-    k = n - c
     rng = np.random.default_rng(seed)
     J = standard_J(n, field)
     j_inv_mat = J.inverse()
-    grams = np.tile(np.array(J.to_lists(), dtype=np.uint8), (trials, 1, 1))
-    for _ in range(k):
-        grams = _engine.mc_step(grams, p, rng)
-    x_minus_1 = _engine.batched_matpoly(_engine.j_inv_times(grams, p), _mul_blocks(field)[[1, p - 1]], p)
-    ranks = _engine.batched_rank(x_minus_1, p)
-    violations = int((ranks > 2 * (n - c)).sum())
-    # cross-check the rank criterion against the classifier on a subsample:
-    # the block partition of X at x - 1 has exactly dim ker(X - I) parts
-    for i in range(min(SUPPORT_CLASSIFY_SAMPLE, trials)):
-        inv = class_invariant(j_inv_mat * MatFq(field, grams[i].tolist()))
-        parts_at_one = 0
-        for f, lam in inv.entries:
-            if f.degree == 1 and f.coeffs == ((p - 1) % p, 1):
-                parts_at_one = len(lam)
-        if 2 * n - int(ranks[i]) != parts_at_one:
-            raise InternalError("rank criterion disagrees with classifier")
+    jmat = np.array(J.to_lists(), dtype=np.uint8)
+    violations = 0
+    for start in range(0, trials, MC_CHUNK):
+        grams = np.tile(jmat, (min(MC_CHUNK, trials - start), 1, 1))
+        for _ in range(n - c):
+            grams = _engine.mc_step(grams, p, rng)
+        x_minus_1 = _engine.batched_matpoly(_engine.j_inv_times(grams, p), _mul_blocks(field)[[1, p - 1]], p)
+        ranks = _engine.batched_rank(x_minus_1, p)
+        violations += int((ranks > 2 * (n - c)).sum())
+        # cross-check the rank criterion against the classifier on a subsample:
+        # the block partition of X at x - 1 has exactly dim ker(X - I) parts
+        for i in range(min(SUPPORT_CLASSIFY_SAMPLE - start, len(grams))):
+            inv = class_invariant(j_inv_mat * MatFq(field, grams[i].tolist()))
+            parts_at_one = 0
+            for f, lam in inv.entries:
+                if f.degree == 1 and f.coeffs == ((p - 1) % p, 1):
+                    parts_at_one = len(lam)
+            if 2 * n - int(ranks[i]) != parts_at_one:
+                raise InternalError("rank criterion disagrees with classifier")
     return violations, trials

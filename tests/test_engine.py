@@ -93,6 +93,50 @@ def test_batched_rank_matches_matfq(p, M, N):
     assert _engine.batched_rank(np.zeros((M, N, 0), dtype=np.int32), p).shape == (0,)
 
 
+def _mixed_rank_f2(rng, B, M, N):
+    """B lanes-last int32 M x N matrices over F_2 of mixed ranks, each a
+    product of random M x r and r x N factors, shifted into negative entries."""
+    mats = np.zeros((B, M, N), dtype=np.int64)
+    for b, r in enumerate(rng.integers(0, min(M, N) + 1, size=B)):
+        mats[b] = rng.integers(0, 2, size=(M, r)) @ rng.integers(0, 2, size=(r, N)) % 2
+    shifted = mats - 2 * rng.integers(0, 3, size=mats.shape)
+    return np.ascontiguousarray(shifted.transpose(1, 2, 0), dtype=np.int32)
+
+
+@pytest.mark.parametrize("B", [0, 1, 64, 100, 1000])
+@pytest.mark.parametrize("M, N", [(1, 1), (6, 6), (4, 7), (9, 3), (16, 16), (16, 5)])
+def test_packed_rank_and_matmul_match_int32_oracle(M, N, B):
+    """At p = 2, batched_rank and batched_matmul on packed lanes equal their
+    int32 forms lane for lane, and leave their inputs as they are."""
+    rng = np.random.default_rng(1000 * M + 10 * N + B)
+    a = _mixed_rank_f2(rng, B, M, N)
+    b = rng.integers(-4, 4, size=(N, 3, B)).astype(np.int32)
+    before = a.copy(), b.copy()
+    ranks = _engine.batched_rank(a, 2)
+    assert ranks.dtype == np.int32 and ranks.tolist() == _engine._rank_int32(a, 2).tolist()
+    prod = _engine.batched_matmul(a, b, 2)
+    assert prod.dtype == np.int32 and prod.shape == (M, 3, B)
+    assert (prod == _engine._matmul_int32(a, b, 2)).all()
+    assert (a == before[0]).all() and (b == before[1]).all()
+    if B >= 100 and min(M, N) > 1:
+        assert len(set(ranks.tolist())) > 2
+
+
+@pytest.mark.parametrize("q", [2, 4])
+@pytest.mark.parametrize("N", [1, 5, 8])
+def test_packed_matpoly_matches_int32_oracle(q, N, monkeypatch):
+    """batched_matpoly at p = 2 (packed Horner products) equals it with the
+    int32 product, for polynomials of degree 1 to 4 over F_q, realified."""
+    field = field_from_order(q)
+    rng = np.random.default_rng(10 * q + N)
+    x = _mixed_rank_f2(rng, 100, N * field.k, N * field.k)
+    polys = [[1, *rng.integers(0, q, size=degree)] for degree in range(1, 5)]
+    packed = [_engine.batched_matpoly(x, _mul_blocks(field)[c], 2) for c in polys]
+    monkeypatch.setattr(_engine, "batched_matmul", _engine._matmul_int32)
+    for c, fx in zip(polys, packed):
+        assert (fx == _engine.batched_matpoly(x, _mul_blocks(field)[c], 2)).all()
+
+
 @pytest.mark.parametrize("q", [2, 3, 251, 4, 8, 9])
 @pytest.mark.parametrize("N", [1, 2, 5, 6])
 def test_charpoly_and_matpoly_match_matfq(q, N):
@@ -142,15 +186,53 @@ class _Draws:
 def test_mc_step_rejects_lanes_that_cannot_move():
     """The zero form has no move, and no form of size N < 3 has one: mc_step
     raises after its first round instead of redrawing forever (the stub has
-    the draws of one round only, so a second round fails the test too)."""
+    the draws of one round only, so a second round fails the test too), on
+    int32 lanes at p = 3 and on packed ones at p = 2."""
     rng = np.random.default_rng(0)
-    mixed = _trajectory(3, 3, trials=5, steps=1, seed=2)[-1]
-    mixed[2] = 0
-    size2 = np.array([[[0, 1], [2, 0]]] * 4, dtype=np.uint8)
-    for grams in (np.zeros((4, 6, 6), dtype=np.uint8), mixed, size2):
-        B, N, _ = grams.shape
-        with pytest.raises(ValueError):
-            _engine.mc_step(grams, 3, _Draws(*rng.integers(0, 3, size=(2, B, N))))
+    for p in (2, 3):
+        mixed = _trajectory(3, p, trials=5, steps=1, seed=2)[-1]
+        mixed[2] = 0
+        size2 = np.array([[[0, 1], [p - 1, 0]]] * 4, dtype=np.uint8)
+        for grams in (np.zeros((4, 6, 6), dtype=np.uint8), mixed, size2):
+            B, N, _ = grams.shape
+            with pytest.raises(ValueError):
+                _engine.mc_step(grams, p, _Draws(*rng.integers(0, p, size=(2, B, N))))
+
+
+class _Recorded:
+    """A seeded Generator whose integers() calls are logged: bounds, size and dtype."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def integers(self, low, high, size):
+        out = self.rng.integers(low, high, size=size)
+        self.calls.append((low, high, size, out.dtype))
+        return out
+
+
+@pytest.mark.parametrize("N", [4, 6, 8])
+@pytest.mark.parametrize("B", [0, 1, 63, 64, 65, 1000])
+def test_packed_mc_step_matches_int32_oracle(B, N):
+    """At p = 2, mc_step on packed lanes makes the int32 step's draws, call
+    for call, and lands every lane on the same Gram, for three steps from
+    random nonzero alternating forms (degenerate ones included)."""
+    rng = np.random.default_rng(10 * B + N)
+    grams = _alternating(rng, B, N, 2)
+    zero = ~grams.any(axis=(1, 2))
+    grams[zero, 0, 1] = grams[zero, 1, 0] = 1
+    for step in range(3):
+        packed_rng, oracle_rng = _Recorded(step), _Recorded(step)
+        packed = _engine.mc_step(grams, 2, packed_rng)
+        oracle = _engine._mc_step(grams, 2, oracle_rng, packed=False)
+        assert packed.dtype == np.uint8 and packed.flags.c_contiguous
+        assert packed.shape == grams.shape and (packed == oracle).all()
+        assert packed_rng.calls == oracle_rng.calls
+        assert all(dtype == np.int64 for *_, dtype in packed_rng.calls)
+        grams = packed
+    if B == 1000:
+        assert len(packed_rng.calls) > 2  # lanes were redrawn
 
 
 def _projected(v, f, p):
@@ -167,7 +249,8 @@ def _projected(v, f, p):
 def test_move_predicate_on_every_draw(p):
     """For every (v, f) of F_p^4, the engine moves the lane iff t^T w t != w,
     t = I + v f' (f' the projected f), and the image it forms is
-    t^-T w t^-1 = (I - v f')^T w (I - v f'), both formed by MatFq."""
+    t^-T w t^-1 = (I - v f')^T w (I - v f'), both formed by MatFq.  At
+    p = 2 the packed round gives the same u, f' and moves."""
     N = 4
     field = build_field(p, 1)
     draws = list(itertools.product(itertools.product(range(p), repeat=N), repeat=2))
@@ -177,6 +260,9 @@ def test_move_predicate_on_every_draw(p):
     for w in forms:
         lanes = np.broadcast_to(w.astype(np.uint8)[:, :, None], (N, N, len(draws)))
         u, f_proj, moves = _engine._draw_moves(lanes, p, _Draws(vs, fs))
+        if p == 2:  # the packed round makes the same draws and decisions
+            packed = _engine._draw_moves_f2(lanes, p, _Draws(vs, fs))
+            assert [x.tolist() for x in packed] == [u.tolist(), f_proj.tolist(), moves.tolist()]
         images = _engine.rank2_image(lanes, u, f_proj, p)
         gram = MatFq(field, w.tolist())
         for lane, (v, f) in enumerate(draws):

@@ -600,6 +600,22 @@ def test_support_violations_sweep():
             assert v == 0 and t == 2000
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_support_violations_steps_in_chunks(q, monkeypatch):
+    """Trials are stepped MC_CHUNK at a time, so memory stays bounded."""
+    batches = []
+
+    def counted(grams, p, rng):
+        batches.append(len(grams))
+        return mc_step(grams, p, rng)
+
+    mc_step = _engine.mc_step
+    monkeypatch.setattr(walk, "MC_CHUNK", 100)
+    monkeypatch.setattr(_engine, "mc_step", counted)
+    assert support_violations(3, q, 1, 350, seed=4) == (0, 350)
+    assert batches == [100, 100, 100, 100, 100, 100, 50, 50]
+
+
 def test_update_convention_invariance(chain22):
     """Pullback and pushforward updates give the same chain: the
     non-fixing transvection set is inversion-closed."""
