@@ -370,7 +370,7 @@ def batched_matpoly(x, coeff_blocks, p):
     _check_int32(Nk, p, "polynomial evaluation")
     k = coeff_blocks.shape[1]
     rows, cols = _block_diagonal(Nk, k)
-    lead, x_rows = coeff_blocks[0], x.reshape(-1, k, *x.shape[1:])
+    lead, x_rows = coeff_blocks[0], x.reshape(Nk // k, k, *x.shape[1:])
     acc = sum((lead[:, j, None, None] * x_rows[:, j, None] for j in range(1, k)),
               lead[:, 0, None, None] * x_rows[:, 0, None]).reshape(x.shape)  # the leading block times X
     for i, c in enumerate(coeff_blocks[1:]):

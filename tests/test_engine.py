@@ -126,12 +126,14 @@ def test_packed_rank_and_matmul_match_int32_oracle(M, N, B):
 @pytest.mark.parametrize("N", [1, 5, 8])
 def test_packed_matpoly_matches_int32_oracle(q, N, monkeypatch):
     """batched_matpoly at p = 2 (packed Horner products) equals it with the
-    int32 product, for polynomials of degree 1 to 4 over F_q, realified."""
+    int32 product, for polynomials of degree 1 to 4 over F_q, realified, on
+    100 mixed-rank lanes with negative entries; an empty batch stays empty."""
     field = field_from_order(q)
     rng = np.random.default_rng(10 * q + N)
     x = _mixed_rank_f2(rng, 100, N * field.k, N * field.k)
     polys = [[1, *rng.integers(0, q, size=degree)] for degree in range(1, 5)]
     packed = [_engine.batched_matpoly(x, _mul_blocks(field)[c], 2) for c in polys]
+    assert _engine.batched_matpoly(x[:, :, :0], _mul_blocks(field)[polys[-1]], 2).shape == (len(x), len(x), 0)
     monkeypatch.setattr(_engine, "batched_matmul", _engine._matmul_int32)
     for c, fx in zip(polys, packed):
         assert (fx == _engine.batched_matpoly(x, _mul_blocks(field)[c], 2)).all()
