@@ -1,19 +1,22 @@
 """Vectorized prime-field kernels for chains, simulation and classification.
 
-One rule: states cross the module boundary as (B, N, N) uint8 Grams over
-F_p, so p <= 256, and every kernel computes lanes last, (N, N, B).  At odd
-p it computes in int32, reduced with _mod, under a bound it checks before
-it allocates (_check_int32).  At p = 2, mc_step, batched_rank and
-batched_matmul (and with it the Horner steps of batched_matpoly) bit-slice
-the lanes instead: _pack holds 64 lanes in each uint64 word, bit l of word
-w being lane 64 w + l, so a product is an AND, a sum an XOR, and no bound
-applies.  They take and return what their int32 forms (_rank_int32,
-_matmul_int32, and _mc_step with int32 rounds) do, which stay the odd-p
-path and the test oracle.  No floating point.  A matrix over F_q, q = p^k, comes realified:
-each entry c becomes the k x k block over F_p of multiplication by c, and
-ranks are k times those over F_q.  Not kernels: distinct_states labels
-states in int64 (batches below 2^31), and the brute-force oracle,
-transvection_images, keeps int64 rows.
+States are Grams over F_p, so p <= 256, and every kernel computes lanes
+last, (N, N, B).  Kernels take and return (B, N, N) uint8 Grams or
+lanes-last int32 arrays; the one exception is a Monte Carlo batch, a Lanes
+object, which keeps its own layout from start to tally and gives out
+Grams only for the distinct states it tallies (or through grams()).  At
+odd p a kernel computes in int32, reduced with _mod, under a bound it
+checks before it allocates (_check_int32).  At p = 2, Lanes,
+batched_rank, batched_matmul and batched_matpoly bit-slice the lanes
+instead: _pack holds 64 lanes in each uint64 word, bit l of word w being
+lane 64 w + l, so a product is an AND, a sum an XOR, and no bound
+applies.  They give what their int32 forms (_rank_int32, _matmul_int32,
+_matpoly_int32 and Lanes with packed=False) do, which stay the odd-p path
+and the test oracle.  No floating point.  A matrix over F_q, q = p^k,
+comes realified: each entry c becomes the k x k block over F_p of
+multiplication by c, and ranks are k times those over F_q.  Not kernels:
+distinct_states labels states in int64 (batches below 2^31), and the
+brute-force oracle, transvection_images, keeps int64 rows.
 """
 
 from __future__ import annotations
@@ -165,13 +168,17 @@ def _matmul_int32(a, b, p):
 
 
 def _matmul_f2(a, b):
-    """a b over F_2 on packed lanes: an XOR over j of row j of b ANDed with
-    column j of a."""
-    a_w, b_w = _pack(a), _pack(b)
-    prod = a_w[:, 0, None] & b_w[0]
+    """a b over F_2 on packed lanes (_matmul_words)."""
+    return _unpack(_matmul_words(_pack(a), _pack(b)), a.shape[-1]).astype(np.int32)
+
+
+def _matmul_words(a, b):
+    """a b over F_2 for _pack words a, (M, K, W), and b, (K, N, W): an XOR
+    over j of row j of b ANDed with column j of a."""
+    prod = a[:, 0, None] & b[0]
     for j in range(1, a.shape[1]):
-        prod ^= a_w[:, j, None] & b_w[j]
-    return _unpack(prod, a.shape[-1]).astype(np.int32)
+        prod ^= a[:, j, None] & b[j]
+    return prod
 
 
 def batched_rank(a, p):
@@ -233,50 +240,83 @@ def mod_inverse_table(p):
 # Monte Carlo stepping
 # ---------------------------------------------------------------------------
 
+class Lanes:
+    """A Monte Carlo batch of B alternating Grams over F_p, held from start
+    to tally in the layout its step runs on: packed (the default at p = 2)
+    as _pack words, (N, N, W), else lanes last as uint8, (N, N, B).  Grams
+    as a (B, N, N) uint8 batch come in through from_grams and go out through
+    grams(), and distinct() tallies the batch without leaving the layout."""
+
+    def __init__(self, data, B, p, packed):
+        self.data, self.B, self.p, self.packed = data, B, p, packed
+
+    @classmethod
+    def from_grams(cls, grams, p, packed=None):
+        """The (B, N, N) batch; packed=False at p = 2 gives the int32 oracle."""
+        packed = p == 2 if packed is None else packed
+        lanes = grams.transpose(1, 2, 0)
+        return cls(_pack(lanes) if packed else np.ascontiguousarray(lanes), len(grams), p, packed)
+
+    @classmethod
+    def start(cls, j_mat, p, trials, rng):
+        """D-randomized starts: row/column 0 of J scaled by a uniform unit.
+        At p = 2 the only unit is 1 and rng.integers(1, 2, size) draws
+        nothing, so the start is J's words broadcast and rng is not called."""
+        if p == 2:
+            ones = _pack(np.ones(trials, dtype=np.uint8))
+            return cls(np.where(j_mat[:, :, None] == 1, ones, np.uint64(0)), trials, p, True)
+        data = np.repeat(j_mat[:, :, None], trials, axis=2)
+        ainv = mod_inverse_table(p)[rng.integers(1, p, size=trials)]
+        data[0] = _mod(data[0] * ainv, p)
+        data[:, 0] = _mod(data[:, 0] * ainv, p)
+        return cls(data, trials, p, False)
+
+    def grams(self):
+        """The batch as (B, N, N) uint8 Grams."""
+        lanes = _unpack(self.data, self.B) if self.packed else self.data
+        return np.ascontiguousarray(lanes.transpose(2, 0, 1))
+
+    def step(self, rng):
+        """One walk step on every lane: each draws a uniform transvection
+        t = I + vf (f v = 0) and moves w to t^-T w t^-1 = w + u^T f - f^T u,
+        u = v^T w, or, if u = 0 or f is in span(u), draws again.  For N >= 3
+        every nonzero form has a move; a lane that stays after the first
+        round and cannot move (the zero form, or any form if N < 3) is a
+        ValueError, not an endless redraw.  Every round draws v, then f, as
+        rng.integers(0, p, size=(lanes, N)), so a seed gives the same steps
+        in either layout."""
+        p, w = self.p, self.data
+        if self.packed:
+            return Lanes(_step_f2(w, self.B, rng), self.B, p, True)
+        N = len(w)
+        _check_int32(N, p, "steps")
+        u, f, moves = _draw_moves(w, p, rng)
+        pending = np.flatnonzero(~moves)
+        if len(pending) and (N < 3 or not np.take(w, pending, axis=2).any(axis=(0, 1)).all()):
+            raise ValueError(f"no transvection moves a {N} x {N} form of the batch")
+        while len(pending):
+            u_p, f_p, moves = _draw_moves(np.take(w, pending, axis=2), p, rng)
+            u[:, pending], f[:, pending] = u_p, f_p  # kept from the round that moves the lane
+            pending = pending[~moves]
+        return Lanes(rank2_image(w, u, f, p).astype(np.uint8), self.B, p, False)
+
+    def distinct(self):
+        """Each distinct Gram of the batch, in row-byte order, and its
+        multiplicity (_distinct)."""
+        _check_label_batch(self.B)
+        N = len(self.data)
+        upper = self.data[np.triu_indices(N, 1)]
+        return _distinct(_unpack(upper, self.B) if self.packed else upper, N, self.p)
+
+
 def initial_grams(j_mat, p, trials, rng):
-    """D-randomized starts: row/column 0 of J scaled by a uniform unit."""
-    grams = np.tile(j_mat, (trials, 1, 1))
-    ainv = mod_inverse_table(p)[rng.integers(1, p, size=trials)][:, None]
-    grams[:, 0, :] = _mod(grams[:, 0, :] * ainv, p)
-    grams[:, :, 0] = _mod(grams[:, :, 0] * ainv, p)
-    return grams
+    """Lanes.start as a (B, N, N) uint8 batch."""
+    return Lanes.start(j_mat, p, trials, rng).grams()
 
 
 def mc_step(grams, p, rng):
-    """One walk step on every Gram of the batch, held lanes last, (N, N, B):
-    each lane draws a uniform transvection t = I + vf (f v = 0) and moves w
-    to t^-T w t^-1 = w + u^T f - f^T u, u = v^T w, or, if u = 0 or f is in
-    span(u), draws again.  Its image is formed once, after its last round.
-    For N >= 3 every nonzero form has a move; a lane that stays after the
-    first round and cannot move (the zero form, or any form if N < 3) is a
-    ValueError, not an endless redraw.  At p = 2 the rounds run on packed
-    lanes; every round draws v, then f, as rng.integers(0, p, size=(lanes,
-    N)) at any p, so a seed gives the same steps as on int32 lanes."""
-    return _mc_step(grams, p, rng, packed=p == 2)
-
-
-def _mc_step(grams, p, rng, packed):
-    """mc_step with its rounds on packed lanes (p = 2 only) or int32 ones."""
-    N = grams.shape[1]
-    if not packed:
-        _check_int32(N, p, "steps")
-    draw = _draw_moves_f2 if packed else _draw_moves
-    w = np.ascontiguousarray(grams.transpose(1, 2, 0))
-    u, f, moves = draw(w, p, rng)
-    pending = np.flatnonzero(~moves)
-    if len(pending) and (N < 3 or not np.take(w, pending, axis=2).any(axis=(0, 1)).all()):
-        raise ValueError(f"no transvection moves a {N} x {N} form of the batch")
-    while len(pending):
-        u_p, f_p, moves = draw(np.take(w, pending, axis=2), p, rng)
-        u[:, pending], f[:, pending] = u_p, f_p  # kept from the round that moves the lane
-        pending = pending[~moves]
-    if packed:
-        image = u[:, None] & f
-        image ^= image.swapaxes(0, 1)
-        image ^= w
-    else:
-        image = rank2_image(w, u, f, p)
-    return np.ascontiguousarray(image.transpose(2, 0, 1), dtype=np.uint8)
+    """Lanes.step on a (B, N, N) uint8 batch, packed at p = 2."""
+    return Lanes.from_grams(grams, p).step(rng).grams()
 
 
 def _draw_moves(w, p, rng):
@@ -296,44 +336,117 @@ def _draw_moves(w, p, rng):
     return u, f, _mod(row, p).any(axis=0)
 
 
-def _draw_moves_f2(w, p, rng):
-    """_draw_moves at p = 2 on packed lanes: u = v^T w is an XOR of ANDs, f
-    is projected by XOR at v's first set entry, and the row of
-    u f^T - f u^T at u's first set entry is f, or f ^ u if f is set there,
-    or 0 if u = 0.  u and f come back as uint8 bits."""
-    N, _, m = w.shape
-    w = _pack(w)
-    v = _pack(rng.integers(0, p, size=(m, N)).T)
-    f = _pack(rng.integers(0, p, size=(m, N)).T)
+def _draw_f2(rng, N, width, lanes=None):
+    """rng.integers(0, 2, size=(m, N)) as (N, W) _pack words of `width`
+    lanes: m = width, or row i goes to lane lanes[i] and the other lanes get 0."""
+    if lanes is None:
+        return _pack(rng.integers(0, 2, size=(width, N)).T)
+    bits = np.zeros((N, width), dtype=np.uint8)
+    bits[:, lanes] = rng.integers(0, 2, size=(len(lanes), N)).T
+    return _pack(bits)
+
+
+def _round_f2(w, v, f):
+    """_draw_moves at p = 2 on _pack words, w (N, N, W), v and f (N, W):
+    u = v^T w is an XOR of ANDs, f is projected by XOR at v's first set
+    entry, and the row of u f^T - f u^T at u's first set entry is f, or
+    f ^ u if f is set there, or 0 if u = 0.  Returns u, f and moves as
+    words; a lane with v = 0 does not move."""
     u = np.bitwise_xor.reduce(v[:, None] & w, axis=0)
     v_first, _ = _first_set(v)
     f ^= v_first & np.bitwise_xor.reduce(v & f, axis=0)
     u_first, u_nonzero = _first_set(u)
     row = (u_nonzero & f) ^ (np.bitwise_or.reduce(u_first & f, axis=0) & u)
-    moves = _unpack(np.bitwise_or.reduce(row, axis=0), m).view(bool)
-    return _unpack(u, m), _unpack(f, m), moves
+    return u, f, np.bitwise_or.reduce(row, axis=0)
+
+
+def _step_f2(w, B, rng):
+    """Lanes.step on the _pack words w of B lanes.  The first round runs on
+    every word.  The lanes it leaves pending, whose image is still w, are
+    packed side by side once, and each later round runs on those words: the
+    lanes still pending draw, the rest draw 0.  Their moves are then
+    unpacked and XORed into the image words."""
+    N = len(w)
+    u, f, moves = _round_f2(w, _draw_f2(rng, N, B), _draw_f2(rng, N, B))
+    image = u[:, None] & f
+    image ^= image.swapaxes(0, 1)
+    image ^= w
+    pending = np.flatnonzero(_unpack(moves, B) == 0)
+    P = len(pending)
+    if not P:
+        return image
+    byte, bit = pending >> 3, (pending & 7).astype(np.uint8)  # _pack's bit order
+    w_p = _pack((w.view(np.uint8)[..., byte] >> bit) & 1)
+    if N < 3 or not _unpack(np.bitwise_or.reduce(w_p.reshape(N * N, -1), axis=0), P).all():
+        raise ValueError(f"no transvection moves a {N} x {N} form of the batch")
+    u, f = np.zeros((2, N, w_p.shape[-1]), dtype=np.uint64)
+    left = np.arange(P)
+    while len(left):
+        v = _draw_f2(rng, N, P, left)
+        u_r, f_r, moves = _round_f2(w_p, v, _draw_f2(rng, N, P, left))
+        u ^= u_r & moves  # kept from the round that moves the lane
+        f ^= f_r & moves
+        left = left[_unpack(moves, P)[left] == 0]
+    moved = u[:, None] & f
+    moved ^= moved.swapaxes(0, 1)
+    delta = np.zeros((N, N, B), dtype=np.uint8)
+    delta[..., pending] = _unpack(moved, P)
+    image ^= _pack(delta)
+    return image
+
+
+_BINCOUNT_BITS = 16  # labels this wide or narrower are counted in a table
+
+
+def _check_label_batch(B):
+    if B >= 2 ** 31:
+        raise StateSpaceTooLargeError(f"int64 labels shift by 32 bits; a batch of {B} reaches 2^31")
+
+
+def _distinct(upper, N, p):
+    """Each distinct alternating N x N Gram and its multiplicity, from the
+    (E, B) entries of the strict upper triangles, which fix the Grams, taken
+    row by row.  A lane's label holds its entries at (p-1).bit_length()
+    bits each, first entry highest, so labels sort in row-byte order.  A
+    label of at most _BINCOUNT_BITS bits is counted by np.bincount, and the
+    Grams are decoded from the labels met.  A wider one is built in 32-bit
+    words, each refining a dense int64 label by np.unique(label << 32 | word)."""
+    E, B = upper.shape
+    bits = (p - 1).bit_length()
+    if E * bits <= _BINCOUNT_BITS:
+        label = np.zeros(B, dtype=np.intp)
+        for entry in upper:
+            label <<= bits
+            label |= entry
+        counts = np.bincount(label)
+        label = np.flatnonzero(counts)
+        counts = counts[label]
+        upper = label >> (bits * np.arange(E - 1, -1, -1))[:, None] & (1 << bits) - 1
+    else:
+        per = 32 // bits
+        shift = np.array([bits * (~e % per) for e in range(E)], dtype=np.uint32)
+        packed = upper.astype(np.uint32) << shift[:, None]
+        label = np.zeros(B, dtype=np.int64)
+        for start in range(0, E, per):
+            label <<= 32
+            label |= np.bitwise_or.reduce(packed[start:start + per], axis=0)
+            _, label = np.unique(label, return_inverse=True)
+        counts = np.bincount(label)
+        lanes = np.empty(len(counts), dtype=np.intp)
+        lanes[label] = np.arange(B)
+        upper = upper[:, lanes]
+    states = np.zeros((len(counts), N, N), dtype=np.uint8)
+    rows, cols = np.triu_indices(N, 1)
+    states[:, rows, cols] = upper.T
+    states[:, cols, rows] = (p - upper.T) % p
+    return states, counts
 
 
 def distinct_states(grams, p):
-    """Each distinct alternating Gram of a (B, N, N) batch, in row-byte order,
-    and its multiplicity.  The strict upper triangle, which fixes the Gram, is
-    packed at (p-1).bit_length() bits an entry, first entry highest, in 32-bit
-    words; each refines a dense int64 label by np.unique(label << 32 | word)."""
-    B, N, _ = grams.shape
-    if B >= 2 ** 31:
-        raise StateSpaceTooLargeError(f"int64 labels shift by 32 bits; a batch of {B} reaches 2^31")
-    bits = (p - 1).bit_length()
-    upper = [i * N + j for i in range(N) for j in range(i + 1, N)]
-    shift = np.array([bits * (~e % (32 // bits)) for e in range(len(upper))], dtype=np.uint32)
-    packed = grams.reshape(B, -1).T[upper].astype(np.uint32) << shift[:, None]
-    label = np.zeros(B, dtype=np.int64)
-    for start in range(0, len(upper), 32 // bits):
-        label <<= 32
-        label |= np.bitwise_or.reduce(packed[start:start + 32 // bits], axis=0)
-        _, label = np.unique(label, return_inverse=True)
-    lanes = np.empty(label.max() + 1, dtype=np.intp)
-    lanes[label] = np.arange(B)
-    return grams[lanes], np.bincount(label)
+    """_distinct of a (B, N, N) batch of alternating Grams."""
+    _check_label_batch(len(grams))
+    rows, cols = np.triu_indices(grams.shape[1], 1)
+    return _distinct(grams[:, rows, cols].T, grams.shape[1], p)
 
 
 def batched_charpoly(x, p):
@@ -365,7 +478,11 @@ def batched_matpoly(x, coeff_blocks, p):
     """f(X) mod p at every realified X of the lanes-last (Nk, Nk, B) batch,
     for f of degree >= 1, by Horner's rule.  coeff_blocks, (deg f + 1, k, k),
     holds the multiplication blocks of f's coefficients, highest degree
-    first; each is added on the block diagonal."""
+    first; each is added on the block diagonal.  Returns int32."""
+    return _matpoly_f2(x, coeff_blocks) if p == 2 else _matpoly_int32(x, coeff_blocks, p)
+
+
+def _matpoly_int32(x, coeff_blocks, p):
     Nk = len(x)
     _check_int32(Nk, p, "polynomial evaluation")
     k = coeff_blocks.shape[1]
@@ -375,10 +492,27 @@ def batched_matpoly(x, coeff_blocks, p):
               lead[:, 0, None, None] * x_rows[:, 0, None]).reshape(x.shape)  # the leading block times X
     for i, c in enumerate(coeff_blocks[1:]):
         if i:
-            acc = batched_matmul(acc, x, p)
+            acc = _matmul_int32(acc, x, p)
         acc[rows, cols] += c[:, :, None]
         _mod(acc, p)
     return acc
+
+
+def _matpoly_f2(x, coeff_blocks):
+    """batched_matpoly on packed lanes: X is packed once, the accumulator
+    stays packed through every Horner step, and each coefficient block is
+    XORed onto the block diagonal as all-ones or zero words."""
+    Nk, k = len(x), coeff_blocks.shape[1]
+    rows, cols = _block_diagonal(Nk, k)
+    x_w = _pack(x)
+    masks = np.where(coeff_blocks[..., None] & 1, ~np.uint64(0), np.uint64(0))  # (deg f + 1, k, k, 1)
+    x_rows = x_w.reshape(Nk // k, 1, k, Nk, x_w.shape[-1])
+    acc = np.bitwise_xor.reduce(masks[0][:, :, None] & x_rows, axis=2).reshape(x_w.shape)  # the leading block times X
+    for i, c in enumerate(masks[1:]):
+        if i:
+            acc = _matmul_words(acc, x_w)
+        acc[rows, cols] ^= c
+    return _unpack(acc, x.shape[-1]).astype(np.int32)
 
 
 @lru_cache(maxsize=None)

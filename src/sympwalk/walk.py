@@ -704,11 +704,13 @@ def monte_carlo_tv(n, field_or_q, k, trials, seed=0) -> MCResult:
 def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0):
     """MCResult per step k = 0..k_max from one set of trajectories.
 
-    Each step's lanes are deduplicated by exact packed labels
-    (_engine.distinct_states).  A chunk of MC_CHUNK trials is stepped k_max times
-    first; then the states it met that no earlier chunk did are classified
-    in one batch and every step is tallied.  Classification draws nothing
-    from rng, so the draws are those of stepping alone.
+    A chunk of MC_CHUNK trials is held as one _engine.Lanes batch, in the
+    layout its step runs on (packed words at p = 2), and stepped k_max
+    times.  Each step is tallied in that layout by exact labels
+    (Lanes.distinct), which gives out only the distinct states.  The states
+    the chunk met that no earlier chunk did are then classified in one
+    batch and every step is counted.  Classification draws nothing from
+    rng, so the draws are those of stepping alone.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -725,11 +727,11 @@ def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0):
     while remaining:
         b = min(MC_CHUNK, remaining)
         remaining -= b
-        grams = _engine.initial_grams(jmat, p, b, rng)
+        lanes = _engine.Lanes.start(jmat, p, b, rng)
         steps = []  # (keys, counts) of each step's distinct states
         unseen, unseen_states = [], []  # keys first met in this chunk, and their states
         for k in range(k_max + 1):
-            states, cnt = _engine.distinct_states(grams, p)
+            states, cnt = lanes.distinct()
             keys = [s.tobytes() for s in states]
             new = [i for i, key in enumerate(keys) if key not in type_of]
             type_of.update((keys[i], None) for i in new)
@@ -737,7 +739,7 @@ def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0):
             unseen_states.append(states[new])
             steps.append((keys, cnt.tolist()))
             if k < k_max:
-                grams = _engine.mc_step(grams, p, rng)
+                lanes = lanes.step(rng)
         _, types = _classify_states_batched(np.concatenate(unseen_states), n, field)
         type_of.update(zip(unseen, types))
         for k, (keys, cnt) in enumerate(steps):

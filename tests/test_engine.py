@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -122,21 +123,23 @@ def test_packed_rank_and_matmul_match_int32_oracle(M, N, B):
         assert len(set(ranks.tolist())) > 2
 
 
-@pytest.mark.parametrize("q", [2, 4])
+@pytest.mark.parametrize("q", [2, 4, 8])
 @pytest.mark.parametrize("N", [1, 5, 8])
-def test_packed_matpoly_matches_int32_oracle(q, N, monkeypatch):
-    """batched_matpoly at p = 2 (packed Horner products) equals it with the
-    int32 product, for polynomials of degree 1 to 4 over F_q, realified, on
-    100 mixed-rank lanes with negative entries; an empty batch stays empty."""
+def test_packed_matpoly_matches_int32_oracle(q, N):
+    """batched_matpoly at p = 2 (X packed once, packed Horner steps) equals
+    its int32 form, for polynomials of degree 1 to 4 over F_q, realified,
+    on 100 mixed-rank lanes with negative entries, which it leaves as they
+    are; an empty batch stays empty."""
     field = field_from_order(q)
     rng = np.random.default_rng(10 * q + N)
     x = _mixed_rank_f2(rng, 100, N * field.k, N * field.k)
-    polys = [[1, *rng.integers(0, q, size=degree)] for degree in range(1, 5)]
-    packed = [_engine.batched_matpoly(x, _mul_blocks(field)[c], 2) for c in polys]
-    assert _engine.batched_matpoly(x[:, :, :0], _mul_blocks(field)[polys[-1]], 2).shape == (len(x), len(x), 0)
-    monkeypatch.setattr(_engine, "batched_matmul", _engine._matmul_int32)
-    for c, fx in zip(polys, packed):
-        assert (fx == _engine.batched_matpoly(x, _mul_blocks(field)[c], 2)).all()
+    before = x.copy()
+    for degree in range(1, 5):
+        blocks = _mul_blocks(field)[[int(rng.integers(1, q)), *rng.integers(0, q, size=degree)]]
+        fx = _engine.batched_matpoly(x, blocks, 2)
+        assert fx.dtype == np.int32 and (fx == _engine._matpoly_int32(x, blocks, 2)).all()
+    assert (x == before).all()
+    assert _engine.batched_matpoly(x[:, :, :0], blocks, 2).shape == (len(x), len(x), 0)
 
 
 @pytest.mark.parametrize("q", [2, 3, 251, 4, 8, 9])
@@ -194,8 +197,10 @@ def test_mc_step_rejects_lanes_that_cannot_move():
     for p in (2, 3):
         mixed = _trajectory(3, p, trials=5, steps=1, seed=2)[-1]
         mixed[2] = 0
+        wide = _trajectory(3, p, trials=65, steps=1, seed=2)[-1]
+        wide[64] = 0  # the one lane of the second word
         size2 = np.array([[[0, 1], [p - 1, 0]]] * 4, dtype=np.uint8)
-        for grams in (np.zeros((4, 6, 6), dtype=np.uint8), mixed, size2):
+        for grams in (np.zeros((4, 6, 6), dtype=np.uint8), mixed, wide, size2):
             B, N, _ = grams.shape
             with pytest.raises(ValueError):
                 _engine.mc_step(grams, p, _Draws(*rng.integers(0, p, size=(2, B, N))))
@@ -227,7 +232,7 @@ def test_packed_mc_step_matches_int32_oracle(B, N):
     for step in range(3):
         packed_rng, oracle_rng = _Recorded(step), _Recorded(step)
         packed = _engine.mc_step(grams, 2, packed_rng)
-        oracle = _engine._mc_step(grams, 2, oracle_rng, packed=False)
+        oracle = _engine.Lanes.from_grams(grams, 2, packed=False).step(oracle_rng).grams()
         assert packed.dtype == np.uint8 and packed.flags.c_contiguous
         assert packed.shape == grams.shape and (packed == oracle).all()
         assert packed_rng.calls == oracle_rng.calls
@@ -235,6 +240,37 @@ def test_packed_mc_step_matches_int32_oracle(B, N):
         grams = packed
     if B == 1000:
         assert len(packed_rng.calls) > 2  # lanes were redrawn
+
+
+def _tally(grams):
+    """Distinct Grams, in row-byte order, and their counts, by a Counter of row bytes."""
+    tally = sorted(Counter(g.tobytes() for g in grams).items())
+    return [key for key, _ in tally], [c for _, c in tally]
+
+
+@pytest.mark.parametrize("N", [4, 6, 8])
+@pytest.mark.parametrize("B", [1, 63, 64, 65, 1000])
+def test_resident_lanes_match_int32_oracle(B, N):
+    """At p = 2, Lanes held as packed words from start to tally give, step
+    for step, the distinct states and counts of the int32 rounds and a
+    Counter of row bytes, and leave rng where the oracle leaves it.  The
+    start draws nothing: rng.integers(1, 2, size) is the only unit."""
+    jmat = np.array(standard_J(N // 2, build_field(2, 1)).to_lists(), dtype=np.uint8)
+    rng, oracle_rng = np.random.default_rng(N * B), np.random.default_rng(N * B)
+    resident = _engine.Lanes.start(jmat, 2, B, rng)
+    assert resident.packed and rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert (oracle_rng.integers(1, 2, size=B) == 1).all()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    oracle = _engine.Lanes.from_grams(np.tile(jmat, (B, 1, 1)), 2, packed=False)
+    for step in range(4):
+        states, counts = resident.distinct()
+        grams = oracle.grams()
+        assert (resident.grams() == grams).all()
+        assert ([s.tobytes() for s in states], counts.tolist()) == _tally(grams)
+        oracle_states, oracle_counts = oracle.distinct()
+        assert (states == oracle_states).all() and (counts == oracle_counts).all()
+        resident, oracle = resident.step(rng), oracle.step(oracle_rng)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def _projected(v, f, p):
@@ -262,9 +298,10 @@ def test_move_predicate_on_every_draw(p):
     for w in forms:
         lanes = np.broadcast_to(w.astype(np.uint8)[:, :, None], (N, N, len(draws)))
         u, f_proj, moves = _engine._draw_moves(lanes, p, _Draws(vs, fs))
-        if p == 2:  # the packed round makes the same draws and decisions
-            packed = _engine._draw_moves_f2(lanes, p, _Draws(vs, fs))
-            assert [x.tolist() for x in packed] == [u.tolist(), f_proj.tolist(), moves.tolist()]
+        if p == 2:  # the packed round makes the same decisions
+            packed = _engine._round_f2(*(_engine._pack(x) for x in (lanes, vs.T, fs.T)))
+            assert [_engine._unpack(x, len(draws)).tolist() for x in packed] == [
+                u.tolist(), f_proj.tolist(), moves.astype(np.uint8).tolist()]
         images = _engine.rank2_image(lanes, u, f_proj, p)
         gram = MatFq(field, w.tolist())
         for lane, (v, f) in enumerate(draws):
@@ -291,9 +328,12 @@ def _set_upper(grams, pos, values, p):
     grams[:, j, i] = (-np.asarray(values)) % p
 
 
-@pytest.mark.parametrize("n, p", [(2, 2), (3, 3), (3, 101), (4, 251)])
-def test_distinct_states_match_row_bytes(n, p):
-    """Representatives and multiplicities equal np.unique over row bytes."""
+@pytest.mark.parametrize("n, p", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (3, 101), (4, 251)])
+def test_distinct_states_match_row_bytes(n, p, monkeypatch):
+    """Representatives, in row-byte order, and multiplicities equal a
+    Counter of row bytes, by the table count where the label fits
+    _BINCOUNT_BITS ((2,2), (3,2), (2,3)) and by np.unique refinement
+    everywhere, for (B, N, N) batches and packed Lanes at p = 2."""
     N = 2 * n
     rng = np.random.default_rng(p)
     pool = _alternating(rng, 20, N, p)
@@ -305,6 +345,7 @@ def test_distinct_states_match_row_bytes(n, p):
         np.concatenate([pool, _alternating(rng, 300, N, p), pool[:5], last]),
         np.broadcast_to(pool[3], (50, N, N)).copy(),
         last,
+        pool[5:6],
     ]
     per_word = 32 // (p - 1).bit_length()
     for edge in range(per_word, E, per_word):  # differ only across a word boundary
@@ -313,14 +354,32 @@ def test_distinct_states_match_row_bytes(n, p):
         _set_upper(pair, edge, [0, p - 1], p)
         batches.append(pair)
     assert len(batches) > 4 or E <= per_word
-    row_bytes = np.dtype((np.void, N * N))
-    for grams in batches:
-        rows = grams.reshape(len(grams), -1).view(row_bytes).ravel()
-        uniq, counts = np.unique(rows, return_counts=True)
-        states, mult = _engine.distinct_states(grams, p)
-        assert [g.tobytes() for g in states] == uniq.tolist()
-        assert mult.tolist() == counts.tolist()
-        assert mult.sum() == len(grams)
+    table = E * (p - 1).bit_length() <= _engine._BINCOUNT_BITS
+    for cap in (0, _engine._BINCOUNT_BITS):
+        monkeypatch.setattr(_engine, "_BINCOUNT_BITS", cap)
+        for grams in batches:
+            outs = [_engine.distinct_states(grams, p)]
+            if p == 2:
+                outs.append(_engine.Lanes.from_grams(grams, p).distinct())
+            for states, mult in outs:
+                assert states.dtype == np.uint8 and mult.sum() == len(grams)
+                assert ([g.tobytes() for g in states], mult.tolist()) == _tally(grams)
+    assert table == ((n, p) in {(2, 2), (3, 2), (2, 3)})
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_distinct_states_of_an_empty_batch(p, monkeypatch):
+    """No lanes give no states, (0, N, N) uint8, and no counts, as from
+    mc_step and initial_grams, by either counting path and from Lanes."""
+    grams = np.zeros((0, 6, 6), dtype=np.uint8)
+    jmat = np.array(standard_J(3, build_field(p, 1)).to_lists(), dtype=np.uint8)
+    assert _engine.initial_grams(jmat, p, 0, np.random.default_rng(0)).shape == grams.shape
+    assert _engine.mc_step(grams, p, np.random.default_rng(0)).shape == grams.shape
+    for cap in (0, _engine._BINCOUNT_BITS):
+        monkeypatch.setattr(_engine, "_BINCOUNT_BITS", cap)
+        for batch in (grams, np.zeros((0, 4, 4), dtype=np.uint8)):
+            for states, mult in (_engine.distinct_states(batch, p), _engine.Lanes.from_grams(batch, p).distinct()):
+                assert states.shape == batch.shape and states.dtype == np.uint8 and len(mult) == 0
 
 
 def _allocates_nothing(call):
