@@ -243,17 +243,25 @@ def _chain_digest(chain):
     return h.hexdigest()
 
 
-# Recorded with the entrywise MatFq chain builder over F_4 and the prime
-# plane-image path over F_5, before both became one realified path.
+# (2,4) and (2,5) were recorded with the entrywise MatFq chain builder over
+# F_4 and the prime plane-image path over F_5, before both became one
+# realified path; (2,2), (2,3) and (3,2) with the builder that classified
+# each lump in a call of its own, before lumps were batched per call.
 CHAIN_DIGESTS = {
+    (2, 2): "7d4316c42052e498a5539d36bd3186d8a4a1929c15d7b2f0e3265c6553b20745",
+    (2, 3): "c682f8e1c27050d4bb40fe60adc1230d8de965710baf1f26f56ad73e42c17185",
     (2, 4): "b50ee993a5e13db62552a2ec5079a35b734b56ec6517347fa16b3e1a97dfbe44",
     (2, 5): "cd170c16a02f8d7e53d08b3b74a84921e8b35ea12153570ff7a1582982960840",
+    (3, 2): "9b5d9dea595115ce6ef08bb1d77ea023b7e9f3db87d286b7a9e40b9e9c633ed6",
 }
 
 
-def test_chains_are_pinned(chain24):
+def test_chains_are_pinned(chain22, chain23, chain24, chain32):
+    assert _chain_digest(chain22) == CHAIN_DIGESTS[(2, 2)]
+    assert _chain_digest(chain23) == CHAIN_DIGESTS[(2, 3)]
     assert _chain_digest(chain24) == CHAIN_DIGESTS[(2, 4)]
     assert _chain_digest(exact_form_chain(2, 5)) == CHAIN_DIGESTS[(2, 5)]
+    assert _chain_digest(chain32) == CHAIN_DIGESTS[(3, 2)]
 
 
 def test_chain_2_3_structure(chain23):
