@@ -148,20 +148,19 @@ def _classify_X(X):
     return _key_type_from_pairs(class_invariant(X).entries)
 
 
-def _classify_states_batched(states_np, n, field):
+def _classify_states_batched(states_np, n, field, factored):
     """Complete keys and types for a batch of realified states, vectorized.
 
     Same outputs as _classify_X state by state.  The states are taken in
     slices of CLASSIFY_LANES, so the stacked f(X)^j arrays stay bounded
     whatever the batch size.  In each slice: batched characteristic
-    polynomials, one factorization per distinct polynomial (shared by the
-    slices), f(X) for every factor f of every polynomial (_factor_jobs),
-    then the ranks of f(X)^j over all factors at once (_rank_sequences).
-    States with the same polynomial and rank sequence share one partition
-    and key.
+    polynomials, a factorization of each polynomial not yet in factored
+    (the caller's dict, filled here), f(X) for every factor f of every
+    polynomial (_factor_jobs), then the ranks of f(X)^j over all factors at
+    once (_rank_sequences).  States of one call with the same polynomial and
+    rank sequence share one partition and key.
     """
     N = 2 * n
-    factored = {}  # characteristic polynomial -> its factors
     labels = {}  # (polynomial, rank sequence) -> (complete key, type)
     out = []
     for start in range(0, len(states_np), CLASSIFY_LANES):
@@ -371,37 +370,46 @@ class ChainModel:
         """
         if k_max < 0:
             raise ValueError(f"k_max must be >= 0, got {k_max}")
-        L = self.num_lumps
-        S = self.num_states
-        q = self.q
-        m = [Fraction(0)] * L
-        m[self.j_lump] = Fraction(1)
-        nu = [Fraction(0)] * L
-        for lump, mass in self.start_lumps.items():
-            nu[lump] += mass
+        S, q, sizes = self.num_states, self.q, self.lump_sizes
+        at_j = [int(i == self.j_lump) for i in range(self.num_lumps)]
         rows = []
-        for k in range(k_max + 1):
-            tv_full = sum(
-                abs(m[i] - Fraction((q - 1) * self.lump_sizes[i], S))
-                for i in self.sector_lumps
-            ) / 2
-            tv_lumped = sum(
-                abs(nu[i] - Fraction(self.lump_sizes[i], S)) for i in range(L)
-            ) / 2
+        for k, (m, nu) in enumerate(zip(self._evolve(at_j, k_max), self._evolve(self._start(), k_max))):
+            D = self.move_count ** k  # the laws are m / D and nu / ((q-1) D)
+            tv_full = Fraction(
+                sum(abs(m[i] * S - (q - 1) * sizes[i] * D) for i in self.sector_lumps), 2 * S * D
+            )
+            tv_lumped = Fraction(
+                sum(abs(v * S - (q - 1) * size * D) for v, size in zip(nu, sizes)), 2 * S * (q - 1) * D
+            )
             rows.append((k, tv_full, tv_lumped))
-            if k < k_max:
-                m = _vec_times_matrix(m, self.lumped_transition)
-                nu = _vec_times_matrix(nu, self.lumped_transition)
         return rows
 
     def lumped_distribution(self, k):
         """Lumped k-step law of the twist-randomized walk."""
-        nu = [Fraction(0)] * self.num_lumps
-        for lump, mass in self.start_lumps.items():
-            nu[lump] += mass
-        for _ in range(k):
-            nu = _vec_times_matrix(nu, self.lumped_transition)
-        return nu
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
+        for nu in self._evolve(self._start(), k):
+            pass
+        return [Fraction(v, (self.q - 1) * self.move_count ** k) for v in nu]
+
+    def _start(self):
+        """The twisted start law, start_lumps, as numerators over q - 1."""
+        return [_numerator(self.start_lumps.get(i, 0), self.q - 1) for i in range(self.num_lumps)]
+
+    def _evolve(self, vec, k_max):
+        """vec A^k for k = 0..k_max as integer lists, A = move_count *
+        lumped_transition: if vec / d is a law, vec A^k / (d move_count^k)
+        is its k-step law."""
+        A = [[(j, _numerator(x, self.move_count)) for j, x in enumerate(row) if x]
+             for row in self.lumped_transition]
+        for k in range(k_max + 1):
+            yield vec
+            if k < k_max:
+                new = [0] * len(vec)
+                for v, row in zip(vec, A):
+                    for j, a in row:
+                        new[j] += v * a
+                vec = new
 
     def typed_distribution(self, k):
         """Lumped k-step law aggregated over equal type labels."""
@@ -482,16 +490,13 @@ class ChainModel:
         return out
 
 
-def _vec_times_matrix(vec, matrix):
-    L = len(vec)
-    out = [Fraction(0)] * L
-    for i, v in enumerate(vec):
-        if v:
-            row = matrix[i]
-            for j in range(L):
-                if row[j]:
-                    out[j] += v * row[j]
-    return out
+def _numerator(x, d):
+    """The integer x * d; an InternalError if d is not a multiple of x's
+    denominator."""
+    y = x * d
+    if y.denominator != 1:
+        raise InternalError(f"{x} is not a multiple of 1/{d}")
+    return y.numerator
 
 
 def _move_count(n, q):
@@ -524,8 +529,10 @@ def exact_form_chain(n, field_or_q, cap=DEFAULT_STATE_CAP) -> ChainModel:
     is held realified over F_p as uint8 (_realify), so one path serves
     every F_q.  Lump sizes come from class_size_qsq.  The sampled Dynkin
     check compares each row with the row of a second member R(k^T) w R(k),
-    k uniform in Sp_2n, classified in the same call; no image label
-    outlives its lump.  cap bounds the work, chain_work(n, q) image
+    k uniform in Sp_2n, classified in the same call.  One call takes as
+    many pending lumps as fit in one CLASSIFY_LANES slice, and at least
+    one; rows, checks and new lumps are read per lump.  Each polynomial is
+    factored once per build.  cap bounds the work, chain_work(n, q) image
     classifications, checked before any is done.
     """
     field = _resolve_field(field_or_q)
@@ -552,32 +559,40 @@ def exact_form_chain(n, field_or_q, cap=DEFAULT_STATE_CAP) -> ChainModel:
             )
         return imgs
 
-    def classify(*batches):
-        return list(zip(*_classify_states_batched(np.concatenate(batches), n, field)))
+    factored = {}  # characteristic polynomial -> its factors, for the whole build
+
+    def classify(batches):
+        return list(zip(*_classify_states_batched(np.concatenate(batches), n, field, factored)))
 
     seeds = _realify([_initial_gram(n, field, a).to_lists() for a in range(1, q)], field).astype(np.uint8)
-    seed_labels = classify(seeds)
+    seed_labels = classify([seeds])
     lumps = {}  # complete key -> (type, representative)
     for (lump, typ), w in zip(seed_labels, seeds):
         lumps.setdefault(lump, (typ, w))
     rows = {}
     rng = random.Random(0)
     pending = list(lumps)
+    images = move_count // weight  # distinct images of any form
     while pending:
-        lump = pending.pop()
-        _, w = lumps[lump]
-        k = sample_symplectic(n, field, rng)
-        member = _realify(k.transpose().to_lists(), field) @ w % p @ _realify(k.to_lists(), field) % p
-        imgs = distinct_images(w)
-        member_imgs = distinct_images(member)
-        labels = classify(imgs, member_imgs)
-        rows[lump] = Counter(other for other, _ in labels[:len(imgs)])
-        if Counter(other for other, _ in labels[len(imgs):]) != rows[lump]:
-            raise InternalError(f"lump {lump} is not exactly lumpable")
-        for (other, typ), img in zip(labels, imgs):
-            if other not in lumps:
-                lumps[other] = (typ, img)
-                pending.append(other)
+        batch = [pending.pop()]
+        while pending and (len(batch) + 1) * 2 * images <= CLASSIFY_LANES:
+            batch.append(pending.pop())
+        imgs = []
+        for lump in batch:
+            w = lumps[lump][1]
+            k = sample_symplectic(n, field, rng)
+            member = _realify(k.transpose().to_lists(), field) @ w % p @ _realify(k.to_lists(), field) % p
+            imgs += [distinct_images(w), distinct_images(member)]
+        labels = classify(imgs)
+        parts = [labels[at:at + images] for at in range(0, len(labels), images)]
+        for lump, own, member_labels, own_imgs in zip(batch, parts[::2], parts[1::2], imgs[::2]):
+            rows[lump] = Counter(other for other, _ in own)
+            if Counter(other for other, _ in member_labels) != rows[lump]:
+                raise InternalError(f"lump {lump} is not exactly lumpable")
+            for (other, typ), img in zip(own, own_imgs):
+                if other not in lumps:
+                    lumps[other] = (typ, img)
+                    pending.append(other)
 
     # canonical lump order: by (type, key)
     lump_keys = sorted(lumps, key=lambda key: (lumps[key][0].entries, key))
@@ -722,6 +737,7 @@ def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0):
     rng = np.random.default_rng(seed)
     jmat = np.array(standard_J(n, field).to_lists(), dtype=np.uint8)
     type_of = {}  # the bytes of a distinct state -> its type label (None until classified)
+    factored = {}  # characteristic polynomial -> its factors, for the whole run
     per_step = [Counter() for _ in range(k_max + 1)]
     remaining = trials
     while remaining:
@@ -740,7 +756,7 @@ def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0):
             steps.append((keys, cnt.tolist()))
             if k < k_max:
                 lanes = lanes.step(rng)
-        _, types = _classify_states_batched(np.concatenate(unseen_states), n, field)
+        _, types = _classify_states_batched(np.concatenate(unseen_states), n, field, factored)
         type_of.update(zip(unseen, types))
         for k, (keys, cnt) in enumerate(steps):
             for key, c in zip(keys, cnt):
@@ -765,8 +781,8 @@ def support_violations(n, field_or_q, c, trials, seed=0):
     condition is rank(X - I) <= 2(n - c) for X = J^-1 w.  Violations are
     counted via batched rank; a small subsample is cross-checked with the
     full classifier.  Trials are stepped and ranked in chunks of MC_CHUNK,
-    so memory stays bounded whatever their number.  Returns (violations,
-    trials).
+    each held as one _engine.Lanes batch, so memory stays bounded whatever
+    their number.  Returns (violations, trials).
     """
     field = _mc_field(field_or_q, n)
     if not 0 <= c <= n:
@@ -778,9 +794,10 @@ def support_violations(n, field_or_q, c, trials, seed=0):
     jmat = np.array(J.to_lists(), dtype=np.uint8)
     violations = 0
     for start in range(0, trials, MC_CHUNK):
-        grams = np.tile(jmat, (min(MC_CHUNK, trials - start), 1, 1))
+        lanes = _engine.Lanes.from_grams(np.tile(jmat, (min(MC_CHUNK, trials - start), 1, 1)), p)
         for _ in range(n - c):
-            grams = _engine.mc_step(grams, p, rng)
+            lanes = lanes.step(rng)
+        grams = lanes.grams()
         x_minus_1 = _engine.batched_matpoly(_engine.j_inv_times(grams, p), _mul_blocks(field)[[1, p - 1]], p)
         ranks = _engine.batched_rank(x_minus_1, p)
         violations += int((ranks > 2 * (n - c)).sum())

@@ -19,7 +19,7 @@ from sympwalk.combinat import (
     gl_order,
     sp_order,
 )
-from sympwalk.errors import OddMultiplicityError, StateSpaceTooLargeError
+from sympwalk.errors import InternalError, OddMultiplicityError, StateSpaceTooLargeError
 from sympwalk.field import build_field, field_from_order
 from sympwalk.linalg import (
     MatFq,
@@ -160,7 +160,7 @@ def test_classifier_complete_against_brute_force_orbits():
     order = list(elems)
     mats = np.array([elems[key].rows for key in order], dtype=np.int64)
     forms = np.einsum("bji,jk,bkl->bil", mats, np.array(J.rows), mats) % 2
-    batched = dict(zip(order, zip(*_classify_states_batched(forms.astype(np.uint8), 2, F2))))
+    batched = dict(zip(order, zip(*_classify_states_batched(forms.astype(np.uint8), 2, F2, {}))))
     labels = []
     for key, orbit in blocks:
         (label,) = {batched[m] for m in orbit}
@@ -468,9 +468,9 @@ def _counted_classifier(monkeypatch):
     """Wrap walk._classify_states_batched; returns the list of batch sizes."""
     calls = []
 
-    def counted(states, n, field):
+    def counted(states, n, field, factored):
         calls.append(len(states))
-        return _classify_states_batched(states, n, field)
+        return _classify_states_batched(states, n, field, factored)
 
     monkeypatch.setattr(walk, "_classify_states_batched", counted)
     return calls
@@ -483,13 +483,76 @@ def test_monte_carlo_classifies_once_per_chunk(monkeypatch):
     assert len(calls) == 3 and calls[0] > 0
 
 
-def test_chain_classifies_once_per_lump(monkeypatch):
-    """One classifier call for the seeds, then one per lump for the images
-    of its representative and of its Dynkin member together."""
+def test_chain_classifies_whole_lumps_per_call(monkeypatch):
+    """One classifier call for the seeds, then one per batch of lumps: the
+    images of each lump's representative and of its Dynkin member, whole,
+    with at most CLASSIFY_LANES lanes unless one lump fills more.  A slice
+    of one lump gives one call per lump and the same chain."""
     calls = _counted_classifier(monkeypatch)
     chain = exact_form_chain(2, 3)
-    images = chain.move_count // (3 * 4)
-    assert calls == [2] + [2 * images] * chain.num_lumps
+    per_lump = 2 * chain.move_count // (3 * 4)
+    assert calls[0] == 2
+    for size in calls[1:]:
+        assert size % per_lump == 0
+        assert size <= walk.CLASSIFY_LANES or size == per_lump
+    assert sum(calls[1:]) == per_lump * chain.num_lumps
+    assert len(calls) - 1 < chain.num_lumps
+    calls.clear()
+    monkeypatch.setattr(walk, "CLASSIFY_LANES", per_lump)
+    assert exact_form_chain(2, 3) == chain
+    assert calls == [2] + [per_lump] * chain.num_lumps
+
+
+def test_chain_factors_each_polynomial_once(monkeypatch):
+    """One factor_poly call per distinct characteristic polynomial of a
+    build: X ~ diag(M, M^T) has polynomial prod f^(2 |lambda_f|) over the
+    entries (f, lambda_f) of its lump key."""
+    polys = []
+
+    def counted(poly):
+        polys.append(poly)
+        return factor_poly(poly)
+
+    factor_poly = walk.factor_poly
+    monkeypatch.setattr(walk, "factor_poly", counted)
+    chain = exact_form_chain(2, 3)
+    distinct = {frozenset((f, sum(lam)) for f, lam in key) for key in chain.lump_keys}
+    assert len(polys) == len(distinct) == len({poly.coeffs for poly in polys})
+
+
+@pytest.mark.parametrize("nq", [(2, 2), (2, 3), (3, 2)])
+def test_integer_tv_matches_fraction_evolution(nq, request):
+    """tv_curve and lumped_distribution against a plain Fraction evolution
+    of lumped_transition, for k <= 12."""
+    chain = request.getfixturevalue("chain{}{}".format(*nq))
+    q, S, P = chain.q, chain.num_states, chain.lumped_transition
+    m = [Fraction(int(i == chain.j_lump)) for i in range(chain.num_lumps)]
+    for k, tv_full, tv_lumped in chain.tv_curve(12):
+        assert tv_full == sum(
+            abs(m[i] - Fraction((q - 1) * chain.lump_sizes[i], S)) for i in chain.sector_lumps
+        ) / 2
+        law = chain.lumped_distribution(k)
+        assert tv_lumped == sum(abs(a - b) for a, b in zip(law, chain.stationary)) / 2
+        m = [sum(m[i] * P[i][j] for i in range(len(m))) for j in range(len(m))]
+    nu = [chain.start_lumps.get(i, Fraction(0)) for i in range(chain.num_lumps)]
+    for _ in range(12):
+        nu = [sum(nu[i] * P[i][j] for i in range(len(nu))) for j in range(len(nu))]
+    assert chain.lumped_distribution(12) == nu
+
+
+def test_tv_rejects_entries_off_the_move_grid(chain22):
+    """Every transition entry is a multiple of 1/move_count; one that is not
+    is an InternalError, not a silently rounded TV."""
+    rows = [list(row) for row in chain22.lumped_transition]
+    i = next(j for j, x in enumerate(rows[0]) if x)
+    rows[0][i] += Fraction(1, 2 * chain22.move_count)
+    broken = dataclasses.replace(chain22, lumped_transition=rows)
+    with pytest.raises(InternalError):
+        broken.tv_curve(1)
+    with pytest.raises(InternalError):
+        broken.lumped_distribution(1)
+    with pytest.raises(ValueError):
+        chain22.lumped_distribution(-1)
 
 
 def test_classifier_slices_match_one_batch(monkeypatch):
@@ -501,9 +564,9 @@ def test_classifier_slices_match_one_batch(monkeypatch):
     for _ in range(4):
         grams.append(_engine.mc_step(grams[-1], 3, rng))
     states = np.concatenate(grams)
-    whole = _classify_states_batched(states, 3, F3)
+    whole = _classify_states_batched(states, 3, F3, {})
     monkeypatch.setattr(walk, "CLASSIFY_LANES", 7)
-    assert _classify_states_batched(states, 3, F3) == whole
+    assert _classify_states_batched(states, 3, F3, {}) == whole
     assert len(set(whole[0])) > 7
 
 
@@ -550,7 +613,7 @@ def test_batched_classifier_matches_scalar_oracle(case):
     fields, against _classify_X on the form itself."""
     n, field, w = case
     assert w.is_alternating() and w.rank() == w.nrows
-    keys, types = _classify_states_batched(_realified(w)[None], n, field)
+    keys, types = _classify_states_batched(_realified(w)[None], n, field, {})
     assert (keys[0], types[0]) == _classify_X(standard_J(n, field).inverse() * w)
 
 
@@ -610,16 +673,17 @@ def test_support_violations_sweep():
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_support_violations_steps_in_chunks(q, monkeypatch):
-    """Trials are stepped MC_CHUNK at a time, so memory stays bounded."""
+    """Trials are stepped MC_CHUNK at a time, each chunk as one Lanes batch,
+    so memory stays bounded."""
     batches = []
 
-    def counted(grams, p, rng):
-        batches.append(len(grams))
-        return mc_step(grams, p, rng)
+    def counted(lanes, rng):
+        batches.append(lanes.B)
+        return step(lanes, rng)
 
-    mc_step = _engine.mc_step
+    step = _engine.Lanes.step
     monkeypatch.setattr(walk, "MC_CHUNK", 100)
-    monkeypatch.setattr(_engine, "mc_step", counted)
+    monkeypatch.setattr(_engine.Lanes, "step", counted)
     assert support_violations(3, q, 1, 350, seed=4) == (0, 350)
     assert batches == [100, 100, 100, 100, 100, 100, 50, 50]
 
