@@ -15,8 +15,10 @@ _matpoly_int32 and Lanes with packed=False) do, which stay the odd-p path
 and the test oracle.  No floating point.  A matrix over F_q, q = p^k,
 comes realified: each entry c becomes the k x k block over F_p of
 multiplication by c, and ranks are k times those over F_q.  Not kernels:
-distinct_states labels states in int64 (batches below 2^31), and the
-brute-force oracle, transvection_images, keeps int64 rows.
+row_labels, the one way a batch of lanes is keyed, gives dense labels to
+the columns of an (E, B) array for Lanes.distinct, the classifier and
+chain building, and the brute-force oracle, transvection_images, keeps
+int64 rows.
 """
 
 from __future__ import annotations
@@ -303,20 +305,9 @@ class Lanes:
     def distinct(self):
         """Each distinct Gram of the batch, in row-byte order, and its
         multiplicity (_distinct)."""
-        _check_label_batch(self.B)
         N = len(self.data)
         upper = self.data[np.triu_indices(N, 1)]
         return _distinct(_unpack(upper, self.B) if self.packed else upper, N, self.p)
-
-
-def initial_grams(j_mat, p, trials, rng):
-    """Lanes.start as a (B, N, N) uint8 batch."""
-    return Lanes.start(j_mat, p, trials, rng).grams()
-
-
-def mc_step(grams, p, rng):
-    """Lanes.step on a (B, N, N) uint8 batch, packed at p = 2."""
-    return Lanes.from_grams(grams, p).step(rng).grams()
 
 
 def _draw_moves(w, p, rng):
@@ -396,21 +387,52 @@ def _step_f2(w, B, rng):
 
 
 _BINCOUNT_BITS = 16  # labels this wide or narrower are counted in a table
+_TABLE = 2 ** 10  # row_labels' tables hold at least this many counts
 
 
-def _check_label_batch(B):
-    if B >= 2 ** 31:
-        raise StateSpaceTooLargeError(f"int64 labels shift by 32 bits; a batch of {B} reaches 2^31")
+def row_labels(cols, p):
+    """Dense labels for the lanes of the (E, B) entries in [0, p).  Returns
+    (rep, labels): an intp label per lane, 0, 1, ... in the order of the
+    lanes' columns (first entry highest), equal exactly when the columns
+    are equal, and one lane of each label.  Entry by entry the label
+    becomes label p + entry, and it is made dense again before it would
+    reach max(_TABLE, 2 B): through a table of counts (np.bincount), or,
+    where even a dense label times p passes that at a large p, by
+    np.unique with return_inverse.  So at p = 2 no sort runs: the first
+    sort of a small run pages in 128-320 KB of numpy code, more than its
+    arrays hold, and np.unique without return_index or return_inverse
+    imports numpy.ma."""
+    E, B = cols.shape
+    bound = max(_TABLE, 2 * B)
+    label, size = np.zeros(B, dtype=np.intp), 1  # every label is below size
+    for entry in cols:
+        if size * p > bound:
+            label, size = _dense(label, size, bound)
+        label *= p
+        label += entry
+        size *= p
+    label, size = _dense(label, size, bound)
+    rep = np.empty(size, dtype=np.intp)
+    rep[label] = np.arange(B)
+    return rep, label
+
+
+def _dense(label, size, bound):
+    """The labels below size renumbered 0, 1, ... in their order, and how many."""
+    if size > bound:
+        met, label = np.unique(label, return_inverse=True)
+        return label, len(met)
+    met = np.bincount(label) > 0
+    return (np.cumsum(met) - 1)[label], int(met.sum())
 
 
 def _distinct(upper, N, p):
     """Each distinct alternating N x N Gram and its multiplicity, from the
     (E, B) entries of the strict upper triangles, which fix the Grams, taken
-    row by row.  A lane's label holds its entries at (p-1).bit_length()
-    bits each, first entry highest, so labels sort in row-byte order.  A
-    label of at most _BINCOUNT_BITS bits is counted by np.bincount, and the
-    Grams are decoded from the labels met.  A wider one is built in 32-bit
-    words, each refining a dense int64 label by np.unique(label << 32 | word)."""
+    row by row, in row-byte order.  Where a lane's entries fit
+    _BINCOUNT_BITS bits, (p-1).bit_length() each, first entry highest, the
+    label they form is counted by np.bincount and the Grams are decoded
+    from the labels met; otherwise the lanes are labelled by row_labels."""
     E, B = upper.shape
     bits = (p - 1).bit_length()
     if E * bits <= _BINCOUNT_BITS:
@@ -423,30 +445,14 @@ def _distinct(upper, N, p):
         counts = counts[label]
         upper = label >> (bits * np.arange(E - 1, -1, -1))[:, None] & (1 << bits) - 1
     else:
-        per = 32 // bits
-        shift = np.array([bits * (~e % per) for e in range(E)], dtype=np.uint32)
-        packed = upper.astype(np.uint32) << shift[:, None]
-        label = np.zeros(B, dtype=np.int64)
-        for start in range(0, E, per):
-            label <<= 32
-            label |= np.bitwise_or.reduce(packed[start:start + per], axis=0)
-            _, label = np.unique(label, return_inverse=True)
+        lanes, label = row_labels(upper, p)
         counts = np.bincount(label)
-        lanes = np.empty(len(counts), dtype=np.intp)
-        lanes[label] = np.arange(B)
         upper = upper[:, lanes]
     states = np.zeros((len(counts), N, N), dtype=np.uint8)
     rows, cols = np.triu_indices(N, 1)
     states[:, rows, cols] = upper.T
     states[:, cols, rows] = (p - upper.T) % p
     return states, counts
-
-
-def distinct_states(grams, p):
-    """_distinct of a (B, N, N) batch of alternating Grams."""
-    _check_label_batch(len(grams))
-    rows, cols = np.triu_indices(grams.shape[1], 1)
-    return _distinct(grams[:, rows, cols].T, grams.shape[1], p)
 
 
 def batched_charpoly(x, p):

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -149,60 +148,66 @@ def _classify_X(X):
 
 
 def _classify_states_batched(states_np, n, field, factored):
-    """Complete keys and types for a batch of realified states, vectorized.
+    """Label ids for a batch of realified states, vectorized.
 
-    Same outputs as _classify_X state by state.  The states are taken in
-    slices of CLASSIFY_LANES, so the stacked f(X)^j arrays stay bounded
-    whatever the batch size.  In each slice: batched characteristic
-    polynomials, a factorization of each polynomial not yet in factored
-    (the caller's dict, filled here), f(X) for every factor f of every
-    polynomial (_factor_jobs), then the ranks of f(X)^j over all factors at
-    once (_rank_sequences).  States of one call with the same polynomial and
-    rank sequence share one partition and key.
+    Returns (labels, ids): the distinct (complete key, type) labels, and an
+    intp array with one id per state, indexing them; each state's label is
+    the one _classify_X gives it.  The states are taken in slices of
+    CLASSIFY_LANES, so the stacked f(X)^j arrays stay bounded whatever the
+    batch size.  In each slice: batched characteristic polynomials, grouped
+    by _engine.row_labels; a factorization of each polynomial not yet in
+    factored (the caller's dict, filled here); f(X) for every factor f of
+    every polynomial (_factor_jobs); then the ranks of f(X)^j over all
+    factors at once (_rank_sequences).  Each lane's group and rank sequence
+    form one column of a pattern array, labelled by row_labels again, and
+    _label_from_ranks runs once per distinct pattern.  A (polynomial, rank
+    pattern) fixes the key and the key fixes the pattern, so equal ids mean
+    equal keys.
     """
-    N = 2 * n
-    labels = {}  # (polynomial, rank sequence) -> (complete key, type)
-    out = []
+    N, Nk = 2 * n, 2 * n * field.k
+    index = {}  # (complete key, type) -> id
+    ids = np.empty(len(states_np), dtype=np.intp)
     for start in range(0, len(states_np), CLASSIFY_LANES):
         states = states_np[start:start + CLASSIFY_LANES]
-        groups, jobs, fx = _factor_jobs(states, field, factored)
+        polys, members, jobs, fx = _factor_jobs(states, field, factored)
         ranks = iter(_rank_sequences(fx, jobs, field))
-        lane_label = [None] * len(states)
-        for cp, idxs in groups.items():
-            factors = factored[cp]
-            seqs = np.concatenate([next(ranks) for _ in factors], axis=1).tolist()
-            for i, seq in zip(idxs, seqs):
-                pattern = (cp, tuple(seq))
-                if pattern not in labels:
-                    labels[pattern] = _label_from_ranks(factors, seq, N)
-                lane_label[i] = labels[pattern]
-        out.extend(lane_label)
-    return [key for key, _ in out], [typ for _, typ in out]
+        patterns = np.zeros((Nk + 1, len(states)), dtype=np.intp)  # group, then ranks padded with 0
+        for g, (cp, lanes) in enumerate(zip(polys, members)):
+            seqs = np.concatenate([next(ranks) for _ in factored[cp]], axis=1)
+            patterns[0, lanes] = g
+            patterns[1:1 + seqs.shape[1], lanes] = seqs.T
+        rep, pattern = _engine.row_labels(patterns, max(len(polys), N + 1))
+        found = [index.setdefault(_label_from_ranks(factored[polys[g]], seq, N), len(index))
+                 for g, *seq in patterns[:, rep].T.tolist()]
+        ids[start:start + len(states)] = np.array(found, dtype=np.intp)[pattern]
+    return list(index), ids
 
 
 def _factor_jobs(states, field, factored):
     """Group the states by the characteristic polynomial over F_p of the
     realified X = J^-1 w, the norm of X's own polynomial over F_q, and
     factor each polynomial not yet in factored over F_q: every factor of
-    X's polynomial is among its factors.  Returns the groups (polynomial ->
-    lanes), one job (lanes, m, floor = N - deg(f) m) per factor f of
-    multiplicity m in the norm of each group, in order, and the realified
-    f(X) of every job, stacked lanes last."""
+    X's polynomial is among its factors.  Returns the distinct polynomials
+    (coefficient tuples, highest degree first) and the lanes of each, one
+    job (lanes, m, floor = N - deg(f) m) per factor f of multiplicity m in
+    the norm of each polynomial, in order, and the realified f(X) of every
+    job, stacked lanes last."""
     p, k = field.p, field.k
     N = states.shape[1] // k
     x = _engine.j_inv_times(states, p)
-    groups = {}
-    for i, cp in enumerate(_engine.batched_charpoly(x, p).T.tolist()):
-        groups.setdefault(tuple(cp), []).append(i)
+    cps = _engine.batched_charpoly(x, p)
+    rep, group = _engine.row_labels(cps, p)
+    polys = [tuple(cp) for cp in cps[:, rep].T.tolist()]
+    members = [np.flatnonzero(group == g) for g in range(len(polys))]
     jobs, fx = [], []
-    for cp, idxs in groups.items():
+    for cp, lanes in zip(polys, members):
         if cp not in factored:
             factored[cp] = factor_poly(PolyFq(field, list(reversed(cp))))
-        x_group = x[:, :, idxs]
+        x_group = x[:, :, lanes]
         for f, mult in factored[cp]:
             fx.append(_engine.batched_matpoly(x_group, _mul_blocks(field)[list(reversed(f.coeffs))], p))
-            jobs.append((len(idxs), mult, N - f.degree * mult))
-    return groups, jobs, np.concatenate(fx, axis=2)
+            jobs.append((len(lanes), mult, N - f.degree * mult))
+    return polys, members, jobs, np.concatenate(fx, axis=2)
 
 
 def _rank_sequences(fx, jobs, field):
@@ -424,13 +429,7 @@ class ChainModel:
         This is the quantity the Monte Carlo classifier estimates; a
         data-processing lower bound for the lumped (and full) TV.
         """
-        pi = stationary_type_distribution(self.n, self.q)
-        agg = self.typed_distribution(k)
-        types = set(pi) | set(agg)
-        return (
-            sum(abs(agg.get(t, Fraction(0)) - pi.get(t, Fraction(0))) for t in types)
-            / 2
-        )
+        return _tv(self.typed_distribution(k), stationary_type_distribution(self.n, self.q))
 
     def full_tv_curve_bruteforce(self, k_max):
         """Oracle for tv_curve: TV of the unlumped law on every form.
@@ -529,7 +528,8 @@ def exact_form_chain(n, field_or_q, cap=DEFAULT_STATE_CAP) -> ChainModel:
     is held realified over F_p as uint8 (_realify), so one path serves
     every F_q.  Lump sizes come from class_size_qsq.  The sampled Dynkin
     check compares each row with the row of a second member R(k^T) w R(k),
-    k uniform in Sp_2n, classified in the same call.  One call takes as
+    k uniform in Sp_2n, classified in the same call; both rows are
+    np.bincounts of the classifier's label ids.  One call takes as
     many pending lumps as fit in one CLASSIFY_LANES slice, and at least
     one; rows, checks and new lumps are read per lump.  Each polynomial is
     factored once per build.  cap bounds the work, chain_work(n, q) image
@@ -548,28 +548,26 @@ def exact_form_chain(n, field_or_q, cap=DEFAULT_STATE_CAP) -> ChainModel:
     move_count = _move_count(n, q)
     weight = q * (q + 1)
     planes = [_realify(rows[:, None], field) for rows in _engine.two_planes(2 * n, q)]
+    upper = np.triu_indices(2 * n * field.k, 1)  # the strict upper triangle fixes a realified form
 
     def distinct_images(w):
         imgs = _engine.plane_images(w, *planes, _mul_blocks(field)[1:], p)
-        distinct = len({img.tobytes() for img in imgs})
-        if distinct * weight != move_count:
+        distinct, _ = _engine.row_labels(imgs[:, upper[0], upper[1]].T, p)
+        if len(distinct) * weight != move_count:
             raise InternalError(
-                f"a form has {distinct} distinct images of weight "
+                f"a form has {len(distinct)} distinct images of weight "
                 f"{weight}, expected {move_count} moving transvections"
             )
         return imgs
 
     factored = {}  # characteristic polynomial -> its factors, for the whole build
-
-    def classify(batches):
-        return list(zip(*_classify_states_batched(np.concatenate(batches), n, field, factored)))
-
     seeds = _realify([_initial_gram(n, field, a).to_lists() for a in range(1, q)], field).astype(np.uint8)
-    seed_labels = classify([seeds])
+    labels, ids = _classify_states_batched(seeds, n, field, factored)
+    seed_labels = [labels[i] for i in ids.tolist()]  # one per sector
     lumps = {}  # complete key -> (type, representative)
     for (lump, typ), w in zip(seed_labels, seeds):
         lumps.setdefault(lump, (typ, w))
-    rows = {}
+    rows = {}  # complete key -> {complete key of an image: its count}
     rng = random.Random(0)
     pending = list(lumps)
     images = move_count // weight  # distinct images of any form
@@ -583,15 +581,17 @@ def exact_form_chain(n, field_or_q, cap=DEFAULT_STATE_CAP) -> ChainModel:
             k = sample_symplectic(n, field, rng)
             member = _realify(k.transpose().to_lists(), field) @ w % p @ _realify(k.to_lists(), field) % p
             imgs += [distinct_images(w), distinct_images(member)]
-        labels = classify(imgs)
-        parts = [labels[at:at + images] for at in range(0, len(labels), images)]
-        for lump, own, member_labels, own_imgs in zip(batch, parts[::2], parts[1::2], imgs[::2]):
-            rows[lump] = Counter(other for other, _ in own)
-            if Counter(other for other, _ in member_labels) != rows[lump]:
+        labels, ids = _classify_states_batched(np.concatenate(imgs), n, field, factored)
+        for lump, (own, member), own_imgs in zip(batch, ids.reshape(-1, 2, images), imgs[::2]):
+            row = np.bincount(own, minlength=len(labels))
+            if not np.array_equal(np.bincount(member, minlength=len(labels)), row):
                 raise InternalError(f"lump {lump} is not exactly lumpable")
-            for (other, typ), img in zip(own, own_imgs):
+            rep, _ = _engine.row_labels(own[None], len(labels))  # an image of each label met
+            rows[lump] = {labels[i][0]: int(row[i]) for i in own[rep].tolist()}
+            for i, lane in zip(own[rep].tolist(), rep.tolist()):
+                other, typ = labels[i]
                 if other not in lumps:
-                    lumps[other] = (typ, img)
+                    lumps[other] = (typ, own_imgs[lane])
                     pending.append(other)
 
     # canonical lump order: by (type, key)
@@ -602,7 +602,7 @@ def exact_form_chain(n, field_or_q, cap=DEFAULT_STATE_CAP) -> ChainModel:
     if sum(lump_sizes) != S:
         raise InternalError(f"lump sizes sum to {sum(lump_sizes)}, expected {S} forms")
     L = len(lump_keys)
-    rep_rows = [[rows[a][b] * weight for b in lump_keys] for a in lump_keys]
+    rep_rows = [[rows[a].get(b, 0) * weight for b in lump_keys] for a in lump_keys]
     lumped_transition = [[Fraction(c, move_count) for c in row] for row in rep_rows]
     for row in lumped_transition:
         if sum(row) != 1:
@@ -648,25 +648,15 @@ def exact_form_chain(n, field_or_q, cap=DEFAULT_STATE_CAP) -> ChainModel:
 
 
 def _typed_lumping_ok(lump_types, rep_rows):
-    """Check the coarser partition by type label against the Dynkin
-    criterion (types can repeat across distinct concrete cosets)."""
-    L = len(lump_types)
-    type_of = {}
-    for i, t in enumerate(lump_types):
-        type_of.setdefault(t, []).append(i)
-    groups = list(type_of.values())
-    col_group = {}
-    for gi, members in enumerate(groups):
-        for m in members:
-            col_group[m] = gi
-    agg = {}
-    for i in range(L):
-        row = [0] * len(groups)
-        for j in range(L):
-            row[col_group[j]] += int(rep_rows[i][j])
-        agg[i] = tuple(row)
-    for members in groups:
-        if len({agg[i] for i in members}) != 1:
+    """Whether the coarser partition by type label (types can repeat
+    across distinct concrete cosets) is exactly lumpable, by the Dynkin
+    criterion: the rows of one type have equal sums over each type."""
+    typed_sums = {}  # type -> the typed sums of its first row
+    for typ, row in zip(lump_types, rep_rows):
+        sums = {}
+        for other, c in zip(lump_types, row):
+            sums[other] = sums.get(other, 0) + c
+        if typed_sums.setdefault(typ, sums) != sums:
             return False
     return True
 
@@ -683,17 +673,17 @@ class MCResult:
     counts: dict  # PartitionFn -> int
 
 
+def _tv(law, pi):
+    """TV between two laws on type labels, dicts of Fractions; a type
+    missing from one has mass 0 there."""
+    return sum(abs(law.get(t, 0) - pi.get(t, 0)) for t in set(law) | set(pi)) / 2
+
+
 def _tv_and_stderr(counts, trials, pi):
     emp = {t: Fraction(c, trials) for t, c in counts.items()}
-    types = set(pi) | set(emp)
-    est = sum(abs(emp.get(t, Fraction(0)) - pi.get(t, Fraction(0))) for t in types) / 2
-    signed = Fraction(0)
-    for t in types:
-        e = emp.get(t, Fraction(0))
-        s = 1 if e - pi.get(t, Fraction(0)) > 0 else -1
-        signed += s * e
+    signed = sum(e if e > pi.get(t, 0) else -e for t, e in emp.items())
     var = max(0.0, (1.0 - float(signed) ** 2) / trials)
-    return est, math.sqrt(var) / 2
+    return _tv(emp, pi), math.sqrt(var) / 2
 
 
 def _mc_field(field_or_q, n):
@@ -722,10 +712,12 @@ def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0):
     A chunk of MC_CHUNK trials is held as one _engine.Lanes batch, in the
     layout its step runs on (packed words at p = 2), and stepped k_max
     times.  Each step is tallied in that layout by exact labels
-    (Lanes.distinct), which gives out only the distinct states.  The states
-    the chunk met that no earlier chunk did are then classified in one
-    batch and every step is counted.  Classification draws nothing from
-    rng, so the draws are those of stepping alone.
+    (Lanes.distinct), which gives out only the distinct states.  The
+    distinct states of all the chunk's steps are then deduped together by
+    _engine.row_labels over their strict upper triangles, each is
+    classified once, in one batch, and every step is counted from the
+    label ids.  Classification draws nothing from rng, so the draws are
+    those of stepping alone.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -736,35 +728,35 @@ def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0):
     pi = stationary_type_distribution(n, p)
     rng = np.random.default_rng(seed)
     jmat = np.array(standard_J(n, field).to_lists(), dtype=np.uint8)
-    type_of = {}  # the bytes of a distinct state -> its type label (None until classified)
+    rows, cols = np.triu_indices(2 * n, 1)  # the strict upper triangle fixes a state
     factored = {}  # characteristic polynomial -> its factors, for the whole run
-    per_step = [Counter() for _ in range(k_max + 1)]
+    per_step = [{} for _ in range(k_max + 1)]  # type -> count
     remaining = trials
     while remaining:
         b = min(MC_CHUNK, remaining)
         remaining -= b
         lanes = _engine.Lanes.start(jmat, p, b, rng)
-        steps = []  # (keys, counts) of each step's distinct states
-        unseen, unseen_states = [], []  # keys first met in this chunk, and their states
+        states, counts = [], []  # each step's distinct states and their multiplicities
         for k in range(k_max + 1):
-            states, cnt = lanes.distinct()
-            keys = [s.tobytes() for s in states]
-            new = [i for i, key in enumerate(keys) if key not in type_of]
-            type_of.update((keys[i], None) for i in new)
-            unseen.extend(keys[i] for i in new)
-            unseen_states.append(states[new])
-            steps.append((keys, cnt.tolist()))
+            s, c = lanes.distinct()
+            states.append(s)
+            counts.append(c)
             if k < k_max:
                 lanes = lanes.step(rng)
-        _, types = _classify_states_batched(np.concatenate(unseen_states), n, field, factored)
-        type_of.update(zip(unseen, types))
-        for k, (keys, cnt) in enumerate(steps):
-            for key, c in zip(keys, cnt):
-                per_step[k][type_of[key]] += c
+        states = np.concatenate(states)
+        rep, distinct = _engine.row_labels(states[:, rows, cols].T, p)
+        labels, ids = _classify_states_batched(states[rep], n, field, factored)
+        tally = np.zeros((k_max + 1, len(labels)), dtype=np.int64)
+        step_of = np.repeat(np.arange(k_max + 1), [len(c) for c in counts])
+        np.add.at(tally, (step_of, ids[distinct]), np.concatenate(counts))
+        for step, row in zip(per_step, tally.tolist()):
+            for (_, typ), c in zip(labels, row):
+                if c:
+                    step[typ] = step.get(typ, 0) + c
     out = []
-    for k in range(k_max + 1):
-        est, err = _tv_and_stderr(per_step[k], trials, pi)
-        out.append((k, MCResult(est, err, trials, dict(per_step[k]))))
+    for k, counts in enumerate(per_step):
+        est, err = _tv_and_stderr(counts, trials, pi)
+        out.append((k, MCResult(est, err, trials, counts)))
     return out
 
 

@@ -300,6 +300,26 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert proc.stdout == want.encode()  # bytes: the CSV rows end in \r\n
 
 
+def test_chain_and_simulate_leave_numpy_ma_unimported():
+    """np.unique with neither return_index nor return_inverse, or with axis,
+    imports numpy.ma on its first call, about 13 ms; no call on the chain or
+    Monte Carlo path makes one."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    script = (
+        "import contextlib, io, sys\n"
+        "from sympwalk.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['chain', '--n', '2', '--q', '3']) == 0\n"
+        "    assert main(['simulate', '--n', '2', '--q', '2', '--steps', '2', '--trials', '1000']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().split() == ["False"]
+
+
 def test_verify_default_run_passes(capsys):
     code, out = run_cli(capsys, "verify", "--max-n", "3", "--trials", "5000")
     assert code == 0

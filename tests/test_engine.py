@@ -14,15 +14,20 @@ from sympwalk.walk import _mul_blocks, _realify
 
 
 def _trajectory(n, p, trials, steps, seed):
-    """Seeded initial_grams followed by `steps` mc_steps: every batch."""
+    """Seeded Lanes.start followed by `steps` steps: every batch, as Grams."""
     rng = np.random.default_rng(seed)
     jmat = np.array(standard_J(n, build_field(p, 1)).to_lists(), dtype=np.uint8)
-    grams = _engine.initial_grams(jmat, p, trials, rng)
+    grams = _engine.Lanes.start(jmat, p, trials, rng).grams()
     out = [grams]
     for _ in range(steps):
-        grams = _engine.mc_step(grams, p, rng)
+        grams = _step(grams, p, rng)
         out.append(grams)
     return out
+
+
+def _step(grams, p, rng):
+    """One Lanes.step on a (B, N, N) uint8 batch, packed at p = 2."""
+    return _engine.Lanes.from_grams(grams, p).step(rng).grams()
 
 
 @pytest.mark.parametrize("n, p, max_inputs", [(2, 2, 10), (2, 3, 10), (3, 2, 8)])
@@ -189,7 +194,7 @@ class _Draws:
 
 
 def test_mc_step_rejects_lanes_that_cannot_move():
-    """The zero form has no move, and no form of size N < 3 has one: mc_step
+    """The zero form has no move, and no form of size N < 3 has one: a step
     raises after its first round instead of redrawing forever (the stub has
     the draws of one round only, so a second round fails the test too), on
     int32 lanes at p = 3 and on packed ones at p = 2."""
@@ -203,7 +208,7 @@ def test_mc_step_rejects_lanes_that_cannot_move():
         for grams in (np.zeros((4, 6, 6), dtype=np.uint8), mixed, wide, size2):
             B, N, _ = grams.shape
             with pytest.raises(ValueError):
-                _engine.mc_step(grams, p, _Draws(*rng.integers(0, p, size=(2, B, N))))
+                _step(grams, p, _Draws(*rng.integers(0, p, size=(2, B, N))))
 
 
 class _Recorded:
@@ -222,7 +227,7 @@ class _Recorded:
 @pytest.mark.parametrize("N", [4, 6, 8])
 @pytest.mark.parametrize("B", [0, 1, 63, 64, 65, 1000])
 def test_packed_mc_step_matches_int32_oracle(B, N):
-    """At p = 2, mc_step on packed lanes makes the int32 step's draws, call
+    """At p = 2, a step on packed lanes makes the int32 step's draws, call
     for call, and lands every lane on the same Gram, for three steps from
     random nonzero alternating forms (degenerate ones included)."""
     rng = np.random.default_rng(10 * B + N)
@@ -231,7 +236,7 @@ def test_packed_mc_step_matches_int32_oracle(B, N):
     grams[zero, 0, 1] = grams[zero, 1, 0] = 1
     for step in range(3):
         packed_rng, oracle_rng = _Recorded(step), _Recorded(step)
-        packed = _engine.mc_step(grams, 2, packed_rng)
+        packed = _step(grams, 2, packed_rng)
         oracle = _engine.Lanes.from_grams(grams, 2, packed=False).step(oracle_rng).grams()
         assert packed.dtype == np.uint8 and packed.flags.c_contiguous
         assert packed.shape == grams.shape and (packed == oracle).all()
@@ -332,7 +337,7 @@ def _set_upper(grams, pos, values, p):
 def test_distinct_states_match_row_bytes(n, p, monkeypatch):
     """Representatives, in row-byte order, and multiplicities equal a
     Counter of row bytes, by the table count where the label fits
-    _BINCOUNT_BITS ((2,2), (3,2), (2,3)) and by np.unique refinement
+    _BINCOUNT_BITS ((2,2), (3,2), (2,3)) and by row_labels
     everywhere, for (B, N, N) batches and packed Lanes at p = 2."""
     N = 2 * n
     rng = np.random.default_rng(p)
@@ -358,7 +363,7 @@ def test_distinct_states_match_row_bytes(n, p, monkeypatch):
     for cap in (0, _engine._BINCOUNT_BITS):
         monkeypatch.setattr(_engine, "_BINCOUNT_BITS", cap)
         for grams in batches:
-            outs = [_engine.distinct_states(grams, p)]
+            outs = [_engine.Lanes.from_grams(grams, p, packed=False).distinct()]
             if p == 2:
                 outs.append(_engine.Lanes.from_grams(grams, p).distinct())
             for states, mult in outs:
@@ -367,18 +372,50 @@ def test_distinct_states_match_row_bytes(n, p, monkeypatch):
     assert table == ((n, p) in {(2, 2), (3, 2), (2, 3)})
 
 
+@pytest.mark.parametrize("table", [_engine._TABLE, 1])
+@pytest.mark.parametrize("p", [2, 3, 251])
+def test_row_labels_equal_exactly_for_equal_bytes(p, table, monkeypatch):
+    """row_labels numbers the lanes 0, 1, ... in the order of their column
+    bytes, so equal labels mean equal bytes, and gives a lane of each
+    label, for 1, 16, 33 and 48 entries, with a table of at least _TABLE
+    counts and of 2 B, which at p = 251 leaves entries to np.unique.
+    Pairs differing only in one entry, or in two adjacent ones, are told
+    apart."""
+    monkeypatch.setattr(_engine, "_TABLE", table)
+    rng = np.random.default_rng(p)
+    for E in (1, 16, 33, 48):
+        pool = rng.integers(0, p, size=(E, 40), dtype=np.uint8)
+        cols = pool[:, rng.integers(0, 40, size=300)]
+        for at in range(0, E, 5):
+            pair = np.repeat(pool[:, :1], 2, axis=1)
+            pair[at, 1] = (pair[at, 0] + 1) % p
+            if at + 1 < E:
+                pair[at + 1, 0] = (pair[at + 1, 1] + 1) % p
+            cols = np.concatenate([cols, pair], axis=1)
+        keys = [c.tobytes() for c in cols.T]
+        rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+        for batch in (cols, cols.astype(np.int32)):
+            lanes, labels = _engine.row_labels(batch, p)
+            assert labels.tolist() == [rank[key] for key in keys]
+            assert len(lanes) == len(rank) and (labels[lanes] == np.arange(len(rank))).all()
+        lanes, labels = _engine.row_labels(cols[:, :0], p)
+        assert lanes.shape == labels.shape == (0,)
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_distinct_states_of_an_empty_batch(p, monkeypatch):
     """No lanes give no states, (0, N, N) uint8, and no counts, as from
-    mc_step and initial_grams, by either counting path and from Lanes."""
+    Lanes.step and Lanes.start, by either counting path, from int32 Lanes
+    and from packed ones at p = 2."""
     grams = np.zeros((0, 6, 6), dtype=np.uint8)
     jmat = np.array(standard_J(3, build_field(p, 1)).to_lists(), dtype=np.uint8)
-    assert _engine.initial_grams(jmat, p, 0, np.random.default_rng(0)).shape == grams.shape
-    assert _engine.mc_step(grams, p, np.random.default_rng(0)).shape == grams.shape
+    assert _engine.Lanes.start(jmat, p, 0, np.random.default_rng(0)).grams().shape == grams.shape
+    assert _step(grams, p, np.random.default_rng(0)).shape == grams.shape
     for cap in (0, _engine._BINCOUNT_BITS):
         monkeypatch.setattr(_engine, "_BINCOUNT_BITS", cap)
         for batch in (grams, np.zeros((0, 4, 4), dtype=np.uint8)):
-            for states, mult in (_engine.distinct_states(batch, p), _engine.Lanes.from_grams(batch, p).distinct()):
+            for packed in {False, p == 2}:
+                states, mult = _engine.Lanes.from_grams(batch, p, packed=packed).distinct()
                 assert states.shape == batch.shape and states.dtype == np.uint8 and len(mult) == 0
 
 
@@ -394,18 +431,14 @@ def _allocates_nothing(call):
 
 
 def test_int_bounds_are_checked_before_any_allocation():
-    """mc_step, batched_charpoly, batched_matpoly and batched_matmul need
-    N p^2 + p < 2^31 (int32), batched_rank p^2 + p < 2^31 (int32),
-    distinct_states a batch below 2^31 (labels shifted by 32 bits in int64).
-    No batch holds memory: all but one have no lanes, the other is a
-    broadcast view."""
+    """Lanes.step, batched_charpoly, batched_matpoly and batched_matmul need
+    N p^2 + p < 2^31 (int32), batched_rank p^2 + p < 2^31 (int32).  No
+    batch holds memory: none has lanes."""
     N = 34_088  # N * 251^2 + 251 >= 2^31; no lanes, so a missed check allocates nothing either
-    _allocates_nothing(lambda: _engine.mc_step(np.zeros((0, N, N), dtype=np.uint8), 251, None))
+    _allocates_nothing(lambda: _step(np.zeros((0, N, N), dtype=np.uint8), 251, None))
     # 46349^2 + 46349 >= 2^31, so any N fails at p = 46,349
     lanes_last = np.zeros((2, 2, 0), dtype=np.int32)
     _allocates_nothing(lambda: _engine.batched_charpoly(lanes_last, 46_349))
     _allocates_nothing(lambda: _engine.batched_matpoly(lanes_last, np.ones((2, 1, 1), dtype=np.int32), 46_349))
     _allocates_nothing(lambda: _engine.batched_matmul(lanes_last, lanes_last, 46_349))
     _allocates_nothing(lambda: _engine.batched_rank(lanes_last, 46_349))
-    huge = np.broadcast_to(np.uint8(0), (2 ** 31, 4, 4))
-    _allocates_nothing(lambda: _engine.distinct_states(huge, 2))

@@ -160,7 +160,8 @@ def test_classifier_complete_against_brute_force_orbits():
     order = list(elems)
     mats = np.array([elems[key].rows for key in order], dtype=np.int64)
     forms = np.einsum("bji,jk,bkl->bil", mats, np.array(J.rows), mats) % 2
-    batched = dict(zip(order, zip(*_classify_states_batched(forms.astype(np.uint8), 2, F2, {}))))
+    labels, ids = _classify_states_batched(forms.astype(np.uint8), 2, F2, {})
+    batched = {key: labels[i] for key, i in zip(order, ids.tolist())}
     labels = []
     for key, orbit in blocks:
         (label,) = {batched[m] for m in orbit}
@@ -181,6 +182,38 @@ def test_chain_2_2_matches_published_matrix(chain22):
     assert chain22.stationary == [Fraction(1, 28), Fraction(15, 28), Fraction(12, 28)]
     assert chain22.lump_sizes == [1, 15, 12]
     assert chain22.typed_lumping_ok
+
+
+def test_typed_lumping_fails_on_unequal_typed_sums():
+    """Two lumps of one type whose rows split differently over the types
+    are not lumpable by type; the same rows with the split made equal are."""
+    a, b = ID2, TRANSVECTION2
+    assert not walk._typed_lumping_ok([a, a, b], [[1, 1, 2], [0, 1, 3], [2, 1, 1]])
+    assert walk._typed_lumping_ok([a, a, b], [[1, 1, 2], [0, 2, 2], [2, 1, 1]])
+
+
+def test_chain_rejects_repeated_images(monkeypatch):
+    """An image listed twice leaves one fewer distinct image than the moving
+    transvections need: an InternalError, not a row of the wrong weight."""
+    plane_images = _engine.plane_images
+
+    def repeated(*args):
+        imgs = plane_images(*args)
+        imgs[1] = imgs[0]
+        return imgs
+
+    monkeypatch.setattr(_engine, "plane_images", repeated)
+    with pytest.raises(InternalError, match="distinct images"):
+        exact_form_chain(2, 2)
+
+
+def test_chain_rejects_a_dynkin_member_off_the_lump(monkeypatch):
+    """A non-symplectic transvection as the Dynkin draw moves the member to
+    another lump, whose row differs: the check raises."""
+    monkeypatch.setattr(walk, "sample_symplectic", lambda n, field, rng: nonsymplectic_representative(n, field))
+    for q in (2, 3):
+        with pytest.raises(InternalError, match="not exactly lumpable"):
+            exact_form_chain(2, q)
 
 
 def test_chain_2_2_tv_values(chain22):
@@ -560,14 +593,19 @@ def test_classifier_slices_match_one_batch(monkeypatch):
     one rank pattern span several slices, give the keys and types of one batch."""
     rng = np.random.default_rng(4)
     jmat = np.array(standard_J(3, F3).to_lists(), dtype=np.uint8)
-    grams = [_engine.initial_grams(jmat, 3, 40, rng)]
+    grams = [_engine.Lanes.start(jmat, 3, 40, rng).grams()]
     for _ in range(4):
-        grams.append(_engine.mc_step(grams[-1], 3, rng))
+        grams.append(_engine.Lanes.from_grams(grams[-1], 3).step(rng).grams())
     states = np.concatenate(grams)
-    whole = _classify_states_batched(states, 3, F3, {})
+    whole = _per_state(*_classify_states_batched(states, 3, F3, {}))
     monkeypatch.setattr(walk, "CLASSIFY_LANES", 7)
-    assert _classify_states_batched(states, 3, F3, {}) == whole
-    assert len(set(whole[0])) > 7
+    assert _per_state(*_classify_states_batched(states, 3, F3, {})) == whole
+    assert len(set(whole)) > 7
+
+
+def _per_state(labels, ids):
+    """The classifier's (key, type) of each state."""
+    return [labels[i] for i in ids.tolist()]
 
 
 def test_monte_carlo_beyond_int64_keys():
@@ -613,8 +651,8 @@ def test_batched_classifier_matches_scalar_oracle(case):
     fields, against _classify_X on the form itself."""
     n, field, w = case
     assert w.is_alternating() and w.rank() == w.nrows
-    keys, types = _classify_states_batched(_realified(w)[None], n, field, {})
-    assert (keys[0], types[0]) == _classify_X(standard_J(n, field).inverse() * w)
+    labels, ids = _classify_states_batched(_realified(w)[None], n, field, {})
+    assert ids.tolist() == [0] and labels == [_classify_X(standard_J(n, field).inverse() * w)]
 
 
 def test_one_step_distribution_at_n4():
