@@ -12,6 +12,11 @@ the polynomial x - 1, and the total mass of those cosets is exponentially
 small in c.  The masses are read off the label types that the spectral
 sum enumerates: x - 1 is one of the q - 1 interchangeable degree-1 orbits,
 so each type's labels split over what x - 1 carries in exact shares.
+
+Both bounds read one integer pass over the label types (_label_types):
+each type's count, its doubled dimension d_(lam u lam) as one checked
+divmod of per-entry factors, and its degree-1 partitions, on which phi
+alone depends.  A class size is one checked divmod as well (class_size).
 """
 
 from __future__ import annotations
@@ -25,20 +30,30 @@ from functools import lru_cache
 from .combinat import (
     class_size,
     class_size_qsq,
-    dim_irrep,
+    doubled_dim_irrep,
     enumerate_partition_fns,
     gl_order,
     multiplicities,
     sp_order,
 )
-from .errors import EnumerationTooLargeError, ExactArithmeticTooLargeError, InternalError
-from .spectral import eigenvalue_phi, trivial_label
+from .errors import (
+    EnumerationTooLargeError,
+    ExactArithmeticTooLargeError,
+    InternalError,
+    StepRangeTooLargeError,
+)
+from .spectral import phi_of_degree_one_parts, trivial_label
 
 EXACT_MODE_MAX_N = 8
 ENUMERATION_MAX_N = 14
 # Exact mode costs about terms x (2k x largest bit length of phi)^2 big-int
 # work; at 4e11 one call took 0.3-1 s across (n, q) up to (8, 4) on a 2-CPU host.
 EXACT_WORK_MAX = 4 * 10**11
+# A row of `bounds` costs about 150 ns per spectral term of a logfloat upper
+# bound, plus about 15 us (ROW_COST_TERMS terms' worth) for the rest of the
+# row, on a 2-CPU host across n = 3..14; ROW_WORK_MAX is about 10 s of rows.
+ROW_COST_TERMS = 100
+ROW_WORK_MAX = 5 * 10**7
 
 
 @dataclass(frozen=True)
@@ -64,18 +79,38 @@ def check_enumeration_cap(n):
 
 
 @lru_cache(maxsize=None)
-def _spectral_terms(n, q):
-    """(phi, multiplicity, count) per label type, except the type of the
-    labels fixed by the initial randomization: (1^n) at a single degree-1
-    orbit, the type of the trivial label."""
+def _label_types(n, q):
+    """The one pass over the label types of enumerate_partition_fns(n, q),
+    in its order: (fn, count, degree-1 partitions, d_(lam u lam)) per type.
+
+    The multiplicity d_(lam u lam) is doubled_dim_irrep: one checked
+    integer divmod per type, from per-entry factors cached per (degree,
+    partition, q).  The spectral terms and the class masses read this pass.
+    """
     check_enumeration_cap(n)
-    twist = trivial_label(n)
-    out = []
-    for fn, cnt in enumerate_partition_fns(n, q):
-        if fn == twist:
-            continue
-        out.append((eigenvalue_phi(fn, n, q), dim_irrep(fn.doubled(), q), cnt))
-    return tuple(out)
+    return tuple(
+        (fn, cnt, fn.degree_one_parts(), doubled_dim_irrep(fn, q))
+        for fn, cnt in enumerate_partition_fns(n, q)
+    )
+
+
+def _spectral_types(n, q):
+    """(degree-1 partitions, multiplicity, count) per entry of _label_types,
+    except the type of the labels fixed by the initial randomization: (1^n)
+    at a single degree-1 orbit, the type of the trivial label."""
+    twist = trivial_label(n).entries
+    return ((parts, mult, cnt) for fn, cnt, parts, mult in _label_types(n, q) if fn.entries != twist)
+
+
+@lru_cache(maxsize=None)
+def _spectral_terms(n, q):
+    """(phi, multiplicity, count) per label type except the twist, in the
+    order of enumerate_partition_fns.  phi depends only on the degree-1
+    partitions and is computed once per distinct tuple of them
+    (phi_of_degree_one_parts), from integer pairs reduced once."""
+    return tuple(
+        (phi_of_degree_one_parts(parts, n, q), mult, cnt) for parts, mult, cnt in _spectral_types(n, q)
+    )
 
 
 def _log_int(x: int) -> float:
@@ -93,12 +128,18 @@ def _log_fraction_abs(fr: Fraction) -> float:
 @lru_cache(maxsize=None)
 def _log_terms(n, q):
     """(log(count * multiplicity), log|phi|) per spectral term with phi != 0,
-    in the order of _spectral_terms."""
-    return tuple(
-        (_log_int(cnt * mult), _log_fraction_abs(phi))
-        for phi, mult, cnt in _spectral_terms(n, q)
-        if phi != 0
-    )
+    in the order of _spectral_terms.  log|phi| is taken once per distinct
+    tuple of degree-1 partitions, the key phi is a function of (None where
+    phi = 0)."""
+    log_phi = {}
+    out = []
+    for parts, mult, cnt in _spectral_types(n, q):
+        if parts not in log_phi:
+            phi = phi_of_degree_one_parts(parts, n, q)
+            log_phi[parts] = _log_fraction_abs(phi) if phi else None
+        if log_phi[parts] is not None:
+            out.append((_log_int(cnt * mult), log_phi[parts]))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -112,12 +153,27 @@ def _phi_bits(n, q):
     return len(terms), bits
 
 
+def _square_sum(m):
+    """1^2 + ... + m^2; _square_sum(m) - _square_sum(m - 1) = m^2 for every
+    integer m."""
+    return m * (m + 1) * (2 * m + 1) // 6
+
+
+def _steps(ks):
+    """(number, largest, sum of squares) of the steps ks, a sequence; in
+    closed form for a nonempty range of step 1, so that a huge range costs
+    nothing to assess."""
+    if isinstance(ks, range) and ks.step == 1 and ks:
+        return len(ks), ks[-1], _square_sum(ks[-1]) - _square_sum(ks[0] - 1)
+    return len(ks), max(ks, default=0), sum(k * k for k in ks)
+
+
 def _exact_work(n, q, ks):
     """Estimated big-integer work of the exact spectral sums at every k in
     ks, known before any power is taken: per k, terms x size^2, with size =
     2k x the largest bit length of any phi."""
     count, bits = _phi_bits(n, q)
-    return count * sum((2 * k * bits) ** 2 for k in ks)
+    return count * (2 * bits) ** 2 * _steps(ks)[2]
 
 
 def resolve_mode(n, q, ks, mode="auto"):
@@ -141,9 +197,31 @@ def _check_exact_work(n, q, ks, what):
     work = _exact_work(n, q, ks)
     if work > EXACT_WORK_MAX:
         raise ExactArithmeticTooLargeError(
-            f"{what} at n={n} q={q} up to k={max(ks)} needs about {work:.1e} "
+            f"{what} at n={n} q={q} up to k={_steps(ks)[1]} needs about {work:.1e} "
             f"units of big-integer work, beyond {EXACT_WORK_MAX:.0e}"
         )
+
+
+def check_row_work(n, q, ks):
+    """Raise StepRangeTooLargeError, before any row is computed, if one
+    bound row per k in ks costs more than ROW_WORK_MAX: rows x (spectral
+    terms + ROW_COST_TERMS), the cost of logfloat rows.  Exact rows cost
+    more, and EXACT_WORK_MAX caps them as well."""
+    count, largest, _ = _steps(ks)
+    work = count * (len(_spectral_terms(n, q)) + ROW_COST_TERMS)
+    if work > ROW_WORK_MAX:
+        raise StepRangeTooLargeError(
+            f"{count} bound rows at n={n} q={q} up to k={largest} need about {work:.1e} "
+            f"units of work, beyond {ROW_WORK_MAX:.0e}"
+        )
+
+
+def _exp_or_inf(x):
+    """math.exp(x), or math.inf where that lies beyond the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _positive_float(value):
@@ -159,9 +237,12 @@ def upper_bound_tv(n, q, k, mode="auto") -> BoundValue:
     n <= 8 within the work cap, see resolve_mode); "logfloat" accumulates
     term logs in float (relative error below 1e-9 against exact mode,
     tested for n <= 8 at q = 2 and n <= 6 at q = 3), needed once
-    dimensions reach q^Theta(n^2).  The logs of the weights and of |phi| are
-    computed once per (n, q) and reused for every k.  A positive bound never
-    reads below sys.float_info.min.
+    dimensions reach q^Theta(n^2).  The terms come from the one integer
+    pass over the label types, with phi and log|phi| taken once per
+    distinct tuple of degree-1 partitions; the logs of the weights and of
+    |phi| are computed once per (n, q) and reused for every k.  A positive
+    bound never reads below sys.float_info.min, and one beyond the float
+    range reads math.inf.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -171,7 +252,10 @@ def upper_bound_tv(n, q, k, mode="auto") -> BoundValue:
         for phi, mult, cnt in _spectral_terms(n, q):
             sq += Fraction(cnt * mult) * phi ** (2 * k)
         sq /= 4
-        value = math.sqrt(sq)
+        try:
+            value = math.sqrt(sq)
+        except OverflowError:  # sq lies beyond the float range; its root may not
+            value = _exp_or_inf(_log_fraction_abs(sq) / 2)
         return BoundValue(_positive_float(value) if sq else value, sq, "exact")
     logs = [weight + 2 * k * log_phi for weight, log_phi in _log_terms(n, q)]
     if not logs:
@@ -179,7 +263,7 @@ def upper_bound_tv(n, q, k, mode="auto") -> BoundValue:
     top = max(logs)
     acc = sum(math.exp(lg - top) for lg in logs)
     log_sq = top + math.log(acc) - math.log(4)
-    return BoundValue(_positive_float(math.exp(log_sq / 2)), None, "logfloat")
+    return BoundValue(_positive_float(_exp_or_inf(log_sq / 2)), None, "logfloat")
 
 
 # ---------------------------------------------------------------------------
@@ -202,16 +286,15 @@ def _fixed_space_masses(n, q, size_of):
     class type.
     """
     masses = [0] * (n + 1)
-    for fn, cnt in enumerate_partition_fns(n, q):
+    for fn, cnt, parts, _ in _label_types(n, q):
         size = size_of(fn, q)
-        at_one = multiplicities([lam for d, lam in fn.entries if d == 1])
-        shares = [(0, q - 1 - sum(at_one.values()))]
-        shares += [(len(lam), m) for lam, m in at_one.items()]
-        for parts, m in shares:
+        shares = [(0, q - 1 - len(parts))]
+        shares += [(len(lam), m) for lam, m in multiplicities(parts).items()]
+        for dim, m in shares:
             labels, rem = divmod(cnt * m, q - 1)
             if rem:
                 raise InternalError(f"{cnt} labels of {fn} at q={q} do not split over x - 1")
-            masses[parts] += labels * size
+            masses[dim] += labels * size
     return tuple(masses)
 
 

@@ -24,6 +24,7 @@ from .errors import (
     ExactArithmeticTooLargeError,
     FieldTooLargeError,
     StateSpaceTooLargeError,
+    StepRangeTooLargeError,
 )
 from .field import build_field, field_from_order
 from .spectral import spectrum_json
@@ -117,10 +118,12 @@ def cmd_bounds(args):
     n, q = args.n, field.q
     ks = _parse_range(args.k_range)
     mode = bounds_mod.resolve_mode(n, q, ks, args.mode)
+    bounds_mod.check_row_work(n, q, ks)
     tv_exact = {}
     if args.with_exact:
+        walk_mod.check_tv_work(n, q, ks[-1])  # before the chain is built
         chain = walk_mod.exact_form_chain(n, field, cap=args.state_cap)
-        for k, tv_full, _ in chain.tv_curve(max(ks)):
+        for k, tv_full, _ in chain.tv_curve(ks[-1]):
             tv_exact[k] = tv_full
     rows = []
     for k in ks:
@@ -150,6 +153,7 @@ def cmd_bounds(args):
 
 def cmd_chain(args):
     field = _resolve_field_args(args)
+    walk_mod.check_tv_work(args.n, field.q, args.kmax)  # before the chain is built
     chain = walk_mod.exact_form_chain(args.n, field, cap=args.state_cap)
     rows = chain.tv_curve(args.kmax)
     if args.format == "json":
@@ -282,6 +286,7 @@ def main(argv=None):
         EnumerationTooLargeError,
         ExactArithmeticTooLargeError,
         FieldTooLargeError,
+        StepRangeTooLargeError,
     ) as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return EXIT_RESOURCE

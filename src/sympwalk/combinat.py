@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import groupby
 
 from .errors import NonIntegerResultError, WeightMismatchError
 from .field import irreducible_count
@@ -47,9 +48,12 @@ def partitions_of(n):
 
 
 def conjugate(lam):
-    if not lam:
-        return ()
-    return tuple(sum(1 for part in lam if part > i) for i in range(lam[0]))
+    """The transposed partition: column j has as many boxes as lam has
+    parts >= j, filled from the shortest part up."""
+    out = []
+    for i in range(len(lam), 0, -1):  # lam[0..i-1] are the parts >= lam[i-1]
+        out.extend([i] * (lam[i - 1] - len(out)))
+    return tuple(out)
 
 
 def n_stat(lam):
@@ -161,6 +165,10 @@ class PartitionFn:
     def degree_one_indices(self):
         return [i for i, (d, _) in enumerate(self.entries) if d == 1]
 
+    def degree_one_parts(self):
+        """The partitions at degree-1 orbits, in entry order."""
+        return tuple(lam for d, lam in self.entries if d == 1)
+
     def replace_partition(self, index, new_lam):
         """Copy with entry `index` carrying new_lam (dropped if empty)."""
         items = list(self.entries)
@@ -199,24 +207,34 @@ def orbit_count(d, q):
     return irreducible_count(q, d, exclude_x=True)
 
 
-def _partition_multisets(total, max_slots, max_key=None):
-    """Multisets of nonempty partitions with given total weight.
+def _partition_multisets(total, max_slots):
+    """Multisets of at most max_slots nonempty partitions with given total
+    weight.
 
-    Yields canonically sorted tuples; partitions are chosen in weakly
+    Returns canonically sorted tuples; partitions are chosen in weakly
     decreasing (size, partition) order so each multiset appears once.
     """
-    if total == 0:
-        yield ()
-        return
-    if max_slots == 0:
-        return
-    for w in range(total, 0, -1):
-        for lam in partitions_of(w):
-            key = (w, lam)
-            if max_key is not None and key > max_key:
-                continue
-            for rest in _partition_multisets(total - w, max_slots - 1, key):
-                yield (lam,) + rest
+    items = [(w, lam) for w in range(total, 0, -1) for lam in partitions_of(w)]
+    first = {}  # size -> index of its first item: items are in decreasing order
+    for i, (w, _) in enumerate(items):
+        first.setdefault(w, i)
+    out = []
+
+    def rec(start, remaining, slots, acc):
+        if remaining == 0:
+            out.append(tuple(acc))
+            return
+        if slots:
+            for i in range(max(start, first[remaining]), len(items)):
+                w, lam = items[i]
+                if w * slots < remaining:  # this and every later size are too small
+                    break
+                acc.append(lam)
+                rec(i, remaining - w, slots - 1, acc)
+                acc.pop()
+
+    rec(0, total, max_slots, [])
+    return out
 
 
 def _assignment_count(mset, n_orbits):
@@ -224,20 +242,19 @@ def _assignment_count(mset, n_orbits):
     m = len(mset)
     if m > n_orbits:
         return 0
-    ways = 1
-    for i in range(m):
-        ways *= n_orbits - i
-    for cnt in multiplicities(mset).values():
-        ways //= math.factorial(cnt)
+    ways = math.perm(n_orbits, m)
+    for _, run in groupby(mset):  # equal partitions are adjacent in a sorted multiset
+        ways //= math.factorial(len(list(run)))
     return ways
 
 
 @lru_cache(maxsize=None)
-def _weighted_multisets(total, n_orbits):
-    """(multiset, assignment count) for each partition multiset of the given
-    total weight that fits on n_orbits orbits, in _partition_multisets order."""
+def _degree_entries(d, total, n_orbits):
+    """(entries, assignment count) for each multiset of partitions of the
+    given total weight that fits on the n_orbits orbits of degree d, with
+    entries its (d, partition) pairs in increasing order."""
     return tuple(
-        (mset, _assignment_count(mset, n_orbits))
+        (tuple((d, lam) for lam in sorted(mset)), _assignment_count(mset, n_orbits))
         for mset in _partition_multisets(total, n_orbits)
     )
 
@@ -246,29 +263,33 @@ def _weighted_multisets(total, n_orbits):
 def enumerate_partition_fns(n, q):
     """All types of partition-valued functions of weight n over F_q.
 
-    Returns a sorted tuple of (PartitionFn, count) where count is the number
-    of concrete functions of that type.  They serve as class labels and as
-    character labels alike: the orbit counts agree degree by degree.
+    Returns a tuple of (PartitionFn, count), strictly increasing by entries,
+    where count is the number of concrete functions of that type.  They
+    serve as class labels and as character labels alike: the orbit counts
+    agree degree by degree.  Each label's cached weight is filled with n.
     """
     # orbit_count(d, q) >= 1 for every d when q >= 2
     n_orbs = [orbit_count(d, q) for d in range(1, n + 1)]
     results = []
 
-    def rec(d, remaining, acc_entries, acc_count):
+    def rec(d_min, remaining, acc_entries, acc_count):
+        # the entries of the degrees from d_min on sort after acc_entries
         if remaining == 0:
-            results.append((PartitionFn(tuple(sorted(acc_entries))), acc_count))
+            fn = PartitionFn(acc_entries)
+            vars(fn)["weight"] = n  # what the cached_property would compute
+            results.append((fn, acc_count))
             return
-        if d > remaining:  # no degree from d on fits the remaining weight
-            return
-        n_orb = n_orbs[d - 1]
-        rec(d + 1, remaining, acc_entries, acc_count)
-        for used in range(1, remaining // d + 1):
-            for mset, ways in _weighted_multisets(used, n_orb):
-                entries = acc_entries + [(d, lam) for lam in mset]
-                rec(d + 1, remaining - d * used, entries, acc_count * ways)
+        for d in range(d_min, remaining + 1):
+            for used in range(1, remaining // d + 1):
+                left = remaining - d * used
+                if 0 < left <= d:  # no degree above d fits what is left
+                    continue
+                for entries, ways in _degree_entries(d, used, n_orbs[d - 1]):
+                    rec(d + 1, left, acc_entries + entries, acc_count * ways)
 
-    rec(1, n, [], 1)
-    return tuple(sorted(results))
+    rec(1, n, (), 1)
+    results.sort(key=lambda result: result[0].entries)  # types are distinct
+    return tuple(results)
 
 
 # ---------------------------------------------------------------------------
@@ -316,28 +337,34 @@ def _centralizer_factor(d, lam, q):
     return num, den
 
 
-def a_mu(mu: PartitionFn, q) -> Fraction:
-    """Centralizer order of the class labeled mu in GL_n(F_q).
-
-    a_mu(q) = q^n prod_f q_f^(2 n(mu(f))) prod_i prod_{j<=m_i} (1 - q_f^-j)
-    with an integer numerator and denominator and one reduction; the result
-    is provably an integer and consumers check that.  Each entry's
-    (numerator, denominator) is cached per (degree, partition, q); the
-    product and its reduction are formed per label.
-    """
+def _centralizer_ratio(mu: PartitionFn, q):
+    """a_mu(q) as an unreduced (numerator, denominator) pair of integers:
+    q^n times each entry's _centralizer_factor, cached per (degree,
+    partition, q)."""
     num = q ** mu.weight
     den = 1
     for d, lam in mu.entries:
         f_num, f_den = _centralizer_factor(d, lam, q)
         num *= f_num
         den *= f_den
-    return Fraction(num, den)
+    return num, den
+
+
+def a_mu(mu: PartitionFn, q) -> Fraction:
+    """Centralizer order of the class labeled mu in GL_n(F_q).
+
+    a_mu(q) = q^n prod_f q_f^(2 n(mu(f))) prod_i prod_{j<=m_i} (1 - q_f^-j)
+    with an integer numerator and denominator (_centralizer_ratio) and one
+    reduction; the result is provably an integer and consumers check that.
+    """
+    return Fraction(*_centralizer_ratio(mu, q))
 
 
 def class_size(mu: PartitionFn, q) -> int:
-    """|C_mu| = |GL_n(F_q)| / a_mu(q), checked integral."""
-    a = a_mu(mu, q)
-    size, rem = divmod(gl_order(mu.weight, q) * a.denominator, a.numerator)
+    """|C_mu| = |GL_n(F_q)| / a_mu(q), checked integral: one divmod of
+    |GL_n| times the denominator of a_mu by its numerator, unreduced."""
+    num, den = _centralizer_ratio(mu, q)
+    size, rem = divmod(gl_order(mu.weight, q) * den, num)
     if rem:
         raise NonIntegerResultError(f"class size not integral for {mu} at q={q}")
     return size
@@ -360,6 +387,26 @@ def _dim_factor(d, part, q):
     return qphi ** n_stat(conjugate(part)), hook_poly(part, qphi)
 
 
+@lru_cache(maxsize=None)
+def _doubled_dim_factor(d, lam, q):
+    """_dim_factor of the doubled entry (d, union_double(lam))."""
+    return _dim_factor(d, union_double(lam), q)
+
+
+def _checked_dim(lam, weight, factors, q):
+    """psi_weight(q) prod f_num / prod f_den over the entry factors of lam
+    (or of its doubling, at weight 2 lam.weight), checked integral."""
+    num = psi_factor(weight, q)
+    den = 1
+    for f_num, f_den in factors:
+        num *= f_num
+        den *= f_den
+    dim, rem = divmod(num, den)
+    if rem:
+        raise NonIntegerResultError(f"dimension of weight {weight} not integral for {lam} at q={q}")
+    return dim
+
+
 def dim_irrep(lam: PartitionFn, q) -> int:
     """Dimension of the irreducible character labeled lam.
 
@@ -369,16 +416,16 @@ def dim_irrep(lam: PartitionFn, q) -> int:
     for every label.  Each entry's (numerator, denominator) pair is cached
     per (degree, partition, q).
     """
-    num = psi_factor(lam.weight, q)
-    den = 1
-    for d, part in lam.entries:
-        f_num, f_den = _dim_factor(d, part, q)
-        num *= f_num
-        den *= f_den
-    dim, rem = divmod(num, den)
-    if rem:
-        raise NonIntegerResultError(f"dimension not integral for {lam} at q={q}")
-    return dim
+    return _checked_dim(lam, lam.weight, [_dim_factor(d, part, q) for d, part in lam.entries], q)
+
+
+def doubled_dim_irrep(lam: PartitionFn, q) -> int:
+    """dim_irrep(lam.doubled(), q), the multiplicity d_(lam u lam) of lam's
+    eigenvalue, without building the doubled label: each doubled entry's
+    factor is cached per (degree, partition, q) of the undoubled entry."""
+    return _checked_dim(
+        lam, 2 * lam.weight, [_doubled_dim_factor(d, part, q) for d, part in lam.entries], q
+    )
 
 
 def coset_space_size(n, q):

@@ -49,6 +49,10 @@ class ExactArithmeticTooLargeError(SympwalkError):
     """Exact rational arithmetic would exceed the configured work cap."""
 
 
+class StepRangeTooLargeError(SympwalkError):
+    """A requested range of steps k exceeds the configured work cap."""
+
+
 class StateSpaceTooLargeError(SympwalkError):
     """A chain's work or state space exceeds the configured cap."""
 

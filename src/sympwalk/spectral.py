@@ -15,10 +15,15 @@ Two independent evaluation routes are provided and must agree exactly:
   relation T = aS + bI between the two walks.
 
 phi depends only on the label's degree-1 partitions.  The local route,
-the production path, is memoised: each partition's removal sum per
-(partition, q), and phi per (degree-1 partitions, n, q).  The global route
-and the lift route recompute everything on every call; they are the
-oracles the local route is checked against.
+the production path, is memoised and works in integers: each partition's
+removal sum per (partition, q), its corner terms added as (numerator,
+denominator) pairs and reduced once; and phi per (degree-1 partitions,
+n, q) (phi_of_degree_one_parts), the removal sums added as pairs and put
+through the cached prefactor and constant with one reduction.  The bound
+module's one pass over the label types reads phi there once per distinct
+tuple of degree-1 partitions.  The global route and the lift route
+recompute every label's terms on every call; they are the oracles the
+local route is checked against.
 
 All arithmetic is exact (Fraction); signs are carried, never stripped.
 """
@@ -35,6 +40,7 @@ from .combinat import (
     check_weight,
     conjugate,
     dim_irrep,
+    doubled_dim_irrep,
     enumerate_partition_fns,
     psi_factor,
     remove_corner,
@@ -129,8 +135,9 @@ def _term_global(part, corner, reduced, q) -> Fraction:
     return ratio * Fraction(q) ** (1 - j)
 
 
-def _term_local(part, corner, reduced, q) -> Fraction:
-    """Row/column product form of the same term.
+def _term_local(part, corner, reduced, q):
+    """Row/column product form of the same term, as an unreduced
+    (numerator, denominator) pair of integers.
 
     Boxes above the removed corner contribute even-exponent ratios, boxes
     to its left odd-exponent ratios; exponents are a + 2l + 2 resp.
@@ -138,7 +145,8 @@ def _term_local(part, corner, reduced, q) -> Fraction:
     """
     ri, rj = corner
     conj_full = conjugate(part)  # the leg of box (i, j) is conj[j - 1] - i
-    conj_red = conjugate(reduced)
+    conj_red = list(conj_full)
+    conj_red[rj - 1] -= 1  # the removed box was the foot of column rj
     num, den = 1, q ** (rj - 1)
     for i in range(1, ri):  # column above the corner
         e_full = part[i - 1] - rj + 2 * (conj_full[rj - 1] - i) + 2
@@ -150,18 +158,21 @@ def _term_local(part, corner, reduced, q) -> Fraction:
         e_red = reduced[ri - 1] - j + 2 * (conj_red[j - 1] - ri) + 1
         num *= 1 - q ** e_full
         den *= 1 - q ** e_red
-    return Fraction(num, den)
+    return num, den
 
 
 @lru_cache(maxsize=None)
 def _removal_sum_local(part, q) -> Fraction:
-    """Sum of _term_local over the removable corners of one partition."""
-    total = Fraction(0)
+    """Sum of _term_local over the removable corners of one partition,
+    added as integer pairs and reduced once."""
+    num, den = 0, 1
     for corner in removable_corners(part):
-        total += _term_local(part, corner, remove_corner(part, corner), q)
-    return total
+        t_num, t_den = _term_local(part, corner, remove_corner(part, corner), q)
+        num, den = num * t_den + t_num * den, den * t_den
+    return Fraction(num, den)
 
 
+@lru_cache(maxsize=None)
 def _prefactor(n, q) -> Fraction:
     """q^(2n-2)(q^2-1) / ((q^2n-1)(q^(2n-2)-1)), in front of every corner sum."""
     return Fraction(
@@ -170,18 +181,31 @@ def _prefactor(n, q) -> Fraction:
     )
 
 
-def _phi_from_removal_sum(total, n, q) -> Fraction:
-    const = Fraction(q ** (2 * n) - 1, q ** (2 * n - 2) * (q * q - 1))
-    return _prefactor(n, q) * (total - const)
+@lru_cache(maxsize=None)
+def _removal_constant(n, q) -> Fraction:
+    """(q^2n-1) / (q^(2n-2)(q^2-1)), subtracted from every corner sum."""
+    return Fraction(q ** (2 * n) - 1, q ** (2 * n - 2) * (q * q - 1))
+
+
+def _phi_from_removal_sum(num, den, n, q) -> Fraction:
+    """prefactor * (num/den - constant), from integers, reduced once."""
+    pref, const = _prefactor(n, q), _removal_constant(n, q)
+    return Fraction(
+        pref.numerator * (num * const.denominator - const.numerator * den),
+        pref.denominator * den * const.denominator,
+    )
 
 
 @lru_cache(maxsize=None)
-def _phi_local(degree_one_parts, n, q) -> Fraction:
-    """phi of every label whose degree-1 partitions are degree_one_parts."""
-    total = Fraction(0)
+def phi_of_degree_one_parts(degree_one_parts, n, q) -> Fraction:
+    """phi of every label of weight n >= 2 whose degree-1 partitions are
+    degree_one_parts (PartitionFn.degree_one_parts), by the local route:
+    the cached removal sums added as integer pairs, reduced once."""
+    num, den = 0, 1
     for part in degree_one_parts:
-        total += _removal_sum_local(part, q)
-    return _phi_from_removal_sum(total, n, q)
+        total = _removal_sum_local(part, q)
+        num, den = num * total.denominator + total.numerator * den, den * total.denominator
+    return _phi_from_removal_sum(num, den, n, q)
 
 
 def eigenvalue_phi(lam_fn: PartitionFn, n, q) -> Fraction:
@@ -194,8 +218,7 @@ def eigenvalue_phi(lam_fn: PartitionFn, n, q) -> Fraction:
     check_weight(lam_fn, n)
     if n == 1:
         return Fraction(1)
-    parts = tuple(part for d, part in lam_fn.entries if d == 1)
-    return _phi_local(parts, n, q)
+    return phi_of_degree_one_parts(lam_fn.degree_one_parts(), n, q)
 
 
 def eigenvalue_phi_global(lam_fn: PartitionFn, n, q) -> Fraction:
@@ -210,7 +233,7 @@ def eigenvalue_phi_global(lam_fn: PartitionFn, n, q) -> Fraction:
     total = Fraction(0)
     for _, part, corner, reduced in _degree_one_removals(lam_fn):
         total += _term_global(part, corner, reduced, q)
-    return _phi_from_removal_sum(total, n, q)
+    return _phi_from_removal_sum(total.numerator, total.denominator, n, q)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +326,7 @@ def spectrum(n, q):
     lines = []
     for lam_fn, count in enumerate_partition_fns(n, q):
         phi = eigenvalue_phi(lam_fn, n, q)
-        mult = dim_irrep(lam_fn.doubled(), q)
+        mult = doubled_dim_irrep(lam_fn, q)
         lines.append(SpectralLine(lam_fn, phi, mult, count))
     lines.sort(key=lambda line: (-line.phi, line.lam.entries))
     return lines

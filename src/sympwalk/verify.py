@@ -121,16 +121,21 @@ def check_combinat(max_n=4, trials=0, seed=0):
                      f"{total3} != {cb.coset_space_size(n, q)}")
             )
     # negative control: a perturbed centralizer order must trip the guard
-    orig = cb.a_mu
+    orig = cb._centralizer_ratio
+
+    def perturbed(mu, q):  # a_mu times 9999991/2
+        num, den = orig(mu, q)
+        return num * 9999991, den * 2
+
     try:
-        cb.a_mu = lambda mu, q: orig(mu, q) * Fraction(9999991, 2)
+        cb._centralizer_ratio = perturbed
         try:
             cb.class_size(cb.PartitionFn.make([(1, (2,))]), 2)
             tripped = False
         except NonIntegerResultError:
             tripped = True
     finally:
-        cb.a_mu = orig
+        cb._centralizer_ratio = orig
     out.append(_res("combinat", "non_integer_guard", tripped, "perturbed a_mu not caught"))
     return out
 

@@ -36,6 +36,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from .errors import (
     InternalError,
     OddMultiplicityError,
     StateSpaceTooLargeError,
+    StepRangeTooLargeError,
 )
 from .field import FieldSpec, PolyFq, field_from_order
 from .linalg import (
@@ -69,6 +71,11 @@ from .linalg import (
 )
 
 DEFAULT_STATE_CAP = 2 * 10 ** 5
+# tv_curve(k_max) reduces two Fractions a row whose sizes grow by the bit
+# length b of move_count a step, so its work grows as k_max^3 b^2: about
+# 1.2 ns a unit for the chain CLI at (2,2)-(2,5), k_max 1000-4000, on a
+# 2-CPU host.  TV_WORK_MAX is about 10 s of it.
+TV_WORK_MAX = 8 * 10 ** 12
 FULL_MATRIX_CAP = 600
 SUPPORT_CLASSIFY_SAMPLE = 50  # trials of support_violations checked by class_invariant
 CLASSIFY_LANES = 2 ** 12  # states per classifier slice; bounds its f(X)^j arrays
@@ -153,14 +160,15 @@ def _classify_states_batched(states_np, n, field, factored):
     Returns (labels, ids): the distinct (complete key, type) labels, and an
     intp array with one id per state, indexing them; each state's label is
     the one _classify_X gives it.  The states are taken in slices of
-    CLASSIFY_LANES, so the stacked f(X)^j arrays stay bounded whatever the
-    batch size.  In each slice: batched characteristic polynomials, grouped
-    by _engine.row_labels; a factorization of each polynomial not yet in
-    factored (the caller's dict, filled here); f(X) for every factor f of
-    every polynomial (_factor_jobs); then the ranks of f(X)^j over all
-    factors at once (_rank_sequences).  Each lane's group and rank sequence
-    form one column of a pattern array, labelled by row_labels again, and
-    _label_from_ranks runs once per distinct pattern.  A (polynomial, rank
+    CLASSIFY_LANES.  In each slice: batched characteristic polynomials,
+    grouped by _engine.row_labels; a factorization of each polynomial not
+    yet in factored (the caller's dict, filled here); f(X) for every factor
+    f of every polynomial (_factor_jobs), stacked in chunks of at most
+    CLASSIFY_LANES matrices (_stacked_fx), so the f(X)^j arrays stay
+    bounded whatever the batch and the factor counts; then the ranks of
+    f(X)^j over each chunk at once (_rank_sequences).  Each lane's group
+    and rank sequence form one column of a pattern array, labelled by
+    row_labels again, and _label_from_ranks runs once per distinct pattern.  A (polynomial, rank
     pattern) fixes the key and the key fixes the pattern, so equal ids mean
     equal keys.
     """
@@ -169,8 +177,15 @@ def _classify_states_batched(states_np, n, field, factored):
     ids = np.empty(len(states_np), dtype=np.intp)
     for start in range(0, len(states_np), CLASSIFY_LANES):
         states = states_np[start:start + CLASSIFY_LANES]
-        polys, members, jobs, fx = _factor_jobs(states, field, factored)
-        ranks = iter(_rank_sequences(fx, jobs, field))
+        polys, members, x, chunks = _factor_jobs(states, field, factored)
+        ranks = []
+        while chunks:
+            chunk = chunks.pop(0)
+            fx = _stacked_fx(x, members, chunk, field)
+            if not chunks:
+                del x  # every f(X) is stacked: X need not outlive the ranks
+            ranks += _rank_sequences(fx, [job for _, _, job in chunk], field)
+        ranks = iter(ranks)
         patterns = np.zeros((Nk + 1, len(states)), dtype=np.intp)  # group, then ranks padded with 0
         for g, (cp, lanes) in enumerate(zip(polys, members)):
             seqs = np.concatenate([next(ranks) for _ in factored[cp]], axis=1)
@@ -188,10 +203,11 @@ def _factor_jobs(states, field, factored):
     realified X = J^-1 w, the norm of X's own polynomial over F_q, and
     factor each polynomial not yet in factored over F_q: every factor of
     X's polynomial is among its factors.  Returns the distinct polynomials
-    (coefficient tuples, highest degree first) and the lanes of each, one
-    job (lanes, m, floor = N - deg(f) m) per factor f of multiplicity m in
-    the norm of each polynomial, in order, and the realified f(X) of every
-    job, stacked lanes last."""
+    (coefficient tuples, highest degree first), the lanes of each, the
+    realified X of every state (lanes last), and the jobs in chunks: one job
+    (group, f, (lanes, m, floor = N - deg(f) m)) per factor f of
+    multiplicity m in the norm of each polynomial, in order, and at most
+    CLASSIFY_LANES lanes in a chunk, or one job's."""
     p, k = field.p, field.k
     N = states.shape[1] // k
     x = _engine.j_inv_times(states, p)
@@ -199,15 +215,30 @@ def _factor_jobs(states, field, factored):
     rep, group = _engine.row_labels(cps, p)
     polys = [tuple(cp) for cp in cps[:, rep].T.tolist()]
     members = [np.flatnonzero(group == g) for g in range(len(polys))]
-    jobs, fx = [], []
-    for cp, lanes in zip(polys, members):
+    chunks, stacked = [[]], 0
+    for g, (cp, lanes) in enumerate(zip(polys, members)):
         if cp not in factored:
             factored[cp] = factor_poly(PolyFq(field, list(reversed(cp))))
-        x_group = x[:, :, lanes]
         for f, mult in factored[cp]:
-            fx.append(_engine.batched_matpoly(x_group, _mul_blocks(field)[list(reversed(f.coeffs))], p))
-            jobs.append((len(lanes), mult, N - f.degree * mult))
-    return polys, members, jobs, np.concatenate(fx, axis=2)
+            if chunks[-1] and stacked + len(lanes) > CLASSIFY_LANES:
+                chunks.append([])
+                stacked = 0
+            chunks[-1].append((g, f, (len(lanes), mult, N - f.degree * mult)))
+            stacked += len(lanes)
+    return polys, members, x, chunks
+
+
+def _stacked_fx(x, members, chunk, field):
+    """The realified f(X) of every job (group, f, _) of a chunk, stacked
+    lanes last; each group's X is gathered once."""
+    fx = []
+    for g, jobs in groupby(chunk, key=lambda job: job[0]):
+        x_group = x[:, :, members[g]]
+        fx += [
+            _engine.batched_matpoly(x_group, _mul_blocks(field)[list(reversed(f.coeffs))], field.p)
+            for _, f, _ in jobs
+        ]
+    return np.concatenate(fx, axis=2)
 
 
 def _rank_sequences(fx, jobs, field):
@@ -375,6 +406,7 @@ class ChainModel:
         """
         if k_max < 0:
             raise ValueError(f"k_max must be >= 0, got {k_max}")
+        check_tv_work(self.n, self.q, k_max)
         S, q, sizes = self.num_states, self.q, self.lump_sizes
         at_j = [int(i == self.j_lump) for i in range(self.num_lumps)]
         rows = []
@@ -501,6 +533,19 @@ def _numerator(x, d):
 def _move_count(n, q):
     """Transvections of GL_2n(F_q) that move a given form."""
     return transvection_count(2 * n, q) - symplectic_transvection_count(2 * n, q)
+
+
+def check_tv_work(n, q, k_max):
+    """Raise StepRangeTooLargeError if tv_curve(k_max) at (n, q) needs more
+    than TV_WORK_MAX units of work, k_max^3 b^2 with b the bit length of
+    move_count; known before the chain is built."""
+    _check_walk_n(n)
+    work = k_max ** 3 * _move_count(n, q).bit_length() ** 2
+    if work > TV_WORK_MAX:
+        raise StepRangeTooLargeError(
+            f"the exact TV curve at n={n} q={q} up to k={k_max} needs about {work:.1e} "
+            f"units of big-integer work, beyond {TV_WORK_MAX:.0e}"
+        )
 
 
 def chain_work(n, q):

@@ -10,11 +10,15 @@ import numpy as np
 import pytest
 
 from sympwalk._engine import batched_rank
+from sympwalk import bounds
 from sympwalk.bounds import (
     EXACT_WORK_MAX,
+    ROW_WORK_MAX,
     _exact_work,
     _fixed_space_masses,
+    _label_types,
     _spectral_terms,
+    check_row_work,
     fixed_space_tail_check,
     lower_bound_raw,
     lower_bound_tv,
@@ -25,16 +29,19 @@ from sympwalk.bounds import (
     upper_bound_tv,
 )
 from sympwalk.combinat import (
+    a_mu,
     class_size,
     class_size_qsq,
     coset_space_size,
+    dim_irrep,
     enumerate_partition_fns,
     gl_order,
     sp_order,
 )
-from sympwalk.errors import ExactArithmeticTooLargeError
+from sympwalk.errors import ExactArithmeticTooLargeError, StepRangeTooLargeError
 from sympwalk.field import field_from_order
 from sympwalk.linalg import standard_J
+from sympwalk.spectral import eigenvalue_phi_global, trivial_label
 from sympwalk.walk import _realify
 
 
@@ -308,3 +315,96 @@ def test_positive_bound_never_reads_zero(mode):
     assert bound.value == sys.float_info.min
     if mode == "exact":
         assert 0 < bound.squared < Fraction(sys.float_info.min) ** 2
+
+
+@pytest.mark.parametrize("n, q", [(6, 2), (5, 3), (4, 4), (4, 5)])
+def test_label_pass_matches_per_label_oracles(cold_caches, n, q):
+    """Each label type's data from the one integer pass equals the per-label
+    routes: the doubled dimension of the doubled label, the q^2 class size
+    of the Fraction a_mu, and phi by the global c'-ratio route."""
+    labels = enumerate_partition_fns(n, q)
+    assert all(a.entries < b.entries for (a, _), (b, _) in zip(labels, labels[1:]))
+    types = _label_types(n, q)
+    assert [(fn, cnt) for fn, cnt, _, _ in types] == list(labels)
+    terms = iter(_spectral_terms(n, q))
+    for fn, cnt, parts, mult in types:
+        assert parts == tuple(lam for d, lam in fn.entries if d == 1)
+        assert mult == dim_irrep(fn.doubled(), q)
+        assert class_size_qsq(fn, q) == Fraction(gl_order(n, q * q)) / a_mu(fn, q * q)
+        if fn != trivial_label(n):
+            assert next(terms) == (eigenvalue_phi_global(fn, n, q), mult, cnt)
+    assert next(terms, None) is None
+
+
+def _chi_squares_from_j(chain, k_max):
+    """chi^2(m_k, pi_J) for k = 1..k_max: m_k the lumped law after k steps
+    from J, pi_J(L) = (q - 1)|L|/S the uniform law on J's Pfaffian sector."""
+    S, q = chain.num_states, chain.q
+    start = [int(i == chain.j_lump) for i in range(chain.num_lumps)]
+    out = []
+    for k, m in enumerate(chain._evolve(start, k_max)):
+        D = chain.move_count ** k
+        pi = {i: Fraction((q - 1) * chain.lump_sizes[i], S) for i in chain.sector_lumps}
+        out.append(sum((Fraction(m[i], D) - pi[i]) ** 2 / pi[i] for i in chain.sector_lumps))
+    return out[1:]
+
+
+@pytest.mark.parametrize("chain", ["chain22", "chain23", "chain32", "chain24"])
+def test_spectral_sum_is_q_minus_1_times_chain_chi_square(request, chain):
+    """4 upper^2 = (q - 1) chi^2(m_k, pi_J) exactly, k = 1..8: the spectral
+    terms (phi, d_(lam u lam), counts) against the exact lumped chain."""
+    chain = request.getfixturevalue(chain)
+    n, q = chain.n, chain.q
+    for k, chi2 in enumerate(_chi_squares_from_j(chain, 8), start=1):
+        assert 4 * upper_bound_tv(n, q, k, "exact").squared == (q - 1) * chi2, k
+
+
+def test_spectral_sum_identity_catches_a_scaled_multiplicity(monkeypatch, chain23):
+    """Mutation: one term's multiplicity doubled breaks the identity."""
+    terms = list(_spectral_terms(2, 3))
+    i = next(i for i, (phi, _, _) in enumerate(terms) if phi)
+    phi, mult, cnt = terms[i]
+    terms[i] = (phi, 2 * mult, cnt)
+    monkeypatch.setattr(bounds, "_spectral_terms", lambda n, q: tuple(terms))
+    for k, chi2 in enumerate(_chi_squares_from_j(chain23, 8), start=1):
+        assert 4 * upper_bound_tv(2, 3, k, "exact").squared != 2 * chi2, k
+
+
+@pytest.mark.parametrize("n, q", [(10, 65537), (9, 1000003)])
+def test_logfloat_bound_beyond_the_float_range_reads_inf(n, q):
+    """A logfloat bound whose float overflows reads math.inf instead of
+    raising OverflowError."""
+    t0 = time.perf_counter()
+    bound = upper_bound_tv(n, q, 1, "logfloat")
+    assert time.perf_counter() - t0 < 5
+    assert bound.value == math.inf
+
+
+def test_exact_square_beyond_the_float_range_keeps_its_root(monkeypatch):
+    """An exact square beyond the float range: its root is read off its
+    logs where it fits a float, and reads math.inf where it does not."""
+    bound = upper_bound_tv(8, 1000003, 1, "exact")
+    sq = bound.squared
+    assert sq > sys.float_info.max
+    assert bound.value == pytest.approx(math.isqrt(sq.numerator // sq.denominator), rel=1e-9)
+    monkeypatch.setattr(bounds, "_spectral_terms", lambda n, q: ((Fraction(1), 4 ** 1100, 1),))
+    bound = upper_bound_tv(2, 2, 1, "exact")
+    assert bound.squared == 4 ** 1099 and bound.value == math.inf
+
+
+def test_huge_step_ranges_are_assessed_at_once():
+    t0 = time.perf_counter()
+    huge = range(1, 10 ** 11)
+    assert resolve_mode(3, 2, huge) == "logfloat"
+    with pytest.raises(ExactArithmeticTooLargeError):
+        resolve_mode(3, 2, huge, "exact")
+    with pytest.raises(StepRangeTooLargeError):
+        check_row_work(3, 2, huge)
+    assert time.perf_counter() - t0 < 1
+    # the closed form is the sum it replaces
+    for ks in (range(1, 30), range(5, 6), range(7, 1000)):
+        assert _exact_work(8, 2, ks) == _exact_work(8, 2, list(ks))
+    rows = ROW_WORK_MAX // (len(_spectral_terms(3, 2)) + bounds.ROW_COST_TERMS)
+    check_row_work(3, 2, range(1, rows + 1))
+    with pytest.raises(StepRangeTooLargeError):
+        check_row_work(3, 2, range(1, rows + 2))

@@ -268,6 +268,40 @@ def test_exact_bound_beyond_work_cap_is_resource_cap(capsys):
     assert captured.err.startswith("resource cap:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--n", "3", "--q", "2", "--k-range", "1..99999999999"],
+        ["bounds", "--n", "3", "--q", "2", "--k-range", "1..99999999999", "--exact"],
+        ["bounds", "--n", "2", "--q", "2", "--k-range", "1..9999", "--with-exact"],
+        ["chain", "--n", "2", "--q", "3", "--kmax", "99999999999"],
+        ["chain", "--n", "2", "--q", "2", "--kmax", "9999", "--format", "json"],
+    ],
+    ids=["bounds-auto", "bounds-exact", "bounds-with-exact", "chain", "chain-json"],
+)
+def test_huge_step_ranges_exit_3_before_any_work(capsys, monkeypatch, argv):
+    import sympwalk.walk as walk
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the chain was built")
+
+    monkeypatch.setattr(walk, "exact_form_chain", no_build)
+    t0 = time.perf_counter()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert time.perf_counter() - t0 < 1
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("resource cap:") and "Traceback" not in captured.err
+
+
+def test_bound_beyond_the_float_range_prints_1(capsys):
+    # the logfloat bound at (9, 1000003), k = 1, overflows a float
+    code, out = run_cli(capsys, "bounds", "--n", "9", "--q", "1000003", "--k-range", "1..1")
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["tv_upper"] == "1.0" and row["mode"] == "logfloat"
+
+
 def test_long_auto_range_falls_back_to_logfloat_at_once(capsys):
     t0 = time.perf_counter()
     code, out = run_cli(capsys, "bounds", "--n", "8", "--q", "2", "--k-range", "1..3000")

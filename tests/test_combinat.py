@@ -244,8 +244,13 @@ def test_a_mu_and_dim_irrep_match_fraction_products(q):
 def test_non_integer_guard_fires(monkeypatch):
     import sympwalk.combinat as cb
 
-    orig = cb.a_mu
-    monkeypatch.setattr(cb, "a_mu", lambda mu, q: orig(mu, q) * Fraction(7919, 2))
+    orig = cb._centralizer_ratio
+
+    def perturbed(mu, q):  # a_mu times 7919/2
+        num, den = orig(mu, q)
+        return num * 7919, den * 2
+
+    monkeypatch.setattr(cb, "_centralizer_ratio", perturbed)
     with pytest.raises(NonIntegerResultError):
         cb.class_size(PartitionFn.make([(1, (2,))]), 2)
 

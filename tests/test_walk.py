@@ -536,6 +536,25 @@ def test_chain_classifies_whole_lumps_per_call(monkeypatch):
     assert calls == [2] + [per_lump] * chain.num_lumps
 
 
+def test_stacked_factor_jobs_stay_within_classify_lanes(monkeypatch, chain24):
+    """The f(X) matrices stacked for one _rank_sequences call number at most
+    CLASSIFY_LANES, however many factors the slice's polynomials have: at
+    (2,4) one 3,570-state slice had stacked 7,814.  Chunking leaves every
+    rank, and so the chain, as it was."""
+    stacked = []
+    rank_sequences = walk._rank_sequences
+
+    def counted(fx, jobs, field):
+        assert fx.shape[2] == sum(lanes for lanes, _, _ in jobs)
+        stacked.append(fx.shape[2])
+        return rank_sequences(fx, jobs, field)
+
+    monkeypatch.setattr(walk, "_rank_sequences", counted)
+    assert exact_form_chain(2, 4) == chain24
+    assert max(stacked) <= walk.CLASSIFY_LANES
+    assert sum(stacked) > walk.CLASSIFY_LANES  # some slice's jobs did need chunks
+
+
 def test_chain_factors_each_polynomial_once(monkeypatch):
     """One factor_poly call per distinct characteristic polynomial of a
     build: X ~ diag(M, M^T) has polynomial prod f^(2 |lambda_f|) over the
