@@ -13,10 +13,10 @@ small in c.  The masses are read off the label types that the spectral
 sum enumerates: x - 1 is one of the q - 1 interchangeable degree-1 orbits,
 so each type's labels split over what x - 1 carries in exact shares.
 
-Both bounds read one integer pass over the label types (_label_types):
-each type's count, its doubled dimension d_(lam u lam) as one checked
-divmod of per-entry factors, and its degree-1 partitions, on which phi
-alone depends.  A class size is one checked divmod as well (class_size).
+Both bounds read the one pass over the label types, spectral.label_types:
+each type's count, its degree-1 partitions, its doubled dimension
+d_(lam u lam) as one checked divmod of per-entry factors, and phi.  A
+class size is one checked divmod as well (class_size).
 """
 
 from __future__ import annotations
@@ -30,22 +30,18 @@ from functools import lru_cache
 from .combinat import (
     class_size,
     class_size_qsq,
-    doubled_dim_irrep,
-    enumerate_partition_fns,
     gl_order,
     multiplicities,
     sp_order,
 )
 from .errors import (
-    EnumerationTooLargeError,
     ExactArithmeticTooLargeError,
     InternalError,
     StepRangeTooLargeError,
 )
-from .spectral import phi_of_degree_one_parts, trivial_label
+from .spectral import label_types, trivial_label
 
 EXACT_MODE_MAX_N = 8
-ENUMERATION_MAX_N = 14
 # Exact mode costs about terms x (2k x largest bit length of phi)^2 big-int
 # work; at 4e11 one call took 0.3-1 s across (n, q) up to (8, 4) on a 2-CPU host.
 EXACT_WORK_MAX = 4 * 10**11
@@ -70,47 +66,19 @@ class BoundValue:
     mode: str
 
 
-def check_enumeration_cap(n):
-    """The spectral label enumeration runs for 1 <= n <= ENUMERATION_MAX_N."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > ENUMERATION_MAX_N:
-        raise EnumerationTooLargeError(f"n={n} beyond enumeration cap {ENUMERATION_MAX_N}")
-
-
-@lru_cache(maxsize=None)
-def _label_types(n, q):
-    """The one pass over the label types of enumerate_partition_fns(n, q),
-    in its order: (fn, count, degree-1 partitions, d_(lam u lam)) per type.
-
-    The multiplicity d_(lam u lam) is doubled_dim_irrep: one checked
-    integer divmod per type, from per-entry factors cached per (degree,
-    partition, q).  The spectral terms and the class masses read this pass.
-    """
-    check_enumeration_cap(n)
-    return tuple(
-        (fn, cnt, fn.degree_one_parts(), doubled_dim_irrep(fn, q))
-        for fn, cnt in enumerate_partition_fns(n, q)
-    )
-
-
 def _spectral_types(n, q):
-    """(degree-1 partitions, multiplicity, count) per entry of _label_types,
-    except the type of the labels fixed by the initial randomization: (1^n)
-    at a single degree-1 orbit, the type of the trivial label."""
+    """The entries of label_types except the type of the labels fixed by
+    the initial randomization: (1^n) at a single degree-1 orbit, the type
+    of the trivial label."""
     twist = trivial_label(n).entries
-    return ((parts, mult, cnt) for fn, cnt, parts, mult in _label_types(n, q) if fn.entries != twist)
+    return (t for t in label_types(n, q) if t[0].entries != twist)
 
 
 @lru_cache(maxsize=None)
 def _spectral_terms(n, q):
     """(phi, multiplicity, count) per label type except the twist, in the
-    order of enumerate_partition_fns.  phi depends only on the degree-1
-    partitions and is computed once per distinct tuple of them
-    (phi_of_degree_one_parts), from integer pairs reduced once."""
-    return tuple(
-        (phi_of_degree_one_parts(parts, n, q), mult, cnt) for parts, mult, cnt in _spectral_types(n, q)
-    )
+    order of enumerate_partition_fns."""
+    return tuple((phi, mult, cnt) for _, cnt, _, mult, phi in _spectral_types(n, q))
 
 
 def _log_int(x: int) -> float:
@@ -133,9 +101,8 @@ def _log_terms(n, q):
     phi = 0)."""
     log_phi = {}
     out = []
-    for parts, mult, cnt in _spectral_types(n, q):
+    for _, cnt, parts, mult, phi in _spectral_types(n, q):
         if parts not in log_phi:
-            phi = phi_of_degree_one_parts(parts, n, q)
             log_phi[parts] = _log_fraction_abs(phi) if phi else None
         if log_phi[parts] is not None:
             out.append((_log_int(cnt * mult), log_phi[parts]))
@@ -237,8 +204,8 @@ def upper_bound_tv(n, q, k, mode="auto") -> BoundValue:
     n <= 8 within the work cap, see resolve_mode); "logfloat" accumulates
     term logs in float (relative error below 1e-9 against exact mode,
     tested for n <= 8 at q = 2 and n <= 6 at q = 3), needed once
-    dimensions reach q^Theta(n^2).  The terms come from the one integer
-    pass over the label types, with phi and log|phi| taken once per
+    dimensions reach q^Theta(n^2).  The terms come from the one pass over
+    the label types (spectral.label_types), with log|phi| taken once per
     distinct tuple of degree-1 partitions; the logs of the weights and of
     |phi| are computed once per (n, q) and reused for every k.  A positive
     bound never reads below sys.float_info.min, and one beyond the float
@@ -286,7 +253,7 @@ def _fixed_space_masses(n, q, size_of):
     class type.
     """
     masses = [0] * (n + 1)
-    for fn, cnt, parts, _ in _label_types(n, q):
+    for fn, cnt, parts, _, _ in label_types(n, q):
         size = size_of(fn, q)
         shares = [(0, q - 1 - len(parts))]
         shares += [(len(lam), m) for lam, m in multiplicities(parts).items()]

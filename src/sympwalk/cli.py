@@ -27,7 +27,7 @@ from .errors import (
     StepRangeTooLargeError,
 )
 from .field import build_field, field_from_order
-from .spectral import spectrum_json
+from .spectral import spectrum
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,6 +89,14 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
+def _emit_csv(header, rows, out_path):
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    _emit(buf.getvalue(), out_path)
+
+
 def _parse_range(range_text):
     lo, _, hi = range_text.partition("..")
     lo, hi = int(lo), int(hi or lo)
@@ -99,17 +107,16 @@ def _parse_range(range_text):
 
 def cmd_spectrum(args):
     field = _resolve_field_args(args)
-    bounds_mod.check_enumeration_cap(args.n)
-    data = spectrum_json(args.n, field.q)
+    lines = [
+        [line.lam.to_json(), _frac_str(line.phi), str(line.multiplicity), line.type_count]
+        for line in spectrum(args.n, field.q)
+    ]
+    header = ["lambda", "phi", "multiplicity", "type_count"]
     if args.format == "json":
+        data = {"n": args.n, "q": field.q, "lines": [dict(zip(header, line)) for line in lines]}
         _emit(json.dumps(data, indent=2) + "\n", args.out)
-        return EXIT_OK
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["lambda", "phi", "multiplicity", "type_count"])
-    for line in data["lines"]:
-        w.writerow([json.dumps(line["lambda"]), line["phi"], line["multiplicity"], line["type_count"]])
-    _emit(buf.getvalue(), args.out)
+    else:
+        _emit_csv(header, ([json.dumps(lam), *rest] for lam, *rest in lines), args.out)
     return EXIT_OK
 
 
@@ -129,25 +136,19 @@ def cmd_bounds(args):
     for k in ks:
         bv = bounds_mod.upper_bound_tv(n, q, k, mode)
         c = n - k
-        lower = bounds_mod.lower_bound_tv(n, q, c) if 0 <= c <= n else ""
-        rows.append(
-            {
-                "k": k,
-                "tv_exact": _frac_str(tv_exact[k]) if k in tv_exact else "",
-                "tv_upper": repr(min(1.0, bv.value)),
-                "tv_lower": _frac_str(lower) if lower != "" else "",
-                "mode": bv.mode,
-            }
-        )
+        rows.append([
+            k,
+            _frac_str(tv_exact[k]) if k in tv_exact else "",
+            repr(min(1.0, bv.value)),
+            _frac_str(bounds_mod.lower_bound_tv(n, q, c)) if 0 <= c <= n else "",
+            bv.mode,
+        ])
+    header = ["k", "tv_exact", "tv_upper", "tv_lower", "mode"]
     if args.format == "json":
-        _emit(json.dumps({"n": n, "q": q, "rows": rows}, indent=2) + "\n", args.out)
-        return EXIT_OK
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["k", "tv_exact", "tv_upper", "tv_lower", "mode"])
-    for r in rows:
-        w.writerow([r["k"], r["tv_exact"], r["tv_upper"], r["tv_lower"], r["mode"]])
-    _emit(buf.getvalue(), args.out)
+        data = {"n": n, "q": q, "rows": [dict(zip(header, row)) for row in rows]}
+        _emit(json.dumps(data, indent=2) + "\n", args.out)
+    else:
+        _emit_csv(header, rows, args.out)
     return EXIT_OK
 
 
@@ -176,13 +177,8 @@ def cmd_chain(args):
             ],
         }
         _emit(json.dumps(data, indent=2) + "\n", args.out)
-        return EXIT_OK
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["k", "tv", "stderr"])
-    for k, tv_full, _ in rows:
-        w.writerow([k, _frac_str(tv_full), ""])
-    _emit(buf.getvalue(), args.out)
+    else:
+        _emit_csv(["k", "tv", "stderr"], ([k, _frac_str(tv), ""] for k, tv, _ in rows), args.out)
     return EXIT_OK
 
 
@@ -191,12 +187,8 @@ def cmd_simulate(args):
     results = walk_mod.monte_carlo_curve(
         args.n, field, args.steps, args.trials, seed=args.seed
     )
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["k", "tv", "stderr"])
-    for k, res in results:
-        w.writerow([k, repr(float(res.estimate)), repr(res.stderr)])
-    _emit(buf.getvalue(), args.out)
+    rows = ([k, repr(float(res.estimate)), repr(res.stderr)] for k, res in results)
+    _emit_csv(["k", "tv", "stderr"], rows, args.out)
     return EXIT_OK
 
 

@@ -19,8 +19,10 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import groupby
 
-from .errors import NonIntegerResultError, WeightMismatchError
+from .errors import EnumerationTooLargeError, NonIntegerResultError, WeightMismatchError
 from .field import irreducible_count
+
+ENUMERATION_MAX_N = 14
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +261,13 @@ def _degree_entries(d, total, n_orbits):
     )
 
 
+def check_enumeration_cap(n):
+    """Raise EnumerationTooLargeError for a weight n beyond
+    ENUMERATION_MAX_N, whose labels are too many to list."""
+    if n > ENUMERATION_MAX_N:
+        raise EnumerationTooLargeError(f"n={n} beyond enumeration cap {ENUMERATION_MAX_N}")
+
+
 @lru_cache(maxsize=None)
 def enumerate_partition_fns(n, q):
     """All types of partition-valued functions of weight n over F_q.
@@ -267,7 +276,10 @@ def enumerate_partition_fns(n, q):
     where count is the number of concrete functions of that type.  They
     serve as class labels and as character labels alike: the orbit counts
     agree degree by degree.  Each label's cached weight is filled with n.
+    n = 0 gives the one empty label; n beyond ENUMERATION_MAX_N raises
+    EnumerationTooLargeError before any label is listed.
     """
+    check_enumeration_cap(n)
     # orbit_count(d, q) >= 1 for every d when q >= 2
     n_orbs = [orbit_count(d, q) for d in range(1, n + 1)]
     results = []

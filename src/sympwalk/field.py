@@ -455,7 +455,7 @@ def irreducible_count(q, d, exclude_x=False):
     return count
 
 
-def enumerate_irreducibles(field, d, exclude_x=False, cap=ENUMERATION_CAP):
+def enumerate_irreducibles(field, d, exclude_x=False):
     """All monic irreducible polynomials of degree d over F_q, lex order.
 
     With exclude_x set and d == 1 the polynomial x is omitted (its root 0
@@ -463,8 +463,8 @@ def enumerate_irreducibles(field, d, exclude_x=False, cap=ENUMERATION_CAP):
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    if field.q ** d > cap:
-        raise EnumerationTooLargeError(f"q^d = {field.q}^{d} exceeds cap {cap}")
+    if field.q ** d > ENUMERATION_CAP:
+        raise EnumerationTooLargeError(f"q^d = {field.q}^{d} exceeds cap {ENUMERATION_CAP}")
     return [f for f in _irreducibles(field, d) if not (exclude_x and f.coeffs == (0, 1))]
 
 

@@ -19,11 +19,12 @@ the production path, is memoised and works in integers: each partition's
 removal sum per (partition, q), its corner terms added as (numerator,
 denominator) pairs and reduced once; and phi per (degree-1 partitions,
 n, q) (phi_of_degree_one_parts), the removal sums added as pairs and put
-through the cached prefactor and constant with one reduction.  The bound
-module's one pass over the label types reads phi there once per distinct
-tuple of degree-1 partitions.  The global route and the lift route
-recompute every label's terms on every call; they are the oracles the
-local route is checked against.
+through the cached prefactor and constant with one reduction.
+label_types is the one pass over the label types: per type its count,
+degree-1 partitions, d_(lam u lam) and phi.  spectrum and both bounds
+read it.  The global route and the lift route recompute every label's
+terms on every call; they are the oracles the local route is checked
+against.
 
 All arithmetic is exact (Fraction); signs are carried, never stripped.
 """
@@ -36,7 +37,6 @@ from functools import lru_cache
 
 from .combinat import (
     PartitionFn,
-    arm,
     check_weight,
     conjugate,
     dim_irrep,
@@ -72,12 +72,9 @@ def macdonald_cprime(lam, q) -> Fraction:
 
 
 def _b_factor(a, l, q) -> Fraction:
+    """b_lam(s; q, q^2) = (1 - q^a t^(l+1)) / (1 - q^(a+1) t^l) at a box s
+    of arm a and leg l."""
     return Fraction(1 - q ** (a + 2 * l + 2), 1 - q ** (a + 1 + 2 * l))
-
-
-def macdonald_b(lam, i, j, q) -> Fraction:
-    """b_lam(s; q, q^2) = (1 - q^a t^(l+1)) / (1 - q^(a+1) t^l) at box s."""
-    return _b_factor(arm(lam, i, j), conjugate(lam)[j - 1] - i, q)
 
 
 def psi_prime(lam, mu, q) -> Fraction:
@@ -198,9 +195,13 @@ def _phi_from_removal_sum(num, den, n, q) -> Fraction:
 
 @lru_cache(maxsize=None)
 def phi_of_degree_one_parts(degree_one_parts, n, q) -> Fraction:
-    """phi of every label of weight n >= 2 whose degree-1 partitions are
+    """phi of every label of weight n whose degree-1 partitions are
     degree_one_parts (PartitionFn.degree_one_parts), by the local route:
-    the cached removal sums added as integer pairs, reduced once."""
+    the cached removal sums added as integer pairs, reduced once.  For
+    n = 1 every transvection of GL_2 is symplectic, the walk is trivial,
+    and phi is 1."""
+    if n == 1:
+        return Fraction(1)
     num, den = 0, 1
     for part in degree_one_parts:
         total = _removal_sum_local(part, q)
@@ -211,13 +212,9 @@ def phi_of_degree_one_parts(degree_one_parts, n, q) -> Fraction:
 def eigenvalue_phi(lam_fn: PartitionFn, n, q) -> Fraction:
     """Walk eigenvalue phi for the label lam_fn of weight n.
 
-    The local route, memoised (see the module docstring).  For n = 1 every
-    transvection of GL_2 is symplectic, the walk is trivial, and the only
-    label is the trivial one with eigenvalue 1.
+    The local route, memoised (see the module docstring).
     """
     check_weight(lam_fn, n)
-    if n == 1:
-        return Fraction(1)
     return phi_of_degree_one_parts(lam_fn.degree_one_parts(), n, q)
 
 
@@ -317,17 +314,33 @@ class SpectralLine:
     type_count: int
 
 
+@lru_cache(maxsize=None)
+def label_types(n, q):
+    """The one pass over the label types of enumerate_partition_fns(n, q),
+    in its order: (fn, count, degree-1 partitions, d_(lam u lam), phi) per
+    type, for n >= 1.
+
+    The multiplicity d_(lam u lam) is doubled_dim_irrep: one checked
+    integer divmod per type, from per-entry factors cached per (degree,
+    partition, q).  phi depends only on the degree-1 partitions and is
+    computed once per distinct tuple of them (phi_of_degree_one_parts).
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    out = []
+    for fn, cnt in enumerate_partition_fns(n, q):
+        parts = fn.degree_one_parts()
+        out.append((fn, cnt, parts, doubled_dim_irrep(fn, q), phi_of_degree_one_parts(parts, n, q)))
+    return tuple(out)
+
+
 def spectrum(n, q):
     """All eigenvalue lines for given (n, q), sorted by descending phi.
 
     For n = 1 the walk is trivial (SL_2 = Sp_2, every transvection is
     symplectic): the single line is the trivial one.
     """
-    lines = []
-    for lam_fn, count in enumerate_partition_fns(n, q):
-        phi = eigenvalue_phi(lam_fn, n, q)
-        mult = doubled_dim_irrep(lam_fn, q)
-        lines.append(SpectralLine(lam_fn, phi, mult, count))
+    lines = [SpectralLine(fn, phi, mult, cnt) for fn, cnt, _, mult, phi in label_types(n, q)]
     lines.sort(key=lambda line: (-line.phi, line.lam.entries))
     return lines
 
@@ -335,22 +348,3 @@ def spectrum(n, q):
 def trivial_label(n):
     """The label of the trivial character: (1^n) at one degree-1 orbit."""
     return PartitionFn.make([(1, (1,) * n)])
-
-
-def spectrum_json(n, q):
-    lines = spectrum(n, q)
-    return {
-        "n": n,
-        "q": q,
-        "lines": [
-            {
-                "lambda": line.lam.to_json(),
-                "phi": f"{line.phi.numerator}/{line.phi.denominator}"
-                if line.phi.denominator != 1
-                else str(line.phi.numerator),
-                "multiplicity": str(line.multiplicity),
-                "type_count": line.type_count,
-            }
-            for line in lines
-        ],
-    }

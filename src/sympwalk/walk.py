@@ -41,7 +41,6 @@ from itertools import groupby
 import numpy as np
 
 from . import _engine
-from .bounds import check_enumeration_cap
 from .combinat import (
     PartitionFn,
     class_size_qsq,
@@ -80,6 +79,13 @@ FULL_MATRIX_CAP = 600
 SUPPORT_CLASSIFY_SAMPLE = 50  # trials of support_violations checked by class_invariant
 CLASSIFY_LANES = 2 ** 12  # states per classifier slice; bounds its f(X)^j arrays
 MC_CHUNK = 250_000  # Monte Carlo trials stepped, then classified, together
+# monte_carlo_curve costs about 100 ns a lane-step (one trial stepped and
+# tallied once) at (2,2), 10^5-10^6 trials, plus about 0.3 ms per step of
+# each chunk (MC_STEP_COST_LANES lane-steps' worth), on a 2-CPU host.
+# MC_WORK_MAX is about 10 s of it.  Where nearly every state is new, from
+# (3,3) to (6,2), the classifier makes a lane-step cost 3-9 us.
+MC_STEP_COST_LANES = 3_000
+MC_WORK_MAX = 10 ** 8
 
 
 def _resolve_field(field_or_q):
@@ -308,7 +314,6 @@ def classify_double_coset(g) -> PartitionFn:
 
 def stationary_type_distribution(n, q):
     """Stationary mass per type label: count * |coset| / |form space|."""
-    check_enumeration_cap(n)
     out = {}
     denom = coset_space_size(n, q)
     for fn, cnt in enumerate_partition_fns(n, q):
@@ -555,7 +560,6 @@ def chain_work(n, q):
     read off the move_count / (q(q+1)) distinct images of its
     representative.  This is what the chain cap bounds.
     """
-    check_enumeration_cap(n)
     lumps = sum(cnt for _, cnt in enumerate_partition_fns(n, q))
     return lumps * _move_count(n, q) // (q * (q + 1))
 
@@ -762,13 +766,21 @@ def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0):
     _engine.row_labels over their strict upper triangles, each is
     classified once, in one batch, and every step is counted from the
     label ids.  Classification draws nothing from rng, so the draws are
-    those of stepping alone.
+    those of stepping alone.  A run of more than MC_WORK_MAX lane-steps,
+    the per-step cost of each chunk included, raises
+    StepRangeTooLargeError before any draw.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if k_max < 0:
         raise ValueError(f"the number of steps must be >= 0, got {k_max}")
     field = _mc_field(field_or_q, n)
+    chunks = -(-trials // MC_CHUNK)
+    if (k_max + 1) * (trials + chunks * MC_STEP_COST_LANES) > MC_WORK_MAX:
+        raise StepRangeTooLargeError(
+            f"{trials} trials of {k_max} steps at n={n} need more than {MC_WORK_MAX:.0e} "
+            "lane-steps of work"
+        )
     p = field.p
     pi = stationary_type_distribution(n, p)
     rng = np.random.default_rng(seed)

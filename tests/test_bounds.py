@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -16,7 +17,6 @@ from sympwalk.bounds import (
     ROW_WORK_MAX,
     _exact_work,
     _fixed_space_masses,
-    _label_types,
     _spectral_terms,
     check_row_work,
     fixed_space_tail_check,
@@ -41,7 +41,7 @@ from sympwalk.combinat import (
 from sympwalk.errors import ExactArithmeticTooLargeError, StepRangeTooLargeError
 from sympwalk.field import field_from_order
 from sympwalk.linalg import standard_J
-from sympwalk.spectral import eigenvalue_phi_global, trivial_label
+from sympwalk.spectral import eigenvalue_phi_global, label_types, trivial_label
 from sympwalk.walk import _realify
 
 
@@ -324,15 +324,16 @@ def test_label_pass_matches_per_label_oracles(cold_caches, n, q):
     of the Fraction a_mu, and phi by the global c'-ratio route."""
     labels = enumerate_partition_fns(n, q)
     assert all(a.entries < b.entries for (a, _), (b, _) in zip(labels, labels[1:]))
-    types = _label_types(n, q)
-    assert [(fn, cnt) for fn, cnt, _, _ in types] == list(labels)
+    types = label_types(n, q)
+    assert [(fn, cnt) for fn, cnt, *_ in types] == list(labels)
     terms = iter(_spectral_terms(n, q))
-    for fn, cnt, parts, mult in types:
+    for fn, cnt, parts, mult, phi in types:
         assert parts == tuple(lam for d, lam in fn.entries if d == 1)
         assert mult == dim_irrep(fn.doubled(), q)
+        assert phi == eigenvalue_phi_global(fn, n, q)
         assert class_size_qsq(fn, q) == Fraction(gl_order(n, q * q)) / a_mu(fn, q * q)
         if fn != trivial_label(n):
-            assert next(terms) == (eigenvalue_phi_global(fn, n, q), mult, cnt)
+            assert next(terms) == (phi, mult, cnt)
     assert next(terms, None) is None
 
 
@@ -368,6 +369,21 @@ def test_spectral_sum_identity_catches_a_scaled_multiplicity(monkeypatch, chain2
     monkeypatch.setattr(bounds, "_spectral_terms", lambda n, q: tuple(terms))
     for k, chi2 in enumerate(_chi_squares_from_j(chain23, 8), start=1):
         assert 4 * upper_bound_tv(2, 3, k, "exact").squared != 2 * chi2, k
+
+
+def test_spectral_sum_identity_catches_swapped_lump_sizes(chain23):
+    """Mutation: the sizes of two sector lumps of different size swapped
+    break the identity at some k <= 8."""
+    sizes = list(chain23.lump_sizes)
+    i, j = next(
+        (i, j) for i, j in itertools.combinations(chain23.sector_lumps, 2) if sizes[i] != sizes[j]
+    )
+    sizes[i], sizes[j] = sizes[j], sizes[i]
+    swapped = dataclasses.replace(chain23, lump_sizes=sizes)
+    assert any(
+        4 * upper_bound_tv(2, 3, k, "exact").squared != 2 * chi2
+        for k, chi2 in enumerate(_chi_squares_from_j(swapped, 8), start=1)
+    )
 
 
 @pytest.mark.parametrize("n, q", [(10, 65537), (9, 1000003)])

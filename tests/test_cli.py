@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from sympwalk import _engine
 from sympwalk.cli import main
 
 
@@ -37,6 +38,12 @@ def test_spectrum_json_schema(capsys):
         assert set(line) == {"lambda", "phi", "multiplicity", "type_count"}
         for item in line["lambda"]:
             assert set(item) == {"degree", "partition", "orbit"}
+    code, out = run_cli(capsys, "spectrum", "--n", "2", "--q", "2", "--format", "json")
+    data = json.loads(out)
+    assert data["n"] == 2 and data["q"] == 2
+    assert [line["phi"] for line in data["lines"]] == ["1", "1/15", "-1/3"]
+    assert [line["multiplicity"] for line in data["lines"]] == ["1", "20", "7"]
+    assert data["lines"][1]["lambda"] == [{"degree": 1, "partition": [2], "orbit": 0}]
 
 
 def test_spectrum_n1(capsys):
@@ -184,11 +191,28 @@ def test_simulate_field_beyond_uint8_is_resource_cap(capsys):
         assert err.startswith("resource cap:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "steps, trials", [("99999999", "10"), ("2000000", "10"), ("1", "1" + "0" * 30)],
+    ids=["huge-steps", "large-steps", "huge-trials"],
+)
+def test_simulate_beyond_the_work_budget_exits_before_any_draw(capsys, monkeypatch, steps, trials):
+    def no_start(*args):
+        raise AssertionError("a Monte Carlo batch was started")
+
+    monkeypatch.setattr(_engine.Lanes, "start", no_start)
+    start = time.perf_counter()
+    code = main(["simulate", "--n", "2", "--q", "2", "--steps", steps, "--trials", trials])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("resource cap:") and "Traceback" not in err
+    assert elapsed < 1.0
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "table.csv"
     code = main(["spectrum", "--n", "2", "--q", "2", "--out", str(path)])
     assert code == 0
-    rows = list(csv.DictReader(path.open()))
+    rows = list(csv.DictReader(io.StringIO(path.read_text())))
     assert rows[0]["phi"] == "1"
 
 
@@ -468,3 +492,35 @@ def test_bounds_output_is_pinned(capsys, argv, sha256):
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+SPECTRUM_BOUNDS_DIGESTS = {
+    ("spectrum", "--n", "1", "--q", "2", "--format", "csv"):
+        "143264e0dd0d7c3f31d91180b55b7aedaf61433e9ae5591fbc668f588d565694",
+    ("spectrum", "--n", "1", "--q", "2", "--format", "json"):
+        "47bfac11ceecc9c38e749aabe61703a4313fa245bdfaeb7ec3018f1946547d2d",
+    ("spectrum", "--n", "3", "--q", "3", "--format", "csv"):
+        "e5ba68adc98c76c826324d76bf145e499d701e23b124851444974707096018dc",
+    ("spectrum", "--n", "3", "--q", "3", "--format", "json"):
+        "727612c3d15cbb00fdfdabb6485a1a87e1d3a71d44b28ee1d19b96f2827d4b13",
+    ("spectrum", "--n", "6", "--q", "5", "--format", "csv"):
+        "e5f667d6621d0f6912347852c7e7305b042fa849335863594f7b1f34f837cead",
+    ("spectrum", "--n", "6", "--q", "5", "--format", "json"):
+        "7eeb55d94228e4bf37b131ccf02fd7fe8253a8f871cd480755e926f3b2285f4e",
+    ("bounds", "--n", "10", "--q", "3", "--k-range", "4..18", "--format", "csv"):
+        "df8fd88ef9f11e4f5976c915aa9694ba8530820e1ec98b91af63e6b34346b56e",
+    ("bounds", "--n", "10", "--q", "3", "--k-range", "4..18", "--format", "json"):
+        "7a03b637666697ab76c955f95ef6d542f0a79609591ae93a0e8c4039326f72fb",
+    ("bounds", "--n", "14", "--q", "2", "--k-range", "1..20", "--format", "csv"):
+        "6fa9aa8a3ef34aaa0e910636e3a126b1aba28336d4fa1a2a38072f08731b7a38",
+    ("bounds", "--n", "14", "--q", "2", "--k-range", "1..20", "--format", "json"):
+        "df015eb9193264d7b1488232d7d01645fc374ee8270cf3481b3a110b27173f9a",
+}
+
+
+def test_spectrum_and_bounds_output_is_pinned(capsys):
+    """stdout of `spectrum` and `bounds` in both formats, byte for byte."""
+    for argv, sha256 in SPECTRUM_BOUNDS_DIGESTS.items():
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256, argv

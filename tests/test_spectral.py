@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from sympwalk.cli import main
 from sympwalk.combinat import PartitionFn, enumerate_partition_fns, dim_irrep
 from sympwalk.errors import NotSingleBoxError, WeightMismatchError
 from sympwalk.spectral import (
@@ -11,12 +13,10 @@ from sympwalk.spectral import (
     eigenvalue_phi,
     eigenvalue_phi_global,
     eigenvalue_via_lift,
-    macdonald_b,
     macdonald_cprime,
     proportions_a_b,
     psi_prime,
     spectrum,
-    spectrum_json,
     trivial_label,
 )
 
@@ -57,11 +57,6 @@ def test_psi_prime_single_box_cases():
 def test_psi_prime_rejects_multibox_skew():
     with pytest.raises(NotSingleBoxError):
         psi_prime((2, 1), (1,), 2)
-
-
-def test_macdonald_b_value():
-    # box (1,1) of (1,1): arm 0, leg 1 -> (1 - q^4)/(1 - q^3)
-    assert macdonald_b((1, 1), 1, 1, 2) == Fraction(1 - 16, 1 - 8)
 
 
 def test_eigenvalue_trivial_by_hand():
@@ -179,9 +174,15 @@ def test_spectrum_n1_trivial_walk():
     assert len(lines) == 1 and lines[0].type_count == 2
 
 
-def test_spectrum_json_schema():
-    data = spectrum_json(2, 2)
+def test_spectrum_json_schema(capsys):
+    # the spectrum JSON is written by the CLI; each line must match spectrum()
+    assert main(["spectrum", "--n", "2", "--q", "2", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data["n"] == 2 and data["q"] == 2
     assert [line["phi"] for line in data["lines"]] == ["1", "1/15", "-1/3"]
     assert [line["multiplicity"] for line in data["lines"]] == ["1", "20", "7"]
     assert data["lines"][1]["lambda"] == [{"degree": 1, "partition": [2], "orbit": 0}]
+    for got, line in zip(data["lines"], spectrum(2, 2), strict=True):
+        assert Fraction(got["phi"]) == line.phi
+        assert int(got["multiplicity"]) == line.multiplicity
+        assert got["lambda"] == line.lam.to_json() and got["type_count"] == line.type_count

@@ -19,7 +19,12 @@ from sympwalk.combinat import (
     gl_order,
     sp_order,
 )
-from sympwalk.errors import InternalError, OddMultiplicityError, StateSpaceTooLargeError
+from sympwalk.errors import (
+    InternalError,
+    OddMultiplicityError,
+    StateSpaceTooLargeError,
+    StepRangeTooLargeError,
+)
 from sympwalk.field import build_field, field_from_order
 from sympwalk.linalg import (
     MatFq,
@@ -514,6 +519,19 @@ def test_monte_carlo_classifies_once_per_chunk(monkeypatch):
     monkeypatch.setattr(walk, "MC_CHUNK", 2_000)
     monte_carlo_curve(2, 3, 3, 5_000)
     assert len(calls) == 3 and calls[0] > 0
+
+
+def test_monte_carlo_work_budget_counts_lane_steps_and_chunk_steps(monkeypatch):
+    """(k_max + 1) (trials + chunks MC_STEP_COST_LANES) lane-steps are
+    admitted up to MC_WORK_MAX; one more is refused before any draw."""
+    monkeypatch.setattr(walk, "MC_CHUNK", 300)
+    work = 3 * (500 + 2 * walk.MC_STEP_COST_LANES)  # 2 steps of 500 trials in 2 chunks
+    monkeypatch.setattr(walk, "MC_WORK_MAX", work)
+    monte_carlo_curve(2, 2, 2, 500)
+    monkeypatch.setattr(walk, "MC_WORK_MAX", work - 1)
+    monkeypatch.setattr(_engine.Lanes, "start", None)
+    with pytest.raises(StepRangeTooLargeError):
+        monte_carlo_curve(2, 2, 2, 500)
 
 
 def test_chain_classifies_whole_lumps_per_call(monkeypatch):
