@@ -128,10 +128,10 @@ def _square_sum(m):
 
 def _steps(ks):
     """(number, largest, sum of squares) of the steps ks, a sequence; in
-    closed form for a nonempty range of step 1, so that a huge range costs
-    nothing to assess."""
+    closed form for a nonempty range of step 1, so that a huge range, even
+    one longer than len() can count, costs nothing to assess."""
     if isinstance(ks, range) and ks.step == 1 and ks:
-        return len(ks), ks[-1], _square_sum(ks[-1]) - _square_sum(ks[0] - 1)
+        return ks[-1] - ks[0] + 1, ks[-1], _square_sum(ks[-1]) - _square_sum(ks[0] - 1)
     return len(ks), max(ks, default=0), sum(k * k for k in ks)
 
 

@@ -102,6 +102,8 @@ def _parse_range(range_text):
     lo, hi = int(lo), int(hi or lo)
     if hi < lo:
         raise ValueError("empty range")
+    if lo < 1:
+        raise ValueError("k must be >= 1")
     return range(lo, hi + 1)
 
 

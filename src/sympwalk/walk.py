@@ -36,7 +36,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
 
 import numpy as np
 
@@ -166,127 +165,106 @@ def _classify_states_batched(states_np, n, field, factored):
     Returns (labels, ids): the distinct (complete key, type) labels, and an
     intp array with one id per state, indexing them; each state's label is
     the one _classify_X gives it.  The states are taken in slices of
-    CLASSIFY_LANES.  In each slice: batched characteristic polynomials,
-    grouped by _engine.row_labels; a factorization of each polynomial not
-    yet in factored (the caller's dict, filled here); f(X) for every factor
-    f of every polynomial (_factor_jobs), stacked in chunks of at most
-    CLASSIFY_LANES matrices (_stacked_fx), so the f(X)^j arrays stay
-    bounded whatever the batch and the factor counts; then the ranks of
-    f(X)^j over each chunk at once (_rank_sequences).  Each lane's group
-    and rank sequence form one column of a pattern array, labelled by
-    row_labels again, and _label_from_ranks runs once per distinct pattern.  A (polynomial, rank
-    pattern) fixes the key and the key fixes the pattern, so equal ids mean
-    equal keys.
+    CLASSIFY_LANES.  In each slice the lanes are grouped by the
+    characteristic polynomial over F_p of the realified X = J^-1 w
+    (_engine.row_labels), the norm of X's own polynomial over F_q, and each
+    polynomial not yet in factored (the caller's dict, filled here) is
+    factored over F_q: every factor of X's polynomial is among its factors.
+    _job_lanes lists one job-lane per lane and factor of its polynomial,
+    those of a factor together, and they are taken in plain slices of
+    CLASSIFY_LANES, so the f(X)^j arrays stay bounded whatever the batch
+    and the factor counts: f(X) once per distinct factor of a slice, then
+    the ranks of its powers (_rank_sequences).  Each lane's group and rank
+    sequences form one column of a pattern array, labelled by row_labels
+    again, and _label_from_ranks runs once per distinct pattern.  A
+    (polynomial, rank pattern) fixes the key and the key fixes the pattern,
+    so equal ids mean equal keys.
     """
-    N, Nk = 2 * n, 2 * n * field.k
+    p, N, Nk = field.p, 2 * n, 2 * n * field.k
     index = {}  # (complete key, type) -> id
     ids = np.empty(len(states_np), dtype=np.intp)
     for start in range(0, len(states_np), CLASSIFY_LANES):
         states = states_np[start:start + CLASSIFY_LANES]
-        polys, members, x, chunks = _factor_jobs(states, field, factored)
-        ranks = []
-        while chunks:
-            chunk = chunks.pop(0)
-            fx = _stacked_fx(x, members, chunk, field)
-            if not chunks:
-                del x  # every f(X) is stacked: X need not outlive the ranks
-            ranks += _rank_sequences(fx, [job for _, _, job in chunk], field)
-        ranks = iter(ranks)
-        patterns = np.zeros((Nk + 1, len(states)), dtype=np.intp)  # group, then ranks padded with 0
-        for g, (cp, lanes) in enumerate(zip(polys, members)):
-            seqs = np.concatenate([next(ranks) for _ in factored[cp]], axis=1)
-            patterns[0, lanes] = g
-            patterns[1:1 + seqs.shape[1], lanes] = seqs.T
-        rep, pattern = _engine.row_labels(patterns, max(len(polys), N + 1))
+        x = _engine.j_inv_times(states, p)
+        cps = _engine.batched_charpoly(x, p)
+        rep, group = _engine.row_labels(cps, p)
+        polys = [tuple(cp) for cp in cps[:, rep].T.tolist()]
+        for cp in polys:
+            if cp not in factored:
+                factored[cp] = factor_poly(PolyFq(field, list(reversed(cp))))
+        factors, (lane, fid, mult, floor, first) = _job_lanes(group, polys, factored, N)
+        blocks = [_mul_blocks(field)[list(reversed(f.coeffs))] for f in factors]
+        patterns = np.full((Nk + 1, len(states)), N + 1, dtype=np.intp)  # group, then ranks; N + 1 unranked
+        patterns[0] = group
+        for at in range(0, len(lane), CLASSIFY_LANES):
+            chunk = slice(at, at + CLASSIFY_LANES)
+            lanes, fids = lane[chunk], fid[chunk]
+            cuts = [0, *(np.flatnonzero(np.diff(fids)) + 1).tolist(), len(fids)]  # one segment per factor
+            fx = np.concatenate([
+                _engine.batched_matpoly(x[:, :, lanes[a:b]], blocks[fids[a]], p) for a, b in zip(cuts, cuts[1:])
+            ], axis=2)
+            if at + CLASSIFY_LANES >= len(lane):
+                del x  # every f(X) is evaluated: X need not outlive the ranks
+            _rank_sequences(fx, (lanes, mult[chunk], floor[chunk], first[chunk]), patterns, field)
+        rep, pattern = _engine.row_labels(patterns, max(len(polys), N + 2))
         found = [index.setdefault(_label_from_ranks(factored[polys[g]], seq, N), len(index))
                  for g, *seq in patterns[:, rep].T.tolist()]
         ids[start:start + len(states)] = np.array(found, dtype=np.intp)[pattern]
     return list(index), ids
 
 
-def _factor_jobs(states, field, factored):
-    """Group the states by the characteristic polynomial over F_p of the
-    realified X = J^-1 w, the norm of X's own polynomial over F_q, and
-    factor each polynomial not yet in factored over F_q: every factor of
-    X's polynomial is among its factors.  Returns the distinct polynomials
-    (coefficient tuples, highest degree first), the lanes of each, the
-    realified X of every state (lanes last), and the jobs in chunks: one job
-    (group, f, (lanes, m, floor = N - deg(f) m)) per factor f of
-    multiplicity m in the norm of each polynomial, in order, and at most
-    CLASSIFY_LANES lanes in a chunk, or one job's."""
+def _job_lanes(group, polys, factored, N):
+    """The distinct factors of the polynomials polys[g], and five aligned
+    intp arrays with one job-lane per lane and factor f of multiplicity m
+    of the lane's polynomial polys[group[lane]]: the lane, f's index in the
+    factors, m, the floor N - deg(f) m, and the first pattern row of f's
+    rank sequence, 1 plus the multiplicities of the factors before f.  The
+    job-lanes are ordered by factor, each factor's in lane order."""
+    factors = list(dict.fromkeys(f for cp in polys for f, _ in factored[cp]))
+    fids = {f: i for i, f in enumerate(factors)}
+    table = np.zeros((3, len(polys), len(factors)), dtype=np.intp)  # m, floor, first row; m = 0 off f's polynomials
+    for g, cp in enumerate(polys):
+        row = 1
+        for f, m in factored[cp]:
+            table[:, g, fids[f]] = m, N - f.degree * m, row
+            row += m
+    fid, lane = np.nonzero((table[0] > 0)[group].T)  # factor by factor, lanes ascending
+    return factors, (lane, fid, *table[:, group[lane], fid])
+
+
+def _rank_sequences(fx, jobs, patterns, field):
+    """rank f(X)^j over F_q, j = 1, 2, ..., of each job-lane (lane, m,
+    floor, first) of the stacked realified f(X), whose rank over F_p is k
+    times it, written to patterns[first + j - 1, lane], with one
+    batched_rank call per power j over every job-lane still going.  A
+    job-lane stops at j = m, at the floor N - deg(f) m, or once its rank
+    did not change from the previous power (r_0 = N): from there on rank
+    f(X)^j stays put, and its later rows keep the sentinel N + 1."""
     p, k = field.p, field.k
-    N = states.shape[1] // k
-    x = _engine.j_inv_times(states, p)
-    cps = _engine.batched_charpoly(x, p)
-    rep, group = _engine.row_labels(cps, p)
-    polys = [tuple(cp) for cp in cps[:, rep].T.tolist()]
-    members = [np.flatnonzero(group == g) for g in range(len(polys))]
-    chunks, stacked = [[]], 0
-    for g, (cp, lanes) in enumerate(zip(polys, members)):
-        if cp not in factored:
-            factored[cp] = factor_poly(PolyFq(field, list(reversed(cp))))
-        for f, mult in factored[cp]:
-            if chunks[-1] and stacked + len(lanes) > CLASSIFY_LANES:
-                chunks.append([])
-                stacked = 0
-            chunks[-1].append((g, f, (len(lanes), mult, N - f.degree * mult)))
-            stacked += len(lanes)
-    return polys, members, x, chunks
-
-
-def _stacked_fx(x, members, chunk, field):
-    """The realified f(X) of every job (group, f, _) of a chunk, stacked
-    lanes last; each group's X is gathered once."""
-    fx = []
-    for g, jobs in groupby(chunk, key=lambda job: job[0]):
-        x_group = x[:, :, members[g]]
-        fx += [
-            _engine.batched_matpoly(x_group, _mul_blocks(field)[list(reversed(f.coeffs))], field.p)
-            for _, f, _ in jobs
-        ]
-    return np.concatenate(fx, axis=2)
-
-
-def _rank_sequences(fx, jobs, field):
-    """rank f(X)^j over F_q, j = 1..m, as a (lanes, m) array for each job
-    (lanes, m, floor) of the stacked realified f(X), whose rank over F_p is
-    k times it, with one batched_rank call per power j over every job still
-    pending.  A job stops once all its lanes are at the floor N - deg(f) m
-    or none changed rank from the previous power (r_0 = N): from there on
-    rank f(X)^j stays put."""
-    p, k = field.p, field.k
-    N = len(fx) // k
-    sizes = np.array([lanes for lanes, _, _ in jobs])
-    ranks = [[] for _ in jobs]
-    pending = np.arange(len(jobs))
-    powers = fx  # f(X)^j of the pending jobs, stacked
-    while len(pending):
-        rank_j = _engine.batched_rank(powers, p) // k
-        going = np.zeros(len(jobs), dtype=bool)
-        for t, rank in zip(pending, np.split(rank_j, np.cumsum(sizes[pending])[:-1])):
-            _, mult, floor = jobs[t]
-            stalled = (rank == (ranks[t][-1] if ranks[t] else N)).all()
-            ranks[t].append(rank)
-            if stalled or (rank == floor).all():
-                ranks[t].extend([rank] * (mult - len(ranks[t])))
-            elif len(ranks[t]) < mult:
-                going[t] = True
-        if going.any():
-            kept = np.repeat(going[pending], sizes[pending])
-            factor = fx[:, :, np.repeat(going, sizes)]
-            powers = _engine.batched_matmul(powers[:, :, kept], factor, p)
-        pending = np.flatnonzero(going)
-    return [np.stack(r, axis=1) for r in ranks]
+    lane, mult, floor, first = jobs
+    going = np.arange(len(lane))  # the job-lanes still going
+    last = np.full(len(lane), len(fx) // k)  # their rank at the previous power
+    powers = fx  # f(X)^j of the job-lanes going
+    for j in range(1, mult.max() + 1):
+        rank = _engine.batched_rank(powers, p) // k
+        patterns[first[going] + j - 1, lane[going]] = rank
+        keep = (j < mult[going]) & (rank != floor[going]) & (rank != last)
+        if not keep.any():
+            return
+        going, last = going[keep], rank[keep]
+        powers = _engine.batched_matmul(powers[:, :, keep], fx[:, :, going], p)
 
 
 def _label_from_ranks(factors, seq, N):
     """(complete key, type) from the rank sequences of all factors of the
-    norm, in order.  A factor not dividing X's own polynomial gets the
-    empty partition and drops out of the key."""
+    norm, in order, m entries for a factor of multiplicity m; the sentinel
+    N + 1 marks a power not ranked, whose rank is the last one ranked.  A
+    factor not dividing X's own polynomial gets the empty partition and
+    drops out of the key."""
     pairs = []
     at = 0
     for f, mult in factors:
-        lam = partition_from_rank_sequence([N, *seq[at:at + mult]], f.degree)
+        lam = partition_from_rank_sequence([N, *(r for r in seq[at:at + mult] if r <= N)], f.degree)
         if sum(lam) > mult:
             raise InternalError("batched partition weight exceeds the factor multiplicity")
         pairs.append((f, lam))
@@ -409,8 +387,6 @@ class ChainModel:
         with equality whenever the start law is uniform on each lump (in
         particular for q = 2, where the start is the singleton J-lump).
         """
-        if k_max < 0:
-            raise ValueError(f"k_max must be >= 0, got {k_max}")
         check_tv_work(self.n, self.q, k_max)
         S, q, sizes = self.num_states, self.q, self.lump_sizes
         at_j = [int(i == self.j_lump) for i in range(self.num_lumps)]
@@ -541,10 +517,13 @@ def _move_count(n, q):
 
 
 def check_tv_work(n, q, k_max):
-    """Raise StepRangeTooLargeError if tv_curve(k_max) at (n, q) needs more
-    than TV_WORK_MAX units of work, k_max^3 b^2 with b the bit length of
-    move_count; known before the chain is built."""
+    """Raise ValueError for k_max < 0, and StepRangeTooLargeError if
+    tv_curve(k_max) at (n, q) needs more than TV_WORK_MAX units of work,
+    k_max^3 b^2 with b the bit length of move_count; known before the chain
+    is built."""
     _check_walk_n(n)
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     work = k_max ** 3 * _move_count(n, q).bit_length() ** 2
     if work > TV_WORK_MAX:
         raise StepRangeTooLargeError(

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from sympwalk import _engine
+from sympwalk import _engine, walk
 from sympwalk.cli import main
 
 
@@ -300,22 +300,38 @@ def test_exact_bound_beyond_work_cap_is_resource_cap(capsys):
         ["bounds", "--n", "2", "--q", "2", "--k-range", "1..9999", "--with-exact"],
         ["chain", "--n", "2", "--q", "3", "--kmax", "99999999999"],
         ["chain", "--n", "2", "--q", "2", "--kmax", "9999", "--format", "json"],
+        ["bounds", "--n", "3", "--q", "2", "--k-range", "1..100000000000000000000000"],
     ],
-    ids=["bounds-auto", "bounds-exact", "bounds-with-exact", "chain", "chain-json"],
+    ids=["bounds-auto", "bounds-exact", "bounds-with-exact", "chain", "chain-json", "bounds-beyond-len"],
 )
 def test_huge_step_ranges_exit_3_before_any_work(capsys, monkeypatch, argv):
-    import sympwalk.walk as walk
-
-    def no_build(*args, **kwargs):
-        raise AssertionError("the chain was built")
-
-    monkeypatch.setattr(walk, "exact_form_chain", no_build)
+    monkeypatch.setattr(walk, "exact_form_chain", _no_build)
     t0 = time.perf_counter()
     code = main(argv)
     captured = capsys.readouterr()
     assert time.perf_counter() - t0 < 1
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("resource cap:") and "Traceback" not in captured.err
+
+
+def _no_build(*args, **kwargs):
+    raise AssertionError("the chain was built")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chain", "--n", "4", "--q", "2", "--kmax", "-1"],
+        ["bounds", "--n", "4", "--q", "2", "--k-range", "0..3", "--with-exact"],
+    ],
+    ids=["chain", "bounds-with-exact"],
+)
+def test_bad_steps_exit_1_before_the_chain_is_built(capsys, monkeypatch, argv):
+    monkeypatch.setattr(walk, "exact_form_chain", _no_build)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_bound_beyond_the_float_range_prints_1(capsys):

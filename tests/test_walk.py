@@ -557,20 +557,42 @@ def test_chain_classifies_whole_lumps_per_call(monkeypatch):
 def test_stacked_factor_jobs_stay_within_classify_lanes(monkeypatch, chain24):
     """The f(X) matrices stacked for one _rank_sequences call number at most
     CLASSIFY_LANES, however many factors the slice's polynomials have: at
-    (2,4) one 3,570-state slice had stacked 7,814.  Chunking leaves every
-    rank, and so the chain, as it was."""
+    (2,4) a 3,570-state slice has more job-lanes than that.  Taking them in
+    slices leaves every rank, and so the chain, as it was."""
     stacked = []
     rank_sequences = walk._rank_sequences
 
-    def counted(fx, jobs, field):
-        assert fx.shape[2] == sum(lanes for lanes, _, _ in jobs)
+    def counted(fx, jobs, patterns, field):
+        assert all(fx.shape[2] == len(column) for column in jobs)
         stacked.append(fx.shape[2])
-        return rank_sequences(fx, jobs, field)
+        return rank_sequences(fx, jobs, patterns, field)
 
     monkeypatch.setattr(walk, "_rank_sequences", counted)
     assert exact_form_chain(2, 4) == chain24
     assert max(stacked) <= walk.CLASSIFY_LANES
-    assert sum(stacked) > walk.CLASSIFY_LANES  # some slice's jobs did need chunks
+    assert sum(stacked) > walk.CLASSIFY_LANES  # some slice's job-lanes did need chunks
+
+
+def test_each_factor_is_evaluated_once_per_chunk(monkeypatch, chain24):
+    """Within one chunk of job-lanes, no two batched_matpoly calls get the
+    same coefficient blocks: a factor's job-lanes sit together, whichever
+    polynomials of the slice it divides."""
+    chunks = [[]]  # per chunk, the coefficient blocks of each f(X) call
+    matpoly, rank_sequences = _engine.batched_matpoly, walk._rank_sequences
+
+    def evaluated(x, coeff_blocks, p):
+        chunks[-1].append((coeff_blocks.shape, coeff_blocks.tobytes()))
+        return matpoly(x, coeff_blocks, p)
+
+    def ranked(*args):
+        chunks.append([])
+        return rank_sequences(*args)
+
+    monkeypatch.setattr(_engine, "batched_matpoly", evaluated)
+    monkeypatch.setattr(walk, "_rank_sequences", ranked)
+    assert exact_form_chain(2, 4) == chain24
+    assert max(len(blocks) for blocks in chunks) > 1
+    assert all(len(set(blocks)) == len(blocks) for blocks in chunks)
 
 
 def test_chain_factors_each_polynomial_once(monkeypatch):
@@ -627,7 +649,9 @@ def test_tv_rejects_entries_off_the_move_grid(chain22):
 
 def test_classifier_slices_match_one_batch(monkeypatch):
     """(3,3) states classified in slices of 7 lanes, so one polynomial and
-    one rank pattern span several slices, give the keys and types of one batch."""
+    one rank pattern span several slices, give the keys and types of one
+    batch, and each lane of that batch, where a factor's job-lanes stop at
+    different powers, gets the label of _classify_X."""
     rng = np.random.default_rng(4)
     jmat = np.array(standard_J(3, F3).to_lists(), dtype=np.uint8)
     grams = [_engine.Lanes.start(jmat, 3, 40, rng).grams()]
@@ -635,6 +659,8 @@ def test_classifier_slices_match_one_batch(monkeypatch):
         grams.append(_engine.Lanes.from_grams(grams[-1], 3).step(rng).grams())
     states = np.concatenate(grams)
     whole = _per_state(*_classify_states_batched(states, 3, F3, {}))
+    j_inv = standard_J(3, F3).inverse()
+    assert whole == [_classify_X(j_inv * MatFq(F3, w.tolist())) for w in states]
     monkeypatch.setattr(walk, "CLASSIFY_LANES", 7)
     assert _per_state(*_classify_states_batched(states, 3, F3, {})) == whole
     assert len(set(whole)) > 7
