@@ -38,6 +38,7 @@ from .errors import (
     ExactArithmeticTooLargeError,
     InternalError,
     StepRangeTooLargeError,
+    int_text,
 )
 from .spectral import label_types, trivial_label
 
@@ -70,8 +71,9 @@ def _spectral_types(n, q):
     """The entries of label_types except the type of the labels fixed by
     the initial randomization: (1^n) at a single degree-1 orbit, the type
     of the trivial label."""
+    types = label_types(n, q)  # validates n before trivial_label(n) is formed
     twist = trivial_label(n).entries
-    return (t for t in label_types(n, q) if t[0].entries != twist)
+    return (t for t in types if t[0].entries != twist)
 
 
 @lru_cache(maxsize=None)
@@ -164,8 +166,8 @@ def _check_exact_work(n, q, ks, what):
     work = _exact_work(n, q, ks)
     if work > EXACT_WORK_MAX:
         raise ExactArithmeticTooLargeError(
-            f"{what} at n={n} q={q} up to k={_steps(ks)[1]} needs about {work:.1e} "
-            f"units of big-integer work, beyond {EXACT_WORK_MAX:.0e}"
+            f"{what} at n={n} q={q} up to k={int_text(_steps(ks)[1])} needs about "
+            f"{int_text(work)} units of big-integer work, beyond {int_text(EXACT_WORK_MAX)}"
         )
 
 
@@ -178,8 +180,8 @@ def check_row_work(n, q, ks):
     work = count * (len(_spectral_terms(n, q)) + ROW_COST_TERMS)
     if work > ROW_WORK_MAX:
         raise StepRangeTooLargeError(
-            f"{count} bound rows at n={n} q={q} up to k={largest} need about {work:.1e} "
-            f"units of work, beyond {ROW_WORK_MAX:.0e}"
+            f"{int_text(count)} bound rows at n={n} q={q} up to k={int_text(largest)} need "
+            f"about {int_text(work)} units of work, beyond {int_text(ROW_WORK_MAX)}"
         )
 
 

@@ -19,14 +19,8 @@ from fractions import Fraction
 from . import bounds as bounds_mod
 from . import verify as verify_mod
 from . import walk as walk_mod
-from .errors import (
-    EnumerationTooLargeError,
-    ExactArithmeticTooLargeError,
-    FieldTooLargeError,
-    StateSpaceTooLargeError,
-    StepRangeTooLargeError,
-)
-from .field import build_field, field_from_order
+from .errors import ResourceCapError
+from .field import field_from_order
 from .spectral import spectrum
 
 EXIT_OK = 0
@@ -50,21 +44,9 @@ def _frac_str(x):
     return repr(x) if isinstance(x, float) else str(x)
 
 
-def _resolve_field_args(args):
-    if args.q is not None and (args.p is not None or args.k is not None):
-        raise ValueError("--q excludes --p and --k")
-    if (args.p is None) != (args.k is None):
-        raise ValueError("--p needs --k" if args.k is None else "--k needs --p")
-    if args.p is not None:
-        return build_field(args.p, args.k)
-    return field_from_order(2 if args.q is None else args.q)
-
-
 def _add_field_args(sub):
     sub.add_argument("--n", type=int, required=True, help="half-dimension n")
-    sub.add_argument("--q", type=int, default=None, help="field size (prime power)")
-    sub.add_argument("--p", type=int, default=None, help="field characteristic")
-    sub.add_argument("--k", type=int, default=None, help="extension degree")
+    sub.add_argument("--q", type=int, default=2, help="field size q = p^k (prime power)")
 
 
 def _add_output_args(sub, formats=True):
@@ -108,7 +90,7 @@ def _parse_range(range_text):
 
 
 def cmd_spectrum(args):
-    field = _resolve_field_args(args)
+    field = field_from_order(args.q)
     lines = [
         [line.lam.to_json(), _frac_str(line.phi), str(line.multiplicity), line.type_count]
         for line in spectrum(args.n, field.q)
@@ -123,7 +105,7 @@ def cmd_spectrum(args):
 
 
 def cmd_bounds(args):
-    field = _resolve_field_args(args)
+    field = field_from_order(args.q)
     n, q = args.n, field.q
     ks = _parse_range(args.k_range)
     mode = bounds_mod.resolve_mode(n, q, ks, args.mode)
@@ -155,7 +137,7 @@ def cmd_bounds(args):
 
 
 def cmd_chain(args):
-    field = _resolve_field_args(args)
+    field = field_from_order(args.q)
     walk_mod.check_tv_work(args.n, field.q, args.kmax)  # before the chain is built
     chain = walk_mod.exact_form_chain(args.n, field, cap=args.state_cap)
     rows = chain.tv_curve(args.kmax)
@@ -185,7 +167,7 @@ def cmd_chain(args):
 
 
 def cmd_simulate(args):
-    field = _resolve_field_args(args)
+    field = field_from_order(args.q)
     results = walk_mod.monte_carlo_curve(
         args.n, field, args.steps, args.trials, seed=args.seed
     )
@@ -196,13 +178,7 @@ def cmd_simulate(args):
 
 def cmd_verify(args):
     names = args.suite or None
-    try:
-        results = verify_mod.run_suites(
-            names, max_n=args.max_n, trials=args.trials, seed=args.seed
-        )
-    except KeyError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_USAGE
+    results = verify_mod.run_suites(names, max_n=args.max_n, trials=args.trials, seed=args.seed)
     if args.format == "json":
         payload = [
             {"suite": r.suite, "name": r.name, "ok": r.ok, "detail": r.detail}
@@ -275,13 +251,7 @@ def main(argv=None):
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (
-        StateSpaceTooLargeError,
-        EnumerationTooLargeError,
-        ExactArithmeticTooLargeError,
-        FieldTooLargeError,
-        StepRangeTooLargeError,
-    ) as exc:
+    except ResourceCapError as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return EXIT_RESOURCE
     except (ValueError, OSError) as exc:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import groupby
 
-from .errors import EnumerationTooLargeError, NonIntegerResultError, WeightMismatchError
+from .errors import EnumerationTooLargeError, NonIntegerResultError, WeightMismatchError, int_text
 from .field import irreducible_count
 
 ENUMERATION_MAX_N = 14
@@ -265,7 +265,7 @@ def check_enumeration_cap(n):
     """Raise EnumerationTooLargeError for a weight n beyond
     ENUMERATION_MAX_N, whose labels are too many to list."""
     if n > ENUMERATION_MAX_N:
-        raise EnumerationTooLargeError(f"n={n} beyond enumeration cap {ENUMERATION_MAX_N}")
+        raise EnumerationTooLargeError(f"n={int_text(n)} beyond enumeration cap {ENUMERATION_MAX_N}")
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,11 @@ class NotPrimeError(SympwalkError, ValueError):
     """Field characteristic is not prime."""
 
 
-class FieldTooLargeError(SympwalkError):
+class ResourceCapError(SympwalkError):
+    """A request exceeds a size or work cap; raised before the work starts."""
+
+
+class FieldTooLargeError(ResourceCapError):
     """Requested field exceeds the configured size cap."""
 
 
@@ -41,19 +45,19 @@ class WeightMismatchError(SympwalkError):
     """Partition-valued function has the wrong total weight."""
 
 
-class EnumerationTooLargeError(SympwalkError):
+class EnumerationTooLargeError(ResourceCapError):
     """Requested enumeration exceeds the configured cap."""
 
 
-class ExactArithmeticTooLargeError(SympwalkError):
+class ExactArithmeticTooLargeError(ResourceCapError):
     """Exact rational arithmetic would exceed the configured work cap."""
 
 
-class StepRangeTooLargeError(SympwalkError):
+class StepRangeTooLargeError(ResourceCapError):
     """A requested range of steps k exceeds the configured work cap."""
 
 
-class StateSpaceTooLargeError(SympwalkError):
+class StateSpaceTooLargeError(ResourceCapError):
     """A chain's work or state space exceeds the configured cap."""
 
 
@@ -63,3 +67,11 @@ class OddMultiplicityError(SympwalkError):
 
 class InternalError(SympwalkError):
     """Runtime invariant violated."""
+
+
+def int_text(x):
+    """An integer x >= 0 as cap-message text: its digits below 2^64, else
+    2^b with b its bit length (x < 2^b).  It never forms a float, which
+    overflows, or a decimal string beyond 4,300 digits, which Python refuses."""
+    b = x.bit_length()
+    return str(x) if b <= 64 else f"2^{b}"

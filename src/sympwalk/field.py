@@ -21,6 +21,7 @@ from .errors import (
     EnumerationTooLargeError,
     FieldTooLargeError,
     NotPrimeError,
+    int_text,
 )
 
 DEFAULT_MAX_FIELD_SIZE = 2 ** 20
@@ -223,7 +224,7 @@ def build_field(p, k):
         raise ValueError("extension degree must be >= 1")
     # p >= 2 gives p^k >= 2^k, so a large k exceeds the cap before p^k is formed
     if p > 1 and (k >= DEFAULT_MAX_FIELD_SIZE.bit_length() or p ** k > DEFAULT_MAX_FIELD_SIZE):
-        raise FieldTooLargeError(f"q = {p}^{k} exceeds cap {DEFAULT_MAX_FIELD_SIZE}")
+        raise FieldTooLargeError(f"q = {int_text(p)}^{int_text(k)} exceeds cap {DEFAULT_MAX_FIELD_SIZE}")
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     key = (p, k)
@@ -240,7 +241,7 @@ def field_from_order(q):
     if q < 2:
         raise ValueError("field order must be >= 2")
     if q > DEFAULT_MAX_FIELD_SIZE:
-        raise FieldTooLargeError(f"q = {q} exceeds cap {DEFAULT_MAX_FIELD_SIZE}")
+        raise FieldTooLargeError(f"q = {int_text(q)} exceeds cap {DEFAULT_MAX_FIELD_SIZE}")
     for p in range(2, q + 1):
         if q % p == 0:
             k = 0

@@ -218,6 +218,10 @@ def check_walk(max_n=2, trials=20000, seed=0):
         _res("walk", "sector_formula_vs_bruteforce_2_2",
              all(b[1] == f[1] for b, f in zip(brute, formula)), "")
     )
+    # Plancherel identity at q = 2, where the twisted start is J: 4 upper^2 = chi^2(m_k, pi)
+    bad = [k for k in range(1, 5) if 4 * bounds_mod.upper_bound_tv(2, 2, k, "exact").squared
+           != sum((m - p) ** 2 / p for m, p in zip(chain.lumped_distribution(k), chain.stationary))]
+    out.append(_res("walk", "plancherel_identity_2_2", not bad, f"unequal at k = {bad}"))
     violations = 0
     for c in range(0, 3):
         v, _ = walk_mod.support_violations(2, 2, c, max(1000, trials // 10), seed=seed)

@@ -19,9 +19,10 @@ states are realified over F_p, so every field takes the batched
 prime-field path.  They give exact rational transition matrices,
 stationary distributions and total-variation curves.
 
-Oracles kept on purpose, which no production path calls:
+Oracles kept on purpose, which no production path calls but as named:
 - _classify_X, on linalg.class_invariant: the pure-Python classifier that
-  the batched one must match;
+  the batched one must match (support_violations cross-checks a subsample
+  of its rank criterion with class_invariant);
 - the group lift: group_walk_step draws from the bi-Sp-invariant walk on
   GL_2n, and double_coset_key and classify_double_coset label a group
   element g via X = J^-1 g^T J g;
@@ -52,6 +53,7 @@ from .errors import (
     OddMultiplicityError,
     StateSpaceTooLargeError,
     StepRangeTooLargeError,
+    int_text,
 )
 from .field import FieldSpec, PolyFq, field_from_order
 from .linalg import (
@@ -527,8 +529,8 @@ def check_tv_work(n, q, k_max):
     work = k_max ** 3 * _move_count(n, q).bit_length() ** 2
     if work > TV_WORK_MAX:
         raise StepRangeTooLargeError(
-            f"the exact TV curve at n={n} q={q} up to k={k_max} needs about {work:.1e} "
-            f"units of big-integer work, beyond {TV_WORK_MAX:.0e}"
+            f"the exact TV curve at n={n} q={q} up to k={int_text(k_max)} needs about "
+            f"{int_text(work)} units of big-integer work, beyond {int_text(TV_WORK_MAX)}"
         )
 
 
@@ -757,8 +759,8 @@ def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0):
     chunks = -(-trials // MC_CHUNK)
     if (k_max + 1) * (trials + chunks * MC_STEP_COST_LANES) > MC_WORK_MAX:
         raise StepRangeTooLargeError(
-            f"{trials} trials of {k_max} steps at n={n} need more than {MC_WORK_MAX:.0e} "
-            "lane-steps of work"
+            f"{int_text(trials)} trials of {int_text(k_max)} steps at n={n} need more than "
+            f"{int_text(MC_WORK_MAX)} lane-steps of work"
         )
     p = field.p
     pi = stationary_type_distribution(n, p)

@@ -420,6 +420,12 @@ def test_huge_step_ranges_are_assessed_at_once():
     # the closed form is the sum it replaces
     for ks in (range(1, 30), range(5, 6), range(7, 1000)):
         assert _exact_work(8, 2, ks) == _exact_work(8, 2, list(ks))
+    # beyond the float range and the 4,300-digit str limit, the messages still form
+    beyond = range(1, 10 ** 5000)
+    with pytest.raises(StepRangeTooLargeError, match=r"up to k=2\^16610 "):
+        check_row_work(3, 2, beyond)
+    with pytest.raises(ExactArithmeticTooLargeError):
+        resolve_mode(3, 2, beyond, "exact")
     rows = ROW_WORK_MAX // (len(_spectral_terms(3, 2)) + bounds.ROW_COST_TERMS)
     check_row_work(3, 2, range(1, rows + 1))
     with pytest.raises(StepRangeTooLargeError):

@@ -11,8 +11,16 @@ from pathlib import Path
 
 import pytest
 
-from sympwalk import _engine, walk
+from sympwalk import _engine, bounds, walk
 from sympwalk.cli import main
+from sympwalk.errors import (
+    EnumerationTooLargeError,
+    ExactArithmeticTooLargeError,
+    FieldTooLargeError,
+    ResourceCapError,
+    StateSpaceTooLargeError,
+    StepRangeTooLargeError,
+)
 
 
 def run_cli(capsys, *argv):
@@ -216,25 +224,6 @@ def test_out_file(tmp_path, capsys):
     assert rows[0]["phi"] == "1"
 
 
-def test_p_k_field_selection(capsys):
-    code, out = run_cli(capsys, "spectrum", "--n", "2", "--p", "2", "--k", "1")
-    assert code == 0
-    assert "1/15" in out
-
-
-def test_p_without_k_is_usage_error(capsys):
-    # field flags that would be ignored are usage errors, not silent choices
-    for argv, message in (
-        (["spectrum", "--n", "2", "--p", "3"], "--p needs --k"),
-        (["spectrum", "--n", "2", "--k", "3"], "--k needs --p"),
-        (["spectrum", "--n", "2", "--q", "4", "--p", "3", "--k", "1"], "--q excludes --p and --k"),
-    ):
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
-        assert captured.err == f"error: {message}\n"
-
-
 def test_bounds_logfloat_large_n(capsys):
     code, out = run_cli(
         capsys, "bounds", "--n", "12", "--q", "2", "--k-range", "12..22", "--logfloat"
@@ -266,13 +255,11 @@ def test_enumeration_cap_exit_code(capsys):
 
 
 def test_field_cap_exits_before_q_is_factored(capsys):
-    # q = 2^61 - 1 and p = 10^18 + 3 are prime: trial division up to q, resp.
-    # sqrt(p), would run for hours; 3^(10^8) would take minutes to form
+    # q = 2^61 - 1 and 10^18 + 3 are prime: trial division up to q would run for hours
     for argv, message in (
         (["spectrum", "--n", "2", "--q", "2305843009213693951"], "q = 2305843009213693951 exceeds cap"),
-        (["bounds", "--n", "2", "--p", "1000000000000000003", "--k", "1", "--k-range", "1..2"],
-         "q = 1000000000000000003^1 exceeds cap"),
-        (["spectrum", "--n", "2", "--p", "3", "--k", "100000000"], "q = 3^100000000 exceeds cap"),
+        (["bounds", "--n", "2", "--q", "1000000000000000003", "--k-range", "1..2"],
+         "q = 1000000000000000003 exceeds cap"),
     ):
         start = time.perf_counter()
         code = main(argv)
@@ -301,8 +288,14 @@ def test_exact_bound_beyond_work_cap_is_resource_cap(capsys):
         ["chain", "--n", "2", "--q", "3", "--kmax", "99999999999"],
         ["chain", "--n", "2", "--q", "2", "--kmax", "9999", "--format", "json"],
         ["bounds", "--n", "3", "--q", "2", "--k-range", "1..100000000000000000000000"],
+        ["bounds", "--n", "3", "--q", "2", "--k-range", f"1..{10 ** 400}"],
+        ["bounds", "--n", "3", "--q", "2", "--k-range", f"1..{10 ** 400}", "--exact"],
+        ["chain", "--n", "2", "--q", "3", "--kmax", str(10 ** 110)],
     ],
-    ids=["bounds-auto", "bounds-exact", "bounds-with-exact", "chain", "chain-json", "bounds-beyond-len"],
+    ids=[
+        "bounds-auto", "bounds-exact", "bounds-with-exact", "chain", "chain-json", "bounds-beyond-len",
+        "bounds-beyond-float", "bounds-exact-beyond-float", "chain-beyond-float",
+    ],
 )
 def test_huge_step_ranges_exit_3_before_any_work(capsys, monkeypatch, argv):
     monkeypatch.setattr(walk, "exact_form_chain", _no_build)
@@ -411,7 +404,7 @@ def test_verify_default_run_passes(capsys):
         ["simulate", "--n", "2", "--steps", "-1", "--trials", "10"],
         ["chain", "--n", "2", "--kmax", "-1"],
         ["simulate", "--n", "2", "--q", "6", "--steps", "1", "--trials", "10"],
-        ["chain", "--n", "2", "--p", "4", "--k", "1"],
+        ["chain", "--n", "2", "--q", "6"],
         ["spectrum", "--n", "0"],
         ["spectrum", "--n", "-1"],
         ["bounds", "--n", "0", "--k-range", "1..2"],
@@ -442,6 +435,48 @@ def test_walk_below_n2_names_the_given_n(capsys, argv, n):
     assert captured.err.startswith(f"error: need n >= 2, got {n}")
 
 
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        (["spectrum", "--n", "0"], 0),
+        (["bounds", "--n", "0", "--k-range", "1..2"], 0),
+        (["bounds", "--n", "-2", "--k-range", "1..2"], -2),
+    ],
+)
+def test_labels_below_n1_name_the_given_n(capsys, argv, n):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: n must be >= 1, got {n}\n"
+
+
+def test_verify_checks_the_plancherel_identity(capsys, monkeypatch):
+    """verify's walk suite checks 4 upper^2 = chi^2(m_k, pi) on the (2,2)
+    chain; one term's multiplicity doubled makes it FAIL with exit 2."""
+    argv = ["verify", "--suite", "walk", "--max-n", "2", "--trials", "2000"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and "PASS walk.plancherel_identity_2_2\n" in out
+    terms = list(bounds._spectral_terms(2, 2))
+    i = next(i for i, (phi, _, _) in enumerate(terms) if phi)
+    phi, mult, cnt = terms[i]
+    terms[i] = (phi, 2 * mult, cnt)
+    monkeypatch.setattr(bounds, "_spectral_terms", lambda n, q: tuple(terms))
+    code, out = run_cli(capsys, *argv)
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert code == 2 and [line.split()[1] for line in failed] == ["walk.plancherel_identity_2_2"]
+
+
+def test_every_cap_is_a_resource_cap():
+    for cls in (
+        FieldTooLargeError,
+        EnumerationTooLargeError,
+        ExactArithmeticTooLargeError,
+        StepRangeTooLargeError,
+        StateSpaceTooLargeError,
+    ):
+        assert issubclass(cls, ResourceCapError), cls
+
+
 def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
     code = main(["chain", "--n", "2", "--out", str(tmp_path / "missing" / "x")])
     captured = capsys.readouterr()
@@ -456,6 +491,7 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
         ["verify", "--suite", "field", "--n", "2"],
         ["chain", "--n", "2", "--enum-cap", "3"],
         ["bounds", "--n", "2", "--k-range", "1..2", "--exact", "--logfloat"],
+        ["spectrum", "--n", "2", "--p", "2", "--k", "1"],
     ],
 )
 def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):

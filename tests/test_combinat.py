@@ -6,6 +6,7 @@ from sympwalk.combinat import (
     PartitionFn,
     a_mu,
     arm,
+    check_enumeration_cap,
     class_size,
     class_size_qsq,
     conjugate,
@@ -26,7 +27,7 @@ from sympwalk.combinat import (
     sp_order,
     union_double,
 )
-from sympwalk.errors import NonIntegerResultError
+from sympwalk.errors import EnumerationTooLargeError, NonIntegerResultError
 from sympwalk.field import build_field
 from sympwalk.linalg import MatFq
 
@@ -271,3 +272,12 @@ def test_json_roundtrip():
         {"degree": 2, "partition": [1], "orbit": 0},
     ]
     assert PartitionFn.from_json(js) == fn
+
+
+def test_enumeration_cap_message_forms_for_any_n():
+    check_enumeration_cap(14)
+    with pytest.raises(EnumerationTooLargeError, match=r"^n=15 beyond"):
+        check_enumeration_cap(15)
+    # beyond Python's 4,300-digit str limit the message gives n as 2^b
+    with pytest.raises(EnumerationTooLargeError, match=r"^n=2\^16610 beyond"):
+        check_enumeration_cap(10 ** 5000)

@@ -66,6 +66,11 @@ def test_build_field_rejects_bad_input():
         build_field(1, 1)
     with pytest.raises(FieldTooLargeError):
         build_field(2, 25)
+    # beyond Python's 4,300-digit str limit the cap message still forms
+    with pytest.raises(FieldTooLargeError, match=r"q = 2\^16610\^1 exceeds"):
+        build_field(10 ** 5000, 1)
+    with pytest.raises(FieldTooLargeError, match=r"q = 2\^16610 exceeds"):
+        field_from_order(10 ** 5000)
     with pytest.raises(NotPrimeError):
         field_from_order(6)
 

@@ -534,6 +534,16 @@ def test_monte_carlo_work_budget_counts_lane_steps_and_chunk_steps(monkeypatch):
         monte_carlo_curve(2, 2, 2, 500)
 
 
+def test_step_budget_messages_form_beyond_the_digit_limit(monkeypatch):
+    """A step count or trial count beyond the float range and Python's
+    4,300-digit str limit still gets its cap message, with 2^b for it."""
+    monkeypatch.setattr(_engine.Lanes, "start", None)
+    with pytest.raises(StepRangeTooLargeError, match=r"up to k=2\^16610 needs about 2\^"):
+        walk.check_tv_work(2, 3, 10 ** 5000)
+    with pytest.raises(StepRangeTooLargeError, match=r"^2\^16610 trials of 1 steps"):
+        monte_carlo_curve(2, 2, 1, 10 ** 5000)
+
+
 def test_chain_classifies_whole_lumps_per_call(monkeypatch):
     """One classifier call for the seeds, then one per batch of lumps: the
     images of each lump's representative and of its Dynkin member, whole,
