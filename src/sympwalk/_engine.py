@@ -12,7 +12,10 @@ instead: _pack holds 64 lanes in each uint64 word, bit l of word w being
 lane 64 w + l, so a product is an AND, a sum an XOR, and no bound
 applies.  They give what their int32 forms (_rank_int32, _matmul_int32,
 _matpoly_int32 and Lanes with packed=False) do, which stay the odd-p path
-and the test oracle.  No floating point.  A matrix over F_q, q = p^k,
+and the test oracle.  A Monte Carlo step draws the values of
+rng.integers(0, p, size=(lanes, N)): the int32 step calls it, and the
+packed one reads the same values from the words of rng's PCG64
+(_draw_f2).  No floating point.  A matrix over F_q, q = p^k,
 comes realified: each entry c becomes the k x k block over F_p of
 multiplication by c, and ranks are k times those over F_q.  Not kernels:
 row_labels, the one way a batch of lanes is keyed, gives dense labels to
@@ -27,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import StateSpaceTooLargeError
+from .errors import InternalError, StateSpaceTooLargeError
 
 
 def rank2_image(w, x, y, p):
@@ -285,8 +288,11 @@ class Lanes:
         every nonzero form has a move; a lane that stays after the first
         round and cannot move (the zero form, or any form if N < 3) is a
         ValueError, not an endless redraw.  Every round draws v, then f, as
-        rng.integers(0, p, size=(lanes, N)), so a seed gives the same steps
-        in either layout."""
+        the values of rng.integers(0, p, size=(lanes, N)) for the lanes
+        still pending: the int32 layout calls it, and the packed one reads
+        the same values from rng's PCG64 words (_draw_f2; any other
+        generator is an InternalError).  So a seed gives the same steps, and
+        leaves rng at the same point, in either layout."""
         p, w = self.p, self.data
         if self.packed:
             return Lanes(_step_f2(w, self.B, rng), self.B, p, True)
@@ -327,14 +333,34 @@ def _draw_moves(w, p, rng):
     return u, f, _mod(row, p).any(axis=0)
 
 
-def _draw_f2(rng, N, width, lanes=None):
-    """rng.integers(0, 2, size=(m, N)) as (N, W) _pack words of `width`
-    lanes: m = width, or row i goes to lane lanes[i] and the other lanes get 0."""
-    if lanes is None:
-        return _pack(rng.integers(0, 2, size=(width, N)).T)
-    bits = np.zeros((N, width), dtype=np.uint8)
-    bits[:, lanes] = rng.integers(0, 2, size=(len(lanes), N)).T
-    return _pack(bits)
+def _draw_f2(rng, N, m):
+    """rng.integers(0, 2, size=(m, N)) as (N, W) _pack words of m lanes,
+    read from rng's PCG64 (_check_f2_draws).  integers(0, 2) is Lemire's
+    method with range 2: one next_uint32 per value, never rejected, whose
+    top bit is the value, and PCG64 serves the low, then the high half of
+    each word.  So m N / 2 words (N = 2n), as (m, N) uint32, hold the
+    values in their top bits and leave rng where integers() does."""
+    halves = rng.bit_generator.random_raw(m * N // 2).view(np.uint32).reshape(m, N)
+    return _pack(np.ascontiguousarray((halves >= 2 ** 31).T))
+
+
+def _check_f2_draws(rng):
+    """Raise InternalError unless _draw_f2 gives rng's integers(0, 2): its
+    bit generator is a PCG64 with no buffered half, and _f2_words_are_draws."""
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.PCG64) or bits.state["has_uint32"] or not _f2_words_are_draws():
+        raise InternalError(f"packed F_2 draws need a PCG64 with no buffered half, got {bits!r}")
+
+
+@lru_cache(maxsize=None)
+def _f2_words_are_draws():
+    """Once per process: on a private PCG64, _draw_f2 gives the values of a
+    twin's integers(0, 2) and leaves it at the twin's next word (this also
+    fails on a big-endian host)."""
+    rng, twin = (np.random.Generator(np.random.PCG64(2019)) for _ in range(2))
+    bits = _unpack(_draw_f2(rng, 4, 65), 65)
+    return bool((bits.T == twin.integers(0, 2, size=(65, 4))).all()
+                and rng.bit_generator.random_raw() == twin.bit_generator.random_raw())
 
 
 def _round_f2(w, v, f):
@@ -353,36 +379,30 @@ def _round_f2(w, v, f):
 
 def _step_f2(w, B, rng):
     """Lanes.step on the _pack words w of B lanes.  The first round runs on
-    every word.  The lanes it leaves pending, whose image is still w, are
-    packed side by side once, and each later round runs on those words: the
-    lanes still pending draw, the rest draw 0.  Their moves are then
-    unpacked and XORed into the image words."""
+    every word.  The lanes it leaves pending are unpacked once; each later
+    round packs those still pending side by side, draws for them alone,
+    writes the u and f of the lanes that moved over the first round's and
+    drops those lanes.  The image w + u^T f - f^T u is formed once."""
+    _check_f2_draws(rng)
     N = len(w)
     u, f, moves = _round_f2(w, _draw_f2(rng, N, B), _draw_f2(rng, N, B))
+    lanes = np.flatnonzero(_unpack(moves, B) == 0)
+    if len(lanes):
+        w_left = np.take(_unpack(w, B), lanes, axis=-1)  # C order: w[..., lanes] lays the lanes out first
+        if N < 3 or not np.bitwise_or.reduce(w_left.reshape(N * N, -1), axis=0).all():
+            raise ValueError(f"no transvection moves a {N} x {N} form of the batch")
+        uf = _unpack(np.stack((u, f)), B)
+        while len(lanes):
+            L = len(lanes)
+            u_r, f_r, moves_r = _round_f2(_pack(w_left), _draw_f2(rng, N, L), _draw_f2(rng, N, L))
+            moved = _unpack(moves_r, L).view(bool)
+            go, stay = np.flatnonzero(moved), np.flatnonzero(~moved)
+            uf[..., lanes[go]] = np.take(_unpack(np.stack((u_r, f_r)), L), go, axis=-1)
+            lanes, w_left = lanes[stay], np.take(w_left, stay, axis=-1)
+        u, f = _pack(uf)
     image = u[:, None] & f
     image ^= image.swapaxes(0, 1)
     image ^= w
-    pending = np.flatnonzero(_unpack(moves, B) == 0)
-    P = len(pending)
-    if not P:
-        return image
-    byte, bit = pending >> 3, (pending & 7).astype(np.uint8)  # _pack's bit order
-    w_p = _pack((w.view(np.uint8)[..., byte] >> bit) & 1)
-    if N < 3 or not _unpack(np.bitwise_or.reduce(w_p.reshape(N * N, -1), axis=0), P).all():
-        raise ValueError(f"no transvection moves a {N} x {N} form of the batch")
-    u, f = np.zeros((2, N, w_p.shape[-1]), dtype=np.uint64)
-    left = np.arange(P)
-    while len(left):
-        v = _draw_f2(rng, N, P, left)
-        u_r, f_r, moves = _round_f2(w_p, v, _draw_f2(rng, N, P, left))
-        u ^= u_r & moves  # kept from the round that moves the lane
-        f ^= f_r & moves
-        left = left[_unpack(moves, P)[left] == 0]
-    moved = u[:, None] & f
-    moved ^= moved.swapaxes(0, 1)
-    delta = np.zeros((N, N, B), dtype=np.uint8)
-    delta[..., pending] = _unpack(moved, P)
-    image ^= _pack(delta)
     return image
 
 

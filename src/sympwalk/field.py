@@ -464,8 +464,9 @@ def enumerate_irreducibles(field, d, exclude_x=False):
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    if field.q ** d > ENUMERATION_CAP:
-        raise EnumerationTooLargeError(f"q^d = {field.q}^{d} exceeds cap {ENUMERATION_CAP}")
+    # q >= 2 gives q^d >= 2^d, so a large d exceeds the cap before q^d is formed
+    if d >= ENUMERATION_CAP.bit_length() or field.q ** d > ENUMERATION_CAP:
+        raise EnumerationTooLargeError(f"q^d = {field.q}^{int_text(d)} exceeds cap {ENUMERATION_CAP}")
     return [f for f in _irreducibles(field, d) if not (exclude_x and f.coeffs == (0, 1))]
 
 

@@ -80,11 +80,12 @@ FULL_MATRIX_CAP = 600
 SUPPORT_CLASSIFY_SAMPLE = 50  # trials of support_violations checked by class_invariant
 CLASSIFY_LANES = 2 ** 12  # states per classifier slice; bounds its f(X)^j arrays
 MC_CHUNK = 250_000  # Monte Carlo trials stepped, then classified, together
-# monte_carlo_curve costs about 100 ns a lane-step (one trial stepped and
-# tallied once) at (2,2), 10^5-10^6 trials, plus about 0.3 ms per step of
-# each chunk (MC_STEP_COST_LANES lane-steps' worth), on a 2-CPU host.
-# MC_WORK_MAX is about 10 s of it.  Where nearly every state is new, from
-# (3,3) to (6,2), the classifier makes a lane-step cost 3-9 us.
+# monte_carlo_curve costs about 50-70 ns a lane-step (one trial stepped and
+# tallied once) at (2,2), 10^5-10^6 trials, plus about 0.37 ms per step of
+# each chunk, on a 2-CPU host; MC_STEP_COST_LANES counts that step as 3,000
+# lane-steps, and MC_WORK_MAX is about 5-7 s of it.  Where nearly every
+# state is new, from (3,3) to (6,2), the classifier makes a lane-step cost
+# 3-9 us.
 MC_STEP_COST_LANES = 3_000
 MC_WORK_MAX = 10 ** 8
 

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import tracemalloc
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from sympwalk import _engine
-from sympwalk.errors import StateSpaceTooLargeError
+from sympwalk.errors import InternalError, StateSpaceTooLargeError
 from sympwalk.field import PolyFq, build_field, field_from_order
 from sympwalk.linalg import MatFq, _eval_poly_at_matrix, all_transvections, charpoly, standard_J
 from sympwalk.walk import _mul_blocks, _realify
@@ -60,10 +61,13 @@ def test_mc_step_keeps_invertible_alternating_forms(n, p):
 
 # SHA-256 of the bytes of every batch of _trajectory(n, p, 400, 5, seed=7),
 # computed with the dense float64 step that preceded the rank-2 update; the
-# (3,3) and (3,101) entries with the lanes-first int32 rank-2 step.
+# (3,3) and (3,101) entries with the lanes-first int32 rank-2 step, and the
+# (3,2) entry (6 x 6 forms, many redraw rounds) with the packed step that
+# drew through rng.integers.
 TRAJECTORY_DIGESTS = {
     (2, 2): "acc94e62871cba05ddf2d8bcffe72b949cb287423e09a2177a39d923e27cbbd3",
     (2, 3): "cd1c8b7d231087f3c03e864b1cbb1e4cd86fe8af2a742f992ec322969d6f0c37",
+    (3, 2): "cdb085da499d06b1c472842b379c576685abdc79e4dc53f3b69ff5307a828613",
     (3, 5): "46cc1b5016a44e67aad45ba6ff73811fcb4a7e8c9d90811f6bf42f76d6f923f2",
     (4, 2): "ced915a4cd00beaf7f607017167a3be5c98928e7a8a313d2e49eac0fd26bd6bd",
     (2, 251): "476bc32bf7646bd36471a80241d4c3b60b0a261f055f29d11e781a6002c6587f",
@@ -193,11 +197,32 @@ class _Draws:
         return out
 
 
+class _Words(np.random.PCG64):
+    """A PCG64 whose random_raw() returns the given word arrays in turn."""
+
+    def __init__(self, *arrays):
+        super().__init__(0)
+        self.arrays = list(arrays)
+
+    def random_raw(self, size=None, output=True):
+        out = self.arrays.pop(0)
+        assert out.shape == (size,)
+        return out
+
+
+def _as_words(bits):
+    """integers(0, 2) values, in order, as the PCG64 words that serve them:
+    value 2i at bit 31 (the low half) of word i, value 2i + 1 at bit 63."""
+    pairs = bits.reshape(-1, 2).astype(np.uint64)
+    return pairs[:, 0] << np.uint64(31) | pairs[:, 1] << np.uint64(63)
+
+
 def test_mc_step_rejects_lanes_that_cannot_move():
     """The zero form has no move, and no form of size N < 3 has one: a step
     raises after its first round instead of redrawing forever (the stub has
     the draws of one round only, so a second round fails the test too), on
-    int32 lanes at p = 3 and on packed ones at p = 2."""
+    int32 lanes at p = 3 and on packed ones at p = 2, whose stub serves the
+    round as raw PCG64 words."""
     rng = np.random.default_rng(0)
     for p in (2, 3):
         mixed = _trajectory(3, p, trials=5, steps=1, seed=2)[-1]
@@ -207,8 +232,10 @@ def test_mc_step_rejects_lanes_that_cannot_move():
         size2 = np.array([[[0, 1], [p - 1, 0]]] * 4, dtype=np.uint8)
         for grams in (np.zeros((4, 6, 6), dtype=np.uint8), mixed, wide, size2):
             B, N, _ = grams.shape
+            v, f = rng.integers(0, p, size=(2, B, N))
+            stub = np.random.Generator(_Words(_as_words(v), _as_words(f))) if p == 2 else _Draws(v, f)
             with pytest.raises(ValueError):
-                _step(grams, p, _Draws(*rng.integers(0, p, size=(2, B, N))))
+                _step(grams, p, stub)
 
 
 class _Recorded:
@@ -224,27 +251,81 @@ class _Recorded:
         return out
 
 
+def _same_position(a, b):
+    """Whether two PCG64 Generators stand at the same point of one stream:
+    equal state and has_uint32, and equal next draws.  The buffered uinteger
+    half may differ; it is never read while has_uint32 is 0."""
+    sa, sb = a.bit_generator.state, b.bit_generator.state
+    return (sa["state"] == sb["state"] and sa["has_uint32"] == sb["has_uint32"]
+            and (a.integers(0, 2, size=3) == b.integers(0, 2, size=3)).all()
+            and (a.bit_generator.random_raw(2) == b.bit_generator.random_raw(2)).all())
+
+
 @pytest.mark.parametrize("N", [4, 6, 8])
 @pytest.mark.parametrize("B", [0, 1, 63, 64, 65, 1000])
 def test_packed_mc_step_matches_int32_oracle(B, N):
-    """At p = 2, a step on packed lanes makes the int32 step's draws, call
-    for call, and lands every lane on the same Gram, for three steps from
-    random nonzero alternating forms (degenerate ones included)."""
+    """At p = 2, a step on packed lanes from a plain Generator lands every
+    lane on the Gram of the int32 step, which draws through integers(0, 2,
+    size=(lanes, N)), and leaves its generator where the oracle's is, for
+    three steps from random nonzero alternating forms (degenerate ones
+    included)."""
     rng = np.random.default_rng(10 * B + N)
     grams = _alternating(rng, B, N, 2)
     zero = ~grams.any(axis=(1, 2))
     grams[zero, 0, 1] = grams[zero, 1, 0] = 1
     for step in range(3):
-        packed_rng, oracle_rng = _Recorded(step), _Recorded(step)
+        packed_rng, oracle_rng = np.random.default_rng(step), _Recorded(step)
         packed = _step(grams, 2, packed_rng)
         oracle = _engine.Lanes.from_grams(grams, 2, packed=False).step(oracle_rng).grams()
         assert packed.dtype == np.uint8 and packed.flags.c_contiguous
         assert packed.shape == grams.shape and (packed == oracle).all()
-        assert packed_rng.calls == oracle_rng.calls
-        assert all(dtype == np.int64 for *_, dtype in packed_rng.calls)
+        assert _same_position(packed_rng, oracle_rng.rng)
+        assert all(low == 0 and high == 2 and size[1] == N and dtype == np.int64
+                   for low, high, size, dtype in oracle_rng.calls)
         grams = packed
     if B == 1000:
-        assert len(packed_rng.calls) > 2  # lanes were redrawn
+        assert len(oracle_rng.calls) > 2  # lanes were redrawn
+
+
+@pytest.mark.parametrize("N", [4, 6, 8])
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 1000])
+def test_f2_draws_are_the_values_of_integers(m, N):
+    """_draw_f2 reads from a Generator's PCG64 words the values that a twin's
+    integers(0, 2, size=(m, N)) returns, as _pack words with zero padding,
+    and leaves it where the twin stands."""
+    rng, twin = np.random.default_rng(m + N), np.random.default_rng(m + N)
+    rng.integers(0, 2, size=(5, 2))
+    twin.integers(0, 2, size=(5, 2))
+    words = _engine._draw_f2(rng, N, m)
+    assert words.dtype == np.uint64 and words.shape == (N, -(-m // 64))
+    bits = np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")
+    assert (bits[:, :m].T == twin.integers(0, 2, size=(m, N))).all() and not bits[:, m:].any()
+    assert _same_position(rng, twin)
+
+
+def test_packed_draws_refuse_other_generators(monkeypatch):
+    """The packed step reads PCG64 words: it raises InternalError, before
+    any draw, for an MT19937 Generator, for a PCG64 holding a buffered
+    uint32 half, and where the once-per-process check of the word read
+    fails; the int32 oracle still steps from either Generator."""
+    grams = _trajectory(2, 2, trials=70, steps=1, seed=4)[-1]
+    buffered = np.random.default_rng(1)
+    buffered.integers(0, 2, size=3)
+    assert buffered.bit_generator.state["has_uint32"]
+    for rng in (np.random.Generator(np.random.MT19937(1)), buffered):
+        twin = copy.deepcopy(rng)
+        with pytest.raises(InternalError):
+            _step(grams, 2, rng)
+        with pytest.raises(InternalError):
+            _engine._check_f2_draws(rng)
+        assert (rng.integers(0, 2, size=9) == twin.integers(0, 2, size=9)).all()
+        _engine.Lanes.from_grams(grams, 2, packed=False).step(rng)
+    assert _engine._f2_words_are_draws()
+    rng = np.random.default_rng(1)
+    _engine._check_f2_draws(rng)
+    monkeypatch.setattr(_engine, "_f2_words_are_draws", lambda: False)
+    with pytest.raises(InternalError):
+        _step(grams, 2, rng)
 
 
 def _tally(grams):
@@ -275,7 +356,7 @@ def test_resident_lanes_match_int32_oracle(B, N):
         oracle_states, oracle_counts = oracle.distinct()
         assert (states == oracle_states).all() and (counts == oracle_counts).all()
         resident, oracle = resident.step(rng), oracle.step(oracle_rng)
-    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert _same_position(rng, oracle_rng)
 
 
 def _projected(v, f, p):

@@ -1,10 +1,12 @@
 import hashlib
 import random
+import time
 
 import pytest
 
 from sympwalk.errors import (
     DivisionByZeroError,
+    EnumerationTooLargeError,
     FieldTooLargeError,
     NotPrimeError,
 )
@@ -183,6 +185,18 @@ def test_enumerate_irreducibles_examples():
     # leaves exactly the q - 1 with nonzero constant term
     brute = [(c, 1) for c in range(1, 3)]
     assert [p.coeffs for p in got] == brute
+
+
+def test_enumerate_irreducibles_refuses_a_large_degree_at_once():
+    """A degree whose q^d passes the cap is refused from its bit length,
+    before q^d is formed: forming 3^(4 10^6) alone takes about half a
+    second on a 2-CPU host, 3^(10^7) about two."""
+    F3 = build_field(3, 1)
+    for d in (16, 4 * 10 ** 6, 10 ** 7):
+        start = time.perf_counter()
+        with pytest.raises(EnumerationTooLargeError, match="exceeds cap"):
+            enumerate_irreducibles(F3, d)
+        assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("q,p,k", [(2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1)])

@@ -1,7 +1,9 @@
 import hashlib
+import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from sympwalk.errors import DimensionMismatchError, SingularMatrixError
@@ -228,16 +230,51 @@ def test_sample_symplectic_uniform_sp2():
         assert abs(c - expected) < 5 * sigma
 
 
-def test_sample_symplectic_uniform_sp4():
-    # |Sp_4(F_2)| = 720; each cell within 5 sigma over 10^6 draws
-    rng = random.Random(17)
-    trials = 10 ** 6
-    counts = Counter(sample_symplectic(2, F2, rng).rows for _ in range(trials))
-    assert len(counts) == 720
-    p_cell = 1 / 720
-    sigma = (trials * p_cell * (1 - p_cell)) ** 0.5
-    for c in counts.values():
-        assert abs(c - trials * p_cell) < 5 * sigma
+class _Replay:
+    """Stands in for random.Random: randrange(q) returns the given draws in turn."""
+
+    def __init__(self, draws, q):
+        self.draws, self.q = iter(draws), q
+
+    def randrange(self, stop):
+        assert stop == self.q
+        return next(self.draws)
+
+    def spent(self):
+        return next(self.draws, None) is None
+
+
+def _accepted_draws(n, q):
+    """Every draw sequence that sample_symplectic(n) accepts: per pair, over
+    its W of dimension d = 2n, 2n - 2, ..., 2, the d coefficients of e (not
+    all 0), then the d - 1 coefficients of f's kernel part."""
+    per_pair = []
+    for d in range(2 * n, 0, -2):
+        nonzero = [c for c in itertools.product(range(q), repeat=d) if any(c)]
+        per_pair.append([e + k for e in nonzero for k in itertools.product(range(q), repeat=d - 1)])
+    return [sum(pairs, ()) for pairs in itertools.product(*per_pair)]
+
+
+@pytest.mark.parametrize("q, order", [(2, 720), (3, 51840)])
+def test_sample_symplectic_maps_accepted_draws_onto_sp4(q, order):
+    """Exact uniformity: every accepted draw sequence has probability
+    1 / order (e uniform among nonzero vectors, f's kernel part uniform),
+    and sample_symplectic maps the order = |Sp_4(F_q)| sequences one to one
+    onto form-preserving matrices.  A zero e is redrawn."""
+    field = build_field(q, 1)
+    seqs = _accepted_draws(2, q)
+    assert len(seqs) == order
+    mats = set()
+    for seq in seqs:
+        rng = _Replay(seq, q)
+        mats.add(sample_symplectic(2, field, rng).rows)
+        assert rng.spent()
+    assert len(mats) == order
+    m = np.array(sorted(mats))
+    J = np.array(standard_J(2, field).to_lists())
+    assert not ((m.transpose(0, 2, 1) @ J @ m - J) % q).any()
+    redrawn = sample_symplectic(2, field, _Replay((0,) * 4 + seqs[7], q))
+    assert redrawn == sample_symplectic(2, field, _Replay(seqs[7], q))
 
 
 def test_charpoly_companion_oracle():
