@@ -263,18 +263,14 @@ class Lanes:
         return cls(_pack(lanes) if packed else np.ascontiguousarray(lanes), len(grams), p, packed)
 
     @classmethod
-    def start(cls, j_mat, p, trials, rng):
-        """D-randomized starts: row/column 0 of J scaled by a uniform unit.
-        At p = 2 the only unit is 1 and rng.integers(1, 2, size) draws
-        nothing, so the start is J's words broadcast and rng is not called."""
+    def start(cls, starts, p, trials, rng):
+        """Lane l starts at starts[a_l - 1], a = rng.integers(1, p, trials),
+        from the (p - 1, N, N) twisted starts (walk._twisted_starts).  At
+        p = 2 that draws nothing, so rng is not called."""
         if p == 2:
             ones = _pack(np.ones(trials, dtype=np.uint8))
-            return cls(np.where(j_mat[:, :, None] == 1, ones, np.uint64(0)), trials, p, True)
-        data = np.repeat(j_mat[:, :, None], trials, axis=2)
-        ainv = mod_inverse_table(p)[rng.integers(1, p, size=trials)]
-        data[0] = _mod(data[0] * ainv, p)
-        data[:, 0] = _mod(data[:, 0] * ainv, p)
-        return cls(data, trials, p, False)
+            return cls(np.where(starts[0, :, :, None] == 1, ones, np.uint64(0)), trials, p, True)
+        return cls.from_grams(starts[rng.integers(1, p, size=trials) - 1], p)
 
     def grams(self):
         """The batch as (B, N, N) uint8 Grams."""

@@ -29,19 +29,22 @@ ENUMERATION_CAP = 2 ** 24
 _TABLE_LIMIT = 256
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
+def _factorize(n):
+    """{p: e} for n >= 1, by trial division."""
+    out = {}
+    f = 2
     while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _factorize(n) == {n: 1}
 
 
 def base_digits(code, base, length):
@@ -242,17 +245,11 @@ def field_from_order(q):
         raise ValueError("field order must be >= 2")
     if q > DEFAULT_MAX_FIELD_SIZE:
         raise FieldTooLargeError(f"q = {int_text(q)} exceeds cap {DEFAULT_MAX_FIELD_SIZE}")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise NotPrimeError(f"{q} is not a prime power")
-            return build_field(p, k)
-    raise NotPrimeError(f"{q} is not a prime power")
+    factors = _factorize(q)
+    if len(factors) != 1:
+        raise NotPrimeError(f"{q} is not a prime power")
+    ((p, k),) = factors.items()
+    return build_field(p, k)
 
 
 class PolyFq:
@@ -392,20 +389,6 @@ class PolyFq:
         return "PolyFq(" + "+".join(terms) + ")"
 
 
-def _prime_factors(n):
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(poly: PolyFq) -> bool:
     """Rabin irreducibility test over F_q (monic input, degree >= 1)."""
     if poly.degree < 1:
@@ -419,7 +402,7 @@ def is_irreducible(poly: PolyFq) -> bool:
     t = x.pow_mod(q ** d, poly)
     if t != x % poly:
         return False
-    for r in _prime_factors(d):
+    for r in _factorize(d):
         t = x.pow_mod(q ** (d // r), poly)
         g = poly.gcd(t - x)
         if g.degree >= 1:
@@ -427,30 +410,12 @@ def is_irreducible(poly: PolyFq) -> bool:
     return True
 
 
-def _moebius(n):
-    if n == 1:
-        return 1
-    result = 1
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            n //= f
-            if n % f == 0:
-                return 0
-            result = -result
-        f += 1
-    if n > 1:
-        result = -result
-    return result
-
-
 def irreducible_count(q, d, exclude_x=False):
     """Number of monic irreducibles of degree d over F_q (necklace formula)."""
-    total = 0
-    for e in range(1, d + 1):
-        if d % e == 0:
-            total += _moebius(e) * q ** (d // e)
-    count = total // d
+    mu = {1: 1}  # squarefree divisor e of d -> Moebius mu(e)
+    for r in _factorize(d):
+        mu.update({e * r: -m for e, m in mu.items()})
+    count = sum(m * q ** (d // e) for e, m in mu.items()) // d
     if d == 1 and exclude_x:
         count -= 1
     return count

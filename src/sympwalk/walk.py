@@ -80,13 +80,14 @@ FULL_MATRIX_CAP = 600
 SUPPORT_CLASSIFY_SAMPLE = 50  # trials of support_violations checked by class_invariant
 CLASSIFY_LANES = 2 ** 12  # states per classifier slice; bounds its f(X)^j arrays
 MC_CHUNK = 250_000  # Monte Carlo trials stepped, then classified, together
-# monte_carlo_curve costs about 50-70 ns a lane-step (one trial stepped and
-# tallied once) at (2,2), 10^5-10^6 trials, plus about 0.37 ms per step of
-# each chunk, on a 2-CPU host; MC_STEP_COST_LANES counts that step as 3,000
-# lane-steps, and MC_WORK_MAX is about 5-7 s of it.  Where nearly every
-# state is new, from (3,3) to (6,2), the classifier makes a lane-step cost
-# 3-9 us.
-MC_STEP_COST_LANES = 3_000
+# monte_carlo_curve at (2,2) on a 2-CPU host costs about 85-92 ns a
+# lane-step (one trial stepped and tallied once) at 2.5-5 10^5 trials, and
+# about 0.45-0.53 ms per step of a chunk of 10 trials (3,000-6,000 steps).
+# MC_STEP_COST_LANES = 5,500 lane-steps is that ratio, so a run admitted at
+# MC_WORK_MAX takes about 9 s in either regime.  At odd p a lane-step costs
+# about 3.5 times as much, and where nearly every state is new, from (3,3)
+# to (6,2), the classifier makes it cost 3-9 us.
+MC_STEP_COST_LANES = 5_500
 MC_WORK_MAX = 10 ** 8
 
 
@@ -129,6 +130,11 @@ def _initial_gram(n, field, alpha) -> MatFq:
     ainv = field.inv(alpha)
     h_inv = MatFq.diagonal(field, [ainv] + [1] * (2 * n - 1))
     return h_inv.transpose() * J * h_inv
+
+
+def _twisted_starts(n, field):
+    """The twisted starts, alpha = 1..q-1 (J first), realified: (q - 1, 2nk, 2nk) uint8."""
+    return _realify([_initial_gram(n, field, a).to_lists() for a in range(1, field.q)], field).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +210,7 @@ def _classify_states_batched(states_np, n, field, factored):
             lanes, fids = lane[chunk], fid[chunk]
             cuts = [0, *(np.flatnonzero(np.diff(fids)) + 1).tolist(), len(fids)]  # one segment per factor
             fx = np.concatenate([
-                _engine.batched_matpoly(x[:, :, lanes[a:b]], blocks[fids[a]], p) for a, b in zip(cuts, cuts[1:])
+                _engine.batched_matpoly(np.take(x, lanes[a:b], axis=-1), blocks[fids[a]], p) for a, b in zip(cuts, cuts[1:])
             ], axis=2)
             if at + CLASSIFY_LANES >= len(lane):
                 del x  # every f(X) is evaluated: X need not outlive the ranks
@@ -255,7 +261,7 @@ def _rank_sequences(fx, jobs, patterns, field):
         if not keep.any():
             return
         going, last = going[keep], rank[keep]
-        powers = _engine.batched_matmul(powers[:, :, keep], fx[:, :, going], p)
+        powers = _engine.batched_matmul(np.compress(keep, powers, axis=-1), np.take(fx, going, axis=-1), p)
 
 
 def _label_from_ranks(factors, seq, N):
@@ -346,12 +352,12 @@ def group_walk_step(g: MatFq, rng) -> MatFq:
 
 @dataclass
 class ChainModel:
-    """Exact finite chain on the form space, lumped by double coset.
+    """Exact chain on the forms, lumped by double coset, in integers:
+    counts[i][j] moves take a form of lump i into lump j (rows sum to
+    move_count); starts[a - 1] is the lump of the alpha = a twisted start.
 
-    Built from one representative per double coset (see exact_form_chain),
-    with exact rows, stochastic rows and the stationary fixed point
-    checked.  full_tv_curve_bruteforce is the independent oracle: it
-    enumerates the form space itself and evolves the unlumped law.
+    Built by exact_form_chain.  full_tv_curve_bruteforce is the independent
+    oracle: it enumerates the form space and evolves the unlumped law.
     """
 
     n: int
@@ -362,42 +368,50 @@ class ChainModel:
     lump_keys: list
     lump_types: list
     lump_sizes: list
-    lumped_transition: list
-    stationary: list
+    counts: list
     sector_lumps: tuple
-    start_lumps: dict
-    j_lump: int
+    starts: tuple
     typed_lumping_ok: bool
 
     @property
     def num_lumps(self):
         return len(self.lump_sizes)
 
+    @property
+    def lumped_transition(self):
+        """counts / move_count."""
+        return [[Fraction(c, self.move_count) for c in row] for row in self.counts]
+
+    @property
+    def stationary(self):
+        """The lumped uniform law."""
+        return [Fraction(size, self.num_states) for size in self.lump_sizes]
+
     def tv_curve(self, k_max):
-        """Exact TV to stationarity for k = 0..k_max.
+        """Exact TV to stationarity, rows (k, tv_full, tv_lumped) for
+        k = 0..k_max, off one evolution nu_k = nu_0 counts^k, nu_0 the
+        twisted starts per lump: the lumped k-step law is
+        nu_k / ((q-1) move_count^k).
 
-        Returns rows (k, tv_full, tv_lumped).  tv_full is the distance on
-        the full form space.  The k-step law is (1/(q-1)) sum over units
-        alpha of the push-forward along the alpha-twist of the law started
-        at J; the twist maps the J-sector bijectively onto the alpha-sector
-        and the law started at J is uniform on each double coset, so
+        tv_full is the distance on the full form space.  The k-step law is
+        the mean over units alpha of the alpha-twist of the law m_k from J,
+        the twist maps J's sector onto alpha's and m_k is uniform on each
+        lump, so tv_full = 1/2 sum over sector lumps |m_k(L) - (q-1)|L|/S|.
+        There m_k = nu_k / move_count^k: the sector is closed under the
+        walk, and it holds no other start (else an InternalError).
 
-            tv_full = 1/2 sum over sector lumps |m_k(L) - (q-1)|L|/S|.
-
-        tv_lumped is the distance between the lumped k-step law (atoms at
-        the twisted starts, evolved by the lumped chain) and the lumped
-        stationary law; it is a data-processing lower bound for tv_full,
-        with equality whenever the start law is uniform on each lump (in
-        particular for q = 2, where the start is the singleton J-lump).
+        tv_lumped is a data-processing lower bound for tv_full, equal to it
+        when the start law is uniform on each lump (as at q = 2).
         """
         check_tv_work(self.n, self.q, k_max)
         S, q, sizes = self.num_states, self.q, self.lump_sizes
-        at_j = [int(i == self.j_lump) for i in range(self.num_lumps)]
+        if [i in self.sector_lumps for i in self.starts] != [True] + [False] * (q - 2):
+            raise InternalError("J's sector must hold J's twisted start and no other")
         rows = []
-        for k, (m, nu) in enumerate(zip(self._evolve(at_j, k_max), self._evolve(self._start(), k_max))):
-            D = self.move_count ** k  # the laws are m / D and nu / ((q-1) D)
+        for k, nu in enumerate(self._evolve(self._start(), k_max)):
+            D = self.move_count ** k
             tv_full = Fraction(
-                sum(abs(m[i] * S - (q - 1) * sizes[i] * D) for i in self.sector_lumps), 2 * S * D
+                sum(abs(nu[i] * S - (q - 1) * sizes[i] * D) for i in self.sector_lumps), 2 * S * D
             )
             tv_lumped = Fraction(
                 sum(abs(v * S - (q - 1) * size * D) for v, size in zip(nu, sizes)), 2 * S * (q - 1) * D
@@ -414,15 +428,13 @@ class ChainModel:
         return [Fraction(v, (self.q - 1) * self.move_count ** k) for v in nu]
 
     def _start(self):
-        """The twisted start law, start_lumps, as numerators over q - 1."""
-        return [_numerator(self.start_lumps.get(i, 0), self.q - 1) for i in range(self.num_lumps)]
+        """The start law times q - 1."""
+        return [self.starts.count(i) for i in range(self.num_lumps)]
 
     def _evolve(self, vec, k_max):
-        """vec A^k for k = 0..k_max as integer lists, A = move_count *
-        lumped_transition: if vec / d is a law, vec A^k / (d move_count^k)
-        is its k-step law."""
-        A = [[(j, _numerator(x, self.move_count)) for j, x in enumerate(row) if x]
-             for row in self.lumped_transition]
+        """vec counts^k for k = 0..k_max as integer lists: if vec / d is a
+        law, vec counts^k / (d move_count^k) is its k-step law."""
+        A = [[(j, c) for j, c in enumerate(row) if c] for row in self.counts]
         for k in range(k_max + 1):
             yield vec
             if k < k_max:
@@ -466,11 +478,7 @@ class ChainModel:
         tvs = list(all_transvections(2 * n, field))
         v = np.array([t.v for t in tvs], dtype=np.int64)
         f = np.array([t.f for t in tvs], dtype=np.int64)
-        # the twisted starts, distinct: one per Pfaffian sector
-        states = [
-            np.array(_initial_gram(n, field, a).to_lists(), dtype=np.int64)
-            for a in range(1, self.q)
-        ]
+        states = list(_twisted_starts(n, field).astype(np.int64))  # distinct: one per Pfaffian sector
         index = {w.tobytes(): i for i, w in enumerate(states)}
         full_rows = []
         for w in states:  # grows while it is read: the BFS queue
@@ -503,15 +511,6 @@ class ChainModel:
                 vec = new
                 denom *= self.move_count
         return out
-
-
-def _numerator(x, d):
-    """The integer x * d; an InternalError if d is not a multiple of x's
-    denominator."""
-    y = x * d
-    if y.denominator != 1:
-        raise InternalError(f"{x} is not a multiple of 1/{d}")
-    return y.numerator
 
 
 def _move_count(n, q):
@@ -592,7 +591,7 @@ def exact_form_chain(n, field_or_q, cap=DEFAULT_STATE_CAP) -> ChainModel:
         return imgs
 
     factored = {}  # characteristic polynomial -> its factors, for the whole build
-    seeds = _realify([_initial_gram(n, field, a).to_lists() for a in range(1, q)], field).astype(np.uint8)
+    seeds = _twisted_starts(n, field)
     labels, ids = _classify_states_batched(seeds, n, field, factored)
     seed_labels = [labels[i] for i in ids.tolist()]  # one per sector
     lumps = {}  # complete key -> (type, representative)
@@ -632,33 +631,24 @@ def exact_form_chain(n, field_or_q, cap=DEFAULT_STATE_CAP) -> ChainModel:
     lump_sizes = [class_size_qsq(typ, q) for typ in lump_types]
     if sum(lump_sizes) != S:
         raise InternalError(f"lump sizes sum to {sum(lump_sizes)}, expected {S} forms")
-    L = len(lump_keys)
-    rep_rows = [[rows[a].get(b, 0) * weight for b in lump_keys] for a in lump_keys]
-    lumped_transition = [[Fraction(c, move_count) for c in row] for row in rep_rows]
-    for row in lumped_transition:
-        if sum(row) != 1:
-            raise InternalError("lumped row does not sum to 1")
-    stationary = [Fraction(sz, S) for sz in lump_sizes]
-    for j in range(L):
-        acc = sum(stationary[i] * lumped_transition[i][j] for i in range(L))
-        if acc != stationary[j]:
-            raise InternalError("stationary vector is not a fixed point")
+    counts = [[rows[a].get(b, 0) * weight for b in lump_keys] for a in lump_keys]
+    if any(sum(row) != move_count for row in counts):
+        raise InternalError(f"a lumped row does not sum to move_count {move_count}")
+    for j, size in enumerate(lump_sizes):
+        if sum(size_i * row[j] for size_i, row in zip(lump_sizes, counts)) != size * move_count:
+            raise InternalError("the lumped uniform law is not a fixed point")
 
-    j_lump = index[seed_labels[0][0]]
-    sector = {j_lump}
-    frontier = [j_lump]
+    starts = tuple(index[lump] for lump, _ in seed_labels)
+    sector = {starts[0]}
+    frontier = [starts[0]]
     while frontier:
         i = frontier.pop()
-        for j, c in enumerate(rep_rows[i]):
+        for j, c in enumerate(counts[i]):
             if c and j not in sector:
                 sector.add(j)
                 frontier.append(j)
     if sum(lump_sizes[i] for i in sector) * (q - 1) != S:
         raise InternalError("sector size is not |space|/(q-1)")
-    start_lumps = {}
-    for lump, _ in seed_labels:
-        i = index[lump]
-        start_lumps[i] = start_lumps.get(i, Fraction(0)) + Fraction(1, q - 1)
 
     return ChainModel(
         n=n,
@@ -669,21 +659,19 @@ def exact_form_chain(n, field_or_q, cap=DEFAULT_STATE_CAP) -> ChainModel:
         lump_keys=lump_keys,
         lump_types=lump_types,
         lump_sizes=lump_sizes,
-        lumped_transition=lumped_transition,
-        stationary=stationary,
+        counts=counts,
         sector_lumps=tuple(sorted(sector)),
-        start_lumps=start_lumps,
-        j_lump=j_lump,
-        typed_lumping_ok=_typed_lumping_ok(lump_types, rep_rows),
+        starts=starts,
+        typed_lumping_ok=_typed_lumping_ok(lump_types, counts),
     )
 
 
-def _typed_lumping_ok(lump_types, rep_rows):
+def _typed_lumping_ok(lump_types, counts):
     """Whether the coarser partition by type label (types can repeat
     across distinct concrete cosets) is exactly lumpable, by the Dynkin
     criterion: the rows of one type have equal sums over each type."""
     typed_sums = {}  # type -> the typed sums of its first row
-    for typ, row in zip(lump_types, rep_rows):
+    for typ, row in zip(lump_types, counts):
         sums = {}
         for other, c in zip(lump_types, row):
             sums[other] = sums.get(other, 0) + c
@@ -766,7 +754,7 @@ def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0):
     p = field.p
     pi = stationary_type_distribution(n, p)
     rng = np.random.default_rng(seed)
-    jmat = np.array(standard_J(n, field).to_lists(), dtype=np.uint8)
+    starts = _twisted_starts(n, field)
     rows, cols = np.triu_indices(2 * n, 1)  # the strict upper triangle fixes a state
     factored = {}  # characteristic polynomial -> its factors, for the whole run
     per_step = [{} for _ in range(k_max + 1)]  # type -> count
@@ -774,7 +762,7 @@ def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0):
     while remaining:
         b = min(MC_CHUNK, remaining)
         remaining -= b
-        lanes = _engine.Lanes.start(jmat, p, b, rng)
+        lanes = _engine.Lanes.start(starts, p, b, rng)
         states, counts = [], []  # each step's distinct states and their multiplicities
         for k in range(k_max + 1):
             s, c = lanes.distinct()

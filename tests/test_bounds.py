@@ -341,7 +341,7 @@ def _chi_squares_from_j(chain, k_max):
     """chi^2(m_k, pi_J) for k = 1..k_max: m_k the lumped law after k steps
     from J, pi_J(L) = (q - 1)|L|/S the uniform law on J's Pfaffian sector."""
     S, q = chain.num_states, chain.q
-    start = [int(i == chain.j_lump) for i in range(chain.num_lumps)]
+    start = [int(i == chain.starts[0]) for i in range(chain.num_lumps)]
     out = []
     for k, m in enumerate(chain._evolve(start, k_max)):
         D = chain.move_count ** k

@@ -11,14 +11,13 @@ from sympwalk import _engine
 from sympwalk.errors import InternalError, StateSpaceTooLargeError
 from sympwalk.field import PolyFq, build_field, field_from_order
 from sympwalk.linalg import MatFq, _eval_poly_at_matrix, all_transvections, charpoly, standard_J
-from sympwalk.walk import _mul_blocks, _realify
+from sympwalk.walk import _mul_blocks, _realify, _twisted_starts
 
 
 def _trajectory(n, p, trials, steps, seed):
     """Seeded Lanes.start followed by `steps` steps: every batch, as Grams."""
     rng = np.random.default_rng(seed)
-    jmat = np.array(standard_J(n, build_field(p, 1)).to_lists(), dtype=np.uint8)
-    grams = _engine.Lanes.start(jmat, p, trials, rng).grams()
+    grams = _engine.Lanes.start(_twisted_starts(n, build_field(p, 1)), p, trials, rng).grams()
     out = [grams]
     for _ in range(steps):
         grams = _step(grams, p, rng)
@@ -341,9 +340,9 @@ def test_resident_lanes_match_int32_oracle(B, N):
     for step, the distinct states and counts of the int32 rounds and a
     Counter of row bytes, and leave rng where the oracle leaves it.  The
     start draws nothing: rng.integers(1, 2, size) is the only unit."""
-    jmat = np.array(standard_J(N // 2, build_field(2, 1)).to_lists(), dtype=np.uint8)
+    (jmat,) = starts = _twisted_starts(N // 2, build_field(2, 1))
     rng, oracle_rng = np.random.default_rng(N * B), np.random.default_rng(N * B)
-    resident = _engine.Lanes.start(jmat, 2, B, rng)
+    resident = _engine.Lanes.start(starts, 2, B, rng)
     assert resident.packed and rng.bit_generator.state == oracle_rng.bit_generator.state
     assert (oracle_rng.integers(1, 2, size=B) == 1).all()
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -489,8 +488,8 @@ def test_distinct_states_of_an_empty_batch(p, monkeypatch):
     Lanes.step and Lanes.start, by either counting path, from int32 Lanes
     and from packed ones at p = 2."""
     grams = np.zeros((0, 6, 6), dtype=np.uint8)
-    jmat = np.array(standard_J(3, build_field(p, 1)).to_lists(), dtype=np.uint8)
-    assert _engine.Lanes.start(jmat, p, 0, np.random.default_rng(0)).grams().shape == grams.shape
+    starts = _twisted_starts(3, build_field(p, 1))
+    assert _engine.Lanes.start(starts, p, 0, np.random.default_rng(0)).grams().shape == grams.shape
     assert _step(grams, p, np.random.default_rng(0)).shape == grams.shape
     for cap in (0, _engine._BINCOUNT_BITS):
         monkeypatch.setattr(_engine, "_BINCOUNT_BITS", cap)

@@ -77,6 +77,20 @@ def test_build_field_rejects_bad_input():
         field_from_order(6)
 
 
+@pytest.mark.parametrize("q, p, k", [(2 ** 20 - 3, 2 ** 20 - 3, 1), (2 ** 20, 2, 20), (3 ** 12, 3, 12)])
+def test_field_from_order_near_the_cap(q, p, k):
+    """Orders just under and at the cap factor to (p, k), the prime 2^20 - 3
+    without a trial division per residue."""
+    F = field_from_order(q)
+    assert (F.p, F.k, F.q) == (p, k, q)
+
+
+@pytest.mark.parametrize("q", [1000, 6, 2 ** 20 - 1])
+def test_field_from_order_rejects_non_prime_powers(q):
+    with pytest.raises(NotPrimeError, match="not a prime power"):
+        field_from_order(q)
+
+
 def test_basic_arithmetic_examples():
     F2 = build_field(2, 1)
     assert F2.add(1, 1) == 0

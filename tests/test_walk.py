@@ -273,10 +273,20 @@ def test_lumped_spectrum_matches_formula(nq, request):
 
 
 def _chain_digest(chain):
-    """SHA-256 of the repr of every ChainModel field, then of tv_curve(8)."""
+    """SHA-256 of the repr of each value the chains were pinned by, then of
+    tv_curve(8): the fields of the model when it stored Fractions, in their
+    order, with the twisted starts as {lump: its share of the starts} and
+    J's lump."""
+    start_lumps = {}
+    for i in chain.starts:
+        start_lumps[i] = start_lumps.get(i, Fraction(0)) + Fraction(1, chain.q - 1)
     h = hashlib.sha256()
-    for f in dataclasses.fields(chain):
-        h.update(repr(getattr(chain, f.name)).encode())
+    for value in (
+        chain.n, chain.q, chain.field, chain.num_states, chain.move_count, chain.lump_keys,
+        chain.lump_types, chain.lump_sizes, chain.lumped_transition, chain.stationary,
+        chain.sector_lumps, start_lumps, chain.starts[0], chain.typed_lumping_ok,
+    ):
+        h.update(repr(value).encode())
     h.update(repr(chain.tv_curve(8)).encode())
     return h.hexdigest()
 
@@ -355,7 +365,7 @@ def test_chain_3_2_matches_full_enumeration(chain32):
         [F(4, 15), F(0), F(0), F(4, 15), F(1, 5), F(4, 15)],
         [F(4, 15), F(0), F(0), F(4, 15), F(4, 15), F(1, 5)],
     ]
-    assert chain32.j_lump == 1 and chain32.sector_lumps == tuple(range(6))
+    assert chain32.starts == (1,) and chain32.sector_lumps == tuple(range(6))
 
 
 def _realified(gram):
@@ -622,13 +632,15 @@ def test_chain_factors_each_polynomial_once(monkeypatch):
     assert len(polys) == len(distinct) == len({poly.coeffs for poly in polys})
 
 
-@pytest.mark.parametrize("nq", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("nq", [(2, 2), (2, 3), (3, 2), (2, 4)])
 def test_integer_tv_matches_fraction_evolution(nq, request):
     """tv_curve and lumped_distribution against a plain Fraction evolution
-    of lumped_transition, for k <= 12."""
+    of lumped_transition, for k <= 12: tv_full from J alone, the lumped law
+    from the twisted starts, three of them at q = 4."""
     chain = request.getfixturevalue("chain{}{}".format(*nq))
     q, S, P = chain.q, chain.num_states, chain.lumped_transition
-    m = [Fraction(int(i == chain.j_lump)) for i in range(chain.num_lumps)]
+    assert len(chain.starts) == q - 1
+    m = [Fraction(int(i == chain.starts[0])) for i in range(chain.num_lumps)]
     for k, tv_full, tv_lumped in chain.tv_curve(12):
         assert tv_full == sum(
             abs(m[i] - Fraction((q - 1) * chain.lump_sizes[i], S)) for i in chain.sector_lumps
@@ -636,25 +648,25 @@ def test_integer_tv_matches_fraction_evolution(nq, request):
         law = chain.lumped_distribution(k)
         assert tv_lumped == sum(abs(a - b) for a, b in zip(law, chain.stationary)) / 2
         m = [sum(m[i] * P[i][j] for i in range(len(m))) for j in range(len(m))]
-    nu = [chain.start_lumps.get(i, Fraction(0)) for i in range(chain.num_lumps)]
+    nu = [Fraction(chain.starts.count(i), q - 1) for i in range(chain.num_lumps)]
     for _ in range(12):
         nu = [sum(nu[i] * P[i][j] for i in range(len(nu))) for j in range(len(nu))]
     assert chain.lumped_distribution(12) == nu
 
 
-def test_tv_rejects_entries_off_the_move_grid(chain22):
-    """Every transition entry is a multiple of 1/move_count; one that is not
-    is an InternalError, not a silently rounded TV."""
-    rows = [list(row) for row in chain22.lumped_transition]
-    i = next(j for j, x in enumerate(rows[0]) if x)
-    rows[0][i] += Fraction(1, 2 * chain22.move_count)
-    broken = dataclasses.replace(chain22, lumped_transition=rows)
-    with pytest.raises(InternalError):
+def test_tv_rejects_a_second_start_in_j_sector(chain23):
+    """tv_curve reads tv_full off J's sector of the one evolution from all
+    twisted starts, which holds only while J is the only start there; a
+    model with the other start moved into J's sector is an InternalError,
+    not a TV with the other start's mass counted in."""
+    j = chain23.starts[0]
+    other = next(i for i in chain23.sector_lumps if i != j)
+    assert chain23.starts[1] not in chain23.sector_lumps
+    broken = dataclasses.replace(chain23, starts=(j, other))
+    with pytest.raises(InternalError, match="twisted start and no other"):
         broken.tv_curve(1)
-    with pytest.raises(InternalError):
-        broken.lumped_distribution(1)
     with pytest.raises(ValueError):
-        chain22.lumped_distribution(-1)
+        chain23.lumped_distribution(-1)
 
 
 def test_classifier_slices_match_one_batch(monkeypatch):
@@ -663,8 +675,7 @@ def test_classifier_slices_match_one_batch(monkeypatch):
     batch, and each lane of that batch, where a factor's job-lanes stop at
     different powers, gets the label of _classify_X."""
     rng = np.random.default_rng(4)
-    jmat = np.array(standard_J(3, F3).to_lists(), dtype=np.uint8)
-    grams = [_engine.Lanes.start(jmat, 3, 40, rng).grams()]
+    grams = [_engine.Lanes.start(walk._twisted_starts(3, F3), 3, 40, rng).grams()]
     for _ in range(4):
         grams.append(_engine.Lanes.from_grams(grams[-1], 3).step(rng).grams())
     states = np.concatenate(grams)
