@@ -11,6 +11,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from . import _engine
 from . import bounds as bounds_mod
 from . import combinat as cb
 from . import field as field_mod
@@ -227,11 +230,29 @@ def check_walk(max_n=2, trials=20000, seed=0):
         v, _ = walk_mod.support_violations(2, 2, c, max(1000, trials // 10), seed=seed)
         violations += v
     out.append(_res("walk", "support_2_2", violations == 0, f"{violations} violations"))
+    out.append(classifier_vs_oracle_3_3(seed))
     mc = walk_mod.monte_carlo_tv(2, 2, 1, trials, seed=seed)
     out.append(
         _res("walk", "mc_one_step_exact", mc.estimate == Fraction(13, 28), str(mc.estimate))
     )
     return out
+
+
+def classifier_vs_oracle_3_3(seed=0):
+    """The batched classifier against its pure-Python oracle _classify_X,
+    state by state, on 100 seeded (3,3) walk states three steps from the
+    twisted starts."""
+    F3 = field_mod.build_field(3, 1)
+    rng = np.random.default_rng(seed)
+    lanes = _engine.Lanes.start(walk_mod._twisted_starts(3, F3), 3, 100, rng)
+    for _ in range(3):
+        lanes = lanes.step(rng)
+    states = lanes.grams()
+    labels, ids = walk_mod._classify_states_batched(states, 3, F3, {})
+    j_inv = la.standard_J(3, F3).inverse()
+    bad = [i for i, (w, label) in enumerate(zip(states, ids.tolist()))
+           if labels[label] != walk_mod._classify_X(j_inv * la.MatFq(F3, w.tolist()))]
+    return _res("walk", "classifier_vs_oracle_3_3", not bad, f"states {bad[:3]} differ")
 
 
 SUITES = {

@@ -9,7 +9,11 @@ uint8 Grams and steps, lists and labels them with the _engine kernels.
 The double-coset classifier maps a form w to the class label of a
 half-size matrix: X = J^-1 w is conjugate to diag(M, M^T), so its
 per-factor block partitions have even multiplicities and halve to the
-label mu of weight n.
+label mu of weight n.  Its characteristic polynomial is the square of M's,
+so the classifier factors that square root, and a factor's multiplicity
+there is its weight in mu before any rank is taken: at prime fields a
+factor of weight 1 has partition (1) unranked, and the powers of the
+others are ranked only while their partition is open.
 
 Exact chains are built on the lumps, the double cosets, and never on the
 full form space: each lumped row is read off the distinct images of one
@@ -84,10 +88,14 @@ MC_CHUNK = 250_000  # Monte Carlo trials stepped, then classified, together
 # lane-step (one trial stepped and tallied once) at 2.5-5 10^5 trials, and
 # about 0.45-0.53 ms per step of a chunk of 10 trials (3,000-6,000 steps).
 # MC_STEP_COST_LANES = 5,500 lane-steps is that ratio, so a run admitted at
-# MC_WORK_MAX takes about 9 s in either regime.  At odd p a lane-step costs
-# about 3.5 times as much, and where nearly every state is new, from (3,3)
-# to (6,2), the classifier makes it cost 3-9 us.
+# MC_WORK_MAX takes about 9 s in either regime.  At odd p the int32 step
+# costs 200-300 ns a lane-step against 60-80 ns at p = 2 ((2,3) against
+# (2,2) at 5 10^5 trials), so MC_ODD_P_LANE_COST prices it as 4 lane-steps;
+# a chunk step costs about the same at every p.  Where nearly every state
+# is new the classifier makes a lane-step cost more: about 0.9-1.3 us at
+# (4,2), 1.4 us at (3,3) and 3-4 us at (4,3).
 MC_STEP_COST_LANES = 5_500
+MC_ODD_P_LANE_COST = 4
 MC_WORK_MAX = 10 ** 8
 
 
@@ -175,36 +183,41 @@ def _classify_states_batched(states_np, n, field, factored):
     intp array with one id per state, indexing them; each state's label is
     the one _classify_X gives it.  The states are taken in slices of
     CLASSIFY_LANES.  In each slice the lanes are grouped by the
-    characteristic polynomial over F_p of the realified X = J^-1 w
-    (_engine.row_labels), the norm of X's own polynomial over F_q, and each
-    polynomial not yet in factored (the caller's dict, filled here) is
-    factored over F_q: every factor of X's polynomial is among its factors.
-    _job_lanes lists one job-lane per lane and factor of its polynomial,
-    those of a factor together, and they are taken in plain slices of
-    CLASSIFY_LANES, so the f(X)^j arrays stay bounded whatever the batch
-    and the factor counts: f(X) once per distinct factor of a slice, then
-    the ranks of its powers (_rank_sequences).  Each lane's group and rank
+    characteristic polynomial chi over F_p of the realified X = J^-1 w
+    (_engine.row_labels), the norm of X's own polynomial over F_q.  As
+    X ~ diag(M, M^T), chi is a square: each chi not yet in factored (the
+    caller's dict, filled here) has its square root taken (_square_root
+    refuses a chi that is not one) and factored over F_q, multiplicities
+    doubled.  Every factor of X's polynomial is among chi's.  At prime
+    fields each state is first checked to be an alternating form.
+    _job_lanes lists one job-lane per lane and factor of its polynomial
+    that needs ranks (at prime fields a factor of weight 1 in mu has
+    partition (1) and needs none), those of a factor together, and they
+    are taken in plain slices of CLASSIFY_LANES, so the f(X)^j arrays stay
+    bounded whatever the batch and the factor counts: f(X) once per
+    distinct factor of a slice, then the ranks of its powers while its
+    partition is open (_rank_sequences).  Each lane's group and rank
     sequences form one column of a pattern array, labelled by row_labels
     again, and _label_from_ranks runs once per distinct pattern.  A
-    (polynomial, rank pattern) fixes the key and the key fixes the pattern,
-    so equal ids mean equal keys.
+    (polynomial, rank pattern) fixes the key and the key fixes the
+    pattern, so equal ids mean equal keys.
     """
-    p, N, Nk = field.p, 2 * n, 2 * n * field.k
+    p, N = field.p, 2 * n
     index = {}  # (complete key, type) -> id
     ids = np.empty(len(states_np), dtype=np.intp)
     for start in range(0, len(states_np), CLASSIFY_LANES):
         states = states_np[start:start + CLASSIFY_LANES]
+        if field.k == 1:
+            _check_alternating(states, p)
         x = _engine.j_inv_times(states, p)
         cps = _engine.batched_charpoly(x, p)
         rep, group = _engine.row_labels(cps, p)
         polys = [tuple(cp) for cp in cps[:, rep].T.tolist()]
         for cp in polys:
             if cp not in factored:
-                factored[cp] = factor_poly(PolyFq(field, list(reversed(cp))))
-        factors, (lane, fid, mult, floor, first) = _job_lanes(group, polys, factored, N)
+                factored[cp] = [(f, 2 * m) for f, m in factor_poly(_square_root(cp, field))]
+        factors, (lane, fid, *jobs), patterns = _job_lanes(group, polys, factored, N, field)
         blocks = [_mul_blocks(field)[list(reversed(f.coeffs))] for f in factors]
-        patterns = np.full((Nk + 1, len(states)), N + 1, dtype=np.intp)  # group, then ranks; N + 1 unranked
-        patterns[0] = group
         for at in range(0, len(lane), CLASSIFY_LANES):
             chunk = slice(at, at + CLASSIFY_LANES)
             lanes, fids = lane[chunk], fid[chunk]
@@ -214,7 +227,7 @@ def _classify_states_batched(states_np, n, field, factored):
             ], axis=2)
             if at + CLASSIFY_LANES >= len(lane):
                 del x  # every f(X) is evaluated: X need not outlive the ranks
-            _rank_sequences(fx, (lanes, mult[chunk], floor[chunk], first[chunk]), patterns, field)
+            _rank_sequences(fx, (lanes, *(column[chunk] for column in jobs)), patterns, field)
         rep, pattern = _engine.row_labels(patterns, max(len(polys), N + 2))
         found = [index.setdefault(_label_from_ranks(factored[polys[g]], seq, N), len(index))
                  for g, *seq in patterns[:, rep].T.tolist()]
@@ -222,42 +235,95 @@ def _classify_states_batched(states_np, n, field, factored):
     return list(index), ids
 
 
-def _job_lanes(group, polys, factored, N):
-    """The distinct factors of the polynomials polys[g], and five aligned
-    intp arrays with one job-lane per lane and factor f of multiplicity m
-    of the lane's polynomial polys[group[lane]]: the lane, f's index in the
-    factors, m, the floor N - deg(f) m, and the first pattern row of f's
-    rank sequence, 1 plus the multiplicities of the factors before f.  The
-    job-lanes are ordered by factor, each factor's in lane order."""
-    factors = list(dict.fromkeys(f for cp in polys for f, _ in factored[cp]))
+def _check_alternating(states, p):
+    """InternalError unless every state w over F_p is an alternating form,
+    w^T = -w with a zero diagonal: the prime-field rank stops rely on
+    X ~ diag(M, M^T), which w + e_1 e_1^T breaks while chi stays a square."""
+    neg = states if p == 2 else (p - states) % p
+    if not np.array_equal(states.transpose(0, 2, 1), neg) or np.diagonal(states, axis1=1, axis2=2).any():
+        raise InternalError("a state to classify is not an alternating form")
+
+
+def _square_root(cp, field):
+    """The monic PolyFq r over F_p with r^2 = cp, a coefficient tuple with
+    the highest degree first; InternalError, naming cp, where cp is no
+    square.  At p = 2 r is read off cp's even coefficients, at odd p solved
+    for from the top down; either way it is checked by squaring."""
+    p, D = field.p, (len(cp) - 1) // 2
+    if p == 2:
+        r = list(cp[:2 * D + 1:2])
+    else:
+        r = [1]
+        for i in range(1, D + 1):
+            r.append((cp[i] - sum(r[j] * r[i - j] for j in range(1, i))) * ((p + 1) // 2) % p)
+    if (np.convolve(r, r) % p).tolist() != list(cp):
+        raise InternalError(f"the characteristic polynomial {PolyFq(field, cp[::-1])} is not a square")
+    return PolyFq(field, r[::-1])
+
+
+def _job_lanes(group, polys, factored, N, field):
+    """The job-lanes of a slice and its pattern array before any rank.
+
+    Returns the factors to rank; six aligned intp arrays, one job-lane per
+    lane and such factor f of multiplicity m of the lane's polynomial
+    polys[group[lane]]: the lane, f's index in the factors, m, the floor
+    N - deg(f) m, the first pattern row of f's rank sequence (1 plus the
+    multiplicities of the factors before f) and the stop width drop; and
+    the patterns, row 0 the group, the rank rows N + 1 (not ranked).  At
+    prime fields m = 2w, w the weight of f in mu, and drop = 2 deg(f): a
+    factor of weight 1 has partition (1), so it gets no job-lane, and its
+    one rank, N - drop, is written here.  Over F_(p^k), k > 1, m only
+    bounds twice the weight (chi is a norm): every factor is ranked and
+    drop = 0.  The job-lanes are ordered by factor, each in lane order."""
+    prime = field.k == 1
+    factors = list(dict.fromkeys(f for cp in polys for f, m in factored[cp] if m > 2 or not prime))
     fids = {f: i for i, f in enumerate(factors)}
-    table = np.zeros((3, len(polys), len(factors)), dtype=np.intp)  # m, floor, first row; m = 0 off f's polynomials
+    table = np.zeros((4, len(polys), len(factors)), dtype=np.intp)  # m, floor, first row, drop; m = 0 unranked
+    patterns = np.full((N * field.k + 1, len(polys)), N + 1, dtype=np.intp)
+    patterns[0] = np.arange(len(polys))
     for g, cp in enumerate(polys):
         row = 1
         for f, m in factored[cp]:
-            table[:, g, fids[f]] = m, N - f.degree * m, row
+            if m > 2 or not prime:
+                table[:, g, fids[f]] = m, N - f.degree * m, row, 2 * f.degree * prime
+            else:
+                patterns[row, g] = N - 2 * f.degree
             row += m
     fid, lane = np.nonzero((table[0] > 0)[group].T)  # factor by factor, lanes ascending
-    return factors, (lane, fid, *table[:, group[lane], fid])
+    return factors, (lane, fid, *table[:, group[lane], fid]), np.take(patterns, group, axis=1)
 
 
 def _rank_sequences(fx, jobs, patterns, field):
     """rank f(X)^j over F_q, j = 1, 2, ..., of each job-lane (lane, m,
-    floor, first) of the stacked realified f(X), whose rank over F_p is k
-    times it, written to patterns[first + j - 1, lane], with one
-    batched_rank call per power j over every job-lane still going.  A
-    job-lane stops at j = m, at the floor N - deg(f) m, or once its rank
-    did not change from the previous power (r_0 = N): from there on rank
-    f(X)^j stays put, and its later rows keep the sentinel N + 1."""
+    floor, first, drop) of the stacked realified f(X), whose rank over F_p
+    is k times it, written to patterns[first + j - 1, lane], with one
+    batched_rank call per power j over every job-lane still going.
+
+    A job-lane stops at j = m, or once its rank is within drop of the
+    floor or of the rank at the previous power (r_0 = N).  At prime fields
+    (drop = 2 deg(f)) a column of height c of M's partition at f lowers the
+    rank by c drop, and rank - floor is drop times the boxes left: a
+    job-lane stops once at most one box is left or the last column held at
+    most one.  The rest of its partition is then (rank - floor) / drop
+    columns of height 1, whose ranks, falling by drop a power down to the
+    floor, are written as if ranked, so the patterns are those of ranking
+    every power down to the floor.  Over F_(p^k), k > 1, drop = 0: a
+    job-lane stops at m, at the floor or where its rank is unchanged.
+    Rows past the stop keep the sentinel N + 1."""
     p, k = field.p, field.k
-    lane, mult, floor, first = jobs
+    lane, mult, floor, first, drop = jobs
     going = np.arange(len(lane))  # the job-lanes still going
     last = np.full(len(lane), len(fx) // k)  # their rank at the previous power
     powers = fx  # f(X)^j of the job-lanes going
     for j in range(1, mult.max() + 1):
         rank = _engine.batched_rank(powers, p) // k
-        patterns[first[going] + j - 1, lane[going]] = rank
-        keep = (j < mult[going]) & (rank != floor[going]) & (rank != last)
+        rows, cols, step, low = first[going] + j - 1, lane[going], drop[going], floor[going]
+        patterns[rows, cols] = rank
+        keep = (j < mult[going]) & (rank - low > step) & (last - rank > step)
+        i = 1
+        while k == 1 and (tail := ~keep & (rank - i * step >= low)).any():
+            patterns[rows[tail] + i, cols[tail]] = rank[tail] - i * step[tail]
+            i += 1
         if not keep.any():
             return
         going, last = going[keep], rank[keep]
@@ -266,10 +332,11 @@ def _rank_sequences(fx, jobs, patterns, field):
 
 def _label_from_ranks(factors, seq, N):
     """(complete key, type) from the rank sequences of all factors of the
-    norm, in order, m entries for a factor of multiplicity m; the sentinel
-    N + 1 marks a power not ranked, whose rank is the last one ranked.  A
-    factor not dividing X's own polynomial gets the empty partition and
-    drops out of the key."""
+    norm, in order, m entries for a factor of multiplicity m, as
+    _job_lanes and _rank_sequences write them (ranks known without a
+    batched_rank call included); the sentinel N + 1 marks a power past the
+    stop, whose rank is the last one before it.  A factor not dividing X's
+    own polynomial gets the empty partition and drops out of the key."""
     pairs = []
     at = 0
     for f, mult in factors:
@@ -737,8 +804,8 @@ def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0):
     classified once, in one batch, and every step is counted from the
     label ids.  Classification draws nothing from rng, so the draws are
     those of stepping alone.  A run of more than MC_WORK_MAX lane-steps,
-    the per-step cost of each chunk included, raises
-    StepRangeTooLargeError before any draw.
+    an odd-p lane-step priced as MC_ODD_P_LANE_COST and the per-step cost
+    of each chunk included, raises StepRangeTooLargeError before any draw.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -746,7 +813,8 @@ def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0):
         raise ValueError(f"the number of steps must be >= 0, got {k_max}")
     field = _mc_field(field_or_q, n)
     chunks = -(-trials // MC_CHUNK)
-    if (k_max + 1) * (trials + chunks * MC_STEP_COST_LANES) > MC_WORK_MAX:
+    lane_cost = 1 if field.p == 2 else MC_ODD_P_LANE_COST
+    if (k_max + 1) * (trials * lane_cost + chunks * MC_STEP_COST_LANES) > MC_WORK_MAX:
         raise StepRangeTooLargeError(
             f"{int_text(trials)} trials of {int_text(k_max)} steps at n={n} need more than "
             f"{int_text(MC_WORK_MAX)} lane-steps of work"

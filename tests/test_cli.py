@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from sympwalk import _engine, bounds, walk
+from sympwalk import _engine, bounds, verify, walk
 from sympwalk.cli import main
 from sympwalk.errors import (
     EnumerationTooLargeError,
@@ -464,6 +464,17 @@ def test_verify_checks_the_plancherel_identity(capsys, monkeypatch):
     code, out = run_cli(capsys, *argv)
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert code == 2 and [line.split()[1] for line in failed] == ["walk.plancherel_identity_2_2"]
+
+
+def test_verify_checks_the_classifier_against_its_oracle(capsys):
+    """verify's walk suite compares the batched classifier with _classify_X
+    on 100 seeded (3,3) walk states, in under a second, and lists it."""
+    code, out = run_cli(capsys, "verify", "--suite", "walk", "--max-n", "2", "--trials", "2000", "--format", "json")
+    assert code == 0
+    assert {"suite": "walk", "name": "classifier_vs_oracle_3_3", "ok": True, "detail": "states [] differ"} in json.loads(out)
+    start = time.perf_counter()
+    assert verify.classifier_vs_oracle_3_3(seed=3).ok
+    assert time.perf_counter() - start < 1.0
 
 
 def test_every_cap_is_a_resource_cap():

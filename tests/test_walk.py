@@ -25,10 +25,11 @@ from sympwalk.errors import (
     StateSpaceTooLargeError,
     StepRangeTooLargeError,
 )
-from sympwalk.field import build_field, field_from_order
+from sympwalk.field import PolyFq, build_field, field_from_order
 from sympwalk.linalg import (
     MatFq,
     all_transvections,
+    factor_poly,
     is_form_preserving,
     sample_symplectic,
     sample_transvection,
@@ -88,8 +89,6 @@ def test_classifier_bi_invariance():
 
 
 def test_halving_guard_fires():
-    from sympwalk.field import PolyFq
-
     with pytest.raises(OddMultiplicityError):
         _key_type_from_pairs([(PolyFq(F2, (1, 1)), (2, 1, 1))])
 
@@ -544,6 +543,21 @@ def test_monte_carlo_work_budget_counts_lane_steps_and_chunk_steps(monkeypatch):
         monte_carlo_curve(2, 2, 2, 500)
 
 
+def test_monte_carlo_work_budget_prices_odd_p_lane_steps(monkeypatch):
+    """At odd p a lane-step is priced as MC_ODD_P_LANE_COST: a (2,3) run
+    admitted at MC_WORK_MAX with each lane-step priced as one is refused
+    before any draw, and admitted once the budget covers the odd-p price."""
+    monkeypatch.setattr(walk, "MC_CHUNK", 300)
+    chunk_steps = 2 * walk.MC_STEP_COST_LANES
+    monkeypatch.setattr(walk, "MC_WORK_MAX", 3 * (500 * walk.MC_ODD_P_LANE_COST + chunk_steps))
+    monte_carlo_curve(2, 3, 2, 500)
+    monkeypatch.setattr(walk, "MC_WORK_MAX", 3 * (500 + chunk_steps))
+    monte_carlo_curve(2, 2, 2, 500)
+    monkeypatch.setattr(_engine.Lanes, "start", None)
+    with pytest.raises(StepRangeTooLargeError):
+        monte_carlo_curve(2, 3, 2, 500)
+
+
 def test_step_budget_messages_form_beyond_the_digit_limit(monkeypatch):
     """A step count or trial count beyond the float range and Python's
     4,300-digit str limit still gets its cap message, with 2^b for it."""
@@ -617,19 +631,20 @@ def test_each_factor_is_evaluated_once_per_chunk(monkeypatch, chain24):
 
 def test_chain_factors_each_polynomial_once(monkeypatch):
     """One factor_poly call per distinct characteristic polynomial of a
-    build: X ~ diag(M, M^T) has polynomial prod f^(2 |lambda_f|) over the
-    entries (f, lambda_f) of its lump key."""
+    build, on its square root: X ~ diag(M, M^T) has polynomial
+    prod f^(2 |lambda_f|) over the entries (f, lambda_f) of its lump key,
+    and factor_poly receives M's, prod f^|lambda_f|, of degree n."""
     polys = []
 
     def counted(poly):
         polys.append(poly)
         return factor_poly(poly)
 
-    factor_poly = walk.factor_poly
     monkeypatch.setattr(walk, "factor_poly", counted)
     chain = exact_form_chain(2, 3)
     distinct = {frozenset((f, sum(lam)) for f, lam in key) for key in chain.lump_keys}
     assert len(polys) == len(distinct) == len({poly.coeffs for poly in polys})
+    assert {poly.degree for poly in polys} == {2}
 
 
 @pytest.mark.parametrize("nq", [(2, 2), (2, 3), (3, 2), (2, 4)])
@@ -669,22 +684,153 @@ def test_tv_rejects_a_second_start_in_j_sector(chain23):
         chain23.lumped_distribution(-1)
 
 
-def test_classifier_slices_match_one_batch(monkeypatch):
-    """(3,3) states classified in slices of 7 lanes, so one polynomial and
+def _walk_states(n, q, seed, trials=40, steps=4):
+    """Forms of a seeded walk from the twisted starts, every lane at steps
+    0..steps: realified as the classifier takes them, and as MatFq Grams.
+    Prime fields step _engine.Lanes; over F_(p^k) each step is a
+    congruence by a uniform transvection of GL_2n(F_q)."""
+    field = field_from_order(q)
+    if field.k == 1:
+        rng = np.random.default_rng(seed)
+        grams = [_engine.Lanes.start(walk._twisted_starts(n, field), q, trials, rng).grams()]
+        for _ in range(steps):
+            grams.append(_engine.Lanes.from_grams(grams[-1], q).step(rng).grams())
+        states = np.concatenate(grams)
+        return states, [MatFq(field, w.tolist()) for w in states]
+    rng = random.Random(seed)
+    grams = []
+    for lane in range(trials):
+        w = _initial_gram(n, field, 1 + lane % (q - 1))
+        for _ in range(steps + 1):
+            grams.append(w)
+            t = sample_transvection(n, field, rng).matrix()
+            w = t.transpose() * w * t
+    return np.array([_realified(w) for w in grams]), grams
+
+
+@pytest.mark.parametrize("n, q", [(3, 3), (4, 2), (4, 3), (2, 4)])
+def test_classifier_slices_match_one_batch(monkeypatch, n, q):
+    """Walk states classified in slices of 7 lanes, so one polynomial and
     one rank pattern span several slices, give the keys and types of one
-    batch, and each lane of that batch, where a factor's job-lanes stop at
-    different powers, gets the label of _classify_X."""
-    rng = np.random.default_rng(4)
-    grams = [_engine.Lanes.start(walk._twisted_starts(3, F3), 3, 40, rng).grams()]
-    for _ in range(4):
-        grams.append(_engine.Lanes.from_grams(grams[-1], 3).step(rng).grams())
-    states = np.concatenate(grams)
-    whole = _per_state(*_classify_states_batched(states, 3, F3, {}))
-    j_inv = standard_J(3, F3).inverse()
-    assert whole == [_classify_X(j_inv * MatFq(F3, w.tolist())) for w in states]
+    batch, and each lane of that batch gets the label of _classify_X: where
+    a factor's job-lanes stop at different powers, and at n = 4, where a
+    factor of weight 4 with partition (2, 2) or (3, 1) ranks past j = 1."""
+    field = field_from_order(q)
+    states, grams = _walk_states(n, q, seed=4)
+    whole = _per_state(*_classify_states_batched(states, n, field, {}))
+    j_inv = standard_J(n, field).inverse()
+    assert whole == [_classify_X(j_inv * w) for w in grams]
     monkeypatch.setattr(walk, "CLASSIFY_LANES", 7)
-    assert _per_state(*_classify_states_batched(states, 3, F3, {})) == whole
+    assert _per_state(*_classify_states_batched(states, n, field, {})) == whole
     assert len(set(whole)) > 7
+
+
+@pytest.mark.parametrize("n, q", [(3, 3), (4, 2)])
+def test_weight_one_factors_reach_no_matpoly(monkeypatch, n, q):
+    """At prime fields a factor of weight 1 in mu has partition (1), so no
+    job-lane of it is evaluated: on walk states, batched_matpoly takes as
+    many lanes as there are (state, factor) pairs whose multiplicity in the
+    characteristic polynomial, factored whole, is at least 4."""
+    field = field_from_order(q)
+    states, _ = _walk_states(n, q, seed=5)
+    cps = _engine.batched_charpoly(_engine.j_inv_times(states, q), q)
+    counts = {}  # characteristic polynomial -> (its factors, those of weight >= 2)
+    for cp in map(tuple, cps.T.tolist()):
+        if cp not in counts:
+            factors = factor_poly(PolyFq(field, cp[::-1]))
+            counts[cp] = (len(factors), sum(m >= 4 for _, m in factors))
+    every, heavy = np.sum([counts[cp] for cp in map(tuple, cps.T.tolist())], axis=0)
+    evaluated = []
+    matpoly = _engine.batched_matpoly
+
+    def counted(x, coeff_blocks, p):
+        evaluated.append(x.shape[2])
+        return matpoly(x, coeff_blocks, p)
+
+    monkeypatch.setattr(_engine, "batched_matpoly", counted)
+    _classify_states_batched(states, n, field, {})
+    assert 0 < sum(evaluated) == heavy < every
+
+
+@pytest.mark.parametrize("n, q, calls, ranked, evaluated", [(3, 3, 97, 125_154, 125_154), (2, 4, 14, 21_688, 15_379)])
+def test_rank_job_lanes_of_a_chain_build(monkeypatch, n, q, calls, ranked, evaluated):
+    """The batched_rank calls of one chain build, and the job-lanes they
+    and batched_matpoly take.  At (3,3) every weight is at most 3, so each
+    partition is known after j = 1: batched_rank runs once per
+    _rank_sequences call, on each job-lane once.  Over F_4 a job-lane
+    stops only at its multiplicity, at its floor or on an unchanged rank,
+    and every factor of the norm is ranked."""
+    counts = Counter()
+    rank, matpoly, rank_sequences = _engine.batched_rank, _engine.batched_matpoly, walk._rank_sequences
+
+    def counted_rank(a, p):
+        counts["calls"] += 1
+        counts["ranked"] += a.shape[2]
+        return rank(a, p)
+
+    def counted_matpoly(x, coeff_blocks, p):
+        counts["evaluated"] += x.shape[2]
+        return matpoly(x, coeff_blocks, p)
+
+    def counted_sequences(*args):
+        counts["sequences"] += 1
+        return rank_sequences(*args)
+
+    monkeypatch.setattr(_engine, "batched_rank", counted_rank)
+    monkeypatch.setattr(_engine, "batched_matpoly", counted_matpoly)
+    monkeypatch.setattr(walk, "_rank_sequences", counted_sequences)
+    exact_form_chain(n, q)
+    assert (counts["calls"], counts["ranked"], counts["evaluated"]) == (calls, ranked, evaluated)
+    assert (counts["sequences"] == calls) == (q == 3)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_square_root_is_checked_by_squaring(p):
+    """_square_root gives r back from r^2, and refuses r^2 with one
+    coefficient changed, naming it.  At p = 2 (r + x^i)^2 is r^2 with the
+    coefficient of x^(2i) changed, so there a change at an even power is
+    another square, whose root it gives."""
+    field = build_field(p, 1)
+    rng = random.Random(p)
+    for D in range(2, 7):
+        r = (1, 1, *(rng.randrange(p) for _ in range(D - 2)), 1)  # three terms or more
+        chi = tuple((np.convolve(r, r) % p).tolist())
+        assert walk._square_root(chi, field).coeffs == r[::-1]
+        for i in range(1, 2 * D + 1):
+            changed = list(chi)
+            changed[i] = (changed[i] + 1) % p
+            if p == 2 and i % 2 == 0:
+                root = tuple(c ^ (j == i // 2) for j, c in enumerate(r))
+                assert walk._square_root(tuple(changed), field).coeffs == root[::-1]
+            else:
+                with pytest.raises(InternalError, match=r"PolyFq\(.*\) is not a square"):
+                    walk._square_root(tuple(changed), field)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_a_non_alternating_gram_is_refused_before_any_label(monkeypatch, q):
+    """A batch of walk states and one w + e_1 e_1^T raises InternalError,
+    and no label is formed for any of its states.  That Gram keeps chi a
+    square, as (xJ - w)^-1 is alternating, so _check_alternating refuses
+    it; with that check off, a w + e_1 e_2^T whose chi is no square is
+    refused by the square root, which names chi."""
+    field = build_field(q, 1)
+    states, _ = _walk_states(2, q, seed=7, trials=10, steps=2)
+    labelled = []
+    monkeypatch.setattr(walk, "_label_from_ranks", lambda *args: labelled.append(args))
+    broken = states[-1].copy()
+    broken[0, 0] = 1
+    with pytest.raises(InternalError, match="a state to classify is not an alternating form"):
+        _classify_states_batched(np.concatenate([states, broken[None]]), 2, field, {})
+    monkeypatch.setattr(walk, "_check_alternating", lambda states, p: None)
+    broken = states.copy()
+    broken[:, 0, 1] = (broken[:, 0, 1] + 1) % q
+    cps = _engine.batched_charpoly(_engine.j_inv_times(broken, q), q)
+    odd = next(i for i, cp in enumerate(cps.T.tolist())
+               if any(m % 2 for _, m in factor_poly(PolyFq(field, cp[::-1]))))
+    with pytest.raises(InternalError, match=r"PolyFq\(.*\) is not a square"):
+        _classify_states_batched(np.concatenate([states, broken[odd:odd + 1]]), 2, field, {})
+    assert labelled == []
 
 
 def _per_state(labels, ids):
