@@ -13,10 +13,10 @@ small in c.  The masses are read off the label types that the spectral
 sum enumerates: x - 1 is one of the q - 1 interchangeable degree-1 orbits,
 so each type's labels split over what x - 1 carries in exact shares.
 
-Both bounds read the one pass over the label types, spectral.label_types:
-each type's count, its degree-1 partitions, its doubled dimension
-d_(lam u lam) as one checked divmod of per-entry factors, and phi.  A
-class size is one checked divmod as well (class_size).
+Both bounds read one pass over the label types (_label_pass), made of
+per-degree blocks (combinat._walk_types): a type's d_(lam u lam) and
+class size are a few products of cached block factors, with one checked
+divmod each, and no label object is built.
 """
 
 from __future__ import annotations
@@ -28,19 +28,23 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import (
-    class_size,
-    class_size_qsq,
+    _block_factors,
+    _degree_entries,
+    _walk_types,
+    check_enumeration_cap,
     gl_order,
     multiplicities,
+    psi_factor,
     sp_order,
 )
 from .errors import (
     ExactArithmeticTooLargeError,
     InternalError,
+    NonIntegerResultError,
     StepRangeTooLargeError,
     int_text,
 )
-from .spectral import label_types, trivial_label
+from .spectral import phi_of_degree_one_parts, trivial_label
 
 EXACT_MODE_MAX_N = 8
 # Exact mode costs about terms x (2k x largest bit length of phi)^2 big-int
@@ -67,22 +71,6 @@ class BoundValue:
     mode: str
 
 
-def _spectral_types(n, q):
-    """The entries of label_types except the type of the labels fixed by
-    the initial randomization: (1^n) at a single degree-1 orbit, the type
-    of the trivial label."""
-    types = label_types(n, q)  # validates n before trivial_label(n) is formed
-    twist = trivial_label(n).entries
-    return (t for t in types if t[0].entries != twist)
-
-
-@lru_cache(maxsize=None)
-def _spectral_terms(n, q):
-    """(phi, multiplicity, count) per label type except the twist, in the
-    order of enumerate_partition_fns."""
-    return tuple((phi, mult, cnt) for _, cnt, _, mult, phi in _spectral_types(n, q))
-
-
 def _log_int(x: int) -> float:
     """log of a positive big integer without float overflow."""
     if x <= 0:
@@ -95,20 +83,75 @@ def _log_fraction_abs(fr: Fraction) -> float:
     return _log_int(abs(fr.numerator)) - _log_int(fr.denominator)
 
 
+def _type_values(n, q, qq, use):
+    """use(entries, count, degree-1 block, d_(lam u lam), class size at qq)
+    per type of weight n >= 1 over F_q, by increasing entries: psi_2n(q)
+    resp. |GL_n(F_qq)| / qq^n times its block factors, checked integral.
+    (1, 0, 0) names the empty degree-1 block."""
+    psi, gl, qq_n = psi_factor(2 * n, q), gl_order(n, qq), qq ** n
+
+    def values(entries, blocks, cnt):
+        dim_num, dim_den, cent_num, cent_den = psi, 1, qq_n, gl
+        for d, total, i in blocks:
+            f_num, f_den, c_num, c_den = _block_factors(d, total, q, qq)[i]
+            dim_num, dim_den = dim_num * f_num, dim_den * f_den
+            cent_num, cent_den = cent_num * c_num, cent_den * c_den
+        mult, rem = divmod(dim_num, dim_den)
+        if rem:
+            raise NonIntegerResultError(f"doubled dimension not integral for {entries} at q={q}")
+        size, rem = divmod(cent_den, cent_num)
+        if rem:
+            raise NonIntegerResultError(f"class size not integral for {entries} at q={qq}")
+        use(entries, cnt, blocks[0] if blocks[0][0] == 1 else (1, 0, 0), mult, size)
+
+    _walk_types(n, q, values)
+
+
 @lru_cache(maxsize=None)
-def _log_terms(n, q):
-    """(log(count * multiplicity), log|phi|) per spectral term with phi != 0,
-    in the order of _spectral_terms.  log|phi| is taken once per distinct
-    tuple of degree-1 partitions, the key phi is a function of (None where
-    phi = 0)."""
-    log_phi = {}
-    out = []
-    for _, cnt, parts, mult, phi in _spectral_types(n, q):
-        if parts not in log_phi:
-            log_phi[parts] = _log_fraction_abs(phi) if phi else None
-        if log_phi[parts] is not None:
-            out.append((_log_int(cnt * mult), log_phi[parts]))
-    return tuple(out)
+def _label_pass(n, q, qq):
+    """(spectral terms, log terms, masses) from one pass over the label
+    types: (phi, multiplicity, count) and, where phi != 0, (log(count x
+    multiplicity), log|phi|) per type but the twist, (1^n) at one degree-1
+    orbit; and the class sizes at parameter qq per number of parts at
+    x - 1.  x - 1 is one of the q - 1 orbits that the `ways` assignments
+    of a degree-1 block permute: it carries pi in ways m_pi / (q - 1) of
+    them and nothing in the rest, each share checked integral."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    check_enumeration_cap(n)  # before trivial_label(n) and psi_2n(q) are formed
+    twist = trivial_label(n).entries
+    terms, logs, ones = [], [], {}  # degree-1 block -> [phi, log|phi|, parts, ways, summed sizes]
+
+    def add(entries, cnt, one, mult, size):
+        if one not in ones:
+            block, ways = _degree_entries(1, one[1], q - 1)[one[2]]
+            parts = tuple(lam for _, lam in block)
+            phi = phi_of_degree_one_parts(parts, n, q)
+            ones[one] = [phi, _log_fraction_abs(phi) if phi else None, parts, ways, 0]
+        phi, log_phi, _, ways, _ = record = ones[one]
+        record[4] += cnt // ways * size
+        if entries != twist:
+            terms.append((phi, mult, cnt))
+            if log_phi is not None:
+                logs.append((_log_int(cnt * mult), log_phi))
+
+    _type_values(n, q, qq, add)
+    masses = [0] * (n + 1)
+    for _, _, parts, ways, sizes in ones.values():
+        for lam, m in {(): q - 1 - len(parts), **multiplicities(parts)}.items():  # () carries nothing
+            labels, rem = divmod(ways * m, q - 1)
+            if rem:
+                raise InternalError(f"{ways} assignments of {parts} at q={q} do not split over x - 1")
+            masses[len(lam)] += labels * sizes
+    return tuple(terms), tuple(logs), tuple(masses)
+
+
+def _spectral_terms(n, q):
+    return _label_pass(n, q, q * q)[0]
+
+
+def _fixed_space_masses(n, q, qq):
+    return _label_pass(n, q, qq)[2]
 
 
 @lru_cache(maxsize=None)
@@ -206,10 +249,9 @@ def upper_bound_tv(n, q, k, mode="auto") -> BoundValue:
     n <= 8 within the work cap, see resolve_mode); "logfloat" accumulates
     term logs in float (relative error below 1e-9 against exact mode,
     tested for n <= 8 at q = 2 and n <= 6 at q = 3), needed once
-    dimensions reach q^Theta(n^2).  The terms come from the one pass over
-    the label types (spectral.label_types), with log|phi| taken once per
-    distinct tuple of degree-1 partitions; the logs of the weights and of
-    |phi| are computed once per (n, q) and reused for every k.  A positive
+    dimensions reach q^Theta(n^2).  The terms come from the block pass
+    (_label_pass), with log|phi| taken once per degree-1 block; the logs
+    are computed once per (n, q) and reused for every k.  A positive
     bound never reads below sys.float_info.min, and one beyond the float
     range reads math.inf.
     """
@@ -226,7 +268,7 @@ def upper_bound_tv(n, q, k, mode="auto") -> BoundValue:
         except OverflowError:  # sq lies beyond the float range; its root may not
             value = _exp_or_inf(_log_fraction_abs(sq) / 2)
         return BoundValue(_positive_float(value) if sq else value, sq, "exact")
-    logs = [weight + 2 * k * log_phi for weight, log_phi in _log_terms(n, q)]
+    logs = [weight + 2 * k * log_phi for weight, log_phi in _label_pass(n, q, q * q)[1]]
     if not logs:
         return BoundValue(0.0, None, "logfloat")
     top = max(logs)
@@ -239,34 +281,6 @@ def upper_bound_tv(n, q, k, mode="auto") -> BoundValue:
 # Support estimate and the lower bound
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _fixed_space_masses(n, q, size_of):
-    """Total size of the classes per fixed-space dimension 0..n.
-
-    The fixed space of a class representative has the dimension of the
-    number of parts of its partition at x - 1.  That is one of the q - 1
-    degree-1 orbits, which the labels of a type permute among themselves:
-    of its cnt labels, x - 1 carries a degree-1 partition pi in
-    cnt m_pi / (q - 1) of them, m_pi the multiplicity of pi among the
-    type's degree-1 entries, and nothing in cnt (q - 1 - r) / (q - 1),
-    r the number of those entries.  Each share is checked integral.
-    `size_of(fn, q)` is class_size_qsq (double cosets, per unit of
-    |Sp_2n|) or class_size (GL_n(F_q) classes); it is evaluated once per
-    class type.
-    """
-    masses = [0] * (n + 1)
-    for fn, cnt, parts, _, _ in label_types(n, q):
-        size = size_of(fn, q)
-        shares = [(0, q - 1 - len(parts))]
-        shares += [(len(lam), m) for lam, m in multiplicities(parts).items()]
-        for dim, m in shares:
-            labels, rem = divmod(cnt * m, q - 1)
-            if rem:
-                raise InternalError(f"{cnt} labels of {fn} at q={q} do not split over x - 1")
-            masses[dim] += labels * size
-    return tuple(masses)
-
-
 def support_fraction(n, q, c) -> Fraction:
     """Mass fraction (within GL_2n) of the union of double cosets whose
     label has at least c parts at x - 1.
@@ -276,7 +290,7 @@ def support_fraction(n, q, c) -> Fraction:
     """
     if not 0 <= c <= n:
         raise ValueError("need 0 <= c <= n")
-    total = sum(_fixed_space_masses(n, q, class_size_qsq)[c:])
+    total = sum(_fixed_space_masses(n, q, q * q)[c:])
     return Fraction(total * sp_order(n, q), gl_order(2 * n, q))
 
 
@@ -300,7 +314,7 @@ def fixed_space_tail_check(n, q, c):
     """
     if not 0 <= c <= n:
         raise ValueError("need 0 <= c <= n")
-    lhs = sum(_fixed_space_masses(n, q, class_size)[c:])
+    lhs = sum(_fixed_space_masses(n, q, q)[c:])
     rhs = Fraction(4 * gl_order(n, q), q ** c)
     return lhs, rhs, Fraction(lhs) <= rhs
 

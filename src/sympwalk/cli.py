@@ -181,7 +181,7 @@ def cmd_verify(args):
     results = verify_mod.run_suites(names, max_n=args.max_n, trials=args.trials, seed=args.seed)
     if args.format == "json":
         payload = [
-            {"suite": r.suite, "name": r.name, "ok": r.ok, "detail": r.detail}
+            {"suite": r.suite, "name": r.name, "ok": r.ok, "detail": r.detail, "seconds": r.seconds}
             for r in results
         ]
         _emit(json.dumps(payload, indent=2) + "\n", args.out)

@@ -63,34 +63,17 @@ def n_stat(lam):
     return sum(i * part for i, part in enumerate(lam))
 
 
-def arm(lam, i, j):
-    """Boxes strictly right of box (i, j); 1-indexed box in row i, column j."""
-    return lam[i - 1] - j
+def hook_poly(lam, t):
+    """H_lam(t) = prod over boxes of (t^hook - 1).
 
-
-def leg(lam, i, j):
-    """Boxes strictly below box (i, j)."""
-    return sum(1 for r in range(i, len(lam)) if lam[r] >= j)
-
-
-def hook_lengths(lam):
-    """Hook length of every box, as a list of rows of ints.
-
-    The leg of box (i, j) is conj[j - 1] - i, read off the conjugate once.
+    The leg of box (i, j), 0-indexed, is conj[j] - i - 1, read off the
+    conjugate once.
     """
     conj = conjugate(lam)
-    return [
-        [part - j + conj[j - 1] - i + 1 for j in range(1, part + 1)]
-        for i, part in enumerate(lam, start=1)
-    ]
-
-
-def hook_poly(lam, t):
-    """H_lam(t) = prod over boxes of (t^hook - 1)."""
     out = 1
-    for row in hook_lengths(lam):
-        for h in row:
-            out *= t ** h - 1
+    for i, part in enumerate(lam):
+        for j in range(part):
+            out *= t ** (part - j + conj[j] - i - 1) - 1
     return out
 
 
@@ -269,6 +252,49 @@ def check_enumeration_cap(n):
 
 
 @lru_cache(maxsize=None)
+def _next_blocks(d, remaining, n_orbits):
+    """(key, entries, count, name, weight left) per degree-d block that
+    fits in `remaining`, named (d, total, i) as item i of _degree_entries,
+    in the order of the types it starts: by entries, but a block that ends
+    its types comes before, and one that higher degrees follow after, every
+    block whose entries begin with its own."""
+    keyed = []
+    for used in range(1, remaining // d + 1):
+        left = remaining - d * used
+        if 0 < left <= d:  # no degree above d fits what is left
+            continue
+        end = () if left == 0 else (d + 1,)  # below, resp. above, every degree-d entry
+        for i, (entries, ways) in enumerate(_degree_entries(d, used, n_orbits)):
+            keyed.append((entries + (end,), entries, ways, (d, used, i), left))
+    keyed.sort()  # the keys differ
+    return tuple(keyed)
+
+
+def _walk_types(n, q, leaf):
+    """The one recursion over the types of weight n over F_q: leaf(entries,
+    blocks, count) per type, by increasing entries; blocks lists the names
+    of its per-degree blocks (_next_blocks)."""
+    check_enumeration_cap(n)
+    # orbit_count(d, q) >= 1 for every d when q >= 2
+    n_orbs = [orbit_count(d, q) for d in range(1, n + 1)]
+    path = []  # the blocks of acc_entries
+
+    def rec(d_min, remaining, acc_entries, acc_count):
+        # the entries of the degrees from d_min on sort after acc_entries
+        if remaining == 0:
+            leaf(acc_entries, path, acc_count)
+            return
+        for d in range(d_min, remaining + 1):
+            for _, entries, ways, name, left in _next_blocks(d, remaining, n_orbs[d - 1]):
+                path.append(name)
+                rec(d + 1, left, acc_entries + entries, acc_count * ways)
+                path.pop()
+
+    rec(1, n, (), 1)
+    del rec  # it refers to itself: free what leaf holds now, not at a later collection
+
+
+@lru_cache(maxsize=None)
 def enumerate_partition_fns(n, q):
     """All types of partition-valued functions of weight n over F_q.
 
@@ -279,29 +305,15 @@ def enumerate_partition_fns(n, q):
     n = 0 gives the one empty label; n beyond ENUMERATION_MAX_N raises
     EnumerationTooLargeError before any label is listed.
     """
-    check_enumeration_cap(n)
-    # orbit_count(d, q) >= 1 for every d when q >= 2
-    n_orbs = [orbit_count(d, q) for d in range(1, n + 1)]
-    results = []
+    labels = []
 
-    def rec(d_min, remaining, acc_entries, acc_count):
-        # the entries of the degrees from d_min on sort after acc_entries
-        if remaining == 0:
-            fn = PartitionFn(acc_entries)
-            vars(fn)["weight"] = n  # what the cached_property would compute
-            results.append((fn, acc_count))
-            return
-        for d in range(d_min, remaining + 1):
-            for used in range(1, remaining // d + 1):
-                left = remaining - d * used
-                if 0 < left <= d:  # no degree above d fits what is left
-                    continue
-                for entries, ways in _degree_entries(d, used, n_orbs[d - 1]):
-                    rec(d + 1, left, acc_entries + entries, acc_count * ways)
+    def label(entries, _, count):
+        fn = PartitionFn(entries)
+        vars(fn)["weight"] = n  # what the cached_property would compute
+        labels.append((fn, count))
 
-    rec(1, n, (), 1)
-    results.sort(key=lambda result: result[0].entries)  # types are distinct
-    return tuple(results)
+    _walk_types(n, q, label)
+    return tuple(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +450,24 @@ def doubled_dim_irrep(lam: PartitionFn, q) -> int:
     return _checked_dim(
         lam, 2 * lam.weight, [_doubled_dim_factor(d, part, q) for d, part in lam.entries], q
     )
+
+
+@lru_cache(maxsize=None)
+def _block_factors(d, total, q, qq):
+    """Per block of _degree_entries(d, total, orbit_count(d, q)): the
+    products of its entries' _doubled_dim_factor pairs at q and
+    _centralizer_factor pairs at qq, as (dim num, dim den, cent num, cent
+    den)."""
+    out = []
+    for entries, _ in _degree_entries(d, total, orbit_count(d, q)):
+        dim_num = dim_den = cent_num = cent_den = 1
+        for _, lam in entries:
+            f_num, f_den = _doubled_dim_factor(d, lam, q)
+            c_num, c_den = _centralizer_factor(d, lam, qq)
+            dim_num, dim_den = dim_num * f_num, dim_den * f_den
+            cent_num, cent_den = cent_num * c_num, cent_den * c_den
+        out.append((dim_num, dim_den, cent_num, cent_den))
+    return tuple(out)
 
 
 def coset_space_size(n, q):

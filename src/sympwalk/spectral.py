@@ -20,9 +20,7 @@ removal sum per (partition, q), its corner terms added as (numerator,
 denominator) pairs and reduced once; and phi per (degree-1 partitions,
 n, q) (phi_of_degree_one_parts), the removal sums added as pairs and put
 through the cached prefactor and constant with one reduction.
-label_types is the one pass over the label types: per type its count,
-degree-1 partitions, d_(lam u lam) and phi.  spectrum and both bounds
-read it.  The global route and the lift route recompute every label's
+The bounds read phi once per degree-1 block.  The global route and the lift route recompute every label's
 terms on every call; they are the oracles the local route is checked
 against.
 
@@ -314,33 +312,20 @@ class SpectralLine:
     type_count: int
 
 
-@lru_cache(maxsize=None)
-def label_types(n, q):
-    """The one pass over the label types of enumerate_partition_fns(n, q),
-    in its order: (fn, count, degree-1 partitions, d_(lam u lam), phi) per
-    type, for n >= 1.
-
-    The multiplicity d_(lam u lam) is doubled_dim_irrep: one checked
-    integer divmod per type, from per-entry factors cached per (degree,
-    partition, q).  phi depends only on the degree-1 partitions and is
-    computed once per distinct tuple of them (phi_of_degree_one_parts).
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    out = []
-    for fn, cnt in enumerate_partition_fns(n, q):
-        parts = fn.degree_one_parts()
-        out.append((fn, cnt, parts, doubled_dim_irrep(fn, q), phi_of_degree_one_parts(parts, n, q)))
-    return tuple(out)
-
-
 def spectrum(n, q):
     """All eigenvalue lines for given (n, q), sorted by descending phi.
 
     For n = 1 the walk is trivial (SL_2 = Sp_2, every transvection is
     symplectic): the single line is the trivial one.
     """
-    lines = [SpectralLine(fn, phi, mult, cnt) for fn, cnt, _, mult, phi in label_types(n, q)]
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    lines = [
+        SpectralLine(
+            fn, phi_of_degree_one_parts(fn.degree_one_parts(), n, q), doubled_dim_irrep(fn, q), cnt
+        )
+        for fn, cnt in enumerate_partition_fns(n, q)
+    ]
     lines.sort(key=lambda line: (-line.phi, line.lam.entries))
     return lines
 

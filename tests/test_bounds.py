@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from sympwalk._engine import batched_rank
-from sympwalk import bounds
+from sympwalk import bounds, combinat
 from sympwalk.bounds import (
     EXACT_WORK_MAX,
     ROW_WORK_MAX,
     _exact_work,
     _fixed_space_masses,
     _spectral_terms,
+    _type_values,
     check_row_work,
     fixed_space_tail_check,
     lower_bound_raw,
@@ -34,14 +35,15 @@ from sympwalk.combinat import (
     class_size_qsq,
     coset_space_size,
     dim_irrep,
+    doubled_dim_irrep,
     enumerate_partition_fns,
     gl_order,
     sp_order,
 )
-from sympwalk.errors import ExactArithmeticTooLargeError, StepRangeTooLargeError
+from sympwalk.errors import ExactArithmeticTooLargeError, NonIntegerResultError, StepRangeTooLargeError
 from sympwalk.field import field_from_order
 from sympwalk.linalg import standard_J
-from sympwalk.spectral import eigenvalue_phi_global, label_types, trivial_label
+from sympwalk.spectral import eigenvalue_phi_global, trivial_label
 from sympwalk.walk import _realify
 
 
@@ -276,8 +278,8 @@ MEMO_DIGESTS = {
 def _memo_digest(n, q):
     values = (
         _spectral_terms(n, q),
-        _fixed_space_masses(n, q, class_size_qsq),
-        _fixed_space_masses(n, q, class_size),
+        _fixed_space_masses(n, q, q * q),
+        _fixed_space_masses(n, q, q),
         enumerate_partition_fns(n, q),
     )
     return hashlib.sha256(repr(values).encode()).hexdigest()
@@ -317,24 +319,77 @@ def test_positive_bound_never_reads_zero(mode):
         assert 0 < bound.squared < Fraction(sys.float_info.min) ** 2
 
 
+def _type_rows(n, q, qq):
+    """(entries, count, degree-1 block, d_(lam u lam), class size at qq) per
+    label type, as the block pass computes them."""
+    rows = []
+    _type_values(n, q, qq, lambda *row: rows.append(row))
+    return rows
+
+
 @pytest.mark.parametrize("n, q", [(6, 2), (5, 3), (4, 4), (4, 5)])
 def test_label_pass_matches_per_label_oracles(cold_caches, n, q):
-    """Each label type's data from the one integer pass equals the per-label
+    """Each label type's data from the one block pass equals the per-label
     routes: the doubled dimension of the doubled label, the q^2 class size
     of the Fraction a_mu, and phi by the global c'-ratio route."""
     labels = enumerate_partition_fns(n, q)
     assert all(a.entries < b.entries for (a, _), (b, _) in zip(labels, labels[1:]))
-    types = label_types(n, q)
-    assert [(fn, cnt) for fn, cnt, *_ in types] == list(labels)
+    rows = _type_rows(n, q, q * q)
+    assert [(entries, cnt) for entries, cnt, *_ in rows] == [(fn.entries, cnt) for fn, cnt in labels]
     terms = iter(_spectral_terms(n, q))
-    for fn, cnt, parts, mult, phi in types:
-        assert parts == tuple(lam for d, lam in fn.entries if d == 1)
+    for (fn, cnt), (_, _, (_, total, i), mult, size) in zip(labels, rows):
+        degree_one = tuple(entry for entry in fn.entries if entry[0] == 1)
+        assert combinat._degree_entries(1, total, q - 1)[i][0] == degree_one
         assert mult == dim_irrep(fn.doubled(), q)
-        assert phi == eigenvalue_phi_global(fn, n, q)
-        assert class_size_qsq(fn, q) == Fraction(gl_order(n, q * q)) / a_mu(fn, q * q)
+        assert size == Fraction(gl_order(n, q * q)) / a_mu(fn, q * q)
         if fn != trivial_label(n):
-            assert next(terms) == (phi, mult, cnt)
+            assert next(terms) == (eigenvalue_phi_global(fn, n, q), mult, cnt)
     assert next(terms, None) is None
+
+
+def _block_route_mismatches(n, q):
+    """Label types whose d_(lam u lam), class size or q^2 class size from
+    the block pass differs from the per-entry route of its PartitionFn."""
+    labels = enumerate_partition_fns(n, q)
+    at_q, at_qsq = _type_rows(n, q, q), _type_rows(n, q, q * q)
+    assert len(at_q) == len(at_qsq) == len(labels)
+    return [
+        fn.entries
+        for (fn, _), (_, _, _, mult, size), (*_, size_qsq) in zip(labels, at_q, at_qsq)
+        if (mult, size, size_qsq)
+        != (doubled_dim_irrep(fn, q), class_size(fn, q), class_size_qsq(fn, q))
+    ]
+
+
+@pytest.mark.parametrize("n, q", [(6, 2), (5, 3), (4, 4), (3, 5)])
+def test_block_pass_matches_per_entry_route(cold_caches, n, q):
+    """Oracle: per type, the block factors give what doubled_dim_irrep,
+    class_size and class_size_qsq give from the type's entries one by one."""
+    assert _block_route_mismatches(n, q) == []
+
+
+def test_block_pass_catches_a_scaled_degree_two_factor(cold_caches, monkeypatch):
+    """Mutation: the dimension denominator of the degree-2 entry (2, (1,))
+    scaled by 7 in every block that holds it either trips the integrality
+    check or makes the block pass disagree with the per-entry route."""
+    real = bounds._block_factors
+
+    def scaled(d, total, q, qq):
+        factors = real(d, total, q, qq)
+        if d != 2:
+            return factors
+        blocks = combinat._degree_entries(2, total, combinat.orbit_count(2, q))
+        return tuple(
+            (f_num, f_den * 7, *rest) if (2, (1,)) in entries else (f_num, f_den, *rest)
+            for (entries, _), (f_num, f_den, *rest) in zip(blocks, factors)
+        )
+
+    monkeypatch.setattr(bounds, "_block_factors", scaled)
+    try:
+        mismatches = _block_route_mismatches(5, 3)
+    except NonIntegerResultError:
+        return
+    assert mismatches
 
 
 def _chi_squares_from_j(chain, k_max):

@@ -150,10 +150,17 @@ def test_verify_suite_filter(capsys):
 
 
 def test_verify_json(capsys):
+    """Each JSON record names its check and gives its time in seconds; the
+    times of one suite add up to about the suite's wall time."""
+    start = time.perf_counter()
     code, out = run_cli(capsys, "verify", "--suite", "combinat", "--max-n", "3", "--format", "json")
+    wall = time.perf_counter() - start
     assert code == 0
     data = json.loads(out)
     assert all(r["ok"] for r in data)
+    assert all(set(r) == {"suite", "name", "ok", "detail", "seconds"} for r in data)
+    assert all(isinstance(r["seconds"], float) and r["seconds"] >= 0 for r in data)
+    assert 0 < sum(r["seconds"] for r in data) <= wall
 
 
 def test_usage_error_exit_code(capsys):
@@ -471,7 +478,10 @@ def test_verify_checks_the_classifier_against_its_oracle(capsys):
     on 100 seeded (3,3) walk states, in under a second, and lists it."""
     code, out = run_cli(capsys, "verify", "--suite", "walk", "--max-n", "2", "--trials", "2000", "--format", "json")
     assert code == 0
-    assert {"suite": "walk", "name": "classifier_vs_oracle_3_3", "ok": True, "detail": "states [] differ"} in json.loads(out)
+    records = {r.pop("name"): r for r in json.loads(out)}
+    check = records["classifier_vs_oracle_3_3"]
+    assert check.pop("seconds") < 1.0
+    assert check == {"suite": "walk", "ok": True, "detail": "states [] differ"}
     start = time.perf_counter()
     assert verify.classifier_vs_oracle_3_3(seed=3).ok
     assert time.perf_counter() - start < 1.0
@@ -578,6 +588,11 @@ SPECTRUM_BOUNDS_DIGESTS = {
         "6fa9aa8a3ef34aaa0e910636e3a126b1aba28336d4fa1a2a38072f08731b7a38",
     ("bounds", "--n", "14", "--q", "2", "--k-range", "1..20", "--format", "json"):
         "df015eb9193264d7b1488232d7d01645fc374ee8270cf3481b3a110b27173f9a",
+    # the logfloat sum adds its terms in type order: these guard it at n = 14
+    ("bounds", "--n", "14", "--q", "2", "--k-range", "12..16", "--format", "csv"):
+        "edaabce5c85ff027e99cee150488b424f6a8eadde40bf9395cb2927a50cf5e0a",
+    ("bounds", "--n", "14", "--q", "3", "--k-range", "12..16", "--format", "csv"):
+        "0ba146cba23d20b2bd29b8b22e72e65e6daadddf8fca432155fd91cffefa813e",
 }
 
 

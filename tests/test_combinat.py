@@ -5,7 +5,6 @@ import pytest
 from sympwalk.combinat import (
     PartitionFn,
     a_mu,
-    arm,
     check_enumeration_cap,
     class_size,
     class_size_qsq,
@@ -14,9 +13,7 @@ from sympwalk.combinat import (
     dim_irrep,
     enumerate_partition_fns,
     gl_order,
-    hook_lengths,
     hook_poly,
-    leg,
     multiplicities,
     n_stat,
     orbit_count,
@@ -55,19 +52,31 @@ def test_union_double_and_n_stat():
 
 
 def test_hooks_of_square():
-    flat = sorted(h for row in hook_lengths((2, 2)) for h in row)
-    assert flat == [1, 2, 2, 3]
+    # hooks 3, 2, 2, 1
     assert hook_poly((2, 2), 2) == (2 ** 3 - 1) * 3 * 3 * 1  # 63
+    assert hook_poly((2, 2), 10) == 999 * 99 * 99 * 9
+
+
+def _arm(lam, i, j):
+    """Boxes strictly right of box (i, j); 1-indexed box in row i, column j."""
+    return lam[i - 1] - j
+
+
+def _leg(lam, i, j):
+    """Boxes strictly below box (i, j)."""
+    return sum(1 for r in range(i, len(lam)) if lam[r] >= j)
 
 
 def test_hook_lengths_match_arm_plus_leg():
+    """hook_poly's hooks are arm + leg + 1, box by box."""
     for n in range(11):
         for lam in partitions_of(n):
-            want = [
-                [arm(lam, i, j) + leg(lam, i, j) + 1 for j in range(1, lam[i - 1] + 1)]
-                for i in range(1, len(lam) + 1)
-            ]
-            assert hook_lengths(lam) == want, lam
+            for t in (2, 7):
+                want = 1
+                for i in range(1, len(lam) + 1):
+                    for j in range(1, lam[i - 1] + 1):
+                        want *= t ** (_arm(lam, i, j) + _leg(lam, i, j) + 1) - 1
+                assert hook_poly(lam, t) == want, lam
 
 
 def test_multiplicities():
