@@ -9,12 +9,13 @@ byte-identical reports.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
 import sys
+from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import bounds as bounds_mod
 from . import verify as verify_mod
@@ -29,38 +30,12 @@ EXIT_VERIFY = 2
 EXIT_RESOURCE = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise SystemExit(EXIT_USAGE)
-
-
 def _frac_str(x):
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return str(x.numerator)
         return f"{x.numerator}/{x.denominator}"
     return repr(x) if isinstance(x, float) else str(x)
-
-
-def _add_field_args(sub):
-    sub.add_argument("--n", type=int, required=True, help="half-dimension n")
-    sub.add_argument("--q", type=int, default=2, help="field size q = p^k (prime power)")
-
-
-def _add_output_args(sub, formats=True):
-    if formats:
-        sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--seed", type=int, default=0)
-
-
-def _add_state_cap(sub):
-    sub.add_argument(
-        "--state-cap", type=int, default=walk_mod.DEFAULT_STATE_CAP,
-        help="cap on the exact chain's work: lumps x distinct images per lump",
-    )
 
 
 def _emit(text, out_path):
@@ -197,60 +172,138 @@ def cmd_verify(args):
     return EXIT_OK if all(r.ok for r in results) else EXIT_VERIFY
 
 
-def build_parser():
-    parser = _Parser(prog="sympwalk", description=__doc__)
-    subs = parser.add_subparsers(dest="command", required=True)
+def _nonnegative(text):
+    if int(text) < 0:
+        raise ValueError(f"{text} is negative")
+    return int(text)
 
-    sp_spec = subs.add_parser("spectrum", help="eigenvalue table")
-    _add_field_args(sp_spec)
-    _add_output_args(sp_spec)
-    sp_spec.set_defaults(func=cmd_spectrum)
 
-    sp_bounds = subs.add_parser("bounds", help="TV bound curves")
-    _add_field_args(sp_bounds)
-    _add_output_args(sp_bounds)
-    sp_bounds.add_argument("--k-range", required=True, help="A..B inclusive")
-    mode = sp_bounds.add_mutually_exclusive_group()
-    for name in ("exact", "logfloat"):
-        mode.add_argument(f"--{name}", dest="mode", action="store_const", const=name, default="auto")
-    sp_bounds.add_argument("--with-exact", action="store_true",
-                           help="merge the exact chain TV column (small spaces)")
-    _add_state_cap(sp_bounds)
-    sp_bounds.set_defaults(func=cmd_bounds)
+# A long option of the command table.  `read` turns its text into the value;
+# an option whose `read` is None takes no value and stores `const`.
+_Opt = namedtuple("_Opt", "flag dest help read default required choices const append",
+                  defaults=(int, None, False, (), None, False))
+_N = _Opt("--n", "n", "half-dimension n", required=True)
+_Q = _Opt("--q", "q", "field size q = p^k (prime power)", default=2)
+_FORMAT = _Opt("--format", "format", "output format", str, "csv", choices=("csv", "json"))
+_OUT = _Opt("--out", "out", "output path (default stdout)", str)
+_SEED = _Opt("--seed", "seed", "seed of the Monte Carlo draws (simulate, verify)", _nonnegative, 0)
+_STATE_CAP = _Opt("--state-cap", "state_cap", "cap on the exact chain's work: lumps x distinct images per lump",
+                  _nonnegative, walk_mod.DEFAULT_STATE_CAP)
 
-    sp_chain = subs.add_parser("chain", help="exact finite chain")
-    _add_field_args(sp_chain)
-    _add_output_args(sp_chain)
-    sp_chain.add_argument("--kmax", type=int, default=10)
-    _add_state_cap(sp_chain)
-    sp_chain.set_defaults(func=cmd_chain)
+# command -> (help line, options); main runs the handler cmd_<command>
+COMMANDS = {
+    "spectrum": ("eigenvalue table", (_N, _Q, _FORMAT, _OUT, _SEED)),
+    "bounds": ("TV bound curves", (
+        _N, _Q, _FORMAT, _OUT, _SEED,
+        _Opt("--k-range", "k_range", "steps A..B inclusive", str, required=True),
+        _Opt("--exact", "mode", "exact upper bound", None, "auto", const="exact"),
+        _Opt("--logfloat", "mode", "float upper bound (default: exact if cheap)", None, "auto", const="logfloat"),
+        _Opt("--with-exact", "with_exact", "merge the exact chain TV column (small spaces)", None, False, const=True),
+        _STATE_CAP,
+    )),
+    "chain": ("exact finite chain", (
+        _N, _Q, _FORMAT, _OUT, _SEED, _Opt("--kmax", "kmax", "last step", default=10), _STATE_CAP,
+    )),
+    "simulate": ("Monte Carlo walk", (
+        _N, _Q, _OUT, _SEED,
+        _Opt("--steps", "steps", "last step", required=True),
+        _Opt("--trials", "trials", "walks per step", default=100_000),
+    )),
+    "verify": ("run invariant suites", (
+        _FORMAT, _OUT, _SEED,
+        _Opt("--suite", "suite", "suite to run, repeatable (default all)", str,
+             choices=tuple(sorted(verify_mod.SUITES)), append=True),
+        _Opt("--max-n", "max_n", "largest n of the sweeps", default=4),
+        _Opt("--trials", "trials", "Monte Carlo walks per check", default=20000),
+    )),
+}
 
-    sp_sim = subs.add_parser("simulate", help="Monte Carlo walk")
-    _add_field_args(sp_sim)
-    _add_output_args(sp_sim, formats=False)
-    sp_sim.add_argument("--steps", type=int, required=True)
-    sp_sim.add_argument("--trials", type=int, default=100_000)
-    sp_sim.set_defaults(func=cmd_simulate)
 
-    sp_ver = subs.add_parser("verify", help="run invariant suites")
-    _add_output_args(sp_ver)
-    sp_ver.add_argument("--suite", action="append", choices=sorted(verify_mod.SUITES))
-    sp_ver.add_argument("--max-n", type=int, default=4)
-    sp_ver.add_argument("--trials", type=int, default=20000)
-    sp_ver.set_defaults(func=cmd_verify)
-    return parser
+def _shown(opt):
+    if opt.read is None:
+        return opt.flag
+    return f"{opt.flag} {{{','.join(opt.choices)}}}" if opt.choices else f"{opt.flag} {opt.dest.upper()}"
+
+
+def _usage(command):
+    if command is None:
+        return f"usage: sympwalk [-h] {{{','.join(COMMANDS)}}} ...\n"
+    shown = (_shown(o) if o.required else f"[{_shown(o)}]" for o in COMMANDS[command][1])
+    return f"usage: sympwalk {command} [-h] {' '.join(shown)}\n"
+
+
+def _help(command):
+    if command is None:
+        title, rows = __doc__ + "\ncommands:", [(name, h) for name, (h, _) in COMMANDS.items()]
+    else:
+        title, rows = COMMANDS[command][0] + "\n\noptions:", [(_shown(o), o.help) for o in COMMANDS[command][1]]
+    sys.stdout.write(f"{_usage(command)}\n{title}\n" + "".join(f"  {a:<26} {b}\n" for a, b in rows))
+    raise SystemExit(EXIT_OK)
+
+
+def _fail(command, message):
+    sys.stderr.write(f"{_usage(command)}sympwalk: error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def _parse(argv):
+    """Read argv against COMMANDS: the command and a namespace of its dests.
+    A long option may be given by a unique prefix, and its value as the next
+    token or after "="; the last value given wins, or all of them append."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        _help(None)
+    if command not in COMMANDS:
+        _fail(None, f"invalid command {command!r}" if argv else "the following arguments are required: command")
+    opts = {o.flag: o for o in COMMANDS[command][1]}
+    args = SimpleNamespace(**{o.dest: o.default for o in opts.values()})
+    given = {}  # dest -> the flag that set it
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        long = flag.startswith("--") and len(flag) > 2
+        names = [flag] if flag in opts else [f for f in (*opts, "--help") if long and f.startswith(flag)]
+        if token == "-h" or names == ["--help"]:
+            _help(command)
+        if len(names) != 1:
+            _fail(command, f"ambiguous option: {flag} could match {', '.join(names)}" if len(names) > 1
+                  else f"unrecognized arguments: {token}")
+        opt = opts[names[0]]
+        if opt.read is None:
+            if eq:
+                _fail(command, f"argument {opt.flag}: ignored explicit argument {text!r}")
+            value = opt.const
+        else:
+            if not eq:
+                text = next(tokens, None)
+                if text is None or text.startswith("--"):
+                    _fail(command, f"argument {opt.flag}: expected one argument")
+            try:
+                value = opt.read(text)
+            except ValueError as exc:
+                _fail(command, f"argument {opt.flag}: {exc}")
+            if opt.choices and value not in opt.choices:
+                _fail(command, f"argument {opt.flag}: invalid choice {text!r} (choose from {', '.join(opt.choices)})")
+            if opt.append:
+                value = [*(getattr(args, opt.dest) or ()), value]
+        if given.setdefault(opt.dest, opt.flag) != opt.flag:
+            _fail(command, f"argument {opt.flag}: not allowed with argument {given[opt.dest]}")
+        setattr(args, opt.dest, value)
+    missing = [o.flag for o in opts.values() if o.required and o.dest not in given]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    return command, args
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    command, args = _parse(sys.argv[1:] if argv is None else argv)
     # exact rationals print in full: lift the int-to-str digit limit of
     # Python 3.10.7 on (0 means none) for this call only
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{command}"](args)
     except ResourceCapError as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return EXIT_RESOURCE

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from sympwalk import _engine, bounds, verify, walk
+from sympwalk import _engine, bounds, cli, verify, walk
 from sympwalk.cli import main
 from sympwalk.errors import (
     EnumerationTooLargeError,
@@ -172,10 +172,162 @@ def test_usage_error_exit_code(capsys):
 def test_unknown_suite_is_usage_error(capsys):
     code = main(["verify", "--suite", "spectral", "--max-n", "2"])
     assert code == 0
-    # argparse rejects unknown choices before dispatch
+    # the parser rejects an unknown choice before dispatch
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])
     assert exc.value.code == 1
+
+
+COMMON = {"out": None, "seed": 0}
+FIELD = {"q": 2, "format": "csv", **COMMON}
+CAP = {"state_cap": walk.DEFAULT_STATE_CAP}
+COMMANDS = ("spectrum", "bounds", "chain", "simulate", "verify")  # each runs cli.cmd_<command>
+
+PARSE_ACCEPTS = [
+    (["spectrum", "--n", "2"], "spectrum", {"n": 2, **FIELD}),
+    (
+        ["bounds", "--n", "3", "--k-range", "1..4"],
+        "bounds",
+        {"n": 3, **FIELD, "k_range": "1..4", "mode": "auto", "with_exact": False, **CAP},
+    ),
+    (["chain", "--n", "2"], "chain", {"n": 2, **FIELD, "kmax": 10, **CAP}),
+    (
+        ["simulate", "--n", "2", "--steps", "3"],
+        "simulate",
+        {"n": 2, "q": 2, **COMMON, "steps": 3, "trials": 100_000},
+    ),
+    (["verify"], "verify", {"format": "csv", **COMMON, "suite": None, "max_n": 4, "trials": 20000}),
+    # --opt=value, and "-" as a value
+    (
+        ["chain", "--n=3", "--q=4", "--format=json", "--out=-", "--kmax=7", "--state-cap=0", "--seed=5"],
+        "chain",
+        {"n": 3, "q": 4, "format": "json", "out": "-", "seed": 5, "kmax": 7, "state_cap": 0},
+    ),
+    (["spectrum", "--n", "2", "--out", "-"], "spectrum", {"n": 2, **FIELD, "out": "-"}),
+    # negative ints are values, not options
+    (["chain", "--n", "-2", "--kmax", "-1"], "chain", {"n": -2, **FIELD, "kmax": -1, **CAP}),
+    # the last of a repeated option wins; --suite appends
+    (["chain", "--n", "2", "--n", "3", "--q", "3", "--q=5"], "chain", {"n": 3, **FIELD, "q": 5, "kmax": 10, **CAP}),
+    (
+        ["verify", "--suite", "walk", "--suite=field", "--suite", "walk", "--max-n", "3"],
+        "verify",
+        {"format": "csv", **COMMON, "suite": ["walk", "field", "walk"], "max_n": 3, "trials": 20000},
+    ),
+    # a unique prefix of a long option resolves
+    (["chain", "--n", "2", "--k", "5"], "chain", {"n": 2, **FIELD, "kmax": 5, **CAP}),
+    (["chain", "--n", "2", "--k=6", "--st", "9"], "chain", {"n": 2, **FIELD, "kmax": 6, "state_cap": 9}),
+    (
+        ["simulate", "--n", "2", "--ste", "4", "--tri", "9", "--se", "1"],
+        "simulate",
+        {"n": 2, "q": 2, "out": None, "seed": 1, "steps": 4, "trials": 9},
+    ),
+    (
+        ["verify", "--su", "bounds", "--max", "2", "--f", "json"],
+        "verify",
+        {"format": "json", **COMMON, "suite": ["bounds"], "max_n": 2, "trials": 20000},
+    ),
+    (
+        ["bounds", "--n", "2", "--k-r", "1..2", "--log", "--with"],
+        "bounds",
+        {"n": 2, **FIELD, "k_range": "1..2", "mode": "logfloat", "with_exact": True, **CAP},
+    ),
+    (
+        ["bounds", "--n", "2", "--k-range", "1..4", "--with-exact", "--exact", "--exact"],
+        "bounds",
+        {"n": 2, **FIELD, "k_range": "1..4", "mode": "exact", "with_exact": True, **CAP},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, command, dests", PARSE_ACCEPTS)
+def test_parse_contract_accepts(capsys, monkeypatch, argv, command, dests):
+    """Each argv reaches its command's handler with exactly these dests."""
+    calls = []
+    for name in COMMANDS:
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args, name=name: calls.append((name, args)) or 0)
+    assert main(argv) == 0
+    [(name, args)] = calls
+    assert name == command
+    assert {k: v for k, v in vars(args).items() if k not in ("command", "func")} == dests
+    assert capsys.readouterr().err == ""
+
+
+PARSE_REFUSES = [
+    ([], "command"),
+    (["nonsense", "--n", "2"], "'nonsense'"),
+    (["chain", "--n", "2", "--bogus", "1"], "--bogus"),
+    (["chain", "--n", "2", "--s", "1"], "ambiguous option: --s"),
+    (["simulate", "--n", "2", "--steps", "1", "--s", "1"], "ambiguous option: --s"),
+    (["chain", "--n"], "argument --n"),
+    (["chain", "--n", "--q", "3"], "argument --n"),
+    (["chain", "--n", "two"], "argument --n"),
+    (["chain", "--n", "2", "--kmax", "1.5"], "argument --kmax"),
+    (["chain", "--n", "2", "--format", "xml"], "argument --format"),
+    (["verify", "--suite", "nonsense"], "argument --suite"),
+    (["bounds", "--n", "2", "--k-range", "1..2", "--exact", "--logfloat"], "argument --logfloat"),
+    (["bounds", "--n", "2", "--k-range", "1..2", "--exact=1"], "argument --exact"),
+    (["bounds", "--n", "2"], "--k-range"),
+    (["simulate", "--steps", "1"], "--n"),
+    (["chain", "--n", "2", "extra"], "extra"),
+    (["spectrum", "--n", "2", "--exact"], "--exact"),
+    (["chain", "-n", "2"], "-n"),
+]
+
+
+@pytest.mark.parametrize("argv, fragment", PARSE_REFUSES)
+def test_parse_contract_refuses(capsys, monkeypatch, argv, fragment):
+    """A usage error prints a usage line and one error line naming what was
+    wrong to stderr, nothing to stdout, and exits 1 before any handler."""
+    for name in COMMANDS:
+        monkeypatch.setattr(cli, f"cmd_{name}", _no_build)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1 and captured.out == ""
+    assert captured.err.startswith("usage: sympwalk")
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("sympwalk") and ": error: " in last and fragment in last.partition(": error: ")[2]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["simulate", "--n", "2", "--steps", "2", "--trials", "10", "--seed", "-1"], "--seed"),
+        (["verify", "--suite", "walk", "--max-n", "2", "--trials", "100", "--seed", "-1"], "--seed"),
+        (["chain", "--n", "2", "--q", "3", "--state-cap", "-1"], "--state-cap"),
+        (["bounds", "--n", "2", "--k-range", "1..2", "--with-exact", "--state-cap=-5"], "--state-cap"),
+    ],
+    ids=["simulate-seed", "verify-seed", "chain-state-cap", "bounds-state-cap"],
+)
+def test_negative_seed_or_state_cap_is_a_usage_error(capsys, monkeypatch, argv, flag):
+    """A negative seed or cap is refused while parsing, naming the option,
+    before any work: not as numpy's bare seed error or as a resource cap."""
+    for name in COMMANDS:
+        monkeypatch.setattr(cli, f"cmd_{name}", _no_build)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1 and captured.out == ""
+    assert captured.err.splitlines()[-1].startswith(f"sympwalk: error: argument {flag}: ")
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help_names_every_command_and_option(capsys, command):
+    """-h prints help to stdout and exits 0; the top-level help names every
+    command and a command's help every option of its table."""
+    argv = ["-h"] if command is None else [command, "-h"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 0 and captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0].startswith("usage: sympwalk")
+    if command is None:
+        assert all(f"  {name} " in captured.out for name in COMMANDS)
+    else:
+        flags = [o.flag for o in cli.COMMANDS[command][1]]
+        assert [line.split()[0] for line in lines if line.startswith("  --")] == flags
+        assert all(o.help in captured.out for o in cli.COMMANDS[command][1])
 
 
 def test_resource_cap_exit_code(capsys):
@@ -376,8 +528,9 @@ def test_python_dash_m_runs_the_cli(capsys):
 
 def test_chain_and_simulate_leave_numpy_ma_unimported():
     """np.unique with neither return_index nor return_inverse, or with axis,
-    imports numpy.ma on its first call, about 13 ms; no call on the chain or
-    Monte Carlo path makes one."""
+    imports numpy.ma on its first call, about 13 ms; no call on the chain,
+    Monte Carlo or bounds path makes one.  Nor does any call import argparse,
+    gettext or locale, about 2 ms of start-up together."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -387,11 +540,12 @@ def test_chain_and_simulate_leave_numpy_ma_unimported():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['chain', '--n', '2', '--q', '3']) == 0\n"
         "    assert main(['simulate', '--n', '2', '--q', '2', '--steps', '2', '--trials', '1000']) == 0\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "    assert main(['bounds', '--n', '10', '--q', '3', '--k-range', '4..18']) == 0\n"
+        "print(*(m in sys.modules for m in ('numpy.ma', 'argparse', 'gettext', 'locale')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.decode().split() == ["False"]
+    assert proc.stdout.decode().split() == ["False"] * 4
 
 
 def test_verify_default_run_passes(capsys):
