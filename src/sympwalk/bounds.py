@@ -9,14 +9,11 @@ initial diagonal twist, not by the transvection steps.
 The lower bound comes from a support estimate: after n-c steps the walk
 sits inside the double cosets whose class label has at least c parts at
 the polynomial x - 1, and the total mass of those cosets is exponentially
-small in c.  The masses are read off the label types that the spectral
-sum enumerates: x - 1 is one of the q - 1 interchangeable degree-1 orbits,
-so each type's labels split over what x - 1 carries in exact shares.
+small in c.  The masses are the t^n coefficient of the cycle index of
+GL_n (Fulman), x - 1 carrying c parts, in integers (_fixed_space_masses).
 
-Both bounds read one pass over the label types (_label_pass), made of
-per-degree blocks (combinat._walk_types): a type's d_(lam u lam) and
-class size are a few products of cached block factors, with one checked
-divmod each, and no label object is built.
+The spectral sum keeps one term per label type, from one pass over the
+types (_label_pass, on combinat._walk_types); no label object is built.
 """
 
 from __future__ import annotations
@@ -28,22 +25,23 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import (
-    _block_factors,
-    _degree_entries,
+    _centralizer_factor,
+    _checked_dim,
+    _doubled_dim_factor,
     _walk_types,
     check_enumeration_cap,
     gl_order,
-    multiplicities,
-    psi_factor,
+    orbit_count,
+    partitions_of,
     sp_order,
 )
 from .errors import (
     ExactArithmeticTooLargeError,
-    InternalError,
     NonIntegerResultError,
     StepRangeTooLargeError,
     int_text,
 )
+from .field import field_from_order
 from .spectral import phi_of_degree_one_parts, trivial_label
 
 EXACT_MODE_MAX_N = 8
@@ -83,75 +81,98 @@ def _log_fraction_abs(fr: Fraction) -> float:
     return _log_int(abs(fr.numerator)) - _log_int(fr.denominator)
 
 
-def _type_values(n, q, qq, use):
-    """use(entries, count, degree-1 block, d_(lam u lam), class size at qq)
-    per type of weight n >= 1 over F_q, by increasing entries: psi_2n(q)
-    resp. |GL_n(F_qq)| / qq^n times its block factors, checked integral.
-    (1, 0, 0) names the empty degree-1 block."""
-    psi, gl, qq_n = psi_factor(2 * n, q), gl_order(n, qq), qq ** n
-
-    def values(entries, blocks, cnt):
-        dim_num, dim_den, cent_num, cent_den = psi, 1, qq_n, gl
-        for d, total, i in blocks:
-            f_num, f_den, c_num, c_den = _block_factors(d, total, q, qq)[i]
-            dim_num, dim_den = dim_num * f_num, dim_den * f_den
-            cent_num, cent_den = cent_num * c_num, cent_den * c_den
-        mult, rem = divmod(dim_num, dim_den)
-        if rem:
-            raise NonIntegerResultError(f"doubled dimension not integral for {entries} at q={q}")
-        size, rem = divmod(cent_den, cent_num)
-        if rem:
-            raise NonIntegerResultError(f"class size not integral for {entries} at q={qq}")
-        use(entries, cnt, blocks[0] if blocks[0][0] == 1 else (1, 0, 0), mult, size)
-
-    _walk_types(n, q, values)
+def _check_args(n, q):
+    """Raise, before any term is formed, for n < 1, for n beyond the
+    enumeration cap, and for a q that is not a prime power."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    check_enumeration_cap(n)
+    field_from_order(q)
 
 
 @lru_cache(maxsize=None)
-def _label_pass(n, q, qq):
-    """(spectral terms, log terms, masses) from one pass over the label
-    types: (phi, multiplicity, count) and, where phi != 0, (log(count x
-    multiplicity), log|phi|) per type but the twist, (1^n) at one degree-1
-    orbit; and the class sizes at parameter qq per number of parts at
-    x - 1.  x - 1 is one of the q - 1 orbits that the `ways` assignments
-    of a degree-1 block permute: it carries pi in ways m_pi / (q - 1) of
-    them and nothing in the rest, each share checked integral."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    check_enumeration_cap(n)  # before trivial_label(n) and psi_2n(q) are formed
+def _label_pass(n, q):
+    """(spectral terms, log terms) from one pass over the label types, by
+    increasing entries: (phi, d_(lam u lam), count) and, where phi != 0,
+    (log(count x d_(lam u lam)), log|phi|) per type but the twist, (1^n) at
+    one degree-1 orbit.  phi and log|phi| are taken once per degree-1
+    block.  The terms stay per type, not per distinct phi: the logfloat
+    sum adds them in this order, and its last bits are pinned."""
+    _check_args(n, q)
     twist = trivial_label(n).entries
-    terms, logs, ones = [], [], {}  # degree-1 block -> [phi, log|phi|, parts, ways, summed sizes]
+    terms, logs, ones = [], [], {}  # degree-1 block -> (phi, log|phi|)
 
-    def add(entries, cnt, one, mult, size):
+    def add(entries, blocks, cnt):
+        one = blocks[0] if blocks[0][0] == 1 else None
         if one not in ones:
-            block, ways = _degree_entries(1, one[1], q - 1)[one[2]]
-            parts = tuple(lam for _, lam in block)
-            phi = phi_of_degree_one_parts(parts, n, q)
-            ones[one] = [phi, _log_fraction_abs(phi) if phi else None, parts, ways, 0]
-        phi, log_phi, _, ways, _ = record = ones[one]
-        record[4] += cnt // ways * size
+            phi = phi_of_degree_one_parts(tuple(lam for d, lam in entries if d == 1), n, q)
+            ones[one] = phi, _log_fraction_abs(phi) if phi else None
+        phi, log_phi = ones[one]
         if entries != twist:
+            mult = _checked_dim(entries, 2 * n, [_doubled_dim_factor(d, lam, q) for d, lam in entries], q)
             terms.append((phi, mult, cnt))
             if log_phi is not None:
                 logs.append((_log_int(cnt * mult), log_phi))
 
-    _type_values(n, q, qq, add)
-    masses = [0] * (n + 1)
-    for _, _, parts, ways, sizes in ones.values():
-        for lam, m in {(): q - 1 - len(parts), **multiplicities(parts)}.items():  # () carries nothing
-            labels, rem = divmod(ways * m, q - 1)
-            if rem:
-                raise InternalError(f"{ways} assignments of {parts} at q={q} do not split over x - 1")
-            masses[len(lam)] += labels * sizes
-    return tuple(terms), tuple(logs), tuple(masses)
+    _walk_types(n, q, add)
+    return tuple(terms), tuple(logs)
 
 
 def _spectral_terms(n, q):
-    return _label_pass(n, q, q * q)[0]
+    return _label_pass(n, q)[0]
 
 
+def _one_orbit(n, d, qq, parts=None):
+    """Weights 0..n of the cycle index of one orbit of degree d carrying
+    lam, over the lam with the given number of parts (any if None): at w =
+    d|lam| it sums |GL_w(F_qq)| / a_lam(qq^d), each term checked integral."""
+    out = [0] * (n + 1)
+    for m in range(n // d + 1):
+        for lam in partitions_of(m):
+            if parts is None or len(lam) == parts:
+                num, den = _centralizer_factor(d, lam, qq)
+                size, rem = divmod(gl_order(d * m, qq) * den, qq ** (d * m) * num)
+                if rem:
+                    raise NonIntegerResultError(f"class size not integral for {(d, lam)} at q={qq}")
+                out[d * m] += size
+    return out
+
+
+def _times(a, b, qq):
+    """The product of two such series: at weight w it sums a_i b_j |GL_w| /
+    (|GL_i| |GL_j|) over i + j = w, checked integral."""
+    out = []
+    for w in range(len(a)):
+        total = 0
+        for i in range(w + 1):
+            if a[i] and b[w - i]:
+                ways, rem = divmod(gl_order(w, qq), gl_order(i, qq) * gl_order(w - i, qq))
+                if rem:
+                    raise NonIntegerResultError(f"|GL_{i}| |GL_{w - i}| does not divide |GL_{w}|")
+                total += a[i] * b[w - i] * ways
+        out.append(total)
+    return out
+
+
+@lru_cache(maxsize=None)
 def _fixed_space_masses(n, q, qq):
-    return _label_pass(n, q, qq)[2]
+    """Per c = 0..n, the class masses sum |GL_n(F_qq)| / a_mu(qq) over the
+    class labels mu of GL_n(F_q) with c parts at x - 1, with a_mu
+    evaluated at parameter qq: the t^n coefficient of the cycle index in
+    which x - 1 carries c parts, the other q - 2 degree-1 orbits and the
+    orbit_count(d, q) orbits of each degree d >= 2 carry anything, and
+    each power is taken by squaring."""
+    _check_args(n, q)
+    rest = [1] + [0] * n
+    for d in range(1, n + 1):
+        base, e = _one_orbit(n, d, qq), orbit_count(d, q) - (d == 1)  # x - 1 is not free
+        while e:
+            if e & 1:
+                rest = _times(rest, base, qq)
+            e >>= 1
+            if e:
+                base = _times(base, base, qq)
+    return tuple(_times(_one_orbit(n, 1, qq, c), rest, qq)[n] for c in range(n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -193,8 +214,11 @@ def resolve_mode(n, q, ks, mode="auto"):
 
     "auto" is exact for n <= EXACT_MODE_MAX_N while the exact work over all
     of ks stays within EXACT_WORK_MAX (about 1 s), and logfloat otherwise.
-    An explicit "exact" beyond that work raises ExactArithmeticTooLargeError.
+    An explicit "exact" beyond that work raises ExactArithmeticTooLargeError,
+    and any other mode raises ValueError.
     """
+    if mode not in ("auto", "exact", "logfloat"):
+        raise ValueError(f"mode must be auto, exact or logfloat, got {mode!r}")
     if mode == "auto":
         fits = n <= EXACT_MODE_MAX_N and _exact_work(n, q, ks) <= EXACT_WORK_MAX
         return "exact" if fits else "logfloat"
@@ -249,9 +273,9 @@ def upper_bound_tv(n, q, k, mode="auto") -> BoundValue:
     n <= 8 within the work cap, see resolve_mode); "logfloat" accumulates
     term logs in float (relative error below 1e-9 against exact mode,
     tested for n <= 8 at q = 2 and n <= 6 at q = 3), needed once
-    dimensions reach q^Theta(n^2).  The terms come from the block pass
-    (_label_pass), with log|phi| taken once per degree-1 block; the logs
-    are computed once per (n, q) and reused for every k.  A positive
+    dimensions reach q^Theta(n^2).  The terms and logs come once per
+    (n, q) from _label_pass, which refuses a q that is not a prime power,
+    and serve every k.  A positive
     bound never reads below sys.float_info.min, and one beyond the float
     range reads math.inf.
     """
@@ -268,7 +292,7 @@ def upper_bound_tv(n, q, k, mode="auto") -> BoundValue:
         except OverflowError:  # sq lies beyond the float range; its root may not
             value = _exp_or_inf(_log_fraction_abs(sq) / 2)
         return BoundValue(_positive_float(value) if sq else value, sq, "exact")
-    logs = [weight + 2 * k * log_phi for weight, log_phi in _label_pass(n, q, q * q)[1]]
+    logs = [weight + 2 * k * log_phi for weight, log_phi in _label_pass(n, q)[1]]
     if not logs:
         return BoundValue(0.0, None, "logfloat")
     top = max(logs)

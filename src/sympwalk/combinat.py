@@ -452,24 +452,6 @@ def doubled_dim_irrep(lam: PartitionFn, q) -> int:
     )
 
 
-@lru_cache(maxsize=None)
-def _block_factors(d, total, q, qq):
-    """Per block of _degree_entries(d, total, orbit_count(d, q)): the
-    products of its entries' _doubled_dim_factor pairs at q and
-    _centralizer_factor pairs at qq, as (dim num, dim den, cent num, cent
-    den)."""
-    out = []
-    for entries, _ in _degree_entries(d, total, orbit_count(d, q)):
-        dim_num = dim_den = cent_num = cent_den = 1
-        for _, lam in entries:
-            f_num, f_den = _doubled_dim_factor(d, lam, q)
-            c_num, c_den = _centralizer_factor(d, lam, qq)
-            dim_num, dim_den = dim_num * f_num, dim_den * f_den
-            cent_num, cent_den = cent_num * c_num, cent_den * c_den
-        out.append((dim_num, dim_den, cent_num, cent_den))
-    return tuple(out)
-
-
 def coset_space_size(n, q):
     """|GL_2n| / |Sp_2n|: the number of symplectic forms on F_q^(2n)."""
     size, rem = divmod(gl_order(2 * n, q), sp_order(n, q))

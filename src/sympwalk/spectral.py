@@ -4,25 +4,19 @@ The walk's transition operator is diagonalized by the zonal/spherical
 decomposition of GL_2n(F_q)/Sp_2n(F_q): one eigenvalue phi_lam per
 partition-valued label lam of weight n, with multiplicity d_(lam u lam).
 
-Two independent evaluation routes are provided and must agree exactly:
+Three routes give phi and must agree exactly:
 
-* eigenvalue_phi -- the combinatorial formula built from Macdonald-type
-  arm/leg data at parameter (q, t = q^2), in its "local" row/column
-  product form; eigenvalue_phi_global evaluates the same formula in its
-  "global" c'-ratio form;
-* eigenvalue_via_lift -- the character ratio of GL_2n at a transvection
-  (the classical transvection-walk eigenvalue), pushed through the affine
-  relation T = aS + bI between the two walks.
+* eigenvalue_phi -- phi depends only on the label's degree-1 partitions,
+  through R = sum of q^(2i-j) over their boxes (i, j): a q-analogue of
+  the content sum of the Diaconis-Holmes walk on matchings (q = 1).
+  phi_of_degree_one_parts is that closed form, in integers, memoised;
+* eigenvalue_phi_global -- oracle: the Macdonald-type arm/leg formula at
+  (q, t = q^2), summed over single-box removals in its c'-ratio form;
+* eigenvalue_via_lift -- oracle: the character ratio of GL_2n at a
+  transvection, pushed through the affine relation T = aS + bI between
+  the two walks.
 
-phi depends only on the label's degree-1 partitions.  The local route,
-the production path, is memoised and works in integers: each partition's
-removal sum per (partition, q), its corner terms added as (numerator,
-denominator) pairs and reduced once; and phi per (degree-1 partitions,
-n, q) (phi_of_degree_one_parts), the removal sums added as pairs and put
-through the cached prefactor and constant with one reduction.
-The bounds read phi once per degree-1 block.  The global route and the lift route recompute every label's
-terms on every call; they are the oracles the local route is checked
-against.
+The oracles recompute every label's terms on every call.
 
 All arithmetic is exact (Fraction); signs are carried, never stripped.
 """
@@ -130,43 +124,6 @@ def _term_global(part, corner, reduced, q) -> Fraction:
     return ratio * Fraction(q) ** (1 - j)
 
 
-def _term_local(part, corner, reduced, q):
-    """Row/column product form of the same term, as an unreduced
-    (numerator, denominator) pair of integers.
-
-    Boxes above the removed corner contribute even-exponent ratios, boxes
-    to its left odd-exponent ratios; exponents are a + 2l + 2 resp.
-    a + 2l + 1 taken in the partition before and after removal.
-    """
-    ri, rj = corner
-    conj_full = conjugate(part)  # the leg of box (i, j) is conj[j - 1] - i
-    conj_red = list(conj_full)
-    conj_red[rj - 1] -= 1  # the removed box was the foot of column rj
-    num, den = 1, q ** (rj - 1)
-    for i in range(1, ri):  # column above the corner
-        e_full = part[i - 1] - rj + 2 * (conj_full[rj - 1] - i) + 2
-        e_red = reduced[i - 1] - rj + 2 * (conj_red[rj - 1] - i) + 2
-        num *= 1 - q ** e_full
-        den *= 1 - q ** e_red
-    for j in range(1, rj):  # row left of the corner
-        e_full = part[ri - 1] - j + 2 * (conj_full[j - 1] - ri) + 1
-        e_red = reduced[ri - 1] - j + 2 * (conj_red[j - 1] - ri) + 1
-        num *= 1 - q ** e_full
-        den *= 1 - q ** e_red
-    return num, den
-
-
-@lru_cache(maxsize=None)
-def _removal_sum_local(part, q) -> Fraction:
-    """Sum of _term_local over the removable corners of one partition,
-    added as integer pairs and reduced once."""
-    num, den = 0, 1
-    for corner in removable_corners(part):
-        t_num, t_den = _term_local(part, corner, remove_corner(part, corner), q)
-        num, den = num * t_den + t_num * den, den * t_den
-    return Fraction(num, den)
-
-
 @lru_cache(maxsize=None)
 def _prefactor(n, q) -> Fraction:
     """q^(2n-2)(q^2-1) / ((q^2n-1)(q^(2n-2)-1)), in front of every corner sum."""
@@ -177,40 +134,26 @@ def _prefactor(n, q) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _removal_constant(n, q) -> Fraction:
-    """(q^2n-1) / (q^(2n-2)(q^2-1)), subtracted from every corner sum."""
-    return Fraction(q ** (2 * n) - 1, q ** (2 * n - 2) * (q * q - 1))
-
-
-def _phi_from_removal_sum(num, den, n, q) -> Fraction:
-    """prefactor * (num/den - constant), from integers, reduced once."""
-    pref, const = _prefactor(n, q), _removal_constant(n, q)
-    return Fraction(
-        pref.numerator * (num * const.denominator - const.numerator * den),
-        pref.denominator * den * const.denominator,
-    )
-
-
-@lru_cache(maxsize=None)
 def phi_of_degree_one_parts(degree_one_parts, n, q) -> Fraction:
     """phi of every label of weight n whose degree-1 partitions are
-    degree_one_parts (PartitionFn.degree_one_parts), by the local route:
-    the cached removal sums added as integer pairs, reduced once.  For
-    n = 1 every transvection of GL_2 is symplectic, the walk is trivial,
-    and phi is 1."""
+    degree_one_parts (PartitionFn.degree_one_parts), in closed form:
+    ((q^2-1) q^(2n-2) R - (q^2n-1)) / ((q^2n-1)(q^(2n-2)-1)), R the sum of
+    q^(2i-j) over their boxes (i, j), 0-indexed, an integer times
+    q^(1-n).  For n = 1 every transvection of GL_2 is symplectic, the
+    walk is trivial, and phi is 1."""
     if n == 1:
         return Fraction(1)
-    num, den = 0, 1
-    for part in degree_one_parts:
-        total = _removal_sum_local(part, q)
-        num, den = num * total.denominator + total.numerator * den, den * total.denominator
-    return _phi_from_removal_sum(num, den, n, q)
+    r = sum(
+        q ** (n - 1 + 2 * i - j) for part in degree_one_parts for i, row in enumerate(part) for j in range(row)
+    )
+    top = q ** (2 * n) - 1
+    return Fraction((q * q - 1) * q ** (n - 1) * r - top, top * (q ** (2 * n - 2) - 1))
 
 
 def eigenvalue_phi(lam_fn: PartitionFn, n, q) -> Fraction:
     """Walk eigenvalue phi for the label lam_fn of weight n.
 
-    The local route, memoised (see the module docstring).
+    The closed form of the module docstring, memoised.
     """
     check_weight(lam_fn, n)
     return phi_of_degree_one_parts(lam_fn.degree_one_parts(), n, q)
@@ -225,10 +168,10 @@ def eigenvalue_phi_global(lam_fn: PartitionFn, n, q) -> Fraction:
     check_weight(lam_fn, n)
     if n == 1:
         return Fraction(1)
-    total = Fraction(0)
+    total = Fraction(q ** (2 * n) - 1, q ** (2 * n - 2) * (1 - q * q))
     for _, part, corner, reduced in _degree_one_removals(lam_fn):
         total += _term_global(part, corner, reduced, q)
-    return _phi_from_removal_sum(total.numerator, total.denominator, n, q)
+    return _prefactor(n, q) * total
 
 
 # ---------------------------------------------------------------------------

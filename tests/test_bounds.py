@@ -18,7 +18,6 @@ from sympwalk.bounds import (
     _exact_work,
     _fixed_space_masses,
     _spectral_terms,
-    _type_values,
     check_row_work,
     fixed_space_tail_check,
     lower_bound_raw,
@@ -30,7 +29,6 @@ from sympwalk.bounds import (
     upper_bound_tv,
 )
 from sympwalk.combinat import (
-    a_mu,
     class_size,
     class_size_qsq,
     coset_space_size,
@@ -40,7 +38,13 @@ from sympwalk.combinat import (
     gl_order,
     sp_order,
 )
-from sympwalk.errors import ExactArithmeticTooLargeError, NonIntegerResultError, StepRangeTooLargeError
+from sympwalk.errors import (
+    ExactArithmeticTooLargeError,
+    FieldTooLargeError,
+    NonIntegerResultError,
+    NotPrimeError,
+    StepRangeTooLargeError,
+)
 from sympwalk.field import field_from_order
 from sympwalk.linalg import standard_J
 from sympwalk.spectral import eigenvalue_phi_global, trivial_label
@@ -85,33 +89,81 @@ def test_support_fraction_examples():
     assert Fraction((1 + 15) * 720, 20160) == Fraction(4, 7)
 
 
+def _arrangements(items):
+    """Distinct orderings of a multiset."""
+    out = math.factorial(len(items))
+    for m in Counter(items).values():
+        out //= math.factorial(m)
+    return out
+
+
 def _labels_per_partition_at_x_minus_1(fn, cnt, q):
     """Oracle: split the cnt labels of a type by the partition (possibly
-    empty) that x - 1 carries, listing every arrangement of the type's
-    degree-1 partitions over the q - 1 degree-1 orbits, x - 1 first."""
-    at_one = [lam for d, lam in fn.entries if d == 1]
-    arrangements = set(itertools.permutations(at_one + [()] * (q - 1 - len(at_one))))
-    per_arrangement, rem = divmod(cnt, len(arrangements))
+    empty) that x - 1 carries, counting the arrangements of the type's
+    degree-1 partitions over the q - 1 degree-1 orbits with pi at x - 1."""
+    slots = [lam for d, lam in fn.entries if d == 1]
+    slots += [()] * (q - 1 - len(slots))
+    per_arrangement, rem = divmod(cnt, _arrangements(slots))
     assert rem == 0
-    return {
-        pi: m * per_arrangement
-        for pi, m in Counter(arrangement[0] for arrangement in arrangements).items()
-    }
+    out = {}
+    for pi in set(slots):
+        rest = list(slots)
+        rest.remove(pi)
+        out[pi] = per_arrangement * _arrangements(rest)
+    return out
+
+
+def _per_label_masses(n, q, size):
+    """Oracle: per c, labels x size(fn) summed over the labels of weight n
+    whose x - 1 carries c parts."""
+    masses = [0] * (n + 1)
+    for fn, cnt in enumerate_partition_fns(n, q):
+        for pi, labels in _labels_per_partition_at_x_minus_1(fn, cnt, q).items():
+            masses[len(pi)] += labels * size(fn)
+    return masses
 
 
 @pytest.mark.parametrize(
-    "n, q", [(n, 2) for n in range(2, 7)] + [(n, 3) for n in range(2, 5)] + [(2, 5), (3, 5)]
+    "n, q",
+    [(n, 2) for n in range(2, 7)]
+    + [(n, 3) for n in range(2, 5)]
+    + [(2, 5), (3, 5)]
+    + [(n, 4) for n in range(2, 5)]
+    + [(n, q) for q in (7, 8, 9) for n in (2, 3)],
 )
 def test_support_fraction_matches_per_label_sum(n, q):
-    split = [
-        (class_size_qsq(fn, q), _labels_per_partition_at_x_minus_1(fn, cnt, q))
-        for fn, cnt in enumerate_partition_fns(n, q)
-    ]
+    """The cycle-index masses against a sum over the labels, at parameter
+    q^2 (support_fraction) and q (fixed_space_tail_check)."""
+    at_qsq = _per_label_masses(n, q, lambda fn: class_size_qsq(fn, q))
+    at_q = _per_label_masses(n, q, lambda fn: class_size(fn, q))
     for c in range(n + 1):
-        total = sum(
-            labels * size for size, at in split for pi, labels in at.items() if len(pi) >= c
-        )
-        assert support_fraction(n, q, c) == Fraction(total * sp_order(n, q), gl_order(2 * n, q))
+        assert support_fraction(n, q, c) == Fraction(sum(at_qsq[c:]) * sp_order(n, q), gl_order(2 * n, q))
+        assert fixed_space_tail_check(n, q, c)[0] == sum(at_q[c:])
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["numerator", "denominator"])
+def test_cycle_index_catches_a_scaled_degree_two_class_factor(cold_caches, monkeypatch, side):
+    """Mutation: one side of the class factor of the degree-2 entry (2,
+    (1,)) scaled by 7 inside the series only either trips an integrality
+    check (the numerator does) or makes the masses disagree with the
+    per-label sum (the denominator does)."""
+    n, q = 4, 3
+    want = tuple(_per_label_masses(n, q, lambda fn: class_size_qsq(fn, q)))
+    assert _fixed_space_masses(n, q, q * q) == want
+    real = combinat._centralizer_factor
+
+    def scaled(d, lam, qq):
+        factor = list(real(d, lam, qq))
+        if (d, lam) == (2, (1,)):
+            factor[side] *= 7
+        return tuple(factor)
+
+    monkeypatch.setattr(bounds, "_centralizer_factor", scaled)
+    try:
+        got = _fixed_space_masses.__wrapped__(n, q, q * q)  # the cache keeps the true masses
+    except NonIntegerResultError:
+        return
+    assert got != want
 
 
 def _all_code_vectors(q, length):
@@ -319,77 +371,55 @@ def test_positive_bound_never_reads_zero(mode):
         assert 0 < bound.squared < Fraction(sys.float_info.min) ** 2
 
 
-def _type_rows(n, q, qq):
-    """(entries, count, degree-1 block, d_(lam u lam), class size at qq) per
-    label type, as the block pass computes them."""
-    rows = []
-    _type_values(n, q, qq, lambda *row: rows.append(row))
-    return rows
-
-
 @pytest.mark.parametrize("n, q", [(6, 2), (5, 3), (4, 4), (4, 5)])
 def test_label_pass_matches_per_label_oracles(cold_caches, n, q):
-    """Each label type's data from the one block pass equals the per-label
-    routes: the doubled dimension of the doubled label, the q^2 class size
-    of the Fraction a_mu, and phi by the global c'-ratio route."""
+    """Each label type's spectral term from the one pass over the types
+    equals the per-label routes: the doubled dimension of the doubled label
+    and phi by the global c'-ratio route; every log term is that term's."""
     labels = enumerate_partition_fns(n, q)
     assert all(a.entries < b.entries for (a, _), (b, _) in zip(labels, labels[1:]))
-    rows = _type_rows(n, q, q * q)
-    assert [(entries, cnt) for entries, cnt, *_ in rows] == [(fn.entries, cnt) for fn, cnt in labels]
-    terms = iter(_spectral_terms(n, q))
-    for (fn, cnt), (_, _, (_, total, i), mult, size) in zip(labels, rows):
-        degree_one = tuple(entry for entry in fn.entries if entry[0] == 1)
-        assert combinat._degree_entries(1, total, q - 1)[i][0] == degree_one
-        assert mult == dim_irrep(fn.doubled(), q)
-        assert size == Fraction(gl_order(n, q * q)) / a_mu(fn, q * q)
-        if fn != trivial_label(n):
-            assert next(terms) == (eigenvalue_phi_global(fn, n, q), mult, cnt)
-    assert next(terms, None) is None
-
-
-def _block_route_mismatches(n, q):
-    """Label types whose d_(lam u lam), class size or q^2 class size from
-    the block pass differs from the per-entry route of its PartitionFn."""
-    labels = enumerate_partition_fns(n, q)
-    at_q, at_qsq = _type_rows(n, q, q), _type_rows(n, q, q * q)
-    assert len(at_q) == len(at_qsq) == len(labels)
-    return [
-        fn.entries
-        for (fn, _), (_, _, _, mult, size), (*_, size_qsq) in zip(labels, at_q, at_qsq)
-        if (mult, size, size_qsq)
-        != (doubled_dim_irrep(fn, q), class_size(fn, q), class_size_qsq(fn, q))
+    assert list(_spectral_terms(n, q)) == [
+        (eigenvalue_phi_global(fn, n, q), dim_irrep(fn.doubled(), q), cnt)
+        for fn, cnt in labels
+        if fn != trivial_label(n)
     ]
+    logs = [(math.log(cnt * mult), math.log(abs(phi))) for phi, mult, cnt in _spectral_terms(n, q) if phi]
+    assert len(bounds._label_pass(n, q)[1]) == len(logs)
+    for got, want in zip(bounds._label_pass(n, q)[1], logs):
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def _block_route_mismatches(n, q, terms):
+    """Label types whose d_(lam u lam) among the spectral terms differs from
+    the per-entry route of its PartitionFn."""
+    labels = [fn for fn, _ in enumerate_partition_fns(n, q) if fn != trivial_label(n)]
+    assert len(terms) == len(labels)
+    return [fn.entries for fn, (_, mult, _) in zip(labels, terms) if mult != doubled_dim_irrep(fn, q)]
 
 
 @pytest.mark.parametrize("n, q", [(6, 2), (5, 3), (4, 4), (3, 5)])
 def test_block_pass_matches_per_entry_route(cold_caches, n, q):
-    """Oracle: per type, the block factors give what doubled_dim_irrep,
-    class_size and class_size_qsq give from the type's entries one by one."""
-    assert _block_route_mismatches(n, q) == []
+    """Oracle: per type, the pass over the blocks gives what
+    doubled_dim_irrep gives from the type's PartitionFn."""
+    assert _block_route_mismatches(n, q, _spectral_terms(n, q)) == []
 
 
 def test_block_pass_catches_a_scaled_degree_two_factor(cold_caches, monkeypatch):
     """Mutation: the dimension denominator of the degree-2 entry (2, (1,))
-    scaled by 7 in every block that holds it either trips the integrality
-    check or makes the block pass disagree with the per-entry route."""
-    real = bounds._block_factors
+    scaled by 7 in the pass either trips the integrality check or makes
+    the pass disagree with the per-entry route."""
+    real = combinat._doubled_dim_factor
 
-    def scaled(d, total, q, qq):
-        factors = real(d, total, q, qq)
-        if d != 2:
-            return factors
-        blocks = combinat._degree_entries(2, total, combinat.orbit_count(2, q))
-        return tuple(
-            (f_num, f_den * 7, *rest) if (2, (1,)) in entries else (f_num, f_den, *rest)
-            for (entries, _), (f_num, f_den, *rest) in zip(blocks, factors)
-        )
+    def scaled(d, lam, q):
+        f_num, f_den = real(d, lam, q)
+        return (f_num, f_den * 7) if (d, lam) == (2, (1,)) else (f_num, f_den)
 
-    monkeypatch.setattr(bounds, "_block_factors", scaled)
+    monkeypatch.setattr(bounds, "_doubled_dim_factor", scaled)
     try:
-        mismatches = _block_route_mismatches(5, 3)
+        terms = bounds._label_pass.__wrapped__(5, 3)[0]  # the cache keeps the true terms
     except NonIntegerResultError:
         return
-    assert mismatches
+    assert _block_route_mismatches(5, 3, terms)
 
 
 def _chi_squares_from_j(chain, k_max):
@@ -485,3 +515,23 @@ def test_huge_step_ranges_are_assessed_at_once():
     check_row_work(3, 2, range(1, rows + 1))
     with pytest.raises(StepRangeTooLargeError):
         check_row_work(3, 2, range(1, rows + 2))
+
+
+@pytest.mark.parametrize("q, error", [(6, NotPrimeError), (1, ValueError), (2**20 + 7, FieldTooLargeError)])
+def test_bounds_refuse_a_q_that_is_not_a_prime_power(cold_caches, q, error):
+    """upper_bound_tv(3, 6, 1) read 237.64 as "exact", support_fraction(3,
+    6, 1) a fraction, and q = 1 ended in a ZeroDivisionError."""
+    for call in (upper_bound_tv, support_fraction, fixed_space_tail_check, negative_mass_bound):
+        with pytest.raises(error):
+            call(3, q, 1)
+    with pytest.raises(error):
+        upper_bound_tv(3, q, 1, "logfloat")
+
+
+@pytest.mark.parametrize("mode", ["bogus", "Exact", ""])
+def test_unknown_mode_is_refused(mode):
+    """An unknown mode took the logfloat path and reported "logfloat"."""
+    with pytest.raises(ValueError, match="auto, exact or logfloat"):
+        upper_bound_tv(2, 2, 1, mode)
+    with pytest.raises(ValueError, match="auto, exact or logfloat"):
+        resolve_mode(2, 2, range(1, 5), mode)

@@ -756,3 +756,16 @@ def test_spectrum_and_bounds_output_is_pinned(capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha256, argv
+
+
+def test_bounds_sweep_is_pinned(capsys):
+    """One sha256 over the csv stdout of `bounds --n N --q Q --k-range
+    1..N+4`, Q = 2..5 then N = 1..10: the logfloat rows at (9,3), (10,2)
+    and (9,4) move if the logfloat sum adds its terms in another order."""
+    digest = hashlib.sha256()
+    for q in range(2, 6):
+        for n in range(1, 11):
+            code, out = run_cli(capsys, "bounds", "--n", str(n), "--q", str(q), "--k-range", f"1..{n + 4}")
+            assert code == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == "898dd370934b6545f892dd1d35e9c54da20d16145414551b073ee71829cb387b"

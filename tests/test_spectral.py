@@ -100,9 +100,10 @@ def test_char_ratio_trivial_is_one():
 
 
 @pytest.mark.parametrize(
-    "n, q", [(n, q) for n in (2, 3, 4, 5) for q in (2, 3)] + [(n, q) for n in (2, 3, 4) for q in (4, 5)]
+    "n, q", [(n, q) for q in (2, 3, 4, 5) for n in range(2, 9)] + [(n, q) for q in (7, 8, 9) for n in range(2, 7)]
 )
 def test_dual_path_equality(n, q):
+    """The closed form against both oracles, at every label."""
     for fn, _ in enumerate_partition_fns(n, q):
         local = eigenvalue_phi(fn, n, q)
         ratio_form = eigenvalue_phi_global(fn, n, q)
