@@ -12,8 +12,8 @@ the polynomial x - 1, and the total mass of those cosets is exponentially
 small in c.  The masses are the t^n coefficient of the cycle index of
 GL_n (Fulman), x - 1 carrying c parts, in integers (_fixed_space_masses).
 
-The spectral sum keeps one term per label type, from one pass over the
-types (_label_pass, on combinat._walk_types); no label object is built.
+The spectral sum comes from one pass over the label types (_label_pass): exact
+rows sum per distinct phi over one denominator, logfloat rows per type.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .combinat import (
     _centralizer_factor,
@@ -42,11 +44,12 @@ from .errors import (
     int_text,
 )
 from .field import field_from_order
-from .spectral import phi_of_degree_one_parts, trivial_label
+from .spectral import content_sum, phi_denominator, phi_numerator, trivial_label
 
 EXACT_MODE_MAX_N = 8
-# Exact mode costs about terms x (2k x largest bit length of phi)^2 big-int
-# work; at 4e11 one call took 0.3-1 s across (n, q) up to (8, 4) on a 2-CPU host.
+# Exact mode is priced per label type (_exact_work), as when each type added a
+# Fraction: at 4e11 one call took 0.3-1 s up to (n, q) = (8, 4) on a 2-CPU host.
+# Per distinct phi it costs less; repricing would flip auto modes and digests.
 EXACT_WORK_MAX = 4 * 10**11
 # A row of `bounds` costs about 150 ns per spectral term of a logfloat upper
 # bound, plus about 15 us (ROW_COST_TERMS terms' worth) for the rest of the
@@ -81,41 +84,51 @@ def _log_fraction_abs(fr: Fraction) -> float:
     return _log_int(abs(fr.numerator)) - _log_int(fr.denominator)
 
 
-def _check_args(n, q):
+def _check_args(n, q, capped=True):
     """Raise, before any term is formed, for n < 1, for n beyond the
-    enumeration cap, and for a q that is not a prime power."""
+    enumeration cap (where capped), and for a q that is not a prime power."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    check_enumeration_cap(n)
+    if capped:
+        check_enumeration_cap(n)
     field_from_order(q)
 
 
 @lru_cache(maxsize=None)
 def _label_pass(n, q):
-    """(spectral terms, log terms) from one pass over the label types, by
-    increasing entries: (phi, d_(lam u lam), count) and, where phi != 0,
-    (log(count x d_(lam u lam)), log|phi|) per type but the twist, (1^n) at
-    one degree-1 orbit.  phi and log|phi| are taken once per degree-1
-    block.  The terms stay per type, not per distinct phi: the logfloat
-    sum adds them in this order, and its last bits are pinned."""
+    """(spectral terms, log terms, phi masses) from one pass over the label
+    types but the twist, (1^n) at one degree-1 orbit, by increasing
+    entries: (phi, d_(lam u lam), count) per type; float64 arrays of
+    log(count x d_(lam u lam)) and log|phi| over the types with phi != 0;
+    and (D, ((a, m_a), ...)), each distinct phi = a / D with its total
+    multiplicity.  phi and log|phi| are taken once per content sum R."""
     _check_args(n, q)
     twist = trivial_label(n).entries
-    terms, logs, ones = [], [], {}  # degree-1 block -> (phi, log|phi|)
+    den = phi_denominator(n, q)
+    terms, weights, log_phis, masses = [], [], [], {}
+    ones, by_r = {}, {}  # degree-1 block, resp. content sum -> (a, phi, log|phi|)
 
     def add(entries, blocks, cnt):
+        if entries == twist:
+            return
         one = blocks[0] if blocks[0][0] == 1 else None
         if one not in ones:
-            phi = phi_of_degree_one_parts(tuple(lam for d, lam in entries if d == 1), n, q)
-            ones[one] = phi, _log_fraction_abs(phi) if phi else None
-        phi, log_phi = ones[one]
-        if entries != twist:
-            mult = _checked_dim(entries, 2 * n, [_doubled_dim_factor(d, lam, q) for d, lam in entries], q)
-            terms.append((phi, mult, cnt))
-            if log_phi is not None:
-                logs.append((_log_int(cnt * mult), log_phi))
+            r = sum(content_sum(lam, n, q) for d, lam in entries if d == 1)
+            if r not in by_r:
+                a = phi_numerator(r, n, q)
+                phi = Fraction(a, den)
+                by_r[r] = a, phi, _log_fraction_abs(phi) if a else None
+            ones[one] = by_r[r]
+        a, phi, log_phi = ones[one]
+        mult = _checked_dim(entries, 2 * n, [_doubled_dim_factor(d, lam, q) for d, lam in entries], q)
+        terms.append((phi, mult, cnt))
+        masses[a] = masses.get(a, 0) + cnt * mult
+        if a:
+            weights.append(_log_int(cnt * mult))
+            log_phis.append(log_phi)
 
     _walk_types(n, q, add)
-    return tuple(terms), tuple(logs)
+    return tuple(terms), (np.array(weights), np.array(log_phis)), (den, tuple(masses.items()))
 
 
 def _spectral_terms(n, q):
@@ -203,8 +216,8 @@ def _steps(ks):
 
 def _exact_work(n, q, ks):
     """Estimated big-integer work of the exact spectral sums at every k in
-    ks, known before any power is taken: per k, terms x size^2, with size =
-    2k x the largest bit length of any phi."""
+    ks, known before any power is taken: per k, label types x size^2, with
+    size = 2k x the largest bit length of any phi (see EXACT_WORK_MAX)."""
     count, bits = _phi_bits(n, q)
     return count * (2 * bits) ** 2 * _steps(ks)[2]
 
@@ -270,33 +283,32 @@ def upper_bound_tv(n, q, k, mode="auto") -> BoundValue:
     """Spectral upper bound on TV distance after k steps.
 
     mode "exact" keeps the squared bound as one Fraction (default for
-    n <= 8 within the work cap, see resolve_mode); "logfloat" accumulates
-    term logs in float (relative error below 1e-9 against exact mode,
-    tested for n <= 8 at q = 2 and n <= 6 at q = 3), needed once
-    dimensions reach q^Theta(n^2).  The terms and logs come once per
-    (n, q) from _label_pass, which refuses a q that is not a prime power,
-    and serve every k.  A positive
-    bound never reads below sys.float_info.min, and one beyond the float
-    range reads math.inf.
+    n <= 8 within the work cap, see resolve_mode): m_a a^(2k) summed over
+    the distinct phi = a / D, over 4 D^(2k).  "logfloat" adds the terms'
+    exps per type, in the pass's order (relative error below 1e-9 against
+    exact mode, tested for n <= 8 at q = 2 and n <= 6 at q = 3), needed
+    once dimensions reach q^Theta(n^2).  Both read what _label_pass, which
+    refuses a q that is not a prime power, keeps once per (n, q).  A
+    positive bound never reads below sys.float_info.min, and one beyond
+    the float range reads math.inf.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     mode = resolve_mode(n, q, (k,), mode)
     if mode == "exact":
-        sq = Fraction(0)
-        for phi, mult, cnt in _spectral_terms(n, q):
-            sq += Fraction(cnt * mult) * phi ** (2 * k)
-        sq /= 4
+        den, masses = _label_pass(n, q)[2]  # at n = 1 no term, and D = 0
+        sq = Fraction(sum(m * a ** (2 * k) for a, m in masses), 4 * den ** (2 * k)) if masses else Fraction(0)
         try:
             value = math.sqrt(sq)
         except OverflowError:  # sq lies beyond the float range; its root may not
             value = _exp_or_inf(_log_fraction_abs(sq) / 2)
         return BoundValue(_positive_float(value) if sq else value, sq, "exact")
-    logs = [weight + 2 * k * log_phi for weight, log_phi in _label_pass(n, q)[1]]
-    if not logs:
+    weights, log_phis = _label_pass(n, q)[1]
+    logs = weights + float(2 * k) * log_phis  # each weight + 2 * k * log_phi, rounded as in Python
+    if not len(logs):
         return BoundValue(0.0, None, "logfloat")
-    top = max(logs)
-    acc = sum(math.exp(lg - top) for lg in logs)
+    top = float(logs.max())
+    acc = sum(map(math.exp, (logs - top).tolist()))  # in type order
     log_sq = top + math.log(acc) - math.log(4)
     return BoundValue(_positive_float(_exp_or_inf(log_sq / 2)), None, "logfloat")
 
@@ -349,6 +361,7 @@ def ratio_constant_check(n, q):
     This is the exact constant linking the double-coset tail at parameter
     q^2 to the class tail at parameter q; it increases in n but converges.
     """
+    _check_args(n, q, capped=False)
     val = Fraction(1)
     for i in range(1, n + 1):
         val *= Fraction(q ** (2 * i) - 1, q ** (2 * i) - q)
@@ -357,14 +370,13 @@ def ratio_constant_check(n, q):
 
 def negative_mass_bound(n, q, k):
     """Crude bound q^(2n^2) (q^(2n-2) - 1)^(-2k) on the negative-eigenvalue
-    part of the spectral sum, plus the exact negative partial sum.  Its work
-    is capped as upper_bound_tv's exact mode is."""
+    part of the spectral sum, plus the exact negative partial sum, taken
+    and work-capped as upper_bound_tv's exact mode is; n >= 2."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if n < 2:
+        raise ValueError(f"negative mass bound needs n >= 2, got {n}")
     _check_exact_work(n, q, (k,), "negative mass bound")
     crude = Fraction(q ** (2 * n * n), (q ** (2 * n - 2) - 1) ** (2 * k))
-    exact = Fraction(0)
-    for phi, mult, cnt in _spectral_terms(n, q):
-        if phi <= 0:
-            exact += Fraction(cnt * mult) * abs(phi) ** (2 * k)
-    return crude, exact
+    den, masses = _label_pass(n, q)[2]
+    return crude, Fraction(sum(m * a ** (2 * k) for a, m in masses if a <= 0), den ** (2 * k))

@@ -10,6 +10,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import sys
@@ -296,23 +297,30 @@ def _parse(argv):
 
 
 def main(argv=None):
-    command, args = _parse(sys.argv[1:] if argv is None else argv)
-    # exact rationals print in full: lift the int-to-str digit limit of
-    # Python 3.10.7 on (0 means none) for this call only
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
+    freeze = not gc.get_freeze_count()  # a heap a caller froze stays frozen
+    if freeze:
+        gc.freeze()  # the collector scans only what the call allocates
     try:
-        return globals()[f"cmd_{command}"](args)
-    except ResourceCapError as exc:
-        sys.stderr.write(f"resource cap: {exc}\n")
-        return EXIT_RESOURCE
-    except (ValueError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    finally:
+        command, args = _parse(sys.argv[1:] if argv is None else argv)
+        # exact rationals print in full: lift the int-to-str digit limit of
+        # Python 3.10.7 on (0 means none) for this call only
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if limit:
-            sys.set_int_max_str_digits(limit)
+            sys.set_int_max_str_digits(0)
+        try:
+            return globals()[f"cmd_{command}"](args)
+        except ResourceCapError as exc:
+            sys.stderr.write(f"resource cap: {exc}\n")
+            return EXIT_RESOURCE
+        except (ValueError, OSError) as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return EXIT_USAGE
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+    finally:
+        if freeze:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

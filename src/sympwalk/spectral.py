@@ -134,20 +134,30 @@ def _prefactor(n, q) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def content_sum(part, n, q) -> int:
+    """q^(n-1) R, R the sum of q^(2i-j) over the boxes (i, j) of part, 0-indexed; R adds over parts."""
+    return sum(q ** (n - 1 + 2 * i - j) for i, row in enumerate(part) for j in range(row))
+
+
+def phi_denominator(n, q) -> int:
+    """D = (q^2n-1)(q^(2n-2)-1): each phi of weight n >= 2 is an integer over D."""
+    return (q ** (2 * n) - 1) * (q ** (2 * n - 2) - 1)
+
+
+def phi_numerator(r, n, q) -> int:
+    """D phi = (q^2-1) q^(2n-2) R - (q^2n-1) for degree-1 parts of content_sum r, n >= 2."""
+    return (q * q - 1) * q ** (n - 1) * r - (q ** (2 * n) - 1)
+
+
+@lru_cache(maxsize=None)
 def phi_of_degree_one_parts(degree_one_parts, n, q) -> Fraction:
     """phi of every label of weight n whose degree-1 partitions are
-    degree_one_parts (PartitionFn.degree_one_parts), in closed form:
-    ((q^2-1) q^(2n-2) R - (q^2n-1)) / ((q^2n-1)(q^(2n-2)-1)), R the sum of
-    q^(2i-j) over their boxes (i, j), 0-indexed, an integer times
-    q^(1-n).  For n = 1 every transvection of GL_2 is symplectic, the
-    walk is trivial, and phi is 1."""
+    degree_one_parts (PartitionFn.degree_one_parts), from their content sum.
+    At n = 1 every transvection of GL_2 is symplectic, and phi is 1."""
     if n == 1:
         return Fraction(1)
-    r = sum(
-        q ** (n - 1 + 2 * i - j) for part in degree_one_parts for i, row in enumerate(part) for j in range(row)
-    )
-    top = q ** (2 * n) - 1
-    return Fraction((q * q - 1) * q ** (n - 1) * r - top, top * (q ** (2 * n - 2) - 1))
+    r = sum(content_sum(part, n, q) for part in degree_one_parts)
+    return Fraction(phi_numerator(r, n, q), phi_denominator(n, q))
 
 
 def eigenvalue_phi(lam_fn: PartitionFn, n, q) -> Fraction:

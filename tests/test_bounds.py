@@ -17,6 +17,8 @@ from sympwalk.bounds import (
     ROW_WORK_MAX,
     _exact_work,
     _fixed_space_masses,
+    _log_fraction_abs,
+    _log_int,
     _spectral_terms,
     check_row_work,
     fixed_space_tail_check,
@@ -47,7 +49,7 @@ from sympwalk.errors import (
 )
 from sympwalk.field import field_from_order
 from sympwalk.linalg import standard_J
-from sympwalk.spectral import eigenvalue_phi_global, trivial_label
+from sympwalk.spectral import eigenvalue_phi_global, phi_of_degree_one_parts, trivial_label
 from sympwalk.walk import _realify
 
 
@@ -384,9 +386,60 @@ def test_label_pass_matches_per_label_oracles(cold_caches, n, q):
         if fn != trivial_label(n)
     ]
     logs = [(math.log(cnt * mult), math.log(abs(phi))) for phi, mult, cnt in _spectral_terms(n, q) if phi]
-    assert len(bounds._label_pass(n, q)[1]) == len(logs)
-    for got, want in zip(bounds._label_pass(n, q)[1], logs):
+    weights, log_phis = bounds._label_pass(n, q)[1]
+    assert len(weights) == len(log_phis) == len(logs)
+    for got, want in zip(zip(weights.tolist(), log_phis.tolist()), logs):
         assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("q, top", [(2, 8), (3, 8), (4, 6), (5, 6), (7, 6)])
+def test_phi_once_per_content_sum_matches_every_degree_one_block(q, top):
+    """Each type's phi, taken once per content sum R, is
+    phi_of_degree_one_parts of its degree-1 block, and the log arrays hold
+    exactly _log_int(count x d) and _log_fraction_abs(phi) of its term."""
+    for n in range(1, top + 1):
+        labels = [(fn, cnt) for fn, cnt in enumerate_partition_fns(n, q) if fn != trivial_label(n)]
+        terms = _spectral_terms(n, q)
+        assert [phi for phi, _, _ in terms] == [phi_of_degree_one_parts(fn.degree_one_parts(), n, q) for fn, _ in labels]
+        weights, log_phis = bounds._label_pass(n, q)[1]
+        assert weights.tolist() == [_log_int(cnt * mult) for phi, mult, cnt in terms if phi]
+        assert log_phis.tolist() == [_log_fraction_abs(phi) for phi, _, _ in terms if phi]
+
+
+def _per_type_square(n, q, k, keep=lambda phi: True):
+    """Oracle: the squared bound as one reduced Fraction added per type."""
+    sq = Fraction(0)
+    for phi, mult, cnt in _spectral_terms(n, q):
+        if keep(phi):
+            sq += Fraction(cnt * mult) * phi ** (2 * k)
+    return sq
+
+
+@pytest.mark.parametrize("q, top", [(2, 8), (3, 8), (4, 6), (5, 6), (7, 6)])
+def test_exact_rows_per_distinct_phi_match_the_per_type_sum(q, top):
+    """An exact row, one integer sum over the distinct phi = a / D, and the
+    exact part of negative_mass_bound equal the per-type Fraction sums, at
+    k = 1..12 and every n from 1 up."""
+    for n in range(1, top + 1):
+        for k in range(1, 13):
+            assert upper_bound_tv(n, q, k, "exact").squared == _per_type_square(n, q, k) / 4, (n, k)
+            if n >= 2:
+                assert negative_mass_bound(n, q, k)[1] == _per_type_square(n, q, k, lambda phi: phi <= 0), (n, k)
+
+
+def _per_type_logfloat(n, q, k):
+    """Oracle: the logfloat bound from per-type Python floats."""
+    logs = [_log_int(cnt * mult) + 2 * k * _log_fraction_abs(phi) for phi, mult, cnt in _spectral_terms(n, q) if phi]
+    top = max(logs)
+    acc = sum(math.exp(lg - top) for lg in logs)
+    return max(math.exp((top + math.log(acc) - math.log(4)) / 2), sys.float_info.min)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_logfloat_rows_from_arrays_are_bit_identical_to_per_type_floats(q):
+    for n in range(9, 15):
+        for k in range(1, n + 5):
+            assert upper_bound_tv(n, q, k, "logfloat").value == _per_type_logfloat(n, q, k), (n, k)
 
 
 def _block_route_mismatches(n, q, terms):
@@ -446,12 +499,13 @@ def test_spectral_sum_is_q_minus_1_times_chain_chi_square(request, chain):
 
 
 def test_spectral_sum_identity_catches_a_scaled_multiplicity(monkeypatch, chain23):
-    """Mutation: one term's multiplicity doubled breaks the identity."""
-    terms = list(_spectral_terms(2, 3))
-    i = next(i for i, (phi, _, _) in enumerate(terms) if phi)
-    phi, mult, cnt = terms[i]
-    terms[i] = (phi, 2 * mult, cnt)
-    monkeypatch.setattr(bounds, "_spectral_terms", lambda n, q: tuple(terms))
+    """Mutation: one nonzero phi's multiplicity doubled breaks the identity."""
+    terms, logs, (den, masses) = bounds._label_pass(2, 3)
+    masses = list(masses)
+    i = next(i for i, (a, _) in enumerate(masses) if a)
+    a, mass = masses[i]
+    masses[i] = (a, 2 * mass)
+    monkeypatch.setattr(bounds, "_label_pass", lambda n, q: (terms, logs, (den, tuple(masses))))
     for k, chi2 in enumerate(_chi_squares_from_j(chain23, 8), start=1):
         assert 4 * upper_bound_tv(2, 3, k, "exact").squared != 2 * chi2, k
 
@@ -488,7 +542,8 @@ def test_exact_square_beyond_the_float_range_keeps_its_root(monkeypatch):
     sq = bound.squared
     assert sq > sys.float_info.max
     assert bound.value == pytest.approx(math.isqrt(sq.numerator // sq.denominator), rel=1e-9)
-    monkeypatch.setattr(bounds, "_spectral_terms", lambda n, q: ((Fraction(1), 4 ** 1100, 1),))
+    terms, logs, (den, _) = bounds._label_pass(2, 2)
+    monkeypatch.setattr(bounds, "_label_pass", lambda n, q: (terms, logs, (den, ((den, 4 ** 1100),))))  # phi = 1
     bound = upper_bound_tv(2, 2, 1, "exact")
     assert bound.squared == 4 ** 1099 and bound.value == math.inf
 
@@ -515,6 +570,31 @@ def test_huge_step_ranges_are_assessed_at_once():
     check_row_work(3, 2, range(1, rows + 1))
     with pytest.raises(StepRangeTooLargeError):
         check_row_work(3, 2, range(1, rows + 2))
+
+
+@pytest.mark.parametrize("q", [2, 3, 6])
+def test_negative_mass_bound_refuses_n_below_2(q):
+    """negative_mass_bound(1, q, k) ended in a ZeroDivisionError: its crude
+    bound divides by (q^0 - 1)^(2k)."""
+    with pytest.raises(ValueError, match="n >= 2, got 1"):
+        negative_mass_bound(1, q, 1)
+
+
+@pytest.mark.parametrize(
+    "n, q, error, match",
+    [
+        (2, 1, ValueError, "field order must be >= 2"),
+        (0, 2, ValueError, "n must be >= 1, got 0"),
+        (-3, 2, ValueError, "n must be >= 1, got -3"),
+        (2, 6, NotPrimeError, "6 is not a prime power"),
+    ],
+)
+def test_ratio_constant_check_refuses_bad_n_and_q(n, q, error, match):
+    """(2, 1) ended in a ZeroDivisionError; (0, 2) and (-3, 2) read (1,
+    True); (2, 6) was accepted.  n beyond the enumeration cap stays
+    admitted (test_ratio_constant_bounded_and_converging)."""
+    with pytest.raises(error, match=match):
+        ratio_constant_check(n, q)
 
 
 @pytest.mark.parametrize("q, error", [(6, NotPrimeError), (1, ValueError), (2**20 + 7, FieldTooLargeError)])

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import importlib.util
 import io
@@ -611,17 +612,53 @@ def test_labels_below_n1_name_the_given_n(capsys, argv, n):
     assert captured.err == f"error: n must be >= 1, got {n}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["spectrum", "--n", "2", "--q", "2"], 0),
+        (["bounds", "--n", "0", "--k-range", "1..2"], 1),
+        (["bounds", "--n", "2", "--bogus"], SystemExit),
+        (["bounds", "--n", "15", "--k-range", "1..2"], 3),
+    ],
+)
+def test_main_freezes_the_heap_only_for_the_call(capsys, monkeypatch, argv, code):
+    """main runs with the heap it starts with frozen, and leaves the freeze
+    count as it found it: 0 after a normal return, a usage error (a
+    returned or a raised exit 1) and an exit-3 refusal, and a heap its
+    caller froze still frozen."""
+    during = []
+    real = cli.cmd_spectrum
+    monkeypatch.setattr(cli, "cmd_spectrum", lambda args: during.append(gc.get_freeze_count()) or real(args))
+    for frozen_by_caller in (False, True):
+        if frozen_by_caller:
+            gc.freeze()
+        assert (gc.get_freeze_count() > 0) == frozen_by_caller
+        try:
+            if code is SystemExit:
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 1
+            else:
+                assert main(argv) == code
+            assert (gc.get_freeze_count() > 0) == frozen_by_caller  # frozen objects may have been freed
+        finally:
+            gc.unfreeze()
+    assert all(during) and len(during) == 2 * (argv[0] == "spectrum")
+    capsys.readouterr()
+
+
 def test_verify_checks_the_plancherel_identity(capsys, monkeypatch):
     """verify's walk suite checks 4 upper^2 = chi^2(m_k, pi) on the (2,2)
-    chain; one term's multiplicity doubled makes it FAIL with exit 2."""
+    chain; one nonzero phi's multiplicity doubled makes it FAIL with exit 2."""
     argv = ["verify", "--suite", "walk", "--max-n", "2", "--trials", "2000"]
     code, out = run_cli(capsys, *argv)
     assert code == 0 and "PASS walk.plancherel_identity_2_2\n" in out
-    terms = list(bounds._spectral_terms(2, 2))
-    i = next(i for i, (phi, _, _) in enumerate(terms) if phi)
-    phi, mult, cnt = terms[i]
-    terms[i] = (phi, 2 * mult, cnt)
-    monkeypatch.setattr(bounds, "_spectral_terms", lambda n, q: tuple(terms))
+    terms, logs, (den, masses) = bounds._label_pass(2, 2)
+    masses = list(masses)
+    i = next(i for i, (a, _) in enumerate(masses) if a)
+    a, mass = masses[i]
+    masses[i] = (a, 2 * mass)
+    monkeypatch.setattr(bounds, "_label_pass", lambda n, q: (terms, logs, (den, tuple(masses))))
     code, out = run_cli(capsys, *argv)
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert code == 2 and [line.split()[1] for line in failed] == ["walk.plancherel_identity_2_2"]
@@ -769,3 +806,25 @@ def test_bounds_sweep_is_pinned(capsys):
             assert code == 0
             digest.update(out.encode())
     assert digest.hexdigest() == "898dd370934b6545f892dd1d35e9c54da20d16145414551b073ee71829cb387b"
+
+
+@pytest.mark.parametrize(
+    "mode, sha256",
+    [
+        ("--exact", "2ab704134a3eff74546da87bb16fa1afb6d0ae95d9a5f345c9e0e498060c8972"),
+        ("--logfloat", "cd0e68cc67ad3f9dfd9ff3d458ddf97ec41a010bd454ce50c8b5b5be35fc99e0"),
+    ],
+)
+def test_bounds_json_sweep_is_pinned_in_each_mode(capsys, mode, sha256):
+    """One sha256 over the json stdout of `bounds --n N --q Q --k-range
+    1..N+4` in one forced mode, Q = 2..5 then N = 1..8: the exact rows
+    summed per distinct eigenvalue and the logfloat rows from arrays print
+    what the per-type sums printed."""
+    digest = hashlib.sha256()
+    for q in range(2, 6):
+        for n in range(1, 9):
+            argv = ["bounds", "--n", str(n), "--q", str(q), "--k-range", f"1..{n + 4}", "--format", "json", mode]
+            code, out = run_cli(capsys, *argv)
+            assert code == 0, argv
+            digest.update(out.encode())
+    assert digest.hexdigest() == sha256
