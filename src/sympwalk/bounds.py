@@ -12,8 +12,10 @@ the polynomial x - 1, and the total mass of those cosets is exponentially
 small in c.  The masses are the t^n coefficient of the cycle index of
 GL_n (Fulman), x - 1 carrying c parts, in integers (_fixed_space_masses).
 
-The spectral sum comes from one pass over the label types (_label_pass): exact
-rows sum per distinct phi over one denominator, logfloat rows per type.
+The spectral sum reads one summary per (n, q), made in one pass over the
+label types (_label_pass): the number of types and the largest bit length
+of any phi price exact rows, which sum per distinct phi over one
+denominator; logfloat rows sum per type from two float arrays.
 """
 
 from __future__ import annotations
@@ -96,43 +98,36 @@ def _check_args(n, q, capped=True):
 
 @lru_cache(maxsize=None)
 def _label_pass(n, q):
-    """(spectral terms, log terms, phi masses) from one pass over the label
-    types but the twist, (1^n) at one degree-1 orbit, by increasing
-    entries: (phi, d_(lam u lam), count) per type; float64 arrays of
-    log(count x d_(lam u lam)) and log|phi| over the types with phi != 0;
-    and (D, ((a, m_a), ...)), each distinct phi = a / D with its total
-    multiplicity.  phi and log|phi| are taken once per content sum R."""
+    """(number of types, largest bit length of any phi, log arrays, phi
+    masses) from one pass over the label types but the twist, (1^n) at one
+    degree-1 orbit, by increasing entries.  The float64 arrays hold
+    log(count x d_(lam u lam)) and log|phi| per type, in type order (no
+    phi is 0: q divides the first term of phi_numerator at n >= 2, but not
+    q^2n - 1); the masses are (D, ((a, m_a), ...)), each distinct
+    phi = a / D with its total multiplicity.  a is taken once per degree-1
+    block, and log|phi| and the bit lengths once per distinct a."""
     _check_args(n, q)
     twist = trivial_label(n).entries
-    den = phi_denominator(n, q)
-    terms, weights, log_phis, masses = [], [], [], {}
-    ones, by_r = {}, {}  # degree-1 block, resp. content sum -> (a, phi, log|phi|)
+    a_of, masses, weights, a_per_type = {}, {}, [], []  # degree-1 entries -> a; a -> m_a
 
-    def add(entries, blocks, cnt):
+    def add(entries, ones, cnt):
         if entries == twist:
             return
-        one = blocks[0] if blocks[0][0] == 1 else None
-        if one not in ones:
-            r = sum(content_sum(lam, n, q) for d, lam in entries if d == 1)
-            if r not in by_r:
-                a = phi_numerator(r, n, q)
-                phi = Fraction(a, den)
-                by_r[r] = a, phi, _log_fraction_abs(phi) if a else None
-            ones[one] = by_r[r]
-        a, phi, log_phi = ones[one]
-        mult = _checked_dim(entries, 2 * n, [_doubled_dim_factor(d, lam, q) for d, lam in entries], q)
-        terms.append((phi, mult, cnt))
-        masses[a] = masses.get(a, 0) + cnt * mult
-        if a:
-            weights.append(_log_int(cnt * mult))
-            log_phis.append(log_phi)
+        a = a_of.get(ones)
+        if a is None:
+            a = a_of[ones] = phi_numerator(sum(content_sum(lam, n, q) for _, lam in ones), n, q)
+        mass = cnt * _checked_dim(entries, 2 * n, [_doubled_dim_factor(d, lam, q) for d, lam in entries], q)
+        masses[a] = masses.get(a, 0) + mass
+        weights.append(_log_int(mass))
+        a_per_type.append(a)
 
     _walk_types(n, q, add)
-    return tuple(terms), (np.array(weights), np.array(log_phis)), (den, tuple(masses.items()))
-
-
-def _spectral_terms(n, q):
-    return _label_pass(n, q)[0]
+    den = phi_denominator(n, q)
+    phis = {a: Fraction(a, den) for a in masses}  # none at n = 1, where D = 0
+    bits = max((max(p.numerator.bit_length(), p.denominator.bit_length()) for p in phis.values()), default=0)
+    log_phi = {a: _log_fraction_abs(phi) for a, phi in phis.items()}
+    logs = np.array(weights), np.array([log_phi[a] for a in a_per_type])
+    return len(weights), bits, logs, (den, tuple(masses.items()))
 
 
 def _one_orbit(n, d, qq, parts=None):
@@ -188,17 +183,6 @@ def _fixed_space_masses(n, q, qq):
     return tuple(_times(_one_orbit(n, 1, qq, c), rest, qq)[n] for c in range(n + 1))
 
 
-@lru_cache(maxsize=None)
-def _phi_bits(n, q):
-    """(number of spectral terms, largest bit length of any phi)."""
-    terms = _spectral_terms(n, q)
-    bits = max(
-        (max(phi.numerator.bit_length(), phi.denominator.bit_length()) for phi, _, _ in terms),
-        default=0,
-    )
-    return len(terms), bits
-
-
 def _square_sum(m):
     """1^2 + ... + m^2; _square_sum(m) - _square_sum(m - 1) = m^2 for every
     integer m."""
@@ -218,7 +202,7 @@ def _exact_work(n, q, ks):
     """Estimated big-integer work of the exact spectral sums at every k in
     ks, known before any power is taken: per k, label types x size^2, with
     size = 2k x the largest bit length of any phi (see EXACT_WORK_MAX)."""
-    count, bits = _phi_bits(n, q)
+    count, bits = _label_pass(n, q)[:2]
     return count * (2 * bits) ** 2 * _steps(ks)[2]
 
 
@@ -257,7 +241,7 @@ def check_row_work(n, q, ks):
     terms + ROW_COST_TERMS), the cost of logfloat rows.  Exact rows cost
     more, and EXACT_WORK_MAX caps them as well."""
     count, largest, _ = _steps(ks)
-    work = count * (len(_spectral_terms(n, q)) + ROW_COST_TERMS)
+    work = count * (_label_pass(n, q)[0] + ROW_COST_TERMS)
     if work > ROW_WORK_MAX:
         raise StepRangeTooLargeError(
             f"{int_text(count)} bound rows at n={n} q={q} up to k={int_text(largest)} need "
@@ -296,18 +280,22 @@ def upper_bound_tv(n, q, k, mode="auto") -> BoundValue:
         raise ValueError("k must be >= 1")
     mode = resolve_mode(n, q, (k,), mode)
     if mode == "exact":
-        den, masses = _label_pass(n, q)[2]  # at n = 1 no term, and D = 0
+        den, masses = _label_pass(n, q)[3]  # at n = 1 no term, and D = 0
         sq = Fraction(sum(m * a ** (2 * k) for a, m in masses), 4 * den ** (2 * k)) if masses else Fraction(0)
         try:
             value = math.sqrt(sq)
         except OverflowError:  # sq lies beyond the float range; its root may not
             value = _exp_or_inf(_log_fraction_abs(sq) / 2)
         return BoundValue(_positive_float(value) if sq else value, sq, "exact")
-    weights, log_phis = _label_pass(n, q)[1]
-    logs = weights + float(2 * k) * log_phis  # each weight + 2 * k * log_phi, rounded as in Python
-    if not len(logs):
+    weights, log_phis = _label_pass(n, q)[2]
+    if not len(weights):
         return BoundValue(0.0, None, "logfloat")
+    two_k = float(2 * k) if 2 * k <= sys.float_info.max else math.inf
+    with np.errstate(over="ignore"):  # every |phi| < 1: a term beyond the float range reads -inf
+        logs = weights + two_k * log_phis  # each weight + 2 * k * log_phi, rounded as in Python
     top = float(logs.max())
+    if top == -math.inf:
+        return BoundValue(sys.float_info.min, None, "logfloat")
     acc = sum(map(math.exp, (logs - top).tolist()))  # in type order
     log_sq = top + math.log(acc) - math.log(4)
     return BoundValue(_positive_float(_exp_or_inf(log_sq / 2)), None, "logfloat")
@@ -378,5 +366,5 @@ def negative_mass_bound(n, q, k):
         raise ValueError(f"negative mass bound needs n >= 2, got {n}")
     _check_exact_work(n, q, (k,), "negative mass bound")
     crude = Fraction(q ** (2 * n * n), (q ** (2 * n - 2) - 1) ** (2 * k))
-    den, masses = _label_pass(n, q)[2]
+    den, masses = _label_pass(n, q)[3]
     return crude, Fraction(sum(m * a ** (2 * k) for a, m in masses if a <= 0), den ** (2 * k))

@@ -7,15 +7,14 @@ total size n.  Irreducible characters are labeled the same way over
 character orbits.  Every formula used downstream depends only on the
 multiset of (orbit degree, partition) pairs, so enumeration happens over
 such "types" together with the exact number of concrete labelings of each
-type.  All values are exact: Fraction for intermediate quotients, int for
-anything provably integral.
+type.  All values are exact: quotients are kept as integer (numerator,
+denominator) pairs and divided once, checked integral.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import groupby
 
@@ -178,10 +177,6 @@ class PartitionFn:
             out.append({"degree": d, "partition": list(lam), "orbit": idx})
         return out
 
-    @staticmethod
-    def from_json(items):
-        return PartitionFn.make([(it["degree"], tuple(it["partition"])) for it in items])
-
 
 def orbit_count(d, q):
     """Number of degree-d Frobenius orbits labeling classes/characters.
@@ -253,44 +248,39 @@ def check_enumeration_cap(n):
 
 @lru_cache(maxsize=None)
 def _next_blocks(d, remaining, n_orbits):
-    """(key, entries, count, name, weight left) per degree-d block that
-    fits in `remaining`, named (d, total, i) as item i of _degree_entries,
-    in the order of the types it starts: by entries, but a block that ends
-    its types comes before, and one that higher degrees follow after, every
-    block whose entries begin with its own."""
-    keyed = []
+    """(entries, count, weight left) per degree-d block that fits in
+    `remaining`, in the order of the types it starts: by entries, but a
+    block that ends its types comes before, and one that higher degrees
+    follow after, every block whose entries begin with its own."""
+    blocks = []
     for used in range(1, remaining // d + 1):
         left = remaining - d * used
         if 0 < left <= d:  # no degree above d fits what is left
             continue
-        end = () if left == 0 else (d + 1,)  # below, resp. above, every degree-d entry
-        for i, (entries, ways) in enumerate(_degree_entries(d, used, n_orbits)):
-            keyed.append((entries + (end,), entries, ways, (d, used, i), left))
-    keyed.sort()  # the keys differ
-    return tuple(keyed)
+        blocks += ((entries, ways, left) for entries, ways in _degree_entries(d, used, n_orbits))
+    # () sorts below, and (d + 1,) above, every degree-d entry; the keys differ
+    blocks.sort(key=lambda block: block[0] + ((d + 1,) if block[2] else (),))
+    return tuple(blocks)
 
 
 def _walk_types(n, q, leaf):
     """The one recursion over the types of weight n over F_q: leaf(entries,
-    blocks, count) per type, by increasing entries; blocks lists the names
-    of its per-degree blocks (_next_blocks)."""
+    ones, count) per type, by increasing entries; ones is the type's
+    degree-1 entries, a prefix of entries."""
     check_enumeration_cap(n)
     # orbit_count(d, q) >= 1 for every d when q >= 2
     n_orbs = [orbit_count(d, q) for d in range(1, n + 1)]
-    path = []  # the blocks of acc_entries
 
-    def rec(d_min, remaining, acc_entries, acc_count):
+    def rec(d_min, remaining, acc_entries, acc_count, ones):
         # the entries of the degrees from d_min on sort after acc_entries
         if remaining == 0:
-            leaf(acc_entries, path, acc_count)
+            leaf(acc_entries, ones, acc_count)
             return
         for d in range(d_min, remaining + 1):
-            for _, entries, ways, name, left in _next_blocks(d, remaining, n_orbs[d - 1]):
-                path.append(name)
-                rec(d + 1, left, acc_entries + entries, acc_count * ways)
-                path.pop()
+            for entries, ways, left in _next_blocks(d, remaining, n_orbs[d - 1]):
+                rec(d + 1, left, acc_entries + entries, acc_count * ways, entries if d == 1 else ones)
 
-    rec(1, n, (), 1)
+    rec(1, n, (), 1, ())
     del rec  # it refers to itself: free what leaf holds now, not at a later collection
 
 
@@ -362,9 +352,9 @@ def _centralizer_factor(d, lam, q):
 
 
 def _centralizer_ratio(mu: PartitionFn, q):
-    """a_mu(q) as an unreduced (numerator, denominator) pair of integers:
-    q^n times each entry's _centralizer_factor, cached per (degree,
-    partition, q)."""
+    """a_mu(q), the centralizer order of the class labeled mu in GL_n(F_q),
+    as an unreduced (numerator, denominator) pair of integers: q^n times
+    each entry's _centralizer_factor, cached per (degree, partition, q)."""
     num = q ** mu.weight
     den = 1
     for d, lam in mu.entries:
@@ -372,16 +362,6 @@ def _centralizer_ratio(mu: PartitionFn, q):
         num *= f_num
         den *= f_den
     return num, den
-
-
-def a_mu(mu: PartitionFn, q) -> Fraction:
-    """Centralizer order of the class labeled mu in GL_n(F_q).
-
-    a_mu(q) = q^n prod_f q_f^(2 n(mu(f))) prod_i prod_{j<=m_i} (1 - q_f^-j)
-    with an integer numerator and denominator (_centralizer_ratio) and one
-    reduction; the result is provably an integer and consumers check that.
-    """
-    return Fraction(*_centralizer_ratio(mu, q))
 
 
 def class_size(mu: PartitionFn, q) -> int:

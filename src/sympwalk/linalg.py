@@ -71,10 +71,6 @@ class MatFq:
     def is_square(self):
         return self.nrows == self.ncols
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def __eq__(self, other):
         return (
             isinstance(other, MatFq)

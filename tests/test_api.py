@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pathlib
 import pkgutil
@@ -40,3 +41,22 @@ def test_readme_dotted_names_resolve():
         for attr in attrs:
             assert hasattr(obj, attr) or attr in getattr(obj, "__dataclass_fields__", {}), name
             obj = getattr(obj, attr, None)
+
+
+def test_every_private_helper_is_used_in_src():
+    """Every _-prefixed module-level function of the package is named in
+    src outside its own def, so a helper that only tests call fails here."""
+    helpers, uses = set(), set()  # uses: (name, the top-level def it sits in)
+    for path in pathlib.Path(sympwalk.__file__).parent.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner.startswith("_"):
+                helpers.add(owner)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    uses.add((node.id, owner))
+                elif isinstance(node, ast.Attribute):
+                    uses.add((node.attr, owner))
+    used = {name for name, owner in uses if name != owner}
+    assert len(helpers) >= 20
+    assert sorted(helpers - used) == []

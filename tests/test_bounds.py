@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -15,11 +16,11 @@ from sympwalk import bounds, combinat
 from sympwalk.bounds import (
     EXACT_WORK_MAX,
     ROW_WORK_MAX,
+    BoundValue,
     _exact_work,
     _fixed_space_masses,
     _log_fraction_abs,
     _log_int,
-    _spectral_terms,
     check_row_work,
     fixed_space_tail_check,
     lower_bound_raw,
@@ -53,6 +54,26 @@ from sympwalk.spectral import eigenvalue_phi_global, phi_of_degree_one_parts, tr
 from sympwalk.walk import _realify
 
 
+@functools.lru_cache(maxsize=None)
+def _type_terms(n, q):
+    """Oracle: (phi, d_(lam u lam), count) per label type but the twist, in
+    enumeration order, from each type's PartitionFn: phi by the global
+    route, d by doubled_dim_irrep."""
+    return tuple(
+        (eigenvalue_phi_global(fn, n, q), doubled_dim_irrep(fn, q), cnt)
+        for fn, cnt in enumerate_partition_fns(n, q)
+        if fn != trivial_label(n)
+    )
+
+
+def _phi_masses(n, q):
+    """Oracle: the total multiplicity of each distinct phi."""
+    out = Counter()
+    for phi, mult, cnt in _type_terms(n, q):
+        out[phi] += cnt * mult
+    return out
+
+
 def test_upper_bound_squared_formula_2_2():
     # spectrum is {1 (excluded), 1/15 x 20, -1/3 x 7}
     for k in range(1, 8):
@@ -79,7 +100,7 @@ def test_determinant_twist_exclusion():
     # q - 2 nontrivial determinant twists
     for n, q in ((2, 2), (3, 2), (2, 3), (3, 3)):
         all_count = sum(cnt for _, cnt in enumerate_partition_fns(n, q))
-        kept = sum(cnt for _, _, cnt in _spectral_terms(n, q))
+        kept = sum(cnt for _, _, cnt in _type_terms(n, q))
         assert all_count - kept == q - 1
 
 
@@ -331,7 +352,7 @@ MEMO_DIGESTS = {
 
 def _memo_digest(n, q):
     values = (
-        _spectral_terms(n, q),
+        _type_terms(n, q),
         _fixed_space_masses(n, q, q * q),
         _fixed_space_masses(n, q, q),
         enumerate_partition_fns(n, q),
@@ -373,20 +394,26 @@ def test_positive_bound_never_reads_zero(mode):
         assert 0 < bound.squared < Fraction(sys.float_info.min) ** 2
 
 
+@pytest.mark.parametrize("k", [8 * 10**307, 10**400], ids=["product-overflows", "2k-overflows"])
+def test_logfloat_bound_reads_the_floor_where_2k_log_phi_leaves_the_float_range(k):
+    # at k = 8e307, 2k x log(1/15) overflows a float; at 1e400, 2k itself does
+    assert upper_bound_tv(2, 2, k, "logfloat") == BoundValue(sys.float_info.min, None, "logfloat")
+    assert upper_bound_tv(2, 2, k) == BoundValue(sys.float_info.min, None, "logfloat")
+
+
 @pytest.mark.parametrize("n, q", [(6, 2), (5, 3), (4, 4), (4, 5)])
 def test_label_pass_matches_per_label_oracles(cold_caches, n, q):
-    """Each label type's spectral term from the one pass over the types
-    equals the per-label routes: the doubled dimension of the doubled label
-    and phi by the global c'-ratio route; every log term is that term's."""
+    """The one pass over the label types sums what the per-label routes
+    give each type: the doubled dimension of the doubled label and phi by
+    the global c'-ratio route; every log term is that type's."""
     labels = enumerate_partition_fns(n, q)
     assert all(a.entries < b.entries for (a, _), (b, _) in zip(labels, labels[1:]))
-    assert list(_spectral_terms(n, q)) == [
-        (eigenvalue_phi_global(fn, n, q), dim_irrep(fn.doubled(), q), cnt)
-        for fn, cnt in labels
-        if fn != trivial_label(n)
-    ]
-    logs = [(math.log(cnt * mult), math.log(abs(phi))) for phi, mult, cnt in _spectral_terms(n, q) if phi]
-    weights, log_phis = bounds._label_pass(n, q)[1]
+    terms = _type_terms(n, q)
+    assert [mult for _, mult, _ in terms] == [dim_irrep(fn.doubled(), q) for fn, _ in labels if fn != trivial_label(n)]
+    types, _, (weights, log_phis), (den, masses) = bounds._label_pass(n, q)
+    assert types == len(terms)
+    assert {Fraction(a, den): m for a, m in masses} == _phi_masses(n, q)
+    logs = [(math.log(cnt * mult), math.log(abs(phi))) for phi, mult, cnt in terms]
     assert len(weights) == len(log_phis) == len(logs)
     for got, want in zip(zip(weights.tolist(), log_phis.tolist()), logs):
         assert got == pytest.approx(want, rel=1e-12)
@@ -394,22 +421,33 @@ def test_label_pass_matches_per_label_oracles(cold_caches, n, q):
 
 @pytest.mark.parametrize("q, top", [(2, 8), (3, 8), (4, 6), (5, 6), (7, 6)])
 def test_phi_once_per_content_sum_matches_every_degree_one_block(q, top):
-    """Each type's phi, taken once per content sum R, is
-    phi_of_degree_one_parts of its degree-1 block, and the log arrays hold
-    exactly _log_int(count x d) and _log_fraction_abs(phi) of its term."""
+    """Each type's phi is phi_of_degree_one_parts of its degree-1 block,
+    and the log arrays, whose phi the pass takes once per degree-1 block,
+    hold exactly _log_int(count x d) and _log_fraction_abs(phi) per type."""
     for n in range(1, top + 1):
         labels = [(fn, cnt) for fn, cnt in enumerate_partition_fns(n, q) if fn != trivial_label(n)]
-        terms = _spectral_terms(n, q)
+        terms = _type_terms(n, q)
         assert [phi for phi, _, _ in terms] == [phi_of_degree_one_parts(fn.degree_one_parts(), n, q) for fn, _ in labels]
-        weights, log_phis = bounds._label_pass(n, q)[1]
-        assert weights.tolist() == [_log_int(cnt * mult) for phi, mult, cnt in terms if phi]
-        assert log_phis.tolist() == [_log_fraction_abs(phi) for phi, _, _ in terms if phi]
+        weights, log_phis = bounds._label_pass(n, q)[2]
+        assert weights.tolist() == [_log_int(cnt * mult) for _, mult, cnt in terms]
+        assert log_phis.tolist() == [_log_fraction_abs(phi) for phi, _, _ in terms]
+
+
+@pytest.mark.parametrize("q, top", [(2, 8), (3, 8), (4, 6), (5, 6), (7, 6)])
+def test_summary_counts_every_type_and_the_bits_of_phi(q, top):
+    """The pass's number of types and largest bit length of any phi, which
+    price exact work, are the oracle's: every type counted, whatever its
+    phi."""
+    for n in range(1, top + 1):
+        terms = _type_terms(n, q)
+        bits = max((max(phi.numerator.bit_length(), phi.denominator.bit_length()) for phi, _, _ in terms), default=0)
+        assert bounds._label_pass(n, q)[:2] == (len(terms), bits), n
 
 
 def _per_type_square(n, q, k, keep=lambda phi: True):
     """Oracle: the squared bound as one reduced Fraction added per type."""
     sq = Fraction(0)
-    for phi, mult, cnt in _spectral_terms(n, q):
+    for phi, mult, cnt in _type_terms(n, q):
         if keep(phi):
             sq += Fraction(cnt * mult) * phi ** (2 * k)
     return sq
@@ -429,7 +467,7 @@ def test_exact_rows_per_distinct_phi_match_the_per_type_sum(q, top):
 
 def _per_type_logfloat(n, q, k):
     """Oracle: the logfloat bound from per-type Python floats."""
-    logs = [_log_int(cnt * mult) + 2 * k * _log_fraction_abs(phi) for phi, mult, cnt in _spectral_terms(n, q) if phi]
+    logs = [_log_int(cnt * mult) + 2 * k * _log_fraction_abs(phi) for phi, mult, cnt in _type_terms(n, q) if phi]
     top = max(logs)
     acc = sum(math.exp(lg - top) for lg in logs)
     return max(math.exp((top + math.log(acc) - math.log(4)) / 2), sys.float_info.min)
@@ -442,19 +480,24 @@ def test_logfloat_rows_from_arrays_are_bit_identical_to_per_type_floats(q):
             assert upper_bound_tv(n, q, k, "logfloat").value == _per_type_logfloat(n, q, k), (n, k)
 
 
-def _block_route_mismatches(n, q, terms):
-    """Label types whose d_(lam u lam) among the spectral terms differs from
-    the per-entry route of its PartitionFn."""
+def _block_route_mismatches(n, q, summary):
+    """Label types whose log(count x d_(lam u lam)) in the pass's summary
+    differs from the per-entry route of its PartitionFn, and the phi whose
+    total multiplicity differs."""
+    types, _, (weights, _), (den, masses) = summary
     labels = [fn for fn, _ in enumerate_partition_fns(n, q) if fn != trivial_label(n)]
-    assert len(terms) == len(labels)
-    return [fn.entries for fn, (_, mult, _) in zip(labels, terms) if mult != doubled_dim_irrep(fn, q)]
+    terms = _type_terms(n, q)
+    assert types == len(labels) == len(terms) == len(weights)
+    bad = [fn.entries for fn, (_, mult, cnt), got in zip(labels, terms, weights.tolist()) if got != _log_int(cnt * mult)]
+    got_masses = {Fraction(a, den): m for a, m in masses}
+    return bad + [phi for phi, m in _phi_masses(n, q).items() if got_masses.get(phi) != m]
 
 
 @pytest.mark.parametrize("n, q", [(6, 2), (5, 3), (4, 4), (3, 5)])
 def test_block_pass_matches_per_entry_route(cold_caches, n, q):
     """Oracle: per type, the pass over the blocks gives what
     doubled_dim_irrep gives from the type's PartitionFn."""
-    assert _block_route_mismatches(n, q, _spectral_terms(n, q)) == []
+    assert _block_route_mismatches(n, q, bounds._label_pass(n, q)) == []
 
 
 def test_block_pass_catches_a_scaled_degree_two_factor(cold_caches, monkeypatch):
@@ -469,10 +512,10 @@ def test_block_pass_catches_a_scaled_degree_two_factor(cold_caches, monkeypatch)
 
     monkeypatch.setattr(bounds, "_doubled_dim_factor", scaled)
     try:
-        terms = bounds._label_pass.__wrapped__(5, 3)[0]  # the cache keeps the true terms
+        summary = bounds._label_pass.__wrapped__(5, 3)  # the cache keeps the true summary
     except NonIntegerResultError:
         return
-    assert _block_route_mismatches(5, 3, terms)
+    assert _block_route_mismatches(5, 3, summary)
 
 
 def _chi_squares_from_j(chain, k_max):
@@ -500,12 +543,12 @@ def test_spectral_sum_is_q_minus_1_times_chain_chi_square(request, chain):
 
 def test_spectral_sum_identity_catches_a_scaled_multiplicity(monkeypatch, chain23):
     """Mutation: one nonzero phi's multiplicity doubled breaks the identity."""
-    terms, logs, (den, masses) = bounds._label_pass(2, 3)
+    types, bits, logs, (den, masses) = bounds._label_pass(2, 3)
     masses = list(masses)
     i = next(i for i, (a, _) in enumerate(masses) if a)
     a, mass = masses[i]
     masses[i] = (a, 2 * mass)
-    monkeypatch.setattr(bounds, "_label_pass", lambda n, q: (terms, logs, (den, tuple(masses))))
+    monkeypatch.setattr(bounds, "_label_pass", lambda n, q: (types, bits, logs, (den, tuple(masses))))
     for k, chi2 in enumerate(_chi_squares_from_j(chain23, 8), start=1):
         assert 4 * upper_bound_tv(2, 3, k, "exact").squared != 2 * chi2, k
 
@@ -542,8 +585,8 @@ def test_exact_square_beyond_the_float_range_keeps_its_root(monkeypatch):
     sq = bound.squared
     assert sq > sys.float_info.max
     assert bound.value == pytest.approx(math.isqrt(sq.numerator // sq.denominator), rel=1e-9)
-    terms, logs, (den, _) = bounds._label_pass(2, 2)
-    monkeypatch.setattr(bounds, "_label_pass", lambda n, q: (terms, logs, (den, ((den, 4 ** 1100),))))  # phi = 1
+    types, bits, logs, (den, _) = bounds._label_pass(2, 2)
+    monkeypatch.setattr(bounds, "_label_pass", lambda n, q: (types, bits, logs, (den, ((den, 4 ** 1100),))))  # phi = 1
     bound = upper_bound_tv(2, 2, 1, "exact")
     assert bound.squared == 4 ** 1099 and bound.value == math.inf
 
@@ -566,7 +609,7 @@ def test_huge_step_ranges_are_assessed_at_once():
         check_row_work(3, 2, beyond)
     with pytest.raises(ExactArithmeticTooLargeError):
         resolve_mode(3, 2, beyond, "exact")
-    rows = ROW_WORK_MAX // (len(_spectral_terms(3, 2)) + bounds.ROW_COST_TERMS)
+    rows = ROW_WORK_MAX // (len(_type_terms(3, 2)) + bounds.ROW_COST_TERMS)
     check_row_work(3, 2, range(1, rows + 1))
     with pytest.raises(StepRangeTooLargeError):
         check_row_work(3, 2, range(1, rows + 2))

@@ -514,6 +514,15 @@ def test_tiny_upper_bound_prints_smallest_normal_float(capsys):
     assert all(b <= a for a, b in zip(uppers, uppers[1:]))
 
 
+def test_step_beyond_the_float_range_prints_smallest_normal_float(capsys):
+    k = str(10**400)
+    code, out = run_cli(capsys, "bounds", "--n", "2", "--q", "2", "--k-range", f"{k}..{k}")
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["k"] == k and row["mode"] == "logfloat"
+    assert float(row["tv_upper"]) == sys.float_info.min
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     argv = ["spectrum", "--n", "2", "--q", "2"]
     _, want = run_cli(capsys, *argv)
@@ -653,12 +662,12 @@ def test_verify_checks_the_plancherel_identity(capsys, monkeypatch):
     argv = ["verify", "--suite", "walk", "--max-n", "2", "--trials", "2000"]
     code, out = run_cli(capsys, *argv)
     assert code == 0 and "PASS walk.plancherel_identity_2_2\n" in out
-    terms, logs, (den, masses) = bounds._label_pass(2, 2)
+    types, bits, logs, (den, masses) = bounds._label_pass(2, 2)
     masses = list(masses)
     i = next(i for i, (a, _) in enumerate(masses) if a)
     a, mass = masses[i]
     masses[i] = (a, 2 * mass)
-    monkeypatch.setattr(bounds, "_label_pass", lambda n, q: (terms, logs, (den, tuple(masses))))
+    monkeypatch.setattr(bounds, "_label_pass", lambda n, q: (types, bits, logs, (den, tuple(masses))))
     code, out = run_cli(capsys, *argv)
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert code == 2 and [line.split()[1] for line in failed] == ["walk.plancherel_identity_2_2"]
