@@ -10,7 +10,9 @@ The lower bound comes from a support estimate: after n-c steps the walk
 sits inside the double cosets whose class label has at least c parts at
 the polynomial x - 1, and the total mass of those cosets is exponentially
 small in c.  The masses are the t^n coefficient of the cycle index of
-GL_n (Fulman), x - 1 carrying c parts, in integers (_fixed_space_masses).
+GL_n (Fulman), x - 1 carrying c parts, in integers (_fixed_space_masses):
+each degree's free orbits raise their series to the orbit count as a
+binomial sum truncated at t^n.
 
 The spectral sum reads one summary per (n, q), made in one pass over the
 label types (_label_pass): the number of types and the largest bit length
@@ -122,44 +124,48 @@ def _label_pass(n, q):
         a_per_type.append(a)
 
     _walk_types(n, q, add)
-    den = phi_denominator(n, q)
-    phis = {a: Fraction(a, den) for a in masses}  # none at n = 1, where D = 0
-    bits = max((max(p.numerator.bit_length(), p.denominator.bit_length()) for p in phis.values()), default=0)
-    log_phi = {a: _log_fraction_abs(phi) for a, phi in phis.items()}
+    den = phi_denominator(n, q)  # D > 0 at n >= 2; at n = 1 no type and D = 0
+    bits, log_phi = 0, {}
+    for a in masses:  # phi = a / D reduced, its sign on the numerator, as Fraction(a, D) is
+        g = math.gcd(a, den)
+        bits = max(bits, (a // g).bit_length(), (den // g).bit_length())
+        log_phi[a] = _log_int(abs(a) // g) - _log_int(den // g)
     logs = np.array(weights), np.array([log_phi[a] for a in a_per_type])
     return len(weights), bits, logs, (den, tuple(masses.items()))
 
 
-def _one_orbit(n, d, qq, parts=None):
-    """Weights 0..n of the cycle index of one orbit of degree d carrying
-    lam, over the lam with the given number of parts (any if None): at w =
-    d|lam| it sums |GL_w(F_qq)| / a_lam(qq^d), each term checked integral."""
-    out = [0] * (n + 1)
+def _one_orbit(n, d, qq):
+    """Weights 0..n of the cycle index of one orbit of degree d, split by
+    the number of parts of the lam it carries: row c at w = d|lam| sums
+    |GL_w(F_qq)| / a_lam(qq^d) over the lam with c parts, each term checked
+    integral."""
+    rows = [[0] * (n + 1) for _ in range(n // d + 1)]
     for m in range(n // d + 1):
         for lam in partitions_of(m):
-            if parts is None or len(lam) == parts:
-                num, den = _centralizer_factor(d, lam, qq)
-                size, rem = divmod(gl_order(d * m, qq) * den, qq ** (d * m) * num)
-                if rem:
-                    raise NonIntegerResultError(f"class size not integral for {(d, lam)} at q={qq}")
-                out[d * m] += size
-    return out
+            num, den = _centralizer_factor(d, lam, qq)
+            size, rem = divmod(gl_order(d * m, qq) * den, qq ** (d * m) * num)
+            if rem:
+                raise NonIntegerResultError(f"class size not integral for {(d, lam)} at q={qq}")
+            rows[len(lam)][d * m] += size
+    return rows
+
+
+def _coefficient(a, b, w, qq):
+    """Weight w of the product of two such series: a_i b_j |GL_w| /
+    (|GL_i| |GL_j|) summed over i + j = w, checked integral."""
+    total = 0
+    for i in range(w + 1):
+        if a[i] and b[w - i]:
+            ways, rem = divmod(gl_order(w, qq), gl_order(i, qq) * gl_order(w - i, qq))
+            if rem:
+                raise NonIntegerResultError(f"|GL_{i}| |GL_{w - i}| does not divide |GL_{w}|")
+            total += a[i] * b[w - i] * ways
+    return total
 
 
 def _times(a, b, qq):
-    """The product of two such series: at weight w it sums a_i b_j |GL_w| /
-    (|GL_i| |GL_j|) over i + j = w, checked integral."""
-    out = []
-    for w in range(len(a)):
-        total = 0
-        for i in range(w + 1):
-            if a[i] and b[w - i]:
-                ways, rem = divmod(gl_order(w, qq), gl_order(i, qq) * gl_order(w - i, qq))
-                if rem:
-                    raise NonIntegerResultError(f"|GL_{i}| |GL_{w - i}| does not divide |GL_{w}|")
-                total += a[i] * b[w - i] * ways
-        out.append(total)
-    return out
+    """The product of two such series, truncated at their length."""
+    return [_coefficient(a, b, w, qq) for w in range(len(a))]
 
 
 @lru_cache(maxsize=None)
@@ -167,20 +173,22 @@ def _fixed_space_masses(n, q, qq):
     """Per c = 0..n, the class masses sum |GL_n(F_qq)| / a_mu(qq) over the
     class labels mu of GL_n(F_q) with c parts at x - 1, with a_mu
     evaluated at parameter qq: the t^n coefficient of the cycle index in
-    which x - 1 carries c parts, the other q - 2 degree-1 orbits and the
-    orbit_count(d, q) orbits of each degree d >= 2 carry anything, and
-    each power is taken by squaring."""
+    which x - 1 carries c parts, and the other q - 2 degree-1 orbits and
+    the orbit_count(d, q) orbits of each degree d >= 2 carry anything.
+    Each degree's e free orbits give (1 + x)^e, x of lowest weight d,
+    taken as the truncated binomial sum of C(e, j) x^j over j <= n / d."""
     _check_args(n, q)
+    fixed = _one_orbit(n, 1, qq)  # x - 1, by its number of parts
     rest = [1] + [0] * n
     for d in range(1, n + 1):
-        base, e = _one_orbit(n, d, qq), orbit_count(d, q) - (d == 1)  # x - 1 is not free
-        while e:
-            if e & 1:
-                rest = _times(rest, base, qq)
-            e >>= 1
-            if e:
-                base = _times(base, base, qq)
-    return tuple(_times(_one_orbit(n, 1, qq, c), rest, qq)[n] for c in range(n + 1))
+        rows = fixed if d == 1 else _one_orbit(n, d, qq)
+        x = [sum(col) for col in zip(*rows[1:])]  # row 0 holds the empty lam alone
+        e, factor = orbit_count(d, q) - (d == 1), [1] + [0] * n  # x - 1 is not free
+        for j in range(1, min(e, n // d) + 1):
+            power = _times(power, x, qq) if j > 1 else x
+            factor = [f + math.comb(e, j) * p for f, p in zip(factor, power)]
+        rest = _times(rest, factor, qq)
+    return tuple(_coefficient(row, rest, n, qq) for row in fixed)
 
 
 def _square_sum(m):

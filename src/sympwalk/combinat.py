@@ -13,10 +13,8 @@ denominator) pairs and divided once, checked integral.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import groupby
 
 from .errors import EnumerationTooLargeError, NonIntegerResultError, WeightMismatchError, int_text
 from .field import irreducible_count
@@ -187,56 +185,38 @@ def orbit_count(d, q):
     return irreducible_count(q, d, exclude_x=True)
 
 
-def _partition_multisets(total, max_slots):
-    """Multisets of at most max_slots nonempty partitions with given total
-    weight.
-
-    Returns canonically sorted tuples; partitions are chosen in weakly
-    decreasing (size, partition) order so each multiset appears once.
-    """
+@lru_cache(maxsize=None)
+def _degree_entries(d, total, n_orbits):
+    """(entries, assignment count) for each multiset of partitions of the
+    given total weight that fits on the n_orbits orbits of degree d, with
+    entries its (d, partition) pairs in increasing order.  Partitions are
+    chosen in weakly decreasing (size, partition) order, so each multiset
+    appears once; its count, the injective assignments of its m partitions
+    to the orbits, perm(n_orbits, m) / prod r_i! over its runs r_i of equal
+    partitions, is carried as it grows."""
     items = [(w, lam) for w in range(total, 0, -1) for lam in partitions_of(w)]
     first = {}  # size -> index of its first item: items are in decreasing order
     for i, (w, _) in enumerate(items):
         first.setdefault(w, i)
     out = []
 
-    def rec(start, remaining, slots, acc):
+    def rec(start, remaining, slots, acc, ways, run):
+        # run: how many times items[start] ends acc; slots: orbits left free
         if remaining == 0:
-            out.append(tuple(acc))
+            out.append((tuple((d, lam) for lam in sorted(acc)), ways))
             return
         if slots:
             for i in range(max(start, first[remaining]), len(items)):
                 w, lam = items[i]
                 if w * slots < remaining:  # this and every later size are too small
                     break
+                r = run + 1 if i == start else 1
                 acc.append(lam)
-                rec(i, remaining - w, slots - 1, acc)
+                rec(i, remaining - w, slots - 1, acc, ways * slots // r, r)  # an integer at every step
                 acc.pop()
 
-    rec(0, total, max_slots, [])
-    return out
-
-
-def _assignment_count(mset, n_orbits):
-    """Number of injective orbit assignments for a partition multiset."""
-    m = len(mset)
-    if m > n_orbits:
-        return 0
-    ways = math.perm(n_orbits, m)
-    for _, run in groupby(mset):  # equal partitions are adjacent in a sorted multiset
-        ways //= math.factorial(len(list(run)))
-    return ways
-
-
-@lru_cache(maxsize=None)
-def _degree_entries(d, total, n_orbits):
-    """(entries, assignment count) for each multiset of partitions of the
-    given total weight that fits on the n_orbits orbits of degree d, with
-    entries its (d, partition) pairs in increasing order."""
-    return tuple(
-        (tuple((d, lam) for lam in sorted(mset)), _assignment_count(mset, n_orbits))
-        for mset in _partition_multisets(total, n_orbits)
-    )
+    rec(0, total, n_orbits, [], 1, 0)
+    return tuple(out)
 
 
 def check_enumeration_cap(n):

@@ -39,6 +39,8 @@ from sympwalk.combinat import (
     doubled_dim_irrep,
     enumerate_partition_fns,
     gl_order,
+    orbit_count,
+    partitions_of,
     sp_order,
 )
 from sympwalk.errors import (
@@ -187,6 +189,47 @@ def test_cycle_index_catches_a_scaled_degree_two_class_factor(cold_caches, monke
     except NonIntegerResultError:
         return
     assert got != want
+
+
+def _squaring_masses(n, q, qq):
+    """Oracle: the masses with each degree's orbit series raised to its
+    orbit count by repeated squaring, and the series of x - 1 taken once per
+    number of parts c.  Series are kept divided by |GL_w(F_qq)|, as
+    Fractions, so that a product is a plain convolution."""
+
+    def orbit(d, keep=lambda lam: True):
+        out = [Fraction(0)] * (n + 1)
+        for m in range(n // d + 1):
+            for lam in filter(keep, partitions_of(m)):
+                num, den = combinat._centralizer_factor(d, lam, qq)
+                out[d * m] += Fraction(den, qq ** (d * m) * num)
+        return out
+
+    def times(a, b):
+        return [sum(a[i] * b[w - i] for i in range(w + 1)) for w in range(n + 1)]
+
+    rest = [Fraction(1)] + [Fraction(0)] * n
+    for d in range(1, n + 1):
+        base, e = orbit(d), orbit_count(d, q) - (d == 1)  # x - 1 is not free
+        while e:
+            if e & 1:
+                rest = times(rest, base)
+            e >>= 1
+            if e:
+                base = times(base, base)
+    return tuple(
+        times(orbit(1, lambda lam, c=c: len(lam) == c), rest)[n] * gl_order(n, qq) for c in range(n + 1)
+    )
+
+
+@pytest.mark.parametrize("q, top", [(2, 14), (3, 10), (4, 6), (5, 6), (7, 6)])
+def test_binomial_masses_match_repeated_squaring(q, top):
+    """The truncated binomial powers of the orbit series give the masses
+    that repeated squaring gives, at parameters q^2 and q, for every n up
+    to top (q = 2 has no free degree-1 orbit)."""
+    for n in range(1, top + 1):
+        for qq in (q * q, q):
+            assert _fixed_space_masses(n, q, qq) == _squaring_masses(n, q, qq), (n, qq)
 
 
 def _all_code_vectors(q, length):
@@ -442,6 +485,18 @@ def test_summary_counts_every_type_and_the_bits_of_phi(q, top):
         terms = _type_terms(n, q)
         bits = max((max(phi.numerator.bit_length(), phi.denominator.bit_length()) for phi, _, _ in terms), default=0)
         assert bounds._label_pass(n, q)[:2] == (len(terms), bits), n
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_phi_reduced_by_gcd_matches_the_fraction_route(q):
+    """log|phi| and the bit length, which the pass takes from a / D reduced
+    by one gcd, equal, as floats and ints, those of Fraction(a, D): one
+    comparison per distinct a, n <= 14."""
+    for n in range(2, 15):
+        _, bits, (_, log_phis), (den, masses) = bounds._label_pass(n, q)
+        phis = [Fraction(a, den) for a, _ in masses]
+        assert bits == max(max(phi.numerator.bit_length(), phi.denominator.bit_length()) for phi in phis), n
+        assert set(log_phis.tolist()) == {_log_fraction_abs(phi) for phi in phis}, n
 
 
 def _per_type_square(n, q, k, keep=lambda phi: True):

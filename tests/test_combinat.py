@@ -1,3 +1,5 @@
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from sympwalk.combinat import (
     PartitionFn,
     _centralizer_ratio,
+    _degree_entries,
     check_enumeration_cap,
     class_size,
     class_size_qsq,
@@ -100,6 +103,25 @@ def test_enumerate_weight1_q3():
     assert len(fns) == 1
     fn, cnt = fns[0]
     assert fn.entries == ((1, (1,)),) and cnt == 2  # two degree-1 orbits
+
+
+@pytest.mark.parametrize("n_orbits", range(1, 9))
+def test_carried_assignment_counts_match_the_closed_form(n_orbits):
+    """Each block's count, carried through the multiset recursion, is
+    perm(orbits, m) / prod r_i! over the runs of equal partitions; over all
+    blocks of a total they count every function from the orbits to
+    partitions, the t^total coefficient of (sum_k p(k) t^k)^orbits."""
+    series = [1] + [0] * 10
+    for _ in range(n_orbits):
+        series = [sum(series[i] * len(partitions_of(w - i)) for i in range(w + 1)) for w in range(11)]
+    for total in range(11):
+        blocks = _degree_entries(1, total, n_orbits)
+        for entries, ways in blocks:
+            want = math.perm(n_orbits, len(entries))
+            for run in Counter(entries).values():
+                want //= math.factorial(run)
+            assert ways == want, entries
+        assert sum(ways for _, ways in blocks) == series[total], total
 
 
 def brute_force_conjugacy_classes_gl2_f2():
