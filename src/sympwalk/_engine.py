@@ -15,13 +15,13 @@ _matpoly_int32 and Lanes with packed=False) do, which stay the odd-p path
 and the test oracle.  A Monte Carlo step draws the values of
 rng.integers(0, p, size=(lanes, N)): the int32 step calls it, and the
 packed one reads the same values from the words of rng's PCG64
-(_draw_f2).  No floating point.  A matrix over F_q, q = p^k,
-comes realified: each entry c becomes the k x k block over F_p of
-multiplication by c, and ranks are k times those over F_q.  Not kernels:
-row_labels, the one way a batch of lanes is keyed, gives dense labels to
-the columns of an (E, B) array for Lanes.distinct, the classifier and
-chain building, and the brute-force oracle, transvection_images, keeps
-int64 rows.
+(_draw_f2).  No floating point.  A matrix over F_q, q = p^k, comes
+realified: each entry c becomes the k x k block over F_p of multiplication
+by c; ranks are k times those over F_q, and batched_charpoly gives the F_q
+polynomial itself.  Not kernels: row_labels, the one way a batch of lanes
+is keyed, gives dense labels to the columns of an (E, B) array for
+Lanes.distinct, the classifier and chain building, and the brute-force
+oracle, transvection_images, keeps int64 rows.
 """
 
 from __future__ import annotations
@@ -471,27 +471,30 @@ def _distinct(upper, N, p):
     return states, counts
 
 
-def batched_charpoly(x, p):
-    """det(xI - X) mod p of every X of the lanes-last (N, N, B) batch, as
-    (N + 1, B) coefficients, highest degree first.  Division-free
-    (Berkowitz): the charpoly of each leading k+1 block is a Toeplitz
-    column times that of the leading k block."""
-    N, _, B = x.shape
-    _check_int32(N, p, "characteristic polynomials")
-    v = np.ones((1, B), dtype=np.int32)  # the empty leading block
-    for k in range(N):
-        R, w, sub = x[k, :k], x[:k, k], x[:k, :k]
-        col = np.empty((k + 2, B), dtype=np.int32)
-        col[0] = 1
-        col[1] = -x[k, k]
-        for j in range(k):
+def batched_charpoly(x, p, k):
+    """det(xI - X) over F_q, q = p^k, of every realified X of the lanes-last
+    (Nk, Nk, B) batch, as (N + 1, k, B) digits, highest degree first.
+    Division-free (Berkowitz), so it runs over the ring of k x k blocks: the
+    charpoly of the leading i+1 block rows, as digits, is a Toeplitz column
+    of blocks times that of the leading i (block(c) digits(d) = digits(cd))."""
+    Nk, _, B = x.shape
+    _check_int32(Nk, p, "characteristic polynomials")  # the Toeplitz step sums N k products
+    v = np.eye(k, 1, dtype=np.int32)[None].repeat(B, axis=2)  # the empty leading block: 1
+    for i in range(Nk // k):
+        a, b = i * k, i * k + k
+        R, w, sub = x[a:b, :a], x[:a, a:b], x[:a, :a]
+        col = np.empty((i + 2, k, k, B), dtype=np.int32)
+        col[0] = np.eye(k, dtype=np.int32)[:, :, None]
+        col[1] = -x[a:b, a:b]
+        for j in range(i):
             if j:
-                w = _mod(np.einsum("ijb,jb->ib", sub, w), p)
-            col[j + 2] = -np.einsum("ib,ib->b", R, w)
+                w = _mod(np.einsum("ijb,jkb->ikb", sub, w), p)
+            col[j + 2] = -np.einsum("ijb,jkb->ikb", R, w)
         _mod(col, p)
-        new_v = np.zeros((k + 2, B), dtype=np.int32)
-        for j in range(k + 1):
-            new_v[j:] += col[: k + 2 - j] * v[j]
+        new_v = np.zeros((i + 2, k, B), dtype=np.int32)
+        for j in range(i + 1):
+            for c in range(k):
+                new_v[j:] += col[: i + 2 - j, :, c] * v[j, c]
         v = _mod(new_v, p)
     return v
 

@@ -150,16 +150,22 @@ def _one_orbit(n, d, qq):
     return rows
 
 
+@lru_cache(maxsize=None)
+def _gl_ratios(w, qq):
+    """|GL_w| / (|GL_i| |GL_(w - i)|) over F_qq for i = 0..w, each checked integral."""
+    ratios = [divmod(gl_order(w, qq), gl_order(i, qq) * gl_order(w - i, qq)) for i in range(w + 1)]
+    if any(rem for _, rem in ratios):
+        raise NonIntegerResultError(f"some |GL_i| |GL_(w - i)| does not divide |GL_w| at w={w} q={qq}")
+    return tuple(ways for ways, _ in ratios)
+
+
 def _coefficient(a, b, w, qq):
     """Weight w of the product of two such series: a_i b_j |GL_w| /
-    (|GL_i| |GL_j|) summed over i + j = w, checked integral."""
-    total = 0
+    (|GL_i| |GL_j|) summed over i + j = w."""
+    ways, total = _gl_ratios(w, qq), 0
     for i in range(w + 1):
         if a[i] and b[w - i]:
-            ways, rem = divmod(gl_order(w, qq), gl_order(i, qq) * gl_order(w - i, qq))
-            if rem:
-                raise NonIntegerResultError(f"|GL_{i}| |GL_{w - i}| does not divide |GL_{w}|")
-            total += a[i] * b[w - i] * ways
+            total += a[i] * b[w - i] * ways[i]
     return total
 
 

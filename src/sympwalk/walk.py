@@ -9,18 +9,18 @@ uint8 Grams and steps, lists and labels them with the _engine kernels.
 The double-coset classifier maps a form w to the class label of a
 half-size matrix: X = J^-1 w is conjugate to diag(M, M^T), so its
 per-factor block partitions have even multiplicities and halve to the
-label mu of weight n.  Its characteristic polynomial is the square of M's,
-so the classifier factors that square root, and a factor's multiplicity
-there is its weight in mu before any rank is taken: at prime fields a
-factor of weight 1 has partition (1) unranked, and the powers of the
-others are ranked only while their partition is open.
+label mu of weight n.  Its characteristic polynomial over F_q is the
+square of M's, so the classifier factors that square root, and a factor's
+multiplicity there is its weight in mu before any rank is taken: a factor
+of weight 1 has partition (1) unranked, and the powers of the others are
+ranked only while their partition is open.  One rule serves every F_q.
 
 Exact chains are built on the lumps, the double cosets, and never on the
 full form space: each lumped row is read off the distinct images of one
 representative form, listed from the 2-planes isotropic for it, so the
 work grows with the number of lumps, not of forms.  Over F_(p^k) the
-states are realified over F_p, so every field takes the batched
-prime-field path.  They give exact rational transition matrices,
+states are realified over F_p, so every field takes the same kernels.
+They give exact rational transition matrices,
 stationary distributions and total-variation curves.
 
 Oracles kept on purpose, which no production path calls but as named:
@@ -182,41 +182,36 @@ def _classify_states_batched(states_np, n, field, factored):
     Returns (labels, ids): the distinct (complete key, type) labels, and an
     intp array with one id per state, indexing them; each state's label is
     the one _classify_X gives it.  The states are taken in slices of
-    CLASSIFY_LANES.  In each slice the lanes are grouped by the
-    characteristic polynomial chi over F_p of the realified X = J^-1 w
-    (_engine.row_labels), the norm of X's own polynomial over F_q.  As
+    CLASSIFY_LANES, each state checked to be an alternating form.  In each
+    slice the lanes are grouped by the characteristic polynomial chi over
+    F_q of X = J^-1 w (_engine.row_labels on its digits).  As
     X ~ diag(M, M^T), chi is a square: each chi not yet in factored (the
     caller's dict, filled here) has its square root taken (_square_root
-    refuses a chi that is not one) and factored over F_q, multiplicities
-    doubled.  Every factor of X's polynomial is among chi's.  At prime
-    fields each state is first checked to be an alternating form.
-    _job_lanes lists one job-lane per lane and factor of its polynomial
-    that needs ranks (at prime fields a factor of weight 1 in mu has
-    partition (1) and needs none), those of a factor together, and they
-    are taken in plain slices of CLASSIFY_LANES, so the f(X)^j arrays stay
-    bounded whatever the batch and the factor counts: f(X) once per
-    distinct factor of a slice, then the ranks of its powers while its
-    partition is open (_rank_sequences).  Each lane's group and rank
-    sequences form one column of a pattern array, labelled by row_labels
-    again, and _label_from_ranks runs once per distinct pattern.  A
-    (polynomial, rank pattern) fixes the key and the key fixes the
-    pattern, so equal ids mean equal keys.
+    refuses a chi that is not one) and factored, multiplicities doubled.
+    _job_lanes lists one job-lane per lane and factor that needs ranks,
+    those of a factor together, and they are taken in plain slices of
+    CLASSIFY_LANES, so the f(X)^j arrays stay bounded whatever the batch
+    and the factor counts: f(X) once per distinct factor of a slice, then
+    the ranks of its powers while its partition is open (_rank_sequences).
+    Each lane's group and rank sequences form one column of a pattern
+    array, labelled by row_labels again, and _label_from_ranks runs once
+    per distinct pattern.  A (polynomial, rank pattern) fixes the key and
+    the key fixes the pattern, so equal ids mean equal keys.
     """
-    p, N = field.p, 2 * n
+    p, k, N = field.p, field.k, 2 * n
     index = {}  # (complete key, type) -> id
     ids = np.empty(len(states_np), dtype=np.intp)
     for start in range(0, len(states_np), CLASSIFY_LANES):
         states = states_np[start:start + CLASSIFY_LANES]
-        if field.k == 1:
-            _check_alternating(states, p)
+        _check_alternating(states, p, k)
         x = _engine.j_inv_times(states, p)
-        cps = _engine.batched_charpoly(x, p)
-        rep, group = _engine.row_labels(cps, p)
-        polys = [tuple(cp) for cp in cps[:, rep].T.tolist()]
+        cps = _engine.batched_charpoly(x, p, k)
+        rep, group = _engine.row_labels(cps.reshape(-1, len(states)), p)
+        polys = [tuple(cp) for cp in np.einsum("ikb,k->bi", cps[..., rep], p ** np.arange(k)).tolist()]  # codes
         for cp in polys:
             if cp not in factored:
                 factored[cp] = [(f, 2 * m) for f, m in factor_poly(_square_root(cp, field))]
-        factors, (lane, fid, *jobs), patterns = _job_lanes(group, polys, factored, N, field)
+        factors, (lane, fid, *jobs), patterns = _job_lanes(group, polys, factored, N)
         blocks = [_mul_blocks(field)[list(reversed(f.coeffs))] for f in factors]
         for at in range(0, len(lane), CLASSIFY_LANES):
             chunk = slice(at, at + CLASSIFY_LANES)
@@ -235,57 +230,57 @@ def _classify_states_batched(states_np, n, field, factored):
     return list(index), ids
 
 
-def _check_alternating(states, p):
-    """InternalError unless every state w over F_p is an alternating form,
-    w^T = -w with a zero diagonal: the prime-field rank stops rely on
-    X ~ diag(M, M^T), which w + e_1 e_1^T breaks while chi stays a square."""
-    neg = states if p == 2 else (p - states) % p
-    if not np.array_equal(states.transpose(0, 2, 1), neg) or np.diagonal(states, axis1=1, axis2=2).any():
+def _check_alternating(states, p, k):
+    """InternalError unless every realified state w is alternating over F_q:
+    block (i, j) is minus block (j, i) and the diagonal blocks are zero.  The
+    rank stops rely on X ~ diag(M, M^T), which w + e_1 e_1^T breaks."""
+    w = states.reshape(len(states), -1, k, states.shape[1] // k, k)  # w[:, i, :, j] is block (i, j)
+    neg = w if p == 2 else (p - w) % p
+    if not np.array_equal(w.transpose(0, 3, 2, 1, 4), neg) or np.diagonal(w, axis1=1, axis2=3).any():
         raise InternalError("a state to classify is not an alternating form")
 
 
 def _square_root(cp, field):
-    """The monic PolyFq r over F_p with r^2 = cp, a coefficient tuple with
+    """The monic PolyFq r over F_q with r^2 = cp, a coefficient tuple with
     the highest degree first; InternalError, naming cp, where cp is no
-    square.  At p = 2 r is read off cp's even coefficients, at odd p solved
-    for from the top down; either way it is checked by squaring."""
-    p, D = field.p, (len(cp) - 1) // 2
-    if p == 2:
-        r = list(cp[:2 * D + 1:2])
+    square.  At p = 2 r's coefficients are the inverse Frobenius c^(q/2) of
+    cp's even ones, at odd p solved for from the top down; either way r is
+    checked by squaring."""
+    D = (len(cp) - 1) // 2
+    if field.p == 2:
+        r = [field.pow(c, field.q // 2) for c in cp[:2 * D + 1:2]]
     else:
-        r = [1]
+        r, half = [1], (field.p + 1) // 2
         for i in range(1, D + 1):
-            r.append((cp[i] - sum(r[j] * r[i - j] for j in range(1, i))) * ((p + 1) // 2) % p)
-    if (np.convolve(r, r) % p).tolist() != list(cp):
+            r.append(field.mul(field.add(cp[i], field.neg(field.dot(r[1:i], r[i - 1:0:-1]))), half))
+    root = PolyFq(field, r[::-1])
+    if (root * root).coeffs != cp[::-1]:
         raise InternalError(f"the characteristic polynomial {PolyFq(field, cp[::-1])} is not a square")
-    return PolyFq(field, r[::-1])
+    return root
 
 
-def _job_lanes(group, polys, factored, N, field):
+def _job_lanes(group, polys, factored, N):
     """The job-lanes of a slice and its pattern array before any rank.
 
-    Returns the factors to rank; six aligned intp arrays, one job-lane per
-    lane and such factor f of multiplicity m of the lane's polynomial
-    polys[group[lane]]: the lane, f's index in the factors, m, the floor
-    N - deg(f) m, the first pattern row of f's rank sequence (1 plus the
-    multiplicities of the factors before f) and the stop width drop; and
-    the patterns, row 0 the group, the rank rows N + 1 (not ranked).  At
-    prime fields m = 2w, w the weight of f in mu, and drop = 2 deg(f): a
+    Returns the factors to rank; five aligned intp arrays, one job-lane per
+    lane and factor f of multiplicity m = 2w > 2 of the lane's polynomial
+    polys[group[lane]], w the weight of f in mu: the lane, f's index in the
+    factors, m, the floor N - deg(f) m and the first pattern row of f's
+    rank sequence (1 plus the multiplicities of the factors before f); and
+    the patterns, row 0 the group, the rank rows N + 1 (not ranked).  A
     factor of weight 1 has partition (1), so it gets no job-lane, and its
-    one rank, N - drop, is written here.  Over F_(p^k), k > 1, m only
-    bounds twice the weight (chi is a norm): every factor is ranked and
-    drop = 0.  The job-lanes are ordered by factor, each in lane order."""
-    prime = field.k == 1
-    factors = list(dict.fromkeys(f for cp in polys for f, m in factored[cp] if m > 2 or not prime))
+    one rank, N - 2 deg(f), is written here.  The job-lanes are ordered by
+    factor, each in lane order."""
+    factors = list(dict.fromkeys(f for cp in polys for f, m in factored[cp] if m > 2))
     fids = {f: i for i, f in enumerate(factors)}
-    table = np.zeros((4, len(polys), len(factors)), dtype=np.intp)  # m, floor, first row, drop; m = 0 unranked
-    patterns = np.full((N * field.k + 1, len(polys)), N + 1, dtype=np.intp)
+    table = np.zeros((3, len(polys), len(factors)), dtype=np.intp)  # m, floor, first row; m = 0 unranked
+    patterns = np.full((N + 1, len(polys)), N + 1, dtype=np.intp)
     patterns[0] = np.arange(len(polys))
     for g, cp in enumerate(polys):
         row = 1
         for f, m in factored[cp]:
-            if m > 2 or not prime:
-                table[:, g, fids[f]] = m, N - f.degree * m, row, 2 * f.degree * prime
+            if m > 2:
+                table[:, g, fids[f]] = m, N - f.degree * m, row
             else:
                 patterns[row, g] = N - 2 * f.degree
             row += m
@@ -295,25 +290,24 @@ def _job_lanes(group, polys, factored, N, field):
 
 def _rank_sequences(fx, jobs, patterns, field):
     """rank f(X)^j over F_q, j = 1, 2, ..., of each job-lane (lane, m,
-    floor, first, drop) of the stacked realified f(X), whose rank over F_p
-    is k times it, written to patterns[first + j - 1, lane], with one
+    floor, first) of the stacked realified f(X), whose rank over F_p is k
+    times it, written to patterns[first + j - 1, lane], with one
     batched_rank call per power j over every job-lane still going.
 
-    A job-lane stops at j = m, or once its rank is within drop of the
-    floor or of the rank at the previous power (r_0 = N).  At prime fields
-    (drop = 2 deg(f)) a column of height c of M's partition at f lowers the
-    rank by c drop, and rank - floor is drop times the boxes left: a
-    job-lane stops once at most one box is left or the last column held at
-    most one.  The rest of its partition is then (rank - floor) / drop
-    columns of height 1, whose ranks, falling by drop a power down to the
-    floor, are written as if ranked, so the patterns are those of ranking
-    every power down to the floor.  Over F_(p^k), k > 1, drop = 0: a
-    job-lane stops at m, at the floor or where its rank is unchanged.
-    Rows past the stop keep the sentinel N + 1."""
-    p, k = field.p, field.k
-    lane, mult, floor, first, drop = jobs
+    A column of height c of M's partition at f lowers the rank by c drop,
+    drop = 2 deg(f) = 2 (N - floor) / m, and rank - floor is drop times
+    the boxes left.  A job-lane stops at j = m, or once its rank is within
+    drop of the floor or of the rank at the previous power (r_0 = N): at
+    most one box is left, or the last column held at most one.  The rest
+    of its partition is then (rank - floor) / drop columns of height 1,
+    whose ranks, falling by drop a power down to the floor, are written as
+    if ranked, so the patterns are those of ranking every power.  Rows
+    past the floor keep the sentinel N + 1."""
+    p, k, N = field.p, field.k, len(fx) // field.k
+    lane, mult, floor, first = jobs
+    drop = 2 * (N - floor) // mult
     going = np.arange(len(lane))  # the job-lanes still going
-    last = np.full(len(lane), len(fx) // k)  # their rank at the previous power
+    last = np.full(len(lane), N)  # their rank at the previous power
     powers = fx  # f(X)^j of the job-lanes going
     for j in range(1, mult.max() + 1):
         rank = _engine.batched_rank(powers, p) // k
@@ -321,7 +315,7 @@ def _rank_sequences(fx, jobs, patterns, field):
         patterns[rows, cols] = rank
         keep = (j < mult[going]) & (rank - low > step) & (last - rank > step)
         i = 1
-        while k == 1 and (tail := ~keep & (rank - i * step >= low)).any():
+        while (tail := ~keep & (rank - i * step >= low)).any():
             patterns[rows[tail] + i, cols[tail]] = rank[tail] - i * step[tail]
             i += 1
         if not keep.any():
@@ -331,22 +325,19 @@ def _rank_sequences(fx, jobs, patterns, field):
 
 
 def _label_from_ranks(factors, seq, N):
-    """(complete key, type) from the rank sequences of all factors of the
-    norm, in order, m entries for a factor of multiplicity m, as
+    """(complete key, type) from the rank sequences of all factors of X's
+    polynomial, in order, m entries for a factor of multiplicity m, as
     _job_lanes and _rank_sequences write them (ranks known without a
     batched_rank call included); the sentinel N + 1 marks a power past the
-    stop, whose rank is the last one before it.  A factor not dividing X's
-    own polynomial gets the empty partition and drops out of the key."""
+    floor, whose rank is the floor.  Each partition must have weight m."""
     pairs = []
     at = 0
     for f, mult in factors:
         lam = partition_from_rank_sequence([N, *(r for r in seq[at:at + mult] if r <= N)], f.degree)
-        if sum(lam) > mult:
-            raise InternalError("batched partition weight exceeds the factor multiplicity")
+        if sum(lam) != mult:
+            raise InternalError("batched partition weight disagrees with the factor multiplicity")
         pairs.append((f, lam))
         at += mult
-    if sum(f.degree * sum(lam) for f, lam in pairs) != N:
-        raise InternalError("batched partition weight mismatch")
     return _key_type_from_pairs(pairs)
 
 

@@ -156,24 +156,17 @@ def test_charpoly_and_matpoly_match_matfq(q, N):
     """On random lanes-last int32 batches, realified over F_p: batched_matpoly
     equals the realified linalg._eval_poly_at_matrix lane by lane, for
     polynomials of degree 1 to N + 1 given by their coefficient blocks, and
-    batched_charpoly equals the norm of linalg.charpoly, the product of its
-    Frobenius conjugates (linalg.charpoly itself over a prime field)."""
+    batched_charpoly's digits, as codes, equal linalg.charpoly over F_q."""
     rng = np.random.default_rng(1000 * q + N)
     field = field_from_order(q)
     p, k = field.p, field.k
     codes = rng.integers(0, q, size=(40, N, N))
     x = np.ascontiguousarray(_realify(codes, field).transpose(1, 2, 0))
     mats = [MatFq(field, c.tolist()) for c in codes]
-    cps = _engine.batched_charpoly(x, p)
-    assert cps.shape == (N * k + 1, 40)
-    norms = []
-    for m in mats:
-        cp = charpoly(m)
-        norm = cp
-        for i in range(1, k):
-            norm = norm * PolyFq(field, [field.pow(c, p ** i) for c in cp.coeffs])
-        norms.append(list(reversed(norm.coeffs)))
-    assert [cps[:, b].tolist() for b in range(40)] == norms
+    cps = _engine.batched_charpoly(x, p, k)
+    assert cps.shape == (N + 1, k, 40)
+    codes = np.einsum("ikb,k->bi", cps, p ** np.arange(k)).tolist()
+    assert codes == [list(reversed(charpoly(m).coeffs)) for m in mats]
     for degree in range(1, N + 2):
         coeffs = [int(c) for c in rng.integers(0, q, size=degree + 1)]
         coeffs[0] = int(rng.integers(1, q))
@@ -518,7 +511,7 @@ def test_int_bounds_are_checked_before_any_allocation():
     _allocates_nothing(lambda: _step(np.zeros((0, N, N), dtype=np.uint8), 251, None))
     # 46349^2 + 46349 >= 2^31, so any N fails at p = 46,349
     lanes_last = np.zeros((2, 2, 0), dtype=np.int32)
-    _allocates_nothing(lambda: _engine.batched_charpoly(lanes_last, 46_349))
+    _allocates_nothing(lambda: _engine.batched_charpoly(lanes_last, 46_349, 1))
     _allocates_nothing(lambda: _engine.batched_matpoly(lanes_last, np.ones((2, 1, 1), dtype=np.int32), 46_349))
     _allocates_nothing(lambda: _engine.batched_matmul(lanes_last, lanes_last, 46_349))
     _allocates_nothing(lambda: _engine.batched_rank(lanes_last, 46_349))

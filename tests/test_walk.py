@@ -588,11 +588,23 @@ def test_chain_classifies_whole_lumps_per_call(monkeypatch):
     assert calls == [2] + [per_lump] * chain.num_lumps
 
 
-def test_stacked_factor_jobs_stay_within_classify_lanes(monkeypatch, chain24):
+def test_stacked_factor_jobs_stay_within_classify_lanes(monkeypatch):
     """The f(X) matrices stacked for one _rank_sequences call number at most
-    CLASSIFY_LANES, however many factors the slice's polynomials have: at
-    (2,4) a 3,570-state slice has more job-lanes than that.  Taking them in
-    slices leaves every rank, and so the chain, as it was."""
+    CLASSIFY_LANES, however many factors the slice's polynomials have: 24
+    forms over F_3 at n = 4 whose X has x - 1 and x - 2 both of weight 2,
+    the congruences by uniform k in Sp_8 of J diag(M, M^T), make one slice
+    of 24 states with 48 job-lanes.  Taking them in chunks leaves every
+    label as _classify_X gives it."""
+    n, rng, J = 4, random.Random(8), standard_J(4, F3)
+    grams = []
+    for M in ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
+              [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
+              [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]]):
+        x = MatFq(F3, [row + [0] * n for row in M] + [[0] * n + list(col) for col in zip(*M)])
+        for _ in range(8):
+            k = sample_symplectic(n, F3, rng)
+            grams.append(k.transpose() * J * x * k)
+    states = np.array([_realified(w) for w in grams])
     stacked = []
     rank_sequences = walk._rank_sequences
 
@@ -602,9 +614,11 @@ def test_stacked_factor_jobs_stay_within_classify_lanes(monkeypatch, chain24):
         return rank_sequences(fx, jobs, patterns, field)
 
     monkeypatch.setattr(walk, "_rank_sequences", counted)
-    assert exact_form_chain(2, 4) == chain24
+    monkeypatch.setattr(walk, "CLASSIFY_LANES", len(states))
+    labels = _per_state(*_classify_states_batched(states, n, F3, {}))
+    assert labels == [_classify_X(J.inverse() * w) for w in grams]
     assert max(stacked) <= walk.CLASSIFY_LANES
-    assert sum(stacked) > walk.CLASSIFY_LANES  # some slice's job-lanes did need chunks
+    assert sum(stacked) > walk.CLASSIFY_LANES  # the slice's job-lanes did need chunks
 
 
 def test_each_factor_is_evaluated_once_per_chunk(monkeypatch, chain24):
@@ -727,13 +741,13 @@ def test_classifier_slices_match_one_batch(monkeypatch, n, q):
 
 @pytest.mark.parametrize("n, q", [(3, 3), (4, 2)])
 def test_weight_one_factors_reach_no_matpoly(monkeypatch, n, q):
-    """At prime fields a factor of weight 1 in mu has partition (1), so no
-    job-lane of it is evaluated: on walk states, batched_matpoly takes as
-    many lanes as there are (state, factor) pairs whose multiplicity in the
+    """A factor of weight 1 in mu has partition (1), so no job-lane of it
+    is evaluated: on walk states, batched_matpoly takes as many lanes as
+    there are (state, factor) pairs whose multiplicity in the
     characteristic polynomial, factored whole, is at least 4."""
     field = field_from_order(q)
     states, _ = _walk_states(n, q, seed=5)
-    cps = _engine.batched_charpoly(_engine.j_inv_times(states, q), q)
+    cps = _engine.batched_charpoly(_engine.j_inv_times(states, q), q, 1)[:, 0]
     counts = {}  # characteristic polynomial -> (its factors, those of weight >= 2)
     for cp in map(tuple, cps.T.tolist()):
         if cp not in counts:
@@ -752,14 +766,13 @@ def test_weight_one_factors_reach_no_matpoly(monkeypatch, n, q):
     assert 0 < sum(evaluated) == heavy < every
 
 
-@pytest.mark.parametrize("n, q, calls, ranked, evaluated", [(3, 3, 97, 125_154, 125_154), (2, 4, 14, 21_688, 15_379)])
+@pytest.mark.parametrize("n, q, calls, ranked, evaluated", [(3, 3, 97, 125_154, 125_154), (2, 4, 4, 3_085, 3_085)])
 def test_rank_job_lanes_of_a_chain_build(monkeypatch, n, q, calls, ranked, evaluated):
     """The batched_rank calls of one chain build, and the job-lanes they
-    and batched_matpoly take.  At (3,3) every weight is at most 3, so each
-    partition is known after j = 1: batched_rank runs once per
-    _rank_sequences call, on each job-lane once.  Over F_4 a job-lane
-    stops only at its multiplicity, at its floor or on an unchanged rank,
-    and every factor of the norm is ranked."""
+    and batched_matpoly take.  At (3,3) every weight is at most 3, and at
+    (2,4) at most 2, so each partition is known after j = 1: batched_rank
+    runs once per _rank_sequences call, on each job-lane once, and over
+    F_4 as over F_3 only the factors of X's own polynomial are ranked."""
     counts = Counter()
     rank, matpoly, rank_sequences = _engine.batched_rank, _engine.batched_matpoly, walk._rank_sequences
 
@@ -781,52 +794,75 @@ def test_rank_job_lanes_of_a_chain_build(monkeypatch, n, q, calls, ranked, evalu
     monkeypatch.setattr(walk, "_rank_sequences", counted_sequences)
     exact_form_chain(n, q)
     assert (counts["calls"], counts["ranked"], counts["evaluated"]) == (calls, ranked, evaluated)
-    assert (counts["sequences"] == calls) == (q == 3)
+    assert counts["sequences"] == calls
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_square_root_is_checked_by_squaring(p):
-    """_square_root gives r back from r^2, and refuses r^2 with one
-    coefficient changed, naming it.  At p = 2 (r + x^i)^2 is r^2 with the
-    coefficient of x^(2i) changed, so there a change at an even power is
-    another square, whose root it gives."""
-    field = build_field(p, 1)
-    rng = random.Random(p)
+@pytest.mark.parametrize("q", [4, 8])
+def test_no_job_lane_ranks_a_conjugate(monkeypatch, q):
+    """Over F_(p^k) every job-lane of a chain build is for a factor of its
+    lane's own F_q polynomial, so rank f(X) < N at j = 1: a Galois
+    conjugate dividing no lane's polynomial would have f(X) invertible."""
+    firsts = []
+    rank_sequences = walk._rank_sequences
+
+    def ranked(fx, jobs, patterns, field):
+        rank_sequences(fx, jobs, patterns, field)
+        lane, _, _, first = jobs
+        firsts.append(patterns[first, lane])
+
+    monkeypatch.setattr(walk, "_rank_sequences", ranked)
+    exact_form_chain(2, q, cap=10 ** 6)
+    firsts = np.concatenate(firsts)
+    assert len(firsts) and (firsts < 4).all()
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 4, 8, 9])
+def test_square_root_is_checked_by_squaring(q):
+    """_square_root gives r back from r^2 over F_q, and refuses r^2 with
+    one coefficient changed by 1, naming it.  At p = 2 (r + x^i)^2 is r^2
+    plus x^(2i), so there a change at an even power is another square,
+    whose root it gives."""
+    field = field_from_order(q)
+    rng = random.Random(q)
     for D in range(2, 7):
-        r = (1, 1, *(rng.randrange(p) for _ in range(D - 2)), 1)  # three terms or more
-        chi = tuple((np.convolve(r, r) % p).tolist())
+        r = (1, rng.randrange(1, q), *(rng.randrange(q) for _ in range(D - 2)), rng.randrange(1, q))  # three terms or more
+        root = PolyFq(field, r[::-1])
+        chi = (root * root).coeffs[::-1]
         assert walk._square_root(chi, field).coeffs == r[::-1]
         for i in range(1, 2 * D + 1):
             changed = list(chi)
-            changed[i] = (changed[i] + 1) % p
-            if p == 2 and i % 2 == 0:
-                root = tuple(c ^ (j == i // 2) for j, c in enumerate(r))
+            changed[i] = field.add(changed[i], 1)
+            if field.p == 2 and i % 2 == 0:
+                root = tuple(field.add(c, 1) if j == i // 2 else c for j, c in enumerate(r))
                 assert walk._square_root(tuple(changed), field).coeffs == root[::-1]
             else:
                 with pytest.raises(InternalError, match=r"PolyFq\(.*\) is not a square"):
                     walk._square_root(tuple(changed), field)
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_a_non_alternating_gram_is_refused_before_any_label(monkeypatch, q):
-    """A batch of walk states and one w + e_1 e_1^T raises InternalError,
-    and no label is formed for any of its states.  That Gram keeps chi a
-    square, as (xJ - w)^-1 is alternating, so _check_alternating refuses
-    it; with that check off, a w + e_1 e_2^T whose chi is no square is
-    refused by the square root, which names chi."""
-    field = build_field(q, 1)
+    """A batch of realified walk states and one w + e_1 e_1^T raises
+    InternalError, and no label is formed for any of its states.  That
+    Gram keeps chi a square, as (xJ - w)^-1 is alternating, so
+    _check_alternating refuses it; with that check off, a w + e_1 e_2^T
+    whose chi is no square is refused by the square root, which names chi.
+    Over F_(p^k) adding 1 to an entry adds the k x k identity to its block."""
+    field = field_from_order(q)
+    p, k = field.p, field.k
+    one = np.eye(k, dtype=np.uint8)
     states, _ = _walk_states(2, q, seed=7, trials=10, steps=2)
     labelled = []
     monkeypatch.setattr(walk, "_label_from_ranks", lambda *args: labelled.append(args))
     broken = states[-1].copy()
-    broken[0, 0] = 1
+    broken[:k, :k] = one
     with pytest.raises(InternalError, match="a state to classify is not an alternating form"):
         _classify_states_batched(np.concatenate([states, broken[None]]), 2, field, {})
-    monkeypatch.setattr(walk, "_check_alternating", lambda states, p: None)
+    monkeypatch.setattr(walk, "_check_alternating", lambda states, p, k: None)
     broken = states.copy()
-    broken[:, 0, 1] = (broken[:, 0, 1] + 1) % q
-    cps = _engine.batched_charpoly(_engine.j_inv_times(broken, q), q)
-    odd = next(i for i, cp in enumerate(cps.T.tolist())
+    broken[:, :k, k:2 * k] = (broken[:, :k, k:2 * k] + one) % p
+    cps = _engine.batched_charpoly(_engine.j_inv_times(broken, p), p, k)
+    odd = next(i for i, cp in enumerate(np.einsum("ikb,k->bi", cps, p ** np.arange(k)).tolist())
                if any(m % 2 for _, m in factor_poly(PolyFq(field, cp[::-1]))))
     with pytest.raises(InternalError, match=r"PolyFq\(.*\) is not a square"):
         _classify_states_batched(np.concatenate([states, broken[odd:odd + 1]]), 2, field, {})
