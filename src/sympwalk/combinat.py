@@ -185,40 +185,6 @@ def orbit_count(d, q):
     return irreducible_count(q, d, exclude_x=True)
 
 
-@lru_cache(maxsize=None)
-def _degree_entries(d, total, n_orbits):
-    """(entries, assignment count) for each multiset of partitions of the
-    given total weight that fits on the n_orbits orbits of degree d, with
-    entries its (d, partition) pairs in increasing order.  Partitions are
-    chosen in weakly decreasing (size, partition) order, so each multiset
-    appears once; its count, the injective assignments of its m partitions
-    to the orbits, perm(n_orbits, m) / prod r_i! over its runs r_i of equal
-    partitions, is carried as it grows."""
-    items = [(w, lam) for w in range(total, 0, -1) for lam in partitions_of(w)]
-    first = {}  # size -> index of its first item: items are in decreasing order
-    for i, (w, _) in enumerate(items):
-        first.setdefault(w, i)
-    out = []
-
-    def rec(start, remaining, slots, acc, ways, run):
-        # run: how many times items[start] ends acc; slots: orbits left free
-        if remaining == 0:
-            out.append((tuple((d, lam) for lam in sorted(acc)), ways))
-            return
-        if slots:
-            for i in range(max(start, first[remaining]), len(items)):
-                w, lam = items[i]
-                if w * slots < remaining:  # this and every later size are too small
-                    break
-                r = run + 1 if i == start else 1
-                acc.append(lam)
-                rec(i, remaining - w, slots - 1, acc, ways * slots // r, r)  # an integer at every step
-                acc.pop()
-
-    rec(0, total, n_orbits, [], 1, 0)
-    return tuple(out)
-
-
 def check_enumeration_cap(n):
     """Raise EnumerationTooLargeError for a weight n beyond
     ENUMERATION_MAX_N, whose labels are too many to list."""
@@ -227,19 +193,49 @@ def check_enumeration_cap(n):
 
 
 @lru_cache(maxsize=None)
+def _lex_partitions(top):
+    """The partitions of 1..top in increasing order, each with its size."""
+    return tuple(sorted((lam, sum(lam)) for w in range(1, top + 1) for lam in partitions_of(w)))
+
+
+@lru_cache(maxsize=None)
 def _next_blocks(d, remaining, n_orbits):
     """(entries, count, weight left) per degree-d block that fits in
     `remaining`, in the order of the types it starts: by entries, but a
     block that ends its types comes before, and one that higher degrees
-    follow after, every block whose entries begin with its own."""
+    follow after, every block whose entries begin with its own.  A
+    depth-first walk appending partitions in increasing order meets each
+    multiset once, by entries: a block that ends its types is listed when
+    met, one that higher degrees follow after what grows from it.  Its
+    count, the assignments of its m partitions to the orbits,
+    perm(n_orbits, m) / prod r_i! over its runs r_i of equal partitions,
+    is carried as it grows."""
+    top = remaining // d
+    items = [((d, lam), lam[0], w) for lam, w in _lex_partitions(top)]
     blocks = []
-    for used in range(1, remaining // d + 1):
-        left = remaining - d * used
-        if 0 < left <= d:  # no degree above d fits what is left
-            continue
-        blocks += ((entries, ways, left) for entries, ways in _degree_entries(d, used, n_orbits))
-    # () sorts below, and (d + 1,) above, every degree-d entry; the keys differ
-    blocks.sort(key=lambda block: block[0] + ((d + 1,) if block[2] else (),))
+
+    def rec(start, weight, acc, ways, run):
+        # run: how many times items[start] ends acc; acc is in increasing order
+        slots, budget = n_orbits - len(acc), top - weight
+        for i in range(start, len(items)):
+            entry, first, w = items[i]
+            if first > budget:  # every later partition has a part this large
+                break
+            if w > budget:
+                continue
+            r = run + 1 if i == start else 1
+            acc.append(entry)
+            count, left = ways * slots // r, remaining - d * (weight + w)  # an integer at every step
+            if not left:
+                blocks.append((tuple(acc), count, 0))
+            else:
+                if slots > 1:
+                    rec(i, weight + w, acc, count, r)
+                if left > d:  # no degree above d fits 0 < left <= d
+                    blocks.append((tuple(acc), count, left))
+            acc.pop()
+
+    rec(0, 0, [], 1, 0)
     return tuple(blocks)
 
 
@@ -319,16 +315,14 @@ def psi_factor(n, q):
 @lru_cache(maxsize=None)
 def _centralizer_factor(d, lam, q):
     """(numerator, denominator) of one entry's factor of a_mu:
-    q_f^(2 n(lam)) prod_i prod_{j<=m_i} (q_f^j - 1) over prod q_f^j."""
+    q_f^(2 n(lam)) prod_i prod_{j<=m_i} (q_f^j - 1) over prod q_f^j, the
+    inner products psi_(m_i)(q_f) and q_f^(m_i (m_i + 1) / 2)."""
     qf = q ** d
-    num = qf ** (2 * n_stat(lam))
-    den = 1
+    num, e = qf ** (2 * n_stat(lam)), 0
     for m_i in multiplicities(lam).values():
-        for j in range(1, m_i + 1):
-            qfj = qf ** j
-            num *= qfj - 1
-            den *= qfj
-    return num, den
+        num *= psi_factor(m_i, qf)
+        e += m_i * (m_i + 1) // 2
+    return num, qf ** e
 
 
 def _centralizer_ratio(mu: PartitionFn, q):
@@ -373,8 +367,24 @@ def _dim_factor(d, part, q):
 
 @lru_cache(maxsize=None)
 def _doubled_dim_factor(d, lam, q):
-    """_dim_factor of the doubled entry (d, union_double(lam))."""
-    return _dim_factor(d, union_double(lam), q)
+    """_dim_factor of the doubled entry (d, union_double(lam)), from lam's
+    own boxes.  Box (i, j) of lam, 0-indexed, stands for boxes (2i, j) and
+    (2i + 1, j) of lam u lam, whose hooks are h = lam_i - j + 2 lam'_j - 2i - 1
+    and h - 1; and n((lam u lam)') = 2 n(lam') = sum of lam_i (lam_i - 1).
+    So with t = q^d the factor is (t^(2 n(lam')), the product over the boxes
+    of (t^h - 1)(t^(h - 1) - 1)), each t^h - 1 read from one list."""
+    t = q ** d
+    conj = conjugate(lam)
+    t_h, powers = 1, [0]  # powers[h] = t^h - 1 up to the hook of box (0, 0)
+    for _ in range(lam[0] + 2 * len(lam) - 1):
+        t_h *= t
+        powers.append(t_h - 1)
+    hooks = 1
+    for i, part in enumerate(lam):
+        for j in range(part):
+            h = part - j + 2 * conj[j] - 2 * i - 1
+            hooks *= powers[h] * powers[h - 1]
+    return t ** sum(part * (part - 1) for part in lam), hooks
 
 
 def _checked_dim(lam, weight, factors, q):

@@ -47,6 +47,7 @@ import numpy as np
 from . import _engine
 from .combinat import (
     PartitionFn,
+    check_enumeration_cap,
     class_size_qsq,
     coset_space_size,
     enumerate_partition_fns,
@@ -358,12 +359,11 @@ def classify_double_coset(g) -> PartitionFn:
 
 
 def stationary_type_distribution(n, q):
-    """Stationary mass per type label: count * |coset| / |form space|."""
-    out = {}
+    """Stationary mass per type label: count * |coset| / |form space|; the
+    labels first, so that the enumeration cap comes before |GL_2n|."""
+    labels = enumerate_partition_fns(n, q)
     denom = coset_space_size(n, q)
-    for fn, cnt in enumerate_partition_fns(n, q):
-        out[fn] = Fraction(cnt * class_size_qsq(fn, q), denom)
-    return out
+    return {fn: Fraction(cnt * class_size_qsq(fn, q), denom) for fn, cnt in labels}
 
 
 # ---------------------------------------------------------------------------
@@ -577,13 +577,14 @@ def _move_count(n, q):
 
 
 def check_tv_work(n, q, k_max):
-    """Raise ValueError for k_max < 0, and StepRangeTooLargeError if
-    tv_curve(k_max) at (n, q) needs more than TV_WORK_MAX units of work,
-    k_max^3 b^2 with b the bit length of move_count; known before the chain
-    is built."""
+    """Raise ValueError for k_max < 0, EnumerationTooLargeError beyond the
+    lumps' enumeration cap, and StepRangeTooLargeError if tv_curve(k_max)
+    at (n, q) needs more than TV_WORK_MAX units of work, k_max^3 b^2 with b
+    the bit length of move_count; known before the chain is built."""
     _check_walk_n(n)
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
+    check_enumeration_cap(n)
     work = k_max ** 3 * _move_count(n, q).bit_length() ** 2
     if work > TV_WORK_MAX:
         raise StepRangeTooLargeError(
@@ -773,6 +774,19 @@ def _mc_field(field_or_q, n):
     return field
 
 
+def _check_mc_work(n, field, steps, trials):
+    """Raise StepRangeTooLargeError if `trials` lanes stepped `steps` times
+    and read at each state need more than MC_WORK_MAX lane-steps, an odd-p
+    lane-step priced as MC_ODD_P_LANE_COST and each chunk's steps included."""
+    chunks = -(-trials // MC_CHUNK)
+    lane_cost = 1 if field.p == 2 else MC_ODD_P_LANE_COST
+    if (steps + 1) * (trials * lane_cost + chunks * MC_STEP_COST_LANES) > MC_WORK_MAX:
+        raise StepRangeTooLargeError(
+            f"{int_text(trials)} trials of {int_text(steps)} steps at n={n} need more than "
+            f"{int_text(MC_WORK_MAX)} lane-steps of work"
+        )
+
+
 def monte_carlo_tv(n, field_or_q, k, trials, seed=0) -> MCResult:
     """Empirical lumped law after k steps vs. the exact stationary lumps.
 
@@ -794,22 +808,15 @@ def monte_carlo_curve(n, field_or_q, k_max, trials, seed=0):
     _engine.row_labels over their strict upper triangles, each is
     classified once, in one batch, and every step is counted from the
     label ids.  Classification draws nothing from rng, so the draws are
-    those of stepping alone.  A run of more than MC_WORK_MAX lane-steps,
-    an odd-p lane-step priced as MC_ODD_P_LANE_COST and the per-step cost
-    of each chunk included, raises StepRangeTooLargeError before any draw.
+    those of stepping alone.  A run of more than MC_WORK_MAX lane-steps
+    (_check_mc_work) raises StepRangeTooLargeError before any draw.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if k_max < 0:
         raise ValueError(f"the number of steps must be >= 0, got {k_max}")
     field = _mc_field(field_or_q, n)
-    chunks = -(-trials // MC_CHUNK)
-    lane_cost = 1 if field.p == 2 else MC_ODD_P_LANE_COST
-    if (k_max + 1) * (trials * lane_cost + chunks * MC_STEP_COST_LANES) > MC_WORK_MAX:
-        raise StepRangeTooLargeError(
-            f"{int_text(trials)} trials of {int_text(k_max)} steps at n={n} need more than "
-            f"{int_text(MC_WORK_MAX)} lane-steps of work"
-        )
+    _check_mc_work(n, field, k_max, trials)
     p = field.p
     pi = stationary_type_distribution(n, p)
     rng = np.random.default_rng(seed)
@@ -860,11 +867,13 @@ def support_violations(n, field_or_q, c, trials, seed=0):
     counted via batched rank; a small subsample is cross-checked with the
     full classifier.  Trials are stepped and ranked in chunks of MC_CHUNK,
     each held as one _engine.Lanes batch, so memory stays bounded whatever
-    their number.  Returns (violations, trials).
+    their number; they are priced against MC_WORK_MAX before any draw.
+    Returns (violations, trials).
     """
     field = _mc_field(field_or_q, n)
     if not 0 <= c <= n:
         raise ValueError("need 0 <= c <= n")
+    _check_mc_work(n, field, n - c, trials)
     p = field.p
     rng = np.random.default_rng(seed)
     J = standard_J(n, field)

@@ -536,6 +536,33 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert proc.stdout == want.encode()  # bytes: the CSV rows end in \r\n
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chain", "--n", "1000000000", "--q", "2", "--kmax", "2"],
+        ["simulate", "--n", "1000000000", "--q", "2", "--steps", "2", "--trials", "50"],
+        ["verify", "--suite", "walk", "--trials", "1000000000000"],
+    ],
+    ids=["chain-huge-n", "simulate-huge-n", "verify-walk-huge-trials"],
+)
+def test_inputs_beyond_a_cap_are_refused_within_two_seconds(argv):
+    """Each call exits 3 with a resource cap line and no stdout, start-up
+    included, within 2 s: the chain's lumps and the stationary law are
+    enumerated labels, refused beyond the enumeration cap before q^(2n) or
+    |GL_2n| is formed, and the support check prices its lane-steps.  Each
+    runs in a subprocess with a timeout, since a long big-integer product
+    in C holds off any signal handler until it returns."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sympwalk", *argv], capture_output=True, text=True, env=env, timeout=2
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("resource cap:") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_chain_and_simulate_leave_numpy_ma_unimported():
     """np.unique with neither return_index nor return_inverse, or with axis,
     imports numpy.ma on its first call, about 13 ms; no call on the chain,

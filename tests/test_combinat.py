@@ -1,13 +1,18 @@
+import inspect
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from sympwalk import combinat
 from sympwalk.combinat import (
     PartitionFn,
     _centralizer_ratio,
-    _degree_entries,
+    _dim_factor,
+    _doubled_dim_factor,
+    _next_blocks,
     check_enumeration_cap,
     class_size,
     class_size_qsq,
@@ -108,20 +113,69 @@ def test_enumerate_weight1_q3():
 @pytest.mark.parametrize("n_orbits", range(1, 9))
 def test_carried_assignment_counts_match_the_closed_form(n_orbits):
     """Each block's count, carried through the multiset recursion, is
-    perm(orbits, m) / prod r_i! over the runs of equal partitions; over all
-    blocks of a total they count every function from the orbits to
-    partitions, the t^total coefficient of (sum_k p(k) t^k)^orbits."""
+    perm(orbits, m) / prod r_i! over the runs of equal partitions; over the
+    degree-1 blocks that end a type of weight total they count every
+    nonempty function from the orbits to partitions, the t^total
+    coefficient of (sum_k p(k) t^k)^orbits."""
     series = [1] + [0] * 10
     for _ in range(n_orbits):
         series = [sum(series[i] * len(partitions_of(w - i)) for i in range(w + 1)) for w in range(11)]
-    for total in range(11):
-        blocks = _degree_entries(1, total, n_orbits)
+    for total in range(1, 11):
+        blocks = [(entries, ways) for entries, ways, left in _next_blocks(1, total, n_orbits) if not left]
         for entries, ways in blocks:
             want = math.perm(n_orbits, len(entries))
             for run in Counter(entries).values():
                 want //= math.factorial(run)
             assert ways == want, entries
         assert sum(ways for _, ways in blocks) == series[total], total
+
+
+@pytest.mark.parametrize("d, remaining, n_orbits", [(1, 7, 1), (1, 7, 2), (1, 8, 4), (2, 9, 3), (3, 10, 8)])
+def test_blocks_are_every_multiset_in_type_order(d, remaining, n_orbits):
+    """Oracle: the depth-first blocks are every multiset of at most
+    n_orbits partitions whose weight d|m| leaves 0 or more than d, each with
+    its count, sorted by entries, a block that ends its types before and
+    one that higher degrees follow after every block extending it."""
+    parts = sorted(lam for w in range(1, remaining // d + 1) for lam in partitions_of(w))
+    want = []
+    for m in range(1, n_orbits + 1):
+        for combo in itertools.combinations_with_replacement(parts, m):
+            left = remaining - d * sum(map(sum, combo))
+            if left == 0 or left > d:
+                ways = math.perm(n_orbits, m)
+                for run in Counter(combo).values():
+                    ways //= math.factorial(run)
+                want.append((tuple((d, lam) for lam in combo), ways, left))
+    want.sort(key=lambda block: block[0] + ((d + 1,) if block[2] else (),))
+    assert _next_blocks(d, remaining, n_orbits) == tuple(want)
+
+
+def _doubled_factor_mismatches(factor):
+    """The (d, lam, q) with |lam| <= 10, d <= 3 and q = 2, 3, 4, 5, 7, 9 at
+    which factor differs from _dim_factor of the doubled entry (oracle)."""
+    return [
+        (d, lam, q)
+        for w in range(1, 11)
+        for lam in partitions_of(w)
+        for d in (1, 2, 3)
+        for q in (2, 3, 4, 5, 7, 9)
+        if factor(d, lam, q) != _dim_factor(d, union_double(lam), q)
+    ]
+
+
+def test_doubled_factor_from_own_boxes_matches_the_doubled_partition():
+    assert _doubled_factor_mismatches(_doubled_dim_factor) == []
+
+
+def test_doubled_factor_oracle_catches_a_dropped_hook():
+    """Mutation: _doubled_dim_factor's source with the (t^(h - 1) - 1)
+    factor of box (0, 0) dropped disagrees with the oracle."""
+    source = inspect.getsource(_doubled_dim_factor.__wrapped__)
+    line = "hooks *= powers[h] * powers[h - 1]"
+    assert source.count(line) == 1
+    namespace = dict(vars(combinat))
+    exec(source.replace(line, "hooks *= powers[h] * (powers[h - 1] if i or j else 1)"), namespace)
+    assert _doubled_factor_mismatches(namespace["_doubled_dim_factor"])
 
 
 def brute_force_conjugacy_classes_gl2_f2():
