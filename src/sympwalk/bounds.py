@@ -15,9 +15,10 @@ each degree's free orbits raise their series to the orbit count as a
 binomial sum truncated at t^n.
 
 The spectral sum reads one summary per (n, q), made in one pass over the
-label types (_label_pass): the number of types and the largest bit length
-of any phi price exact rows, which sum per distinct phi over one
-denominator; logfloat rows sum per type from two float arrays.
+label types, each a degree-1 block and a completion (_label_pass): the
+number of types and the largest bit length of any phi price exact rows,
+which sum per distinct phi over one denominator; logfloat rows sum per
+type from two float arrays.
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ import numpy as np
 
 from .combinat import (
     _centralizer_factor,
-    _checked_dim,
     _doubled_dim_factor,
+    _entry_product,
     _walk_types,
     check_enumeration_cap,
     gl_order,
     orbit_count,
     partitions_of,
+    psi_factor,
     sp_order,
 )
 from .errors import (
@@ -80,8 +82,8 @@ def _log_int(x: int) -> float:
     """log of a positive big integer without float overflow."""
     if x <= 0:
         raise ValueError("log of non-positive integer")
-    shift = max(0, x.bit_length() - 53)
-    return math.log(x >> shift) + shift * math.log(2)
+    shift = x.bit_length() - 53  # x >> shift keeps a float's 53 bits
+    return math.log(x >> shift) + shift * math.log(2) if shift > 0 else math.log(x)
 
 
 def _log_fraction_abs(fr: Fraction) -> float:
@@ -102,36 +104,39 @@ def _check_args(n, q, capped=True):
 def _label_pass(n, q):
     """(number of types, largest bit length of any phi, log arrays, phi
     masses) from one pass over the label types but the twist, (1^n) at one
-    degree-1 orbit, by increasing entries.  The float64 arrays hold
-    log(count x d_(lam u lam)) and log|phi| per type, in type order (no
-    phi is 0: q divides the first term of phi_numerator at n >= 2, but not
-    q^2n - 1); the masses are (D, ((a, m_a), ...)), each distinct
-    phi = a / D with its total multiplicity.  a is taken once per degree-1
-    block, and log|phi| and the bit lengths once per distinct a."""
+    degree-1 orbit, in the order of _walk_types.  The float64 arrays hold
+    log(count x d_(lam u lam)) and log|phi| per type (no phi is 0: q
+    divides the first term of phi_numerator at n >= 2, but not q^2n - 1);
+    the masses are (D, ((a, m_a), ...)), each distinct phi = a / D with its
+    total multiplicity.  Factors are multiplied once per block and once per
+    completion, a once per block, log|phi| once per distinct a."""
     _check_args(n, q)
     twist = trivial_label(n).entries
-    a_of, masses, weights, a_per_type = {}, {}, [], []  # degree-1 entries -> a; a -> m_a
-
-    def add(entries, ones, cnt):
-        if entries == twist:
-            return
-        a = a_of.get(ones)
-        if a is None:
-            a = a_of[ones] = phi_numerator(sum(content_sum(lam, n, q) for _, lam in ones), n, q)
-        mass = cnt * _checked_dim(entries, 2 * n, [_doubled_dim_factor(d, lam, q) for d, lam in entries], q)
-        masses[a] = masses.get(a, 0) + mass
-        weights.append(_log_int(mass))
-        a_per_type.append(a)
-
-    _walk_types(n, q, add)
+    blocks, completions = _walk_types(n, q)
+    rests = [[(rest, count, *_entry_product(_doubled_dim_factor, rest, q)) for rest, count in comps]
+             for comps in completions]
+    psi = psi_factor(2 * n, q)
+    masses, type_masses, a_per_type = {}, [], []  # a -> m_a
+    for block, ways, left in blocks:
+        if block == twist:  # it leaves 0: the twist's one type
+            continue
+        a = phi_numerator(sum(content_sum(lam, n, q) for _, lam in block), n, q)
+        b_num, b_den = _entry_product(_doubled_dim_factor, block, q, psi)
+        for rest, count, c_num, c_den in rests[left]:
+            dim, rem = divmod(b_num * c_num, b_den * c_den)
+            if rem:
+                raise NonIntegerResultError(f"dimension of weight {2 * n} not integral for {block + rest} at q={q}")
+            type_masses.append(ways * count * dim)
+            masses[a] = masses.get(a, 0) + type_masses[-1]
+        a_per_type += [a] * len(rests[left])
     den = phi_denominator(n, q)  # D > 0 at n >= 2; at n = 1 no type and D = 0
     bits, log_phi = 0, {}
     for a in masses:  # phi = a / D reduced, its sign on the numerator, as Fraction(a, D) is
         g = math.gcd(a, den)
         bits = max(bits, (a // g).bit_length(), (den // g).bit_length())
         log_phi[a] = _log_int(abs(a) // g) - _log_int(den // g)
-    logs = np.array(weights), np.array([log_phi[a] for a in a_per_type])
-    return len(weights), bits, logs, (den, tuple(masses.items()))
+    logs = np.array(list(map(_log_int, type_masses))), np.array([log_phi[a] for a in a_per_type])
+    return len(type_masses), bits, logs, (den, tuple(masses.items()))
 
 
 def _one_orbit(n, d, qq):

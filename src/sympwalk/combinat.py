@@ -239,25 +239,25 @@ def _next_blocks(d, remaining, n_orbits):
     return tuple(blocks)
 
 
-def _walk_types(n, q, leaf):
-    """The one recursion over the types of weight n over F_q: leaf(entries,
-    ones, count) per type, by increasing entries; ones is the type's
-    degree-1 entries, a prefix of entries."""
+def _walk_types(n, q):
+    """The one walk over the types of weight n over F_q, by increasing
+    entries: (blocks, completions).  Each type is a block (entries, count,
+    weight left), one of _next_blocks(1, n, q - 1) or last ((), 1, n),
+    followed by one (entries, count) of completions[left], its entries of
+    degree >= 2.  Built from the top degree down, completions[w] lists the
+    degree-d blocks that fit in w, each followed by every completion above
+    d of the weight it leaves, then the completions above d of weight w."""
     check_enumeration_cap(n)
     # orbit_count(d, q) >= 1 for every d when q >= 2
     n_orbs = [orbit_count(d, q) for d in range(1, n + 1)]
-
-    def rec(d_min, remaining, acc_entries, acc_count, ones):
-        # the entries of the degrees from d_min on sort after acc_entries
-        if remaining == 0:
-            leaf(acc_entries, ones, acc_count)
-            return
-        for d in range(d_min, remaining + 1):
-            for entries, ways, left in _next_blocks(d, remaining, n_orbs[d - 1]):
-                rec(d + 1, left, acc_entries + entries, acc_count * ways, entries if d == 1 else ones)
-
-    rec(1, n, (), 1, ())
-    del rec  # it refers to itself: free what leaf holds now, not at a later collection
+    completions = [[((), 1)]] + [[] for _ in range(n)]  # by weight, those above degree d; first d = n
+    for d in range(n, 1, -1):
+        completions = completions[:d] + [
+            [(entries + rest, ways * count) for entries, ways, left in _next_blocks(d, w, n_orbs[d - 1])
+             for rest, count in completions[left]] + completions[w]
+            for w in range(d, n + 1)
+        ]
+    return (*_next_blocks(1, n, orbit_count(1, q)), ((), 1, n)), completions
 
 
 @lru_cache(maxsize=None)
@@ -271,14 +271,13 @@ def enumerate_partition_fns(n, q):
     n = 0 gives the one empty label; n beyond ENUMERATION_MAX_N raises
     EnumerationTooLargeError before any label is listed.
     """
+    blocks, completions = _walk_types(n, q)
     labels = []
-
-    def label(entries, _, count):
-        fn = PartitionFn(entries)
-        vars(fn)["weight"] = n  # what the cached_property would compute
-        labels.append((fn, count))
-
-    _walk_types(n, q, label)
+    for block, ways, left in blocks:
+        for rest, count in completions[left]:
+            fn = PartitionFn(block + rest)
+            vars(fn)["weight"] = n  # what the cached_property would compute
+            labels.append((fn, ways * count))
     return tuple(labels)
 
 
@@ -325,17 +324,22 @@ def _centralizer_factor(d, lam, q):
     return num, qf ** e
 
 
+def _entry_product(factor, entries, q, num=1):
+    """(num x the product of the numerators, the product of the
+    denominators) of the pairs factor(d, lam, q) over the entries."""
+    den = 1
+    for d, lam in entries:
+        f_num, f_den = factor(d, lam, q)
+        num *= f_num
+        den *= f_den
+    return num, den
+
+
 def _centralizer_ratio(mu: PartitionFn, q):
     """a_mu(q), the centralizer order of the class labeled mu in GL_n(F_q),
     as an unreduced (numerator, denominator) pair of integers: q^n times
     each entry's _centralizer_factor, cached per (degree, partition, q)."""
-    num = q ** mu.weight
-    den = 1
-    for d, lam in mu.entries:
-        f_num, f_den = _centralizer_factor(d, lam, q)
-        num *= f_num
-        den *= f_den
-    return num, den
+    return _entry_product(_centralizer_factor, mu.entries, q, q ** mu.weight)
 
 
 def class_size(mu: PartitionFn, q) -> int:
@@ -387,15 +391,10 @@ def _doubled_dim_factor(d, lam, q):
     return t ** sum(part * (part - 1) for part in lam), hooks
 
 
-def _checked_dim(lam, weight, factors, q):
-    """psi_weight(q) prod f_num / prod f_den over the entry factors of lam
-    (or of its doubling, at weight 2 lam.weight), checked integral."""
-    num = psi_factor(weight, q)
-    den = 1
-    for f_num, f_den in factors:
-        num *= f_num
-        den *= f_den
-    dim, rem = divmod(num, den)
+def _checked_dim(lam, weight, factor, q):
+    """psi_weight(q) prod f_num / prod f_den over the pairs factor(d, part, q)
+    of lam's entries (doubled at weight 2 lam.weight), checked integral."""
+    dim, rem = divmod(*_entry_product(factor, lam.entries, q, psi_factor(weight, q)))
     if rem:
         raise NonIntegerResultError(f"dimension of weight {weight} not integral for {lam} at q={q}")
     return dim
@@ -410,16 +409,14 @@ def dim_irrep(lam: PartitionFn, q) -> int:
     for every label.  Each entry's (numerator, denominator) pair is cached
     per (degree, partition, q).
     """
-    return _checked_dim(lam, lam.weight, [_dim_factor(d, part, q) for d, part in lam.entries], q)
+    return _checked_dim(lam, lam.weight, _dim_factor, q)
 
 
 def doubled_dim_irrep(lam: PartitionFn, q) -> int:
     """dim_irrep(lam.doubled(), q), the multiplicity d_(lam u lam) of lam's
     eigenvalue, without building the doubled label: each doubled entry's
     factor is cached per (degree, partition, q) of the undoubled entry."""
-    return _checked_dim(
-        lam, 2 * lam.weight, [_doubled_dim_factor(d, part, q) for d, part in lam.entries], q
-    )
+    return _checked_dim(lam, 2 * lam.weight, _doubled_dim_factor, q)
 
 
 def coset_space_size(n, q):

@@ -135,8 +135,16 @@ def _prefactor(n, q) -> Fraction:
 
 @lru_cache(maxsize=None)
 def content_sum(part, n, q) -> int:
-    """q^(n-1) R, R the sum of q^(2i-j) over the boxes (i, j) of part, 0-indexed; R adds over parts."""
-    return sum(q ** (n - 1 + 2 * i - j) for i, row in enumerate(part) for j in range(row))
+    """q^(n-1) R, R the sum of q^(2i-j) over the boxes (i, j) of part, 0-indexed; R adds over parts.
+    Row i gives q^(2i) tails[part_i], added by Horner's rule in q^2; |part| <= n."""
+    tails, power = [0], q ** n  # tails[r] = q^(n-1) + ... + q^(n-r)
+    for _ in range(part[0] if part else 0):
+        power //= q
+        tails.append(tails[-1] + power)
+    out, q2 = 0, q * q
+    for row in reversed(part):
+        out = out * q2 + tails[row]
+    return out
 
 
 def phi_denominator(n, q) -> int:

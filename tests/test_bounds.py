@@ -476,6 +476,21 @@ def test_phi_once_per_content_sum_matches_every_degree_one_block(q, top):
         assert log_phis.tolist() == [_log_fraction_abs(phi) for phi, _, _ in terms]
 
 
+def test_type_order_check_catches_a_reversed_completion_list(monkeypatch):
+    """Mutation: a walk that lists the completions of weight 4 backwards,
+    read by the pass alone (uncached), puts log terms out of type order."""
+    real = combinat._walk_types
+
+    def reversed_walk(n, q):
+        blocks, completions = real(n, q)
+        return blocks, [comps[::-1] if w == 4 else comps for w, comps in enumerate(completions)]
+
+    monkeypatch.setattr(bounds, "_walk_types", reversed_walk)
+    monkeypatch.setattr(bounds, "_label_pass", bounds._label_pass.__wrapped__)
+    with pytest.raises(AssertionError):
+        test_phi_once_per_content_sum_matches_every_degree_one_block(3, 8)
+
+
 @pytest.mark.parametrize("q, top", [(2, 8), (3, 8), (4, 6), (5, 6), (7, 6)])
 def test_summary_counts_every_type_and_the_bits_of_phi(q, top):
     """The pass's number of types and largest bit length of any phi, which
@@ -497,6 +512,17 @@ def test_phi_reduced_by_gcd_matches_the_fraction_route(q):
         phis = [Fraction(a, den) for a, _ in masses]
         assert bits == max(max(phi.numerator.bit_length(), phi.denominator.bit_length()) for phi in phis), n
         assert set(log_phis.tolist()) == {_log_fraction_abs(phi) for phi in phis}, n
+
+
+def test_log_int_keeps_the_floats_of_the_shifted_route():
+    """Oracle: log(x >> s) + s log 2 with s = max(0, bits - 53), the route
+    every pinned logfloat digit was made with, for x up to 2^2000 and at
+    every bit length around 53."""
+    xs = [1, 2, 3, 2**52 - 1, 2**53 - 1, 2**53, 2**53 + 1, 3**700, 10**600 + 7]
+    xs += [x for b in range(1, 2001, 7) for x in (2**b - 1, 2**b, 2**b + 12345, 5**b // 3**(b // 2) + 1)]
+    for x in xs:
+        shift = max(0, x.bit_length() - 53)
+        assert _log_int(x) == math.log(x >> shift) + shift * math.log(2), x
 
 
 def _per_type_square(n, q, k, keep=lambda phi: True):

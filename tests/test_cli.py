@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -561,6 +562,71 @@ def test_inputs_beyond_a_cap_are_refused_within_two_seconds(argv):
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("resource cap:") and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def _bounds(*extra, n="3", q="2", k="1..4"):
+    return ["bounds", "--n", n, "--q", q, "--k-range", k, *extra]
+
+
+_HUGE = str(10 ** 400)
+
+# (id, argv, exit code): the edges of every `bounds` argument
+BOUNDS_EDGES = [
+    ("n-0", _bounds(n="0"), 1),
+    ("n-negative", _bounds(n="-1"), 1),
+    ("n-huge", _bounds(n=_HUGE), 3),
+    ("n-beyond-cap", _bounds(n="15"), 3),
+    ("n-not-int", _bounds(n="2.5"), 1),
+    ("q-6", _bounds(q="6"), 1),
+    ("q-1", _bounds(q="1"), 1),
+    ("q-0", _bounds(q="0"), 1),
+    ("q-2^40", _bounds(q=str(2 ** 40)), 3),
+    ("q-huge", _bounds(q=_HUGE), 3),
+    ("q-prime-beyond-cap", _bounds(q=str(2 ** 61 - 1)), 3),
+    ("k-huge-range", _bounds(k=f"1..{_HUGE}"), 3),
+    ("k-long-range", _bounds(k="1..99999999999"), 3),
+    ("k-0", _bounds(k="0..3"), 1),
+    ("k-empty", _bounds(k="5..3"), 1),
+    ("k-not-int", _bounds(k="x"), 1),
+    ("exact-beyond-work", _bounds("--exact", n="8", q="4", k="1..100000"), 3),
+    ("with-exact-beyond-cap", _bounds("--with-exact", n="14", q="3"), 3),
+    ("exact-and-logfloat", _bounds("--exact", "--logfloat"), 1),
+    ("n-1", _bounds(n="1"), 0),
+    ("q-257", _bounds(q="257"), 0),
+    ("q-2^20", _bounds(q=str(2 ** 20)), 0),
+    ("k-huge", _bounds(k=_HUGE), 0),
+    ("k-open-range", _bounds(k="1.."), 0),
+    ("with-exact", _bounds("--with-exact", n="2"), 0),
+    ("exact-at-8-4", _bounds("--exact", n="8", q="4", k="1..18"), 0),
+    ("n-14-q-3", _bounds(n="14", q="3", k="12..16"), 0),
+]
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("no exit within 1 s")
+
+
+@pytest.mark.parametrize("argv, code", [case[1:] for case in BOUNDS_EDGES], ids=[case[0] for case in BOUNDS_EDGES])
+def test_bounds_edge_inputs_exit_within_a_second(capsys, argv, code):
+    """Each edge input ends in process within 1 s (signal.alarm): an
+    admitted one exits 0 with rows on stdout, a refused one exits 1 or 3
+    with an error: or resource cap: line and no stdout."""
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(1)
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # a usage error found while parsing
+        got = exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    captured = capsys.readouterr()
+    assert got == code, captured.err
+    if code:
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert any(line.startswith(("error: ", "sympwalk: error: ", "resource cap: ")) for line in captured.err.splitlines())
+    else:
+        assert captured.err == "" and captured.out.startswith("k,tv_exact,tv_upper,tv_lower,mode")
 
 
 def test_chain_and_simulate_leave_numpy_ma_unimported():

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 import math
@@ -148,6 +149,80 @@ def test_blocks_are_every_multiset_in_type_order(d, remaining, n_orbits):
                 want.append((tuple((d, lam) for lam in combo), ways, left))
     want.sort(key=lambda block: block[0] + ((d + 1,) if block[2] else (),))
     assert _next_blocks(d, remaining, n_orbits) == tuple(want)
+
+
+# sha256 of repr(enumerate_partition_fns(n, q)) for n = 0, 1, ..., recorded before the
+# walk listed each type as a degree-1 block and one completion
+LABEL_DIGESTS = {
+    2: (
+        "79af5e767be89c3504a90429af283081aab8d98efc294df4f772b247a23cde01",
+        "58f965c03b2d6dbf7f1ea076606161735541501ba399e643cfc4e4ab7cd277ff",
+        "b1a306b1f7356e10f64ce65ec05d299c09b24037512a4832592b3840817efe6d",
+        "fe9cedf81fd9b8f0f5c59af90a469177b30d1f1c91dcd574fcb5d50df03b13ff",
+        "e6a9339bac78320929d4242d6b6e2041e409a4346c5c213d1c7595c58a1e1561",
+        "2793d5357af0e3a4b02fedc19ca90feb9c4041ffd38f7f3a061ed9178702209b",
+        "ae22766500fd1fd29728655ea3f5e9ae9bf211d0a054b260200880c0163006ae",
+        "3e7230b78fa0a54cc43a09869fd5a841dc8887fea97c338258a380640ad6361c",
+        "a97b7492fdcfcb55b0ea5e67ac5386d8c7e2e71118829c1f2436aadcede16635",
+        "8bedb424b2f5627308b93b2ede0b5b685b5feea413ff838e8d922d5293892e14",
+        "53fa1d8abd35b683bfa28b6fd75848b93b386024875c49688cf29c2e8ecee1ec",
+        "e67d35c375f575e1a3cd09653e7fae44cd0d52381b41c5cd6a60674d85a8182d",
+        "94d8e258822d284422ee1de185f3af6fbf38b36b63f285fbc76b3f2f49a02b9e",
+    ),
+    3: (
+        "79af5e767be89c3504a90429af283081aab8d98efc294df4f772b247a23cde01",
+        "1a0ad7b975e29985a967b42752d50b10bc67ef3d613f2b9d12ea43efca2bc3b2",
+        "3024370a53dfb8439261c3d2848221f2d1818fdfe54fc10ad2bbc91e53e25bc4",
+        "812f807bec0c619ad0a903b320eea99d09b97ec5c95943b817b680f6852b2398",
+        "142674c4e981f649696096ce375cf6693c836364e7e7ef55dba417a4b3641eb5",
+        "33f7edf551801fe9a8ecf10d399ab053c8b4d12ae1bc571cd8d7cd735790ed02",
+        "0146096e437afb355fb15a8399fb20a4c479c5adbbffc310e78ca87a93227955",
+        "3e953810c1c004c1519e3f643df0275375f76fa93329c7af2dc74f4b00c45fe3",
+        "b55914a6a3557f13d1fa1d1c772f6dde8c087e162d42faabaa6a2b46fb96b710",
+        "ec2478c34377eb2c07e43685f65f163655b7850b5fe12ecff0a8ee8c1dcd84d4",
+        "8ac605bd1e550f036c0aa77be23b61e6687325265a5dd1372d65c50c84d1f0de",
+        "94850e088cf859e976728ab8c79176afd809d0940bfea50e3d426a6d012d3270",
+        "ee951c5e5fb61a8d178b82b70549962fde481032436eb25ec3c653f41cc2e381",
+    ),
+    4: (
+        "79af5e767be89c3504a90429af283081aab8d98efc294df4f772b247a23cde01",
+        "0613f80ead59b2b5b78ba380a07a16c5ae382759c1051e3fd8836d63c3465080",
+        "69724b354d80c4da318a335072a8a61b4abd17084c48b518a761132daa868430",
+        "5f195dc15ffeb855aff467fdd00c18bb2476645a0ad1d05b38c4146cdf5c7972",
+        "95efad5b60ef875863a57d9633ab6c0ddbd5f28055b2b60e7e82615282d568fe",
+        "58f4e86e22f5a8dd5c91a9b2e1fead0694aa589a5c9f3b943a4796d2ecec8808",
+        "8ce2f9b1ffc8d5f8b691fae3fc3d15a300ba054c3211d143959ab6fffc347328",
+        "2090b6eaa638e81bd3c29133487a102ff27c1b6ed151882deae18bd222dc726e",
+    ),
+    5: (
+        "79af5e767be89c3504a90429af283081aab8d98efc294df4f772b247a23cde01",
+        "ddca405f8f392f4f3b2006fe479505113791b9e118be8ae2eb15ca83fe255249",
+        "3db15f9d53c0c323e7e9a2e6fcee7aa52ffe1a70cfcbc98b3767251bbe8666df",
+        "5e62cdb2eb882478471c61d9f6b14aa3feae2c553e7f418b39177d0a95aa067a",
+        "d666e559d3f3123bfa02c1863ded69e999711c48d65c956acfbfc7b321a71fba",
+        "bf9d54a4b9d1127fcd554db8c030e8bc6502d746eb11a810e8b45fa57aee7550",
+        "8bbe98147ad48a0374fde4d7b36bdf510aabf608ce85ebe5a52250d7faf029fa",
+        "c3669f6ad4e3805fd367f1e7e7ce5a8dc97f1e21aa2736977b9ef27a787c9df4",
+    ),
+    7: (
+        "79af5e767be89c3504a90429af283081aab8d98efc294df4f772b247a23cde01",
+        "25607f7aed55961ee46695051154448f1f78347b066607c28a8fb2718ab57a52",
+        "ed6b1a821279173fac1bce11b235ebfa769d3e9bf2f69b97074a92e5924cc8b0",
+        "c48683f322afbd3752988cd19e998254a8a521d5c55658c4716ba6e139ca7c64",
+        "24eef151b49b46c3604b39b1e9255e44a4c01338c302aa9e4899a349fb79862e",
+        "7e24b3e7d3d6eb720d15c97802f4487df9e0b73aa306468bde2817e26fc6bd97",
+        "6bc65b0dde53c6b3f79e7266d92b5804b46dc1930d13258c93f0708aee64d2d9",
+        "40caede7246fccb104d70650985cf54a6bbb779192c231ef8243398746839581",
+    ),
+}
+
+
+@pytest.mark.parametrize("q", sorted(LABEL_DIGESTS))
+def test_label_lists_are_pinned(cold_caches, q):
+    """Every label with its count, in order: n = 0..12 at q = 2 and 3 and
+    n = 0..7 at q = 4, 5 and 7, listed cold."""
+    for n, want in enumerate(LABEL_DIGESTS[q]):
+        assert hashlib.sha256(repr(enumerate_partition_fns(n, q)).encode()).hexdigest() == want, n
 
 
 def _doubled_factor_mismatches(factor):

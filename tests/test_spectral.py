@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from sympwalk.cli import main
-from sympwalk.combinat import PartitionFn, enumerate_partition_fns, dim_irrep
+from sympwalk.combinat import PartitionFn, enumerate_partition_fns, dim_irrep, partitions_of
 from sympwalk.errors import NotSingleBoxError, WeightMismatchError
 from sympwalk.spectral import (
     char_ratio_transvection,
+    content_sum,
     corner_bound,
     eigenvalue_floor,
     eigenvalue_phi,
@@ -187,3 +188,14 @@ def test_spectrum_json_schema(capsys):
         assert Fraction(got["phi"]) == line.phi
         assert int(got["multiplicity"]) == line.multiplicity
         assert got["lambda"] == line.lam.to_json() and got["type_count"] == line.type_count
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_content_sum_from_one_list_of_powers_matches_the_per_box_sum(q):
+    """Oracle: q^(n-1+2i-j) summed box by box, for every lam with
+    |lam| <= 10 and every n from |lam| to 14."""
+    for w in range(1, 11):
+        for lam in partitions_of(w):
+            for n in range(w, 15):
+                want = sum(q ** (n - 1 + 2 * i - j) for i, row in enumerate(lam) for j in range(row))
+                assert content_sum.__wrapped__(lam, n, q) == want, (lam, n)
